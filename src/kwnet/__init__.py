@@ -31,9 +31,9 @@ from .assembly import (  # noqa: F401
     solve_shifted,
 )
 from .solvers import (  # noqa: F401
-    KWProblem,
     Solution,
     SolvabilityVerdict,
+    SolveCounts,
     SolveReport,
     ThresholdEstimate,
     UpperSolutionParams,
@@ -47,7 +47,6 @@ from .solvers import (  # noqa: F401
     solve_critical,
     solve_negative,
     solve_positive,
-    solve_problem,
     solve_zero,
 )
 from .verify import (  # noqa: F401

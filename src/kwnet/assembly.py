@@ -5,14 +5,26 @@ the flux-conservation (Kirchhoff) vertex condition is the natural boundary
 condition of the discrete weak form and needs no special stencil.  The mass
 matrix is lumped (trapezoid weights), which keeps K + M_k an M-matrix and
 gives the discrete maximum principle the monotone iteration relies on.
+
+Every linear solve has the form K + diag(d) (the Riesz map, the monotone
+sweep, the Newton Jacobian and its ridge, the bordered flux problem) and goes
+through ``GridOperators.factor``.  The edge interiors are eliminated first:
+they form one tridiagonal that couples no two edges, factored by LAPACK in
+O(ndof) time and memory.  What remains is the |V| x |V| vertex Schur
+complement, which has the graph-Laplacian pattern (one entry per vertex and
+per edge) and is factored by SuperLU at a cost set by the vertex graph
+alone, however fine the edges are meshed (Arioli & Benzi, IMA J. Numer.
+Anal. 38, 2018).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -25,6 +37,9 @@ from .graph import Grid, GridFunction, grids_compatible, integrate
 
 #: linear solves are verified a posteriori against this relative residual
 LINEAR_RTOL = 1e-12
+# decoupled unit rows appended to the interior tridiagonal (see GridOperators)
+_PAD = 2
+_ZEROS = np.zeros(_PAD)
 
 
 @dataclass(frozen=True)
@@ -49,16 +64,6 @@ class SparseOperator:
     def is_symmetric(self) -> bool:
         d = self.matrix - self.matrix.T
         return d.nnz == 0 or float(np.max(np.abs(d.data))) == 0.0
-
-    def to_coordinate_text(self) -> str:
-        """Dump as 'row col value' lines (debugging aid)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [
-            f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}"
-            for i in order
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def assemble_stiffness(grid: Grid) -> SparseOperator:
@@ -89,6 +94,173 @@ def assemble_mass(grid: Grid) -> SparseOperator:
     return SparseOperator(sparse.diags(grid.weights).tocsr())
 
 
+class GridOperators:
+    """K and the elimination structure of K + diag(d) on one grid.
+
+    Built once per grid (``Grid.operators``).  Vertex DOFs come first and
+    each edge's interior DOFs are contiguous, so the interior block of K is
+    one tridiagonal with a zero coupling between consecutive edges, the
+    vertex block is diagonal, and K couples an edge's first interior node to
+    its tail vertex and its last interior node to its head vertex, each with
+    -1/h.  The vertex Schur complement therefore has the graph-Laplacian
+    pattern: its diagonal plus (tail, head) of every edge.
+    """
+
+    def __init__(self, grid: Grid):
+        K = grid.stiffness
+        nv = len(grid.graph.vertex_ids)
+        self.K = K
+        self.ndof = grid.ndof
+        self.nv = nv
+        self.ni = grid.ndof - nv
+        self.kdiag = K.diagonal()
+        self.abs_row_sum = np.asarray(abs(K).sum(axis=1)).ravel()
+        # interior tridiagonal of K (rows nv..ndof-1), closed by _PAD
+        # decoupled unit rows: scipy's dgttrf wrapper needs n >= 3, and an
+        # edge of two cells has a single interior node
+        self.t_diag = np.concatenate((self.kdiag[nv:], np.ones(_PAD)))
+        self.t_off = np.concatenate((K.diagonal(1)[nv:], _ZEROS))
+        dofs = [grid.edge_dofs[e.id] for e in grid.graph.edges]
+        tail = np.array([d[0] for d in dofs])
+        head = np.array([d[-1] for d in dofs])
+        first = np.array([d[1] for d in dofs]) - nv
+        last = np.array([d[-2] for d in dofs]) - nv
+        coupling = np.array([-1.0 / grid.spacing[e.id] for e in grid.graph.edges])
+        self.tail, self.head = tail, head
+        self.first, self.last = first, last
+        self.coupling = coupling
+        # the two ends of every edge, tail ends first: the vertex, the
+        # interior row K couples it to, and the coupling -1/h
+        self.end_vertex = np.concatenate((tail, head))
+        self.end_row = np.concatenate((first, last))
+        self.end_coupling = np.concatenate((coupling, coupling))
+        interior = np.array([len(d) - 2 for d in dofs])
+        self.tail_of = np.repeat(tail, interior)  # per interior DOF
+        self.head_of = np.repeat(head, interior)
+        # K_IV as two columns, each edge's coupling to its tail / head vertex
+        self.ends = np.zeros((self.ni + _PAD, 2), order="F")
+        self.ends[first, 0] = coupling
+        self.ends[last, 1] = coupling
+        vs, ev = np.arange(nv), self.end_vertex
+        self._rows = np.concatenate((vs, ev, ev))
+        self._cols = np.concatenate((vs, tail, tail, head, head))
+        self._schur = _csc_pattern(self._rows, self._cols, nv)
+
+    @cached_property
+    def _bordered(self):
+        """The Schur pattern bordered by one dense last row and column."""
+        nv, ev = self.nv, self.end_vertex
+        vs, b, e = np.arange(nv), np.full(nv, nv), np.full(len(ev), nv)
+        return _csc_pattern(np.concatenate((self._rows, vs, ev, b, e, [nv])),
+                            np.concatenate((self._cols, b, e, vs, ev, [nv])), nv + 1)
+
+    def couple(self, x_interior: np.ndarray) -> np.ndarray:
+        """K_VI x_I: the interior values' contribution to the vertex rows."""
+        return np.bincount(self.end_vertex, weights=self.end_coupling * x_interior[self.end_row],
+                           minlength=self.nv)
+
+    def factor(self, d: np.ndarray, border: np.ndarray | None = None) -> "KPlusDiag":
+        """Factor K + diag(d) for any real d, or the matrix bordered by
+        [[K + diag(d), border], [border^T, 0]]; raises LinearSolveFailure."""
+        return KPlusDiag(self, np.asarray(d, dtype=float), border)
+
+
+def _csc_pattern(rows: np.ndarray, cols: np.ndarray, n: int):
+    """An n x n CSC matrix holding every (row, col) given, zero-filled, and
+    the data slot of each given entry (repeated entries share a slot)."""
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    mat = sparse.csc_matrix((np.zeros(len(keys)), (keys % n).astype(np.intc),
+                             indptr.astype(np.intc)), shape=(n, n))
+    return mat, slot
+
+
+class KPlusDiag:
+    """LU of K + diag(d) by elimination of the edge interiors.
+
+    One LAPACK dgttrf factors the interior tridiagonal T; one dgttrs gives
+    Z = T^-1 [K_IV, border_I], each edge's response to its tail and its
+    head vertex (and to the border).  The vertex Schur complement
+    S = A_VV - K_VI Z is filled into the grid's prebuilt CSC pattern and
+    factored by SuperLU.  A zero interior pivot, a singular S or a nonfinite
+    solution raise LinearSolveFailure.  The reduced unknowns x_R are the
+    vertex values, plus the border multiplier when bordered.
+    """
+
+    def __init__(self, ops: GridOperators, d: np.ndarray, border: np.ndarray | None):
+        nv = ops.nv
+        self.ops = ops
+        self.d = d
+        diag = ops.t_diag.copy()
+        diag[:ops.ni] += d[nv:]
+        *lu, info = lapack.dgttrf(ops.t_off, diag, ops.t_off)
+        if info > 0:
+            raise LinearSolveFailure(f"zero pivot at interior row {info - 1}")
+        self._lu = lu
+        cols = (ops.ends if border is None
+                else np.column_stack((ops.ends, np.append(border[nv:], _ZEROS))))
+        z = self._z = lapack.dgttrs(*lu, cols)[0][:ops.ni]
+        # -K_VI Z, one row per edge end
+        coupled = -ops.end_coupling[:, None] * z[ops.end_row]
+        self._a_vv = ops.kdiag[:nv] + d[:nv]
+        vals = [self._a_vv, coupled[:, 0], coupled[:, 1]]
+        self._border = border
+        if border is None:
+            schur, slot = ops._schur
+        else:
+            schur, slot = ops._bordered
+            vals += [border[:nv], coupled[:, 2], border[:nv], coupled[:, 2],
+                     [-(border[nv:] @ z[:, 2])]]
+        # every factorization of this grid fills the same pattern; SuperLU
+        # copies what it keeps, so the data array is scratch space
+        schur.data[:] = np.bincount(slot, weights=np.concatenate(vals), minlength=schur.nnz)
+        try:
+            self._schur = spla.splu(schur)
+        except RuntimeError as exc:
+            raise LinearSolveFailure(f"vertex Schur complement: {exc}") from exc
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with (K + diag(d)) x = b (length ndof, or ndof + 1 when bordered).
+
+        Block forward and back substitution, T y = b_I, S x_R = b_R - C^T y,
+        T x_I = b_I - C x_R, with C = [K_IV, border_I]: solving the interior
+        again keeps its rows' residual at that of a direct tridiagonal solve.
+        That second solve disturbs the reduced rows, so one correction
+        S dx_R = (their residual), x_I -= Z dx_R brings them back to the
+        accuracy of a direct LU of the whole matrix.
+        """
+        ops, z, border = self.ops, self._z, self._border
+        nv, n, ni = ops.nv, ops.ndof, ops.ni
+        rhs = np.concatenate((b[nv:n], _ZEROS))
+        y = lapack.dgttrs(*self._lu, rhs)[0][:ni]
+        r = b[:nv] - ops.couple(y)
+        if border is not None:
+            r = np.append(r, b[n] - border[nv:] @ y)
+        xr = self._schur.solve(r)
+        rhs[ops.first] -= ops.coupling * xr[ops.tail]
+        rhs[ops.last] -= ops.coupling * xr[ops.head]
+        if border is not None:
+            rhs[:ni] -= border[nv:] * xr[nv]
+        xi = lapack.dgttrs(*self._lu, rhs, overwrite_b=True)[0][:ni]
+        r = b[:nv] - self._a_vv * xr[:nv] - ops.couple(xi)
+        if border is not None:
+            r -= border[:nv] * xr[nv]
+            r = np.append(r, b[n] - border[:nv] @ xr[:nv] - border[nv:] @ xi)
+        dr = self._schur.solve(r)
+        xr += dr
+        xi -= z[:, 0] * dr[ops.tail_of] + z[:, 1] * dr[ops.head_of]
+        if border is not None:
+            xi -= z[:, 2] * dr[nv]
+        x = np.concatenate((xr[:nv], xi, xr[nv:]))
+        if not np.isfinite(x).all():
+            raise LinearSolveFailure("nonfinite solution")
+        return x
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """(K + diag(d)) x, for a posteriori residual checks."""
+        return self.ops.K @ x + self.d * x
+
+
 def _check_function(grid: Grid, f: GridFunction, name: str) -> None:
     if not grids_compatible(grid, f.grid):
         raise GridMismatch(f"{name} lives on a different grid")
@@ -105,20 +277,17 @@ def shifted_solver(grid: Grid, k: GridFunction):
     kmin = float(np.min(k.values))
     if kmin <= 0.0:
         raise NonpositiveShift(f"min k = {kmin}; need k > 0 for an invertible M-matrix")
-    K = assemble_stiffness(grid).matrix
-    A = (K + sparse.diags(grid.weights * k.values)).tocsc()
-    row_norm = float(np.max(np.abs(A).sum(axis=1)))
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:  # pragma: no cover - splu fails only on bad input
-        raise LinearSolveFailure(str(exc)) from exc
+    d = grid.weights * k.values
+    ops = grid.operators
+    lu = ops.factor(d)
+    row_norm = float(np.max(ops.abs_row_sum + np.abs(d)))
 
     def solve(b: np.ndarray) -> np.ndarray:
         u = lu.solve(b)
         # backward-stable roundoff scales with |A| |u|, not just |b|
         scale = max(float(np.max(np.abs(b))), row_norm * float(np.max(np.abs(u))), 1e-300)
-        resid = float(np.max(np.abs(A @ u - b)))
-        if not np.all(np.isfinite(u)) or resid > LINEAR_RTOL * scale * 10.0:
+        resid = float(np.max(np.abs(lu.matvec(u) - b)))
+        if resid > LINEAR_RTOL * scale * 10.0:
             raise LinearSolveFailure(f"shifted solve residual {resid} vs scale {scale}")
         return u
 
@@ -153,21 +322,16 @@ def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
     if abs(ir) > 1e-8 * l1 + 1e-14 * total:
         raise IncompatibleRHS(f"integrate(rhs) = {ir!r} but a pure-flux problem needs 0")
 
-    K = assemble_stiffness(grid).matrix
+    ops = grid.operators
     w = grid.weights
     n = grid.ndof
-    bordered = sparse.bmat(
-        [[K, w.reshape(-1, 1)], [w.reshape(1, -1), None]], format="csc"
-    )
     b = np.concatenate([-(w * rhs.values), [0.0]])
-    try:
-        sol = spla.splu(bordered).solve(b)
-    except RuntimeError as exc:  # pragma: no cover
-        raise LinearSolveFailure(str(exc)) from exc
-    resid = float(np.max(np.abs(bordered @ sol - b)))
-    row_norm = float(np.max(np.abs(bordered).sum(axis=1)))
+    sol = ops.factor(np.zeros(n), border=w).solve(b)
+    resid = max(float(np.max(np.abs(grid.stiffness @ sol[:n] + w * sol[n] - b[:n]))),
+                abs(float(w @ sol[:n])))
+    row_norm = max(float(np.max(ops.abs_row_sum + w)), float(np.sum(w)))
     scale = max(float(np.max(np.abs(b))), row_norm * float(np.max(np.abs(sol))), 1.0)
-    if not np.all(np.isfinite(sol)) or resid > LINEAR_RTOL * scale * 100.0:
+    if resid > LINEAR_RTOL * scale * 100.0:
         raise LinearSolveFailure(f"bordered solve residual {resid} vs scale {scale}")
     m = sol[:n]
     m = m - (w @ m) / total  # strip the roundoff-level mean
@@ -185,11 +349,9 @@ class ResidualReport:
         return iter((self.weak_residual_norm, self.residual))
 
 
-def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float,
-                    stiffness: sparse.csr_matrix | None = None) -> np.ndarray:
+def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
     """r = K u + c M 1 - M (h * exp(u)) on raw DOF vectors."""
-    K = assemble_stiffness(grid).matrix if stiffness is None else stiffness
-    return K @ u + c * grid.weights - grid.weights * (h * np.exp(u))
+    return grid.stiffness @ u + c * grid.weights - grid.weights * (h * np.exp(u))
 
 
 def apply_residual(u: GridFunction, h: GridFunction, c: float) -> ResidualReport:

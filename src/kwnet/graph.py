@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,18 +64,20 @@ class MetricGraph:
     incidence : mapping vertex id -> frozenset of incident edge ids
     total_length : float
         Sum of all edge lengths (the measure of the whole graph).
+    edge_index : mapping edge id -> Edge, built from ``edges``
     """
 
     vertex_ids: tuple
     edges: tuple
     incidence: dict = field(repr=False)
     total_length: float = 0.0
+    edge_index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_index", {e.id: e for e in self.edges})
 
     def edge(self, edge_id) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+        return self.edge_index[edge_id]
 
     def degree(self, vertex_id) -> int:
         return len(self.incidence[vertex_id])
@@ -170,6 +173,23 @@ class Grid:
     @property
     def total_length(self) -> float:
         return self.graph.total_length
+
+    # assembly builds on this module, hence the imports at first use
+    @cached_property
+    def stiffness(self):
+        """The stiffness matrix K (assembly.assemble_stiffness), built on
+        first use and kept for the life of the grid."""
+        from .assembly import assemble_stiffness
+
+        return assemble_stiffness(self).matrix
+
+    @cached_property
+    def operators(self):
+        """The K + diag(d) solver structure (assembly.GridOperators), built
+        on first use and kept for the life of the grid."""
+        from .assembly import GridOperators
+
+        return GridOperators(self)
 
     def vertex_dof(self, vertex_id) -> int:
         return self.graph.vertex_ids.index(vertex_id)

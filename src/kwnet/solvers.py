@@ -25,20 +25,19 @@ by (1 + |c|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import brentq
-from scipy.sparse import linalg as spla
 
-from .assembly import assemble_stiffness, shifted_solver, solve_poisson_meanzero
+from .assembly import residual_vector, shifted_solver, solve_poisson_meanzero
 from .errors import (
     BoundBlowup,
     FeasibilityFailure,
     GridMismatch,
     HNotNonpositive,
     IntegralNotNegative,
+    LinearSolveFailure,
     MarginTooLarge,
     NoConvergence,
     NotSolvable,
@@ -148,17 +147,21 @@ class UpperSolutionParams:
         return GridFunction(self.m.grid, self.a * self.m.values + self.b)
 
 
-@dataclass(frozen=True)
-class KWProblem:
-    grid: Grid
-    h: GridFunction
-    c: float
+@dataclass
+class SolveCounts:
+    """Factorizations of K + diag(d) and ridge retries among them.
 
-    def __post_init__(self):
-        if not grids_compatible(self.grid, self.h.grid):
-            raise GridMismatch("problem grid differs from the grid of h")
-        if not math.isfinite(self.c):
-            raise ValueError("c must be finite")
+    A solver given one adds its work to it, so a caller can total the work
+    of several calls, failed ones included.
+    """
+
+    factorizations: int = 0
+    ridge_retries: int = 0
+
+    def since(self, start: "SolveCounts") -> dict:
+        """The counts added after ``start`` was copied from this object."""
+        return {"factorizations": self.factorizations - start.factorizations,
+                "ridge_retries": self.ridge_retries - start.ridge_retries}
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +169,26 @@ class KWProblem:
 
 
 class _Workspace:
-    """Per-grid operators shared by one solve."""
+    """The grid's operators and the work counts of one solve."""
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, counts: SolveCounts | None = None):
         self.grid = grid
-        self.K = assemble_stiffness(grid).matrix
+        self.K = grid.stiffness
         self.w = grid.weights
         self.total = grid.total_length
+        self.counts = SolveCounts() if counts is None else counts
         self._riesz = None
+
+    def factor(self, d: np.ndarray):
+        """Factor K + diag(d); raises LinearSolveFailure."""
+        self.counts.factorizations += 1
+        return self.grid.operators.factor(d)
 
     def riesz(self):
         # H1 Riesz map (K + M)^(-1): turns dual residual vectors into
         # gradient directions whose quality does not degrade with the mesh.
         if self._riesz is None:
-            self._riesz = spla.splu((self.K + sparse.diags(self.w)).tocsc())
+            self._riesz = self.factor(self.w)
         return self._riesz
 
     def residual(self, u: np.ndarray, hv: np.ndarray, c: float) -> np.ndarray:
@@ -432,13 +441,25 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
         )
 
     u = v + math.log(lam)
-    rfin = ws.residual(u, hv, 0.0)
+    final = ws.weak_norm(ws.residual(u, hv, 0.0))
+    if final > tol:
+        # rounding v + ln(lambda) can lift a residual that sits at the
+        # roundoff floor of a fine mesh back above tol; the Newton tail
+        # from u brings it down again, or the solve has not converged
+        upol = _damped_newton(ws, hv, 0.0, u, tol=tol, max_iter=50)
+        if upol is None or float(np.max(np.abs(upol - u))) >= 1.0:
+            raise NoConvergence(f"residual {final:.3e} of u = v + ln(lambda) "
+                                f"exceeds tol {tol:.1e}")
+        mean_u = float(w @ upol) / ws.total
+        u, v, lam = upol, upol - mean_u, math.exp(mean_u)
+        val = 0.5 * float(v @ (K @ v))
+        final = ws.weak_norm(ws.residual(u, hv, 0.0))
     mass = float(w @ (hv * np.exp(u)))
     lam_energy = exp_weighted_energy(GridFunction(grid, v)) / (-ih)
     report = SolveReport(
         method="constrained-gradient(zero)",
         iterations=iterations,
-        final_residual=ws.weak_norm(rfin),
+        final_residual=final,
         multiplier=lam,
         functional_value=val,
         identity_checks={
@@ -446,7 +467,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
             "energy_defect": abs(exp_weighted_energy(GridFunction(grid, u)) + ih),
             "multiplier_energy": lam_energy,
         },
-        details={"bump_scale": ell0, "integral_h": ih},
+        details={"bump_scale": ell0, "integral_h": ih, **asdict(ws.counts)},
     )
     return Solution(GridFunction(grid, u), report)
 
@@ -508,39 +529,41 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     wn = math.inf
     iterations = 0
     polish_at = 1e-4 * (1.0 + abs(c))
+    stalled = False
     for iterations in range(1, max_iter + 1):
         r = ws.residual(u, hv, c)
         wn = ws.weak_norm(r)
         if wn <= ctol:
             break
-        if wn <= polish_at:
+        if wn <= polish_at or stalled:
             # Newton tail: a root of the full system keeps the mass
-            # constraint exactly (sum the rows), so feasibility survives
+            # constraint exactly (sum the rows), so feasibility survives.
+            # A stalled descent tries it too before giving up.
             upol = _damped_newton(ws, hv, c, u, tol=0.2 * ctol, max_iter=50)
             if upol is not None and float(np.max(np.abs(upol - u))) < 1.0:
                 u = upol
                 val = value(u)
                 wn = ws.weak_norm(ws.residual(u, hv, c))
                 break
+            if stalled:
+                break
             polish_at = wn / 10.0
         d = riesz.solve(r)
         slope = float(r @ d)
         eta = ARMIJO_START
-        moved = False
         noise = 1e-15 * (1.0 + abs(val))
         while eta >= 1e-14:
             trial = project(u - eta * d)
             if trial is not None:
                 tval = value(trial)
                 if tval <= val - ARMIJO_DECREASE * eta * slope + noise:
-                    u, val = trial, tval
-                    moved = True
                     break
             eta *= ARMIJO_FACTOR
-        if not moved:
-            r = ws.residual(u, hv, c)
-            wn = ws.weak_norm(r)
-            break
+        # stalled: no step decreases the energy beyond its roundoff, or the
+        # accepted one leaves u unchanged (every later sweep would repeat it)
+        stalled = eta < 1e-14 or np.array_equal(trial, u)
+        if not stalled:
+            u, val = trial, tval
     if wn > ctol:
         raise NoConvergence(
             f"projected gradient stalled at residual {wn:.3e} (tol {ctol:.1e}) "
@@ -555,7 +578,7 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         multiplier=1.0,
         functional_value=val,
         identity_checks={"mass_defect": abs(mass - target)},
-        details={"integral_h": ih, "target_mass": target},
+        details={"integral_h": ih, "target_mass": target, **asdict(ws.counts)},
     )
     return Solution(GridFunction(grid, u), report)
 
@@ -615,8 +638,7 @@ def build_upper(h: GridFunction) -> UpperSolutionParams:
 
     params = UpperSolutionParams(m=m, a=a, b=b, implied_c=implied_c)
     up = params.u_plus()
-    ws = _Workspace(grid)
-    defect = ws.residual(up.values, h.values, implied_c) / ws.w
+    defect = residual_vector(grid, up.values, h.values, implied_c) / grid.weights
     floor = -1e-8 * (1.0 + abs(implied_c) + sup_h * math.exp(float(np.max(up.values))))
     if float(np.min(defect)) < floor:
         raise NoConvergence(
@@ -650,13 +672,15 @@ def build_upper_hneg(h: GridFunction, c: float) -> GridFunction:
 
 def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
                      u_plus: GridFunction, *, tol: float = DEFAULT_TOL,
-                     max_iter: int | None = None) -> Solution:
+                     max_iter: int | None = None,
+                     counts: SolveCounts | None = None) -> Solution:
     """Descend from the upper solution through shifted linear solves.
 
     With k = max(1, -h) e^(u+), each sweep solves d2u' - k u' = f(u) - k u,
     f(x, u) = c - h e^u.  The M-matrix structure of the shifted operator keeps
     the sweeps ordered: u- <= u_{n+1} <= u_n <= u+ (monotone_history records
-    the slack of both inequalities each sweep).
+    the slack of both inequalities each sweep).  ``counts``, when given,
+    receives this call's factorizations and ridge retries as well.
     """
     if not c < 0.0:
         raise ValueError("monotone iteration applies to c < 0")
@@ -665,7 +689,8 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     for f, name in ((u_minus, "u_minus"), (u_plus, "u_plus")):
         if not grids_compatible(grid, f.grid):
             raise GridMismatch(f"{name} lives on a different grid")
-    ws = _Workspace(grid)
+    ws = _Workspace(grid, counts)
+    start = replace(ws.counts)
     hv, w = h.values, ws.w
 
     gap = float(np.min(u_plus.values - u_minus.values))
@@ -681,6 +706,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
 
     k = np.maximum(1.0, -hv) * np.exp(u_plus.values)
     sweep = shifted_solver(grid, GridFunction(grid, k))
+    ws.counts.factorizations += 1
 
     # An exact upper/lower pair keeps the sweeps ordered to machine precision;
     # a pair admitted with a small defect can leak that defect into the
@@ -738,7 +764,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
         identity_checks={"mass_defect": abs(mass - c * ws.total)},
         monotone_history=history,
         details={"upper_defect": upper_defect, "lower_defect": lower_defect,
-                 "newton_tail": used_tail},
+                 "newton_tail": used_tail, **ws.counts.since(start)},
     )
     return Solution(GridFunction(grid, u), report)
 
@@ -766,8 +792,7 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
         if wn <= tol and wn > 0.3 * prev_wn:
             break  # under tolerance and no longer improving quickly
         prev_wn = wn
-        jac = (K - sparse.diags(w * hv * eu)).tocsc()
-        d = _linsolve(jac, -r, w)
+        d = _linsolve(ws, -(w * hv * eu), -r)
         if d is None:
             break
         merit = float(r @ (r / w))
@@ -790,28 +815,29 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
     return best_u if best_wn <= tol else None
 
 
-def _linsolve(jac, rhs, w):
-    """Sparse solve with a ridge fallback for indefinite/singular Jacobians."""
+def _linsolve(ws: _Workspace, d: np.ndarray, rhs: np.ndarray):
+    """Solve (K + diag(d)) x = rhs, with a ridge d + tau w as the fallback
+    for indefinite/singular Jacobians; None when every ridge fails."""
     try:
-        d = spla.splu(jac).solve(rhs)
-        if np.all(np.isfinite(d)) and _solve_ok(jac, d, rhs):
-            return d
-    except RuntimeError:
+        lu = ws.factor(d)
+        x = lu.solve(rhs)
+        if _solve_ok(lu, x, rhs):
+            return x
+    except LinearSolveFailure:
         pass
-    tau = 1e-10 * (1.0 + float(np.max(np.abs(jac.diagonal()))))
+    tau = 1e-10 * (1.0 + float(np.max(np.abs(ws.grid.operators.kdiag + d))))
     for _ in range(12):
+        ws.counts.ridge_retries += 1
         try:
-            d = spla.splu((jac + tau * sparse.diags(w)).tocsc()).solve(rhs)
-            if np.all(np.isfinite(d)):
-                return d
-        except RuntimeError:
+            return ws.factor(d + tau * ws.w).solve(rhs)
+        except LinearSolveFailure:
             pass
         tau *= 100.0
     return None
 
 
-def _solve_ok(A, x, b) -> bool:
-    res = float(np.max(np.abs(A @ x - b)))
+def _solve_ok(lu, x, b) -> bool:
+    res = float(np.max(np.abs(lu.matvec(x) - b)))
     return res <= 1e-8 * (float(np.max(np.abs(b))) + 1e-300)
 
 
@@ -853,42 +879,49 @@ def _lower_for(h: GridFunction, c: float, u_plus: GridFunction) -> GridFunction:
 
 
 def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
-                   max_iter: int | None = None) -> Solution:
+                   max_iter: int | None = None,
+                   counts: SolveCounts | None = None) -> Solution:
     """Solve d2u = c - h e^u for c < 0 (needs int h < 0).
 
     h <= 0: the constructed upper solution works for every c < 0.  Otherwise
     the scaled-flux upper solution certifies c >= implied_c directly; below
     that a damped-Newton continuation in c supplies the upper solution, and
     failure of the continuation is reported as NoUpperSolutionFound —
-    evidence of c below the threshold, never a proof.
+    evidence of c below the threshold, never a proof.  ``counts``, when
+    given, receives this call's factorizations and ridge retries as well.
     """
     if not c < 0.0:
         raise ValueError("solve_negative requires c < 0")
     v0 = classify(h, c)
     if not v0.ok:
         raise NotSolvable(f"c < 0 needs int h < 0 ({v0.reason})")
+    ws = _Workspace(h.grid, counts)
+    start = replace(ws.counts)
 
     if v0.max_h <= 0.0:
         up = build_upper_hneg(h, c)
+        ws.counts.factorizations += 1  # the flux solve inside build_upper_hneg
         sol = monotone_iterate(h, c, _lower_for(h, c, up), up,
-                               tol=tol, max_iter=max_iter)
+                               tol=tol, max_iter=max_iter, counts=ws.counts)
         sol.report.method = "monotone(h<=0)"
+        sol.report.details.update(ws.counts.since(start))
         return sol
 
     params = build_upper(h)
+    ws.counts.factorizations += 1  # the flux solve inside build_upper
     if c >= params.implied_c:
         up = params.u_plus()
         sol = monotone_iterate(h, c, _lower_for(h, c, up), up,
-                               tol=tol, max_iter=max_iter)
+                               tol=tol, max_iter=max_iter, counts=ws.counts)
         sol.report.method = "monotone(certified)"
         sol.report.details["implied_c"] = params.implied_c
+        sol.report.details.update(ws.counts.since(start))
         return sol
 
     # below the certified range: continuation from implied_c down to c
-    ws = _Workspace(h.grid)
     base_up = params.u_plus()
     base = monotone_iterate(h, params.implied_c, _lower_for(h, params.implied_c, base_up),
-                            base_up, tol=tol, max_iter=max_iter)
+                            base_up, tol=tol, max_iter=max_iter, counts=ws.counts)
     u_cont = _continue_down(ws, h.values, params.implied_c, base.u.values, c, tol)
     if u_cont is None:
         raise NoUpperSolutionFound(
@@ -896,10 +929,12 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
             f"(certified range starts at {params.implied_c})"
         )
     up = GridFunction(h.grid, u_cont)
-    sol = monotone_iterate(h, c, _lower_for(h, c, up), up, tol=tol, max_iter=max_iter)
+    sol = monotone_iterate(h, c, _lower_for(h, c, up), up, tol=tol, max_iter=max_iter,
+                           counts=ws.counts)
     sol.report.method = "monotone(continuation)"
     sol.report.details["implied_c"] = params.implied_c
     sol.report.details["continuation_from"] = params.implied_c
+    sol.report.details.update(ws.counts.since(start))
     return sol
 
 
@@ -919,6 +954,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
         return ThresholdEstimate(minus_infinity=True, c_lo=None, c_hi=None,
                                  analytic_upper_bound=None)
 
+    counts = SolveCounts(factorizations=1)  # the flux solve inside build_upper
     params = build_upper(h)
     c_hi = params.implied_c
     if bracket_tol is None:
@@ -927,7 +963,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
 
     def solvable(cc: float) -> bool:
         try:
-            solve_negative(h, cc, tol=tol, max_iter=max_iter)
+            solve_negative(h, cc, tol=tol, max_iter=max_iter, counts=counts)
             probes.append((cc, True))
             return True
         except (NoUpperSolutionFound, NoConvergence):
@@ -957,7 +993,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
         c_lo=c_lo,
         c_hi=c_hi,
         analytic_upper_bound=params.implied_c,
-        details={"probes": len(probes)},
+        details={"probes": len(probes), **asdict(counts)},
     )
 
 
@@ -1040,7 +1076,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
             # solution at c_try); frac = 1 falls back to c_try itself
             cand = c_floor + frac * (c_try - c_floor)
             try:
-                psi = solve_negative(h, cand, tol=tol).u
+                psi = solve_negative(h, cand, tol=tol, counts=ws.counts).u
                 c_psi = cand
                 break
             except (NoUpperSolutionFound, NoConvergence):
@@ -1109,6 +1145,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
             "bracket": [c_lo, c_hi],
             "residual_at_midpoint": r_mid,
             "rungs": rungs,
+            **asdict(ws.counts),
         },
     )
     return Solution(GridFunction(grid, u_best), report)
@@ -1127,8 +1164,3 @@ def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     if c > 0.0:
         return solve_positive(h, c, tol=tol, max_iter=max_iter)
     return solve_negative(h, c, tol=tol, max_iter=max_iter)
-
-
-def solve_problem(problem: KWProblem, *, tol: float = DEFAULT_TOL,
-                  max_iter: int | None = None) -> Solution:
-    return solve(problem.h, problem.c, tol=tol, max_iter=max_iter)

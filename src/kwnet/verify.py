@@ -84,7 +84,7 @@ def fd_gradient_check(functional: str, u: GridFunction, phi: GridFunction,
         raise GridMismatch("u and h live on different grids")
 
     grid = u.grid
-    K = assemble_stiffness(grid).matrix
+    K = grid.stiffness
     w = grid.weights
     uv, pv = u.values, phi.values
 
@@ -154,7 +154,7 @@ def manufacture(u_star: GridFunction, c: float, *,
                 "the profile is not compatible with the flux balance"
             )
 
-    K = assemble_stiffness(grid).matrix
+    K = grid.stiffness
     w = grid.weights
     uv = u_star.values
     hv = (c + (K @ uv) / w) * np.exp(-uv)

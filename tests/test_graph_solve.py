@@ -1,0 +1,166 @@
+"""The K + diag(d) primitive: interior tridiagonal plus vertex Schur complement."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
+
+from kwnet import (
+    GridFunction,
+    SolveCounts,
+    build_graph,
+    build_grid,
+    build_upper,
+    sample_function,
+    solve_negative,
+    solve_poisson_meanzero,
+    solve_positive,
+    solve_shifted,
+)
+from kwnet.assembly import LINEAR_RTOL
+from kwnet.errors import LinearSolveFailure
+from kwnet.solvers import _damped_newton, _linsolve, _Workspace
+from helpers import make_single, make_theta, random_grid, random_h_positive_somewhere
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _dense(grid, d):
+    return grid.stiffness.toarray() + np.diag(d)
+
+
+def _assert_matches(x, ref, cond):
+    # backward-stable elimination: forward error bounded by cond * eps
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(x - ref))) <= 1e-13 * cond * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, spread=st.floats(0.1, 80.0))
+def test_solve_matches_dense_for_indefinite_shift(seed, spread):
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, cells_lo=2, cells_hi=48)
+    # the shape of a Newton Jacobian K - M_{h e^u}: weights times a sign-changing factor
+    d = grid.weights * rng.uniform(-spread, spread, grid.ndof)
+    A = _dense(grid, d)
+    cond = np.linalg.cond(A)
+    assume(cond <= 1e9)  # nearer to singular, forward errors say little
+    b = rng.standard_normal((grid.ndof, 2))
+    lu = grid.operators.factor(d)
+    for col in b.T:
+        _assert_matches(lu.solve(col), np.linalg.solve(A, col), cond)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds)
+def test_bordered_solve_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, cells_lo=2, cells_hi=48)
+    w = grid.weights
+    n = grid.ndof
+    B = np.block([[grid.stiffness.toarray(), w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    b = rng.standard_normal(n + 1)
+    x = grid.operators.factor(np.zeros(n), border=w).solve(b)
+    _assert_matches(x, np.linalg.solve(B, b), np.linalg.cond(B))
+
+
+@pytest.mark.parametrize("grid", [
+    make_single(cells=2),
+    make_theta(cells=2),
+    make_theta(cells=9),
+    # parallel edges with opposite orientations share one Schur entry
+    build_grid(build_graph(["a", "b"], [("e1", "a", "b", 1.0), ("e2", "b", "a", 0.7)]),
+               {"e1": 3, "e2": 2}),
+], ids=["edge-2-cells", "theta-2-cells", "theta", "antiparallel"])
+def test_solve_edge_cases_match_dense(grid):
+    rng = np.random.default_rng(5)
+    d = grid.weights * rng.uniform(-20.0, 20.0, grid.ndof)
+    A = _dense(grid, d)
+    b = rng.standard_normal(grid.ndof)
+    _assert_matches(grid.operators.factor(d).solve(b), np.linalg.solve(A, b), np.linalg.cond(A))
+
+
+def test_solve_on_thousand_edge_star():
+    vs = ["hub"] + [f"v{i}" for i in range(1000)]
+    es = [(f"e{i}", "hub", f"v{i}", 0.5 + (i % 7) / 7.0) for i in range(1000)]
+    grid = build_grid(build_graph(vs, es), 8)
+    rng = np.random.default_rng(11)
+    d = grid.weights * rng.uniform(0.5, 2.0, grid.ndof)
+    b = rng.standard_normal(grid.ndof)
+    x = grid.operators.factor(d).solve(b)
+    ref = spsolve((grid.stiffness + sparse.diags(d)).tocsc(), b)
+    assert float(np.max(np.abs(x - ref))) <= 1e-10 * float(np.max(np.abs(ref)))
+
+
+def _zero_pivot_problem():
+    # two cells on the unit edge: the one interior node has K_ii = 2/h = 4 and
+    # weight h = 0.5, so h e^u = 8 there makes K_ii - w h e^u exactly zero
+    grid = make_single(cells=2)
+    hv = np.array([1.0, 1.0, 8.0])
+    return grid, hv
+
+
+def test_zero_interior_pivot_is_a_failure():
+    grid, hv = _zero_pivot_problem()
+    d = -(grid.weights * hv)
+    with pytest.raises(LinearSolveFailure, match="zero pivot"):
+        grid.operators.factor(d)
+    # the full matrix is regular, and the ridge solves it
+    ws = _Workspace(grid)
+    b = np.array([1.0, -2.0, 0.5])
+    x = _linsolve(ws, d, b)
+    assert x is not None and np.all(np.isfinite(x))
+    assert ws.counts.ridge_retries == 1
+    assert ws.counts.factorizations == 2
+
+
+def test_damped_newton_takes_the_ridge_at_a_zero_pivot():
+    grid, hv = _zero_pivot_problem()
+    ws = _Workspace(grid)
+    _damped_newton(ws, hv, -1.0, np.zeros(grid.ndof), tol=1e-10, max_iter=1)
+    assert ws.counts.ridge_retries >= 1
+
+
+def test_shifted_and_flux_solves_on_a_fine_edge():
+    grid = make_single(cells=100_000)
+    w = grid.weights
+    k = sample_function(grid, lambda s: 1.0 + math.sin(3.0 * s) ** 2)
+    rhs = sample_function(grid, lambda s: math.cos(2.0 * math.pi * s) + s)
+    u = solve_shifted(grid, k, rhs).values
+    A = grid.stiffness + sparse.diags(w * k.values)
+    row_norm = float(np.max(abs(A).sum(axis=1)))
+    b = -(w * rhs.values)
+    scale = max(float(np.max(np.abs(b))), row_norm * float(np.max(np.abs(u))))
+    assert float(np.max(np.abs(A @ u - b))) <= LINEAR_RTOL * scale * 10.0
+
+    flux = GridFunction(grid, rhs.values - float(w @ rhs.values) / grid.total_length)
+    m = solve_poisson_meanzero(grid, flux).values
+    b = -(w * flux.values)
+    row_norm = float(np.max(abs(grid.stiffness).sum(axis=1))) + float(np.max(w))
+    scale = max(float(np.max(np.abs(b))), row_norm * float(np.max(np.abs(m))), 1.0)
+    assert float(np.max(np.abs(grid.stiffness @ m - b))) <= LINEAR_RTOL * scale * 100.0
+    assert abs(float(w @ m)) <= 1e-12 * float(w @ np.abs(m))
+
+
+def test_reports_count_factorizations():
+    rng = np.random.default_rng(2)
+    grid = make_single(cells=48)
+    sol = solve_positive(random_h_positive_somewhere(grid, rng), 0.5)
+    assert sol.report.details["factorizations"] >= 1  # the Riesz map
+    assert sol.report.details["ridge_retries"] >= 0
+
+
+def test_counts_accumulate_across_calls_and_failures():
+    grid = make_single(cells=24)
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+    c_certified = build_upper(h).implied_c
+    counts = SolveCounts()
+    sol = solve_negative(h, c_certified, counts=counts)
+    assert sol.report.details["factorizations"] == counts.factorizations > 0
+    with pytest.raises(RuntimeError):
+        solve_negative(h, 4.0 * c_certified, counts=counts)  # far below the fold
+    assert counts.factorizations > sol.report.details["factorizations"]
+    assert counts.ridge_retries > 0

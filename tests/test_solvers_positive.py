@@ -7,6 +7,7 @@ import pytest
 
 from kwnet import apply_residual, constant, integrate, sample_function, solve, solve_positive
 from kwnet.errors import NotSolvable
+from kwnet.problemfile import parse_problem
 from helpers import make_path3, make_single, make_theta, random_h_positive_somewhere
 
 
@@ -63,3 +64,22 @@ def test_requires_positive_c():
     grid = make_single(cells=16)
     with pytest.raises(ValueError):
         solve_positive(constant(grid, 1.0), -1.0)
+
+
+def test_stalled_descent_finishes_with_newton():
+    # on this theta graph the energy descent stops moving near a residual of
+    # 1e-4, where the energy no longer resolves a decrease; the Newton tail
+    # has to finish the solve from there
+    edges = [("e1", 1.0, "1.15190661161", "-0.0352299244208"),
+             ("e2", 1.3, "1.37495240034", "-0.151154364664"),
+             ("e3", 0.9, "0.937393857326", "0.140325571416")]
+    spec = parse_problem({
+        "vertices": ["a", "b"],
+        "edges": [{"id": eid, "tail": "a", "head": "b", "length": length, "cells": 384}
+                  for eid, length, _, _ in edges],
+        "h": {eid: f"-0.705609976281 + {a}*sin(pi*s/{length})^4 + {b}*sin(2*pi*s/{length})"
+              for eid, length, a, b in edges},
+    })
+    sol = solve_positive(spec.h, 0.3)
+    assert sol.report.final_residual <= 1e-8 * 1.3
+    assert sol.report.iterations < 1000

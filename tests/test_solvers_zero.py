@@ -87,3 +87,13 @@ def test_refuses_nonnegative_integral():
     assert classify(h, 0.0).reason == "IntegralHNonneg"
     with pytest.raises(NotSolvable):
         solve_zero(h)
+
+
+def test_fine_mesh_reported_residual_meets_tol():
+    # at 3072 cells the residual sits at its roundoff floor, a few 1e-9;
+    # forming u = v + ln(lambda) must not push it back above tol
+    grid = make_single(cells=3072)
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+    sol = solve_zero(h)
+    assert sol.report.final_residual <= 1e-8
+    assert apply_residual(sol.u, h, 0.0).weak_residual_norm <= 1e-8

@@ -47,6 +47,10 @@ def test_threshold_bracket_properties():
     # analytic bound comes from the certified construction and sits above
     assert est.c_hi <= est.analytic_upper_bound
     assert est.details["probes"] >= 3
+    # work counts cover every probe, the failed ones included
+    assert isinstance(est.details["probes"], int)
+    assert est.details["factorizations"] > est.details["probes"]
+    assert est.details["ridge_retries"] > 0
 
 
 def test_threshold_edges_solve_and_fail():
