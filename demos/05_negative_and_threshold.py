@@ -57,14 +57,16 @@ print("at c = 2 implied_c: ", sol.report.method,
       " iterations:", sol.report.iterations)
 
 # ---------------------------------------------------------------------------
-# the threshold bracket: bisection between solvable and unsolvable c
+# the threshold bracket: the branch of solutions, traced with the mean of u
+# as its parameter, turns back at the threshold (its fold, dc/dmu = 0)
 est = estimate_threshold(h, bracket_tol=1e-5)
-print("\nthreshold bracket: [", est.c_lo, ",", est.c_hi, "]")
+print("\nfold of the solution branch: c* =", est.details["c_star"])
+print("threshold bracket: [", est.c_lo, ",", est.c_hi, "]")
 print("analytic upper bound:", est.analytic_upper_bound,
-      " probes:", est.details["probes"])
+      " branch points:", est.details["probes"])
 
 solve_negative(h, est.c_hi)          # top of the bracket solves
 try:
-    solve_negative(h, est.c_lo)      # bottom carries failure evidence
+    solve_negative(h, est.c_lo)      # bottom lies below the fold
 except NoUpperSolutionFound as exc:
     print("bracket bottom refused:", exc)

@@ -146,6 +146,8 @@ def cmd_threshold(args) -> int:
         "analytic_upper_bound": est.analytic_upper_bound,
         "width": (None if est.minus_infinity else est.c_hi - est.c_lo),
         "probes": est.details.get("probes"),
+        "c_star": est.details.get("c_star"),
+        "branch_points": est.details.get("branch"),
     }
     _write_json(out_path, payload)
     if est.minus_infinity:

@@ -14,7 +14,8 @@ The sign of c decides the machinery:
   constructed upper solution u+ = a m + b, where m solves a compatible flux
   problem driven by h minus its mean.  When c lies below the certified range
   of that construction, a damped-Newton continuation in c supplies the upper
-  solution.  Bisection over c brackets the solvability threshold, and a
+  solution.  The solvability threshold is the fold of the solution branch,
+  traced once in (u, c) with the mean of u as its parameter, and a
   box-constrained minimization follows solutions down to the bracket.
 
 All iterations report residuals in the pointwise-defect scale of
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -123,8 +125,10 @@ class Solution:
 class ThresholdEstimate:
     """Bracket for the solvability threshold in c < 0.
 
-    ``c_hi`` is solvable, ``c_lo`` carries unsolvability evidence; when h <= 0
-    everywhere the threshold is minus infinity and the bracket is absent.
+    ``c_hi`` is certified solvable by ``solve_negative``; ``c_lo`` lies below
+    the computed fold ``details["c_star"]`` of the solution branch, which is
+    its evidence of unsolvability.  When h <= 0 everywhere the threshold is
+    minus infinity and the bracket is absent.
     """
 
     minus_infinity: bool
@@ -179,10 +183,11 @@ class _Workspace:
         self.counts = SolveCounts() if counts is None else counts
         self._riesz = None
 
-    def factor(self, d: np.ndarray):
-        """Factor K + diag(d); raises LinearSolveFailure."""
+    def factor(self, d: np.ndarray, border: np.ndarray | None = None):
+        """Factor K + diag(d), bordered by ``border`` when given; raises
+        LinearSolveFailure."""
         self.counts.factorizations += 1
-        return self.grid.operators.factor(d)
+        return self.grid.operators.factor(d, border)
 
     def riesz(self):
         # H1 Riesz map (K + M)^(-1): turns dual residual vectors into
@@ -777,22 +782,20 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
     results sit near the numerical floor rather than just under tol.
     """
     u = np.asarray(seed, dtype=float).copy()
-    w, K = ws.w, ws.K
+    w = ws.w
     best_u, best_wn = None, math.inf
     prev_wn = math.inf
+    r = ws.residual(u, hv, c)  # nonfinite exactly where e^u overflows
     for _ in range(max_iter):
-        with np.errstate(over="ignore"):
-            eu = np.exp(u)
-        if not np.all(np.isfinite(eu)):
+        if not np.all(np.isfinite(r)):
             break
-        r = K @ u + c * w - w * (hv * eu)
         wn = ws.weak_norm(r)
         if wn < best_wn:
             best_wn, best_u = wn, u.copy()
         if wn <= tol and wn > 0.3 * prev_wn:
             break  # under tolerance and no longer improving quickly
         prev_wn = wn
-        d = _linsolve(ws, -(w * hv * eu), -r)
+        d = _linsolve(ws, -(w * hv * np.exp(u)), -r)
         if d is None:
             break
         merit = float(r @ (r / w))
@@ -800,13 +803,12 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
         moved = False
         while alpha >= 1e-10:
             ut = u + alpha * d
-            with np.errstate(over="ignore"):
-                rt = K @ ut + c * w - w * (hv * np.exp(ut))
+            rt = ws.residual(ut, hv, c)
             if np.all(np.isfinite(rt)):
                 with np.errstate(over="ignore"):
                     mt = float(rt @ (rt / w))
                 if math.isfinite(mt) and mt <= (1.0 - 2.0 * ARMIJO_DECREASE * alpha) * merit:
-                    u = ut
+                    u, r = ut, rt
                     moved = True
                     break
             alpha *= 0.5
@@ -938,14 +940,132 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     return sol
 
 
+class _BranchPoint(NamedTuple):
+    """A solution (u, c) of the branch at mean mu, with its tangent."""
+
+    mu: float
+    u: np.ndarray
+    c: float
+    du: np.ndarray  # du/dmu
+    dc: float  # dc/dmu
+    iters: int  # Newton steps the corrector took
+
+    def record(self) -> dict:
+        return {"mu": self.mu, "c": self.c, "dc_dmu": self.dc, "newton_iters": self.iters}
+
+
+def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float,
+                  tol: float):
+    """Newton on F(u, c) = 0, w.u = |G| mu from the tangent predictor at
+    ``start``; the point at ``mu``, or None when Newton fails.
+
+    The Jacobian [[K - diag(w h e^u), w], [w^T, 0]] stays nonsingular through
+    the fold: there the null vector of K - diag(w h e^u) is positive (the
+    matrix is a Z-matrix), so w is not orthogonal to it.  Its last
+    factorization also gives the tangent, from the right-hand side (0, |G|).
+    Newton counts as failed when its first step moves u by more than half
+    the predictor's move or a later step does not halve the one before:
+    either means the predictor was too far off to stay on this branch.
+    """
+    n, w = ws.grid.ndof, ws.w
+    u = start.u + (mu - start.mu) * start.du
+    c = start.c + (mu - start.mu) * start.dc
+    bound = 0.5 * abs(mu - start.mu) * float(np.max(np.abs(start.du)))
+    for it in range(9):  # at most 8 Newton steps
+        r = ws.residual(u, hv, c)
+        wn = ws.weak_norm(r)
+        if not math.isfinite(wn):
+            return None
+        try:
+            lu = ws.factor(-(w * hv * np.exp(u)), border=w)
+            if wn <= tol * (1.0 + abs(c)):
+                t = lu.solve(np.append(np.zeros(n), ws.total))
+                return _BranchPoint(mu, u, c, t[:n], float(t[n]), it)
+            if it == 8:
+                return None
+            x = lu.solve(np.append(-r, ws.total * mu - float(w @ u)))
+        except LinearSolveFailure:
+            return None
+        move = float(np.max(np.abs(x[:n])))
+        if move > bound:
+            return None
+        bound = 0.5 * move
+        u, c = u + x[:n], c + float(x[n])
+
+
+def _trace_fold(ws: _Workspace, hv: np.ndarray, u: np.ndarray, c: float,
+                bracket_tol: float, tol: float):
+    """Follow the solution branch from the solution (u, c) in the direction
+    where c falls, to its fold.
+
+    The step in mu doubles after a corrector that took at most two Newton
+    steps, never beyond twice the distance to the fold that a linear model
+    of dc/dmu predicts, and halves after one that failed.  Once dc/dmu
+    changes sign, a bracketing secant (Illinois) on dc/dmu = 0 refines the
+    fold until the quadratic model of c puts it within 1e-3 bracket_tol of
+    the last point.  Returns the fold point, the traced points (the last two
+    straddle the fold) and the secant points.
+    """
+    mu = float(ws.w @ u) / ws.total
+    # (u, c) solves F = 0 to tol already; this call adds its tangent
+    p = _branch_point(ws, hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0), mu, tol)
+    if p is None:
+        raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
+    branch = [p]
+    sign = -math.copysign(1.0, p.dc)  # mu moves where c falls
+    step = 0.1 * abs(c / p.dc) if p.dc != 0.0 else 0.1
+    for _ in range(200):
+        q = _branch_point(ws, hv, p, p.mu + sign * step, tol)
+        if q is None:
+            step *= 0.5
+            continue
+        branch.append(q)
+        if q.dc * p.dc <= 0.0:
+            break
+        if q.iters <= 2:
+            step *= 2.0
+        if abs(q.dc) < abs(p.dc):
+            step = min(step, 2.0 * abs(q.dc * (q.mu - p.mu) / (p.dc - q.dc)))
+        p = q
+    else:
+        raise NoConvergence(f"the branch trace found no fold in 200 steps "
+                            f"(last point c = {p.c}, mu = {p.mu})")
+
+    a, b = branch[-2], branch[-1]
+    fa = a.dc
+    refinement = []
+    for _ in range(30):
+        mu_s = (a.mu * b.dc - b.mu * fa) / (b.dc - fa)
+        s = _branch_point(ws, hv, min(a, b, key=lambda x: abs(x.mu - mu_s)), mu_s, tol)
+        if s is None:
+            raise NoConvergence(f"the branch corrector failed at the fold estimate mu = {mu_s}")
+        refinement.append(s)
+        # near the fold c ~ c* + (dc/dmu)^2 / (2 c''), c'' by the last secant
+        if 0.5 * s.dc ** 2 * abs(s.mu - b.mu) <= 1e-3 * bracket_tol * abs(s.dc - b.dc):
+            return s, branch, refinement
+        if s.dc * b.dc < 0.0:
+            a, fa = b, b.dc
+        else:  # Illinois: halve the weight of the end that stays
+            fa *= 0.5
+        b = s
+    raise NoConvergence(f"the secant on dc/dmu = 0 did not settle (c = {b.c})")
+
+
 def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
                        tol: float = DEFAULT_TOL, max_iter: int | None = None) -> ThresholdEstimate:
-    """Bracket the solvability threshold in c by bisection.
+    """Bracket the solvability threshold in c around the fold of the solutions.
 
-    h <= 0 everywhere -> minus_infinity.  Otherwise start from the certified
-    implied_c (solvable), double downward until a solve fails, then bisect.
-    An upper solution for some negative c stays one for every larger
-    negative c, which is what makes bisection meaningful.
+    h <= 0 everywhere -> minus_infinity.  Otherwise the branch of solutions
+    is traced from the certified monotone solution at implied_c, with the
+    mean mu of u as its parameter, in the direction where c falls.  Its
+    turning point (dc/dmu = 0) is the threshold c*: no solution exists below
+    it.  The bracket is c_hi = c* + bracket_tol / 2, certified by
+    ``solve_negative``, and c_lo = c_hi - bracket_tol.
+
+    ``details`` holds c_star and mu_star, every traced point (``branch``)
+    and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
+    ``probes`` (how many points were solved), and the factorizations and
+    ridge retries of the whole call.
     """
     ih = integrate(h)
     if ih >= 0.0:
@@ -956,44 +1076,34 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
 
     counts = SolveCounts(factorizations=1)  # the flux solve inside build_upper
     params = build_upper(h)
-    c_hi = params.implied_c
+    c0 = params.implied_c
     if bracket_tol is None:
-        bracket_tol = 1e-4 * abs(c_hi)
-    probes = []
-
-    def solvable(cc: float) -> bool:
-        try:
-            solve_negative(h, cc, tol=tol, max_iter=max_iter, counts=counts)
-            probes.append((cc, True))
-            return True
-        except (NoUpperSolutionFound, NoConvergence):
-            probes.append((cc, False))
-            return False
-
-    if not solvable(c_hi):
-        raise NoConvergence(f"certified c = {c_hi} unexpectedly failed to solve")
-    c_lo = 2.0 * c_hi
-    for _ in range(60):
-        if not solvable(c_lo):
-            break
-        c_hi = c_lo
-        c_lo *= 2.0
-    else:
-        raise NoConvergence("doubling downward never produced an unsolvable c")
-
-    while c_hi - c_lo > bracket_tol:
-        mid = 0.5 * (c_lo + c_hi)
-        if solvable(mid):
-            c_hi = mid
-        else:
-            c_lo = mid
+        bracket_tol = 1e-4 * abs(c0)
+    up = params.u_plus()
+    base = monotone_iterate(h, c0, _lower_for(h, c0, up), up, tol=tol, max_iter=max_iter,
+                            counts=counts)
+    fold, branch, refinement = _trace_fold(_Workspace(h.grid, counts), h.values,
+                                           base.u.values, c0, bracket_tol, tol)
+    c_hi = min(fold.c + 0.5 * bracket_tol, c0)
+    try:
+        solve_negative(h, c_hi, tol=tol, max_iter=max_iter, counts=counts)
+    except (NoUpperSolutionFound, NoConvergence) as exc:
+        raise NoConvergence(f"fold at c* = {fold.c!r}, but c_hi = {c_hi!r} "
+                            f"did not solve: {exc}") from exc
 
     return ThresholdEstimate(
         minus_infinity=False,
-        c_lo=c_lo,
+        c_lo=c_hi - bracket_tol,
         c_hi=c_hi,
-        analytic_upper_bound=params.implied_c,
-        details={"probes": len(probes), **asdict(counts)},
+        analytic_upper_bound=c0,
+        details={
+            "probes": len(branch) + len(refinement),
+            "c_star": fold.c,
+            "mu_star": fold.mu,
+            "branch": [p.record() for p in branch],
+            "refinement": [p.record() for p in refinement],
+            **asdict(counts),
+        },
     )
 
 

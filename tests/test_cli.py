@@ -107,6 +107,8 @@ def test_threshold_bracket(tmp_path, capsys):
     assert payload["width"] == pytest.approx(payload["c_hi"] - payload["c_lo"])
     assert payload["probes"] >= 3
     assert payload["c_hi"] <= payload["analytic_upper_bound"]
+    assert payload["c_lo"] < payload["c_star"] < payload["c_hi"]
+    assert set(payload["branch_points"][0]) == {"mu", "c", "dc_dmu", "newton_iters"}
 
 
 def test_verify_roundtrip(tmp_path, capsys):

@@ -50,7 +50,11 @@ def test_threshold_bracket_properties():
     # work counts cover every probe, the failed ones included
     assert isinstance(est.details["probes"], int)
     assert est.details["factorizations"] > est.details["probes"]
-    assert est.details["ridge_retries"] > 0
+    # the bracket sits on the fold of the traced branch, where dc/dmu
+    # changes sign between the last two traced points
+    assert est.c_lo < est.details["c_star"] < est.c_hi
+    last, past = est.details["branch"][-2:]
+    assert last["dc_dmu"] * past["dc_dmu"] < 0.0
 
 
 def test_threshold_edges_solve_and_fail():
@@ -60,6 +64,28 @@ def test_threshold_edges_solve_and_fail():
     assert apply_residual(sol.u, h, est.c_hi).weak_residual_norm <= 1e-8 * (1 + abs(est.c_hi))
     with pytest.raises(NoUpperSolutionFound):
         solve_negative(h, est.c_lo)
+
+
+def test_threshold_refinement_sweep():
+    # from 48 to 768 cells every bracket holds (c_hi solves, c_lo does not)
+    # and the fold converges at the O(h^2) rate of the discretization
+    stars = []
+    for cells in (48, 96, 192, 384, 768):
+        h = cos_h(cells)
+        est = estimate_threshold(h)
+        bt = 1e-4 * abs(est.analytic_upper_bound)
+        assert est.c_hi - est.c_lo <= bt * 1.0001
+        sol = solve_negative(h, est.c_hi)
+        assert sol.report.final_residual <= 1e-8 * (1 + abs(est.c_hi))
+        with pytest.raises(NoUpperSolutionFound):
+            solve_negative(h, est.c_lo)
+        stars.append(est.details["c_star"])
+    diffs = np.diff(stars)
+    ratios = diffs[:-1] / diffs[1:]
+    assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+    # the 768-cell fold found by oracle continuation alone
+    oracle_lo, oracle_hi = -0.04978393114880529, -0.04978391022897212
+    assert est.c_lo <= oracle_lo and oracle_hi <= est.c_hi
 
 
 def test_threshold_matches_oracle_fold():
