@@ -5,9 +5,11 @@ The critical case: descending to the threshold itself
 Right at the solvability threshold c(h) the monotone machinery runs out
 of upper solutions, but solutions still exist.  The construction follows
 solutions down a ladder of c values toward the threshold, trapping each
-one in a box [-A, psi_k] whose ceiling is the previous solution; the
-point of the exercise is that the H1 norms stay bounded along the way,
-so the ladder has a limit.
+one in a box [-A, psi_k] whose ceiling psi_k is a solution at a slightly
+smaller c, hence an upper solution, and finding it there by monotone
+iteration; the point of the exercise is that the H1 norms stay bounded
+along the way, so the ladder has a limit.  Rungs that found no solution
+would be listed in the report's rejected_rungs.
 """
 
 import numpy as np
@@ -43,6 +45,8 @@ print("\n rung    c           |u|_H1     1/2|du|^2   energy cap")
 for i, r in enumerate(rep.details["rungs"]):
     print(f"  {i:2d}  {r['c']:.8f}  {r['h1_norm']:9.5f}  {r['dirichlet_half']:9.5f}"
           f"  {r['energy_cap']:10.5f}")
+
+print("rejected rungs:", rep.details["rejected_rungs"])
 
 h1s = [r["h1_norm"] for r in rep.details["rungs"]]
 print("\nH1 spread along the descent:", max(h1s) / min(h1s))

@@ -350,8 +350,10 @@ class ResidualReport:
 
 
 def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
-    """r = K u + c M 1 - M (h * exp(u)) on raw DOF vectors."""
-    return grid.stiffness @ u + c * grid.weights - grid.weights * (h * np.exp(u))
+    """r = K u + c M 1 - M (h * exp(u)) on raw DOF vectors; nonfinite
+    exactly where exp(u) overflows."""
+    with np.errstate(over="ignore"):
+        return grid.stiffness @ u + c * grid.weights - grid.weights * (h * np.exp(u))
 
 
 def apply_residual(u: GridFunction, h: GridFunction, c: float) -> ResidualReport:

@@ -15,8 +15,10 @@ The sign of c decides the machinery:
   problem driven by h minus its mean.  When c lies below the certified range
   of that construction, a damped-Newton continuation in c supplies the upper
   solution.  The solvability threshold is the fold of the solution branch,
-  traced once in (u, c) with the mean of u as its parameter, and a
-  box-constrained minimization follows solutions down to the bracket.
+  traced once in (u, c) with the mean of u as its parameter.  The critical
+  descent follows solutions down to the bracket, each found by monotone
+  iteration in the box between a constant lower solution and a solution at
+  a slightly smaller c.
 
 All iterations report residuals in the pointwise-defect scale of
 ``apply_residual`` (max |r_i| / weight_i), with convergence thresholds scaled
@@ -59,6 +61,7 @@ from .graph import (
 DEFAULT_TOL = 1e-8
 MAX_ITER_GRADIENT = 5000
 MAX_ITER_MONOTONE = 500
+CRITICAL_RUNGS = 8
 ARMIJO_START = 1.0
 ARMIJO_FACTOR = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -181,7 +184,6 @@ class _Workspace:
         self.w = grid.weights
         self.total = grid.total_length
         self.counts = SolveCounts() if counts is None else counts
-        self._riesz = None
 
     def factor(self, d: np.ndarray, border: np.ndarray | None = None):
         """Factor K + diag(d), bordered by ``border`` when given; raises
@@ -192,13 +194,7 @@ class _Workspace:
     def riesz(self):
         # H1 Riesz map (K + M)^(-1): turns dual residual vectors into
         # gradient directions whose quality does not degrade with the mesh.
-        if self._riesz is None:
-            self._riesz = self.factor(self.w)
-        return self._riesz
-
-    def residual(self, u: np.ndarray, hv: np.ndarray, c: float) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self.K @ u + c * self.w - self.w * (hv * np.exp(u))
+        return self.factor(self.w)
 
     def weak_norm(self, r: np.ndarray) -> float:
         return float(np.max(np.abs(r) / self.w))
@@ -342,6 +338,26 @@ def _ls_multiplier(w, g, q):
     return float(g @ (q / w)) / denom
 
 
+def _armijo(value, project, x, val, d, slope):
+    """Backtracking line search from x along -d, where slope = <gradient, d>.
+
+    Returns (trial, value(trial)) for the first step eta whose projected
+    trial lowers ``value`` by ARMIJO_DECREASE eta slope, up to the roundoff
+    of ``val``; None when eta falls below 1e-14.  ``project`` maps a point
+    back onto the constraint set, or to None when it cannot.
+    """
+    eta = ARMIJO_START
+    noise = 1e-15 * (1.0 + abs(val))
+    while eta >= 1e-14:
+        trial = project(x - eta * d)
+        if trial is not None:
+            tval = value(trial)
+            if tval <= val - ARMIJO_DECREASE * eta * slope + noise:
+                return trial, tval
+        eta *= ARMIJO_FACTOR
+    return None
+
+
 def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
                max_iter: int | None = None) -> Solution:
     """Solve d2u = -h e^u (the c = 0 regime).
@@ -380,8 +396,14 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
     if v is None:
         raise FeasibilityFailure("could not project the scaled bump onto the constraint set")
 
+    def energy(x):
+        return 0.5 * float(x @ (K @ x))
+
+    def project(x):
+        return _project_zero(ws, hv, x, wb)
+
     riesz = ws.riesz()
-    val = 0.5 * float(v @ (K @ v))
+    val = energy(v)
     lam = 0.0
     wn = math.inf
     iterations = 0
@@ -403,8 +425,8 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
                 mean_u = float(w @ upol) / ws.total
                 v = upol - mean_u
                 lam = math.exp(mean_u)
-                val = 0.5 * float(v @ (K @ v))
-                wn = ws.weak_norm(ws.residual(upol, hv, 0.0))
+                val = energy(v)
+                wn = ws.weak_norm(residual_vector(grid, upol, hv, 0.0))
                 break
             polish_at = wn / 10.0
         # Reduced gradient in the Riesz metric: pick the multiplier that makes
@@ -417,21 +439,10 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
             raise NoConvergence("constraint derivative degenerated")
         mu = float(q @ dg) / q_bq
         d = dg - mu * dq
-        slope = float(g @ d)
-        eta = ARMIJO_START
-        moved = False
-        noise = 1e-15 * (1.0 + abs(val))
-        while eta >= 1e-14:
-            trial = _project_zero(ws, hv, v - eta * d, wb)
-            if trial is not None:
-                tval = 0.5 * float(trial @ (K @ trial))
-                if tval <= val - ARMIJO_DECREASE * eta * slope + noise:
-                    v, val = trial, tval
-                    moved = True
-                    break
-            eta *= ARMIJO_FACTOR
-        if not moved:
+        step = _armijo(energy, project, v, val, d, float(g @ d))
+        if step is None:
             break
+        v, val = step
     else:
         iterations = max_iter
 
@@ -446,7 +457,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
         )
 
     u = v + math.log(lam)
-    final = ws.weak_norm(ws.residual(u, hv, 0.0))
+    final = ws.weak_norm(residual_vector(grid, u, hv, 0.0))
     if final > tol:
         # rounding v + ln(lambda) can lift a residual that sits at the
         # roundoff floor of a fine mesh back above tol; the Newton tail
@@ -457,8 +468,8 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
                                 f"exceeds tol {tol:.1e}")
         mean_u = float(w @ upol) / ws.total
         u, v, lam = upol, upol - mean_u, math.exp(mean_u)
-        val = 0.5 * float(v @ (K @ v))
-        final = ws.weak_norm(ws.residual(u, hv, 0.0))
+        val = energy(v)
+        final = ws.weak_norm(residual_vector(grid, u, hv, 0.0))
     mass = float(w @ (hv * np.exp(u)))
     lam_energy = exp_weighted_energy(GridFunction(grid, v)) / (-ih)
     report = SolveReport(
@@ -536,7 +547,7 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     polish_at = 1e-4 * (1.0 + abs(c))
     stalled = False
     for iterations in range(1, max_iter + 1):
-        r = ws.residual(u, hv, c)
+        r = residual_vector(grid, u, hv, c)
         wn = ws.weak_norm(r)
         if wn <= ctol:
             break
@@ -548,27 +559,18 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
             if upol is not None and float(np.max(np.abs(upol - u))) < 1.0:
                 u = upol
                 val = value(u)
-                wn = ws.weak_norm(ws.residual(u, hv, c))
+                wn = ws.weak_norm(residual_vector(grid, u, hv, c))
                 break
             if stalled:
                 break
             polish_at = wn / 10.0
         d = riesz.solve(r)
-        slope = float(r @ d)
-        eta = ARMIJO_START
-        noise = 1e-15 * (1.0 + abs(val))
-        while eta >= 1e-14:
-            trial = project(u - eta * d)
-            if trial is not None:
-                tval = value(trial)
-                if tval <= val - ARMIJO_DECREASE * eta * slope + noise:
-                    break
-            eta *= ARMIJO_FACTOR
+        step = _armijo(value, project, u, val, d, float(r @ d))
         # stalled: no step decreases the energy beyond its roundoff, or the
         # accepted one leaves u unchanged (every later sweep would repeat it)
-        stalled = eta < 1e-14 or np.array_equal(trial, u)
+        stalled = step is None or np.array_equal(step[0], u)
         if not stalled:
-            u, val = trial, tval
+            u, val = step
     if wn > ctol:
         raise NoConvergence(
             f"projected gradient stalled at residual {wn:.3e} (tol {ctol:.1e}) "
@@ -702,10 +704,10 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     if gap < -1e-12:
         raise OrderingViolated(f"u_minus exceeds u_plus by {-gap:.3e}")
     pair_tol = 1e-9 * (1.0 + abs(c))
-    upper_defect = float(np.min(ws.residual(u_plus.values, hv, c) / w))
+    upper_defect = float(np.min(residual_vector(grid, u_plus.values, hv, c) / w))
     if upper_defect < -pair_tol:
         raise OrderingViolated(f"u_plus is not a discrete upper solution (defect {upper_defect:.3e})")
-    lower_defect = float(np.max(ws.residual(u_minus.values, hv, c) / w))
+    lower_defect = float(np.max(residual_vector(grid, u_minus.values, hv, c) / w))
     if lower_defect > pair_tol:
         raise OrderingViolated(f"u_minus is not a discrete lower solution (defect {lower_defect:.3e})")
 
@@ -740,7 +742,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
             )
         u = unew
         if step <= tol:
-            wn = ws.weak_norm(ws.residual(u, hv, c))
+            wn = ws.weak_norm(residual_vector(grid, u, hv, c))
             if wn <= ctol:
                 break
         if step <= tail_at:
@@ -752,7 +754,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
                 if (float(np.min(upol - lo)) >= -slack
                         and float(np.max(upol - u)) <= slack):
                     u = upol
-                    wn = ws.weak_norm(ws.residual(u, hv, c))
+                    wn = ws.weak_norm(residual_vector(grid, u, hv, c))
                     if wn <= ctol:
                         used_tail = True
                         break
@@ -785,7 +787,7 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
     w = ws.w
     best_u, best_wn = None, math.inf
     prev_wn = math.inf
-    r = ws.residual(u, hv, c)  # nonfinite exactly where e^u overflows
+    r = residual_vector(ws.grid, u, hv, c)  # nonfinite exactly where e^u overflows
     for _ in range(max_iter):
         if not np.all(np.isfinite(r)):
             break
@@ -803,7 +805,7 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
         moved = False
         while alpha >= 1e-10:
             ut = u + alpha * d
-            rt = ws.residual(ut, hv, c)
+            rt = residual_vector(ws.grid, ut, hv, c)
             if np.all(np.isfinite(rt)):
                 with np.errstate(over="ignore"):
                     mt = float(rt @ (rt / w))
@@ -972,7 +974,7 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
     c = start.c + (mu - start.mu) * start.dc
     bound = 0.5 * abs(mu - start.mu) * float(np.max(np.abs(start.du)))
     for it in range(9):  # at most 8 Newton steps
-        r = ws.residual(u, hv, c)
+        r = residual_vector(ws.grid, u, hv, c)
         wn = ws.weak_norm(r)
         if not math.isfinite(wn):
             return None
@@ -1107,60 +1109,37 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
     )
 
 
-def _box_minimize(ws: _Workspace, hv: np.ndarray, c: float, lo: np.ndarray,
-                  hi: np.ndarray, seed: np.ndarray, tol: float, max_iter: int):
-    """Clamped projected gradient on 1/2 int|du|^2 + c int u - int h e^u."""
-    w, K = ws.w, ws.K
+def _ceiling(h: GridFunction, c_floor: float, c_k: float, tol: float,
+             counts: SolveCounts):
+    """A solution psi at some c_psi in (c_floor, c_k], as (psi, c_psi).
 
-    def value(x):
-        return 0.5 * float(x @ (K @ x)) + c * float(w @ x) - float(w @ (hv * np.exp(x)))
-
-    u = np.clip(seed, lo, hi)
-    val = value(u)
-    riesz = ws.riesz()
-    ctol = tol * (1.0 + abs(c))
-    for it in range(1, max_iter + 1):
-        g = ws.residual(u, hv, c)
-        wn = ws.weak_norm(g)
-        if wn <= ctol:
-            return u, it, wn
-        d = riesz.solve(g)
-        eta = ARMIJO_START
-        moved = False
-        noise = 1e-15 * (1.0 + abs(val))
-        while eta >= 1e-14:
-            trial = np.clip(u - eta * d, lo, hi)
-            diff = u - trial
-            decrease = (ARMIJO_DECREASE / eta) * float(w @ (diff * diff))
-            tval = value(trial)
-            if math.isfinite(tval) and tval <= val - decrease + noise:
-                u, val = trial, tval
-                moved = True
-                break
-            eta *= ARMIJO_FACTOR
-        if not moved:
-            g = ws.residual(u, hv, c)
-            wn = ws.weak_norm(g)
-            if wn <= ctol:
-                return u, it, wn
-            raise NoConvergence(f"box descent stalled at residual {wn:.3e} (tol {ctol:.1e})")
-    raise NoConvergence(f"box descent exhausted {max_iter} iterations")
+    Below c_k, psi is a strict upper solution at c_k; c_k itself is the last
+    resort.  Raises the error of the last candidate when none solves.
+    """
+    for frac in (0.5, 0.85, 1.0):
+        c_psi = c_floor + frac * (c_k - c_floor)
+        try:
+            return solve_negative(h, c_psi, tol=tol, counts=counts).u, c_psi
+        except (NoUpperSolutionFound, NoConvergence) as exc:
+            err = exc
+    raise err
 
 
 def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
-                   k_max: int = 8, tol: float = DEFAULT_TOL,
-                   max_iter: int | None = None) -> Solution:
+                   tol: float = DEFAULT_TOL, max_iter: int | None = None) -> Solution:
     """Follow solutions down to the threshold bracket and return the last one.
 
-    Rungs c_k descend geometrically from the bracket top toward its midpoint.
-    Each rung solves at a slightly smaller c to get the box ceiling psi_k,
-    then minimizes the c_k-functional over the box [-A, psi_k] by clamped
-    projected gradient.  H1 norms and the mass identity int h e^u = c_k |G|
-    are recorded per rung; their boundedness is the point of the construction.
+    Up to CRITICAL_RUNGS rungs c_k descend geometrically from the bracket top
+    toward its midpoint.  Each rung solves at a slightly smaller c for the
+    ceiling psi_k, a strict upper solution at c_k, and finds the solution in
+    the box [-A_k, psi_k] by monotone iteration between that pair.  H1 norms
+    and the mass identity int h e^u = c_k |G| are recorded per rung; their
+    boundedness is the point of the construction.  A rung with no ceiling or
+    no solution in its box is recorded with its reason in
+    ``details["rejected_rungs"]``.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")
-    max_iter = MAX_ITER_GRADIENT if max_iter is None else max_iter
     grid = h.grid
     ws = _Workspace(grid)
     hv, w = h.values, ws.w
@@ -1172,42 +1151,28 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     a_base = -float(np.min(base_lower.values))
 
     rungs = []
+    rejected = []
     u_best = None
     c_best = None
     total_iters = 0
     c_floor = c_mid
     c_top = c_hi
     c_try = 0.5 * (c_hi + c_mid)
-    for _ in range(k_max):
-        psi = None
-        c_psi = None
-        for frac in (0.5, 0.85, 1.0):
-            # frac < 1 probes below c_try (a solution there is a strict upper
-            # solution at c_try); frac = 1 falls back to c_try itself
-            cand = c_floor + frac * (c_try - c_floor)
-            try:
-                psi = solve_negative(h, cand, tol=tol, counts=ws.counts).u
-                c_psi = cand
-                break
-            except (NoUpperSolutionFound, NoConvergence):
-                continue
-        if psi is None:
-            c_floor = c_try
-            c_try = 0.5 * (c_top + c_floor)
-            continue
+    for _ in range(CRITICAL_RUNGS):
         c_k = c_try
-        a_k = max(a_base, 1.0 - float(np.min(psi.values)))
-        lo_vec = np.full(grid.ndof, -a_k)
         try:
-            u_k, iters, wn = _box_minimize(ws, hv, c_k, lo_vec, psi.values,
-                                           seed=psi.values, tol=tol, max_iter=max_iter)
-        except NoConvergence:
-            c_floor = c_try
+            psi, c_psi = _ceiling(h, c_floor, c_k, tol, ws.counts)
+            a_k = max(a_base, 1.0 - float(np.min(psi.values)))
+            sol = monotone_iterate(h, c_k, constant(grid, -a_k), psi, tol=tol,
+                                   max_iter=max_iter, counts=ws.counts)
+        except (NoUpperSolutionFound, NoConvergence, OrderingViolated) as exc:
+            rejected.append({"c": c_k, "reason": f"{type(exc).__name__}: {exc}"})
+            c_floor = c_k
             c_try = 0.5 * (c_top + c_floor)
             continue
-        total_iters += iters
-        gf = GridFunction(grid, u_k)
-        nr = norms(gf)
+        u_k = sol.u.values
+        total_iters += sol.report.iterations
+        nr = norms(sol.u)
         h1 = math.hypot(nr.l2, nr.h1_seminorm)
         mass = float(w @ (hv * np.exp(u_k)))
         energy_cap = (
@@ -1222,7 +1187,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
             "mass_defect": abs(mass - c_k * ws.total),
             "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
             "energy_cap": energy_cap,
-            "residual": wn,
+            "residual": sol.report.final_residual,
         })
         u_best, c_best = u_k, c_k
         c_top = c_k
@@ -1237,8 +1202,8 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     if max(h1s) > 50.0 * max(min(h1s), 1e-30):
         raise BoundBlowup(f"H1 norms along the descent spread by {max(h1s)/min(h1s):.1f}x")
 
-    r_own = ws.weak_norm(ws.residual(u_best, hv, c_best))
-    r_mid = ws.weak_norm(ws.residual(u_best, hv, c_mid))
+    r_own = ws.weak_norm(residual_vector(grid, u_best, hv, c_best))
+    r_mid = ws.weak_norm(residual_vector(grid, u_best, hv, c_mid))
     mass = float(w @ (hv * np.exp(u_best)))
     report = SolveReport(
         method="critical-box",
@@ -1255,6 +1220,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
             "bracket": [c_lo, c_hi],
             "residual_at_midpoint": r_mid,
             "rungs": rungs,
+            "rejected_rungs": rejected,
             **asdict(ws.counts),
         },
     )

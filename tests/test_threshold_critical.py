@@ -16,7 +16,7 @@ from kwnet import (
     solve_negative,
 )
 from kwnet.errors import IntegralNotNegative, NoUpperSolutionFound
-from helpers import make_single, make_star3, oracle_fold
+from helpers import make_single, make_star3, make_theta, oracle_fold, random_h_sign_changing
 
 
 def cos_h(cells=96):
@@ -97,22 +97,32 @@ def test_threshold_matches_oracle_fold():
     assert est.c_lo - 2 * bt <= fold <= est.c_hi + 2 * bt
 
 
-def test_critical_descent_unit_edge():
-    h = cos_h()
+def theta_h():
+    grid = make_theta()
+    return random_h_sign_changing(grid, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("make_h", [cos_h, theta_h], ids=["edge96", "theta"])
+def test_critical_descent_unit_edge(make_h):
+    h = make_h()
     est = estimate_threshold(h)
     sol = solve_critical(h, est)
     rep = sol.report
     assert rep.method == "critical-box"
     rungs = rep.details["rungs"]
     assert len(rungs) >= 1
+    # every rung found its solution in its box
+    assert rep.details["rejected_rungs"] == []
     h1s = [r["h1_norm"] for r in rungs]
     assert max(h1s) / min(h1s) <= 10.0
     for r in rungs:
         assert r["dirichlet_half"] <= r["energy_cap"] + 1e-9
+        assert r["residual"] <= 1e-8 * (1 + abs(r["c"]))
     # the final c hugs the bracket midpoint from above
     c_mid = rep.details["c_midpoint"]
     assert est.c_lo <= c_mid <= rep.details["c_final"] <= est.c_hi
     width = est.c_hi - est.c_lo
+    assert rep.details["c_final"] - c_mid <= 0.01 * width
     defect = rep.identity_checks["mass_defect_at_midpoint"]
     assert defect <= width * h.grid.total_length
 
