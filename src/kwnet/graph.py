@@ -98,7 +98,8 @@ def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
     if not vertices or not edges:
         raise ValueError("a metric graph needs at least one vertex and one edge")
     vertex_ids = tuple(vertices)
-    if len(set(vertex_ids)) != len(vertex_ids):
+    vertex_set = set(vertex_ids)
+    if len(vertex_set) != len(vertex_ids):
         raise ValueError("duplicate vertex ids")
 
     built = []
@@ -110,7 +111,7 @@ def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
         if e.tail == e.head:
             raise SelfLoop(f"edge {e.id!r} joins {e.tail!r} to itself")
         for v in (e.tail, e.head):
-            if v not in set(vertex_ids):
+            if v not in vertex_set:
                 raise DanglingEndpoint(f"edge {e.id!r} references unknown vertex {v!r}")
         built.append(e)
     if len({e.id for e in built}) != len(built):

@@ -12,13 +12,15 @@ The sign of c decides the machinery:
   multiplier is 1 at the minimizer.
 * c < 0: monotone iteration squeezed between a constant lower solution and a
   constructed upper solution u+ = a m + b, where m solves a compatible flux
-  problem driven by h minus its mean.  When c lies below the certified range
-  of that construction, a damped-Newton continuation in c supplies the upper
-  solution.  The solvability threshold is the fold of the solution branch,
-  traced once in (u, c) with the mean of u as its parameter.  The critical
-  descent follows solutions down to the bracket, each found by monotone
-  iteration in the box between a constant lower solution and a solution at
-  a slightly smaller c.
+  problem driven by h minus its mean.  The shift of the sweeps is refreshed
+  from the current iterate every few sweeps, and a damped-Newton tail at the
+  solve's own tolerance finishes it inside the sandwich.  When c lies below
+  the certified range of that construction, a damped-Newton continuation in
+  c supplies the upper solution.  The solvability threshold is the fold of
+  the solution branch, traced once in (u, c) with the mean of u as its
+  parameter.  The critical descent follows solutions down to the bracket,
+  each found by monotone iteration in the box between a constant lower
+  solution and a solution at a slightly smaller c.
 
 All iterations report residuals in the pointwise-defect scale of
 ``apply_residual`` (max |r_i| / weight_i), with convergence thresholds scaled
@@ -61,6 +63,7 @@ from .graph import (
 DEFAULT_TOL = 1e-8
 MAX_ITER_GRADIENT = 5000
 MAX_ITER_MONOTONE = 500
+SHIFT_REFRESH = 5
 CRITICAL_RUNGS = 8
 ARMIJO_START = 1.0
 ARMIJO_FACTOR = 0.5
@@ -683,11 +686,17 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
                      counts: SolveCounts | None = None) -> Solution:
     """Descend from the upper solution through shifted linear solves.
 
-    With k = max(1, -h) e^(u+), each sweep solves d2u' - k u' = f(u) - k u,
-    f(x, u) = c - h e^u.  The M-matrix structure of the shifted operator keeps
-    the sweeps ordered: u- <= u_{n+1} <= u_n <= u+ (monotone_history records
-    the slack of both inequalities each sweep).  ``counts``, when given,
-    receives this call's factorizations and ridge retries as well.
+    Each sweep solves d2u' - k u' = f(u) - k u, f(x, u) = c - h e^u, with the
+    shift k = max(1, -h) e^(u_n) taken from the latest iterate u_n: first
+    from u+, then refreshed (and refactored) every SHIFT_REFRESH sweeps.  Any
+    k >= -h e^v on [u-, u_n] keeps the sweeps ordered through the M-matrix
+    structure of the shifted operator, u- <= u_{n+1} <= u_n <= u+
+    (monotone_history records the slack of both inequalities each sweep),
+    and the smaller refreshed k contracts faster.  Once the steps are small a
+    damped-Newton tail may finish the solve if it stays inside the sandwich;
+    when the steps reach roundoff with the residual above tol and the tail
+    fails too, NoConvergence says so.  ``counts``, when given, receives this
+    call's factorizations and ridge retries as well.
     """
     if not c < 0.0:
         raise ValueError("monotone iteration applies to c < 0")
@@ -711,9 +720,14 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     if lower_defect > pair_tol:
         raise OrderingViolated(f"u_minus is not a discrete lower solution (defect {lower_defect:.3e})")
 
-    k = np.maximum(1.0, -hv) * np.exp(u_plus.values)
-    sweep = shifted_solver(grid, GridFunction(grid, k))
-    ws.counts.factorizations += 1
+    k_scale = np.maximum(1.0, -hv)
+
+    def shift(v: np.ndarray):
+        k = k_scale * np.exp(v)
+        ws.counts.factorizations += 1
+        return k, shifted_solver(grid, GridFunction(grid, k))
+
+    k, sweep = shift(u_plus.values)
 
     # An exact upper/lower pair keeps the sweeps ordered to machine precision;
     # a pair admitted with a small defect can leak that defect into the
@@ -729,7 +743,13 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     wn = math.inf
     tail_at = 1e-3 * (1.0 + abs(c))
     used_tail = False
+    refreshes = 0
+    rejected_tails = []
     for n in range(1, max_iter + 1):
+        if n > 1 and (n - 1) % SHIFT_REFRESH == 0:
+            sweep = None  # free the old factors before computing the new ones
+            k, sweep = shift(u)
+            refreshes += 1
         rhs = c - hv * np.exp(u) - k * u
         unew = sweep(-(w * rhs))
         step = float(np.max(np.abs(unew - u)))
@@ -745,12 +765,15 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
             wn = ws.weak_norm(residual_vector(grid, u, hv, c))
             if wn <= ctol:
                 break
-        if step <= tail_at:
+        if step <= tail_at or step <= tol:
             # the sweeps are in their linear tail; accept a Newton finish only
             # if it stays inside the certified sandwich [u_minus, u_n]
-            upol = _damped_newton(ws, hv, c, u, tol=0.2 * ctol, max_iter=50)
-            if upol is not None:
+            upol = _damped_newton(ws, hv, c, u, tol=ctol, max_iter=50)
+            if upol is None:
+                reason = "newton_failed"
+            else:
                 slack = max(10.0 * step, 1e-8 * (1.0 + abs(c)))
+                reason = "left_sandwich"
                 if (float(np.min(upol - lo)) >= -slack
                         and float(np.max(upol - u)) <= slack):
                     u = upol
@@ -758,6 +781,13 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
                     if wn <= ctol:
                         used_tail = True
                         break
+                    reason = "above_tol"
+            rejected_tails.append({"sweep": n, "reason": reason})
+            if step <= tol:
+                raise NoConvergence(
+                    f"monotone sweeps at roundoff after {n} sweeps: step {step:.3e} <= tol "
+                    f"but residual {wn:.3e} > {ctol:.3e}, and the Newton tail failed ({reason})"
+                )
             tail_at = step / 10.0
     else:
         raise NoConvergence(f"monotone iteration exhausted {max_iter} sweeps")
@@ -771,7 +801,10 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
         identity_checks={"mass_defect": abs(mass - c * ws.total)},
         monotone_history=history,
         details={"upper_defect": upper_defect, "lower_defect": lower_defect,
-                 "newton_tail": used_tail, **ws.counts.since(start)},
+                 "newton_tail": used_tail, "shift_refreshes": refreshes,
+                 "tail_attempts": len(rejected_tails) + used_tail,
+                 "rejected_tails": rejected_tails,
+                 **ws.counts.since(start)},
     )
     return Solution(GridFunction(grid, u), report)
 

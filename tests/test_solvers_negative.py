@@ -17,10 +17,12 @@ from kwnet import (
     solve,
     solve_negative,
 )
+from kwnet import solvers
 from kwnet.errors import (
     HNotNonpositive,
     IntegralNotNegative,
     MarginTooLarge,
+    NoConvergence,
     NotSolvable,
     NoUpperSolutionFound,
     OrderingViolated,
@@ -142,6 +144,70 @@ def test_monotone_requires_negative_c():
     lo, up = ordered_pair(h, -1.0)
     with pytest.raises(ValueError):
         monotone_iterate(h, 1.0, lo, up)
+
+
+def test_monotone_report_counts_refreshes_and_tails():
+    h = cos_h(cells=96)
+    c = 0.3 * build_upper(h).implied_c
+    sol = solve_negative(h, c)
+    details = sol.report.to_dict()["details"]
+    assert details["shift_refreshes"] == (sol.report.iterations - 1) // solvers.SHIFT_REFRESH
+    assert details["tail_attempts"] >= 1
+    assert details["rejected_tails"] == []
+    # the flux solve of build_upper, the first shift and every refresh
+    assert details["factorizations"] >= 2 + details["shift_refreshes"]
+
+
+@pytest.mark.parametrize("reason", ["newton_failed", "left_sandwich"])
+def test_monotone_records_rejected_tails(monkeypatch, reason):
+    h = cos_h(cells=96)
+    c = 0.3 * build_upper(h).implied_c
+    lo, up = ordered_pair(h, c)
+    newton = solvers._damped_newton
+    calls = []
+
+    def first_tail_rejected(ws, hv, c, seed, tol, max_iter=60):
+        calls.append(tol)
+        if len(calls) > 1:
+            return newton(ws, hv, c, seed, tol=tol, max_iter=max_iter)
+        return None if reason == "newton_failed" else seed + 1.0  # above u_n
+
+    monkeypatch.setattr(solvers, "_damped_newton", first_tail_rejected)
+    sol = monotone_iterate(h, c, lo, up)
+    details = sol.report.to_dict()["details"]
+    assert details["newton_tail"] is True
+    assert details["tail_attempts"] == len(calls) == 2
+    assert [row["reason"] for row in details["rejected_tails"]] == [reason]
+    assert 1 <= details["rejected_tails"][0]["sweep"] < sol.report.iterations
+    assert calls == [1e-8 * (1.0 + abs(c))] * 2  # the tail aims at the solve's own tol
+
+
+def test_refreshed_shift_cuts_sweeps_at_768_cells():
+    h = cos_h(cells=768)
+    c = 0.3 * build_upper(h).implied_c
+    sol = solve_negative(h, c)
+    assert sol.report.iterations <= 100
+    assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.5])
+def test_newton_tail_finishes_at_1536_cells(frac):
+    h = cos_h(cells=1536)
+    c = frac * build_upper(h).implied_c
+    sol = solve_negative(h, c)
+    assert sol.report.details["newton_tail"] is True
+    assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
+
+
+def test_roundoff_sweeps_never_report_an_ordering_violation():
+    h = cos_h(cells=3072)
+    c = 0.3 * build_upper(h).implied_c
+    try:
+        sol = solve_negative(h, c)
+    except NoConvergence as exc:
+        assert "roundoff" in str(exc)
+    else:
+        assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
 
 
 # ----------------------------------------------------------------------
