@@ -51,10 +51,12 @@ sol = solve_negative(h, 0.5 * params.implied_c)   # inside the certified range
 print("at c = implied_c/2:", sol.report.method,
       " iterations:", sol.report.iterations)
 
-# below the certified range a damped-Newton continuation supplies u+
+# below the certified range a walk along the solution branch supplies u+:
+# a solution at some c_psi just below c is a strict upper solution at c
 sol = solve_negative(h, 2.0 * params.implied_c)
 print("at c = 2 implied_c: ", sol.report.method,
-      " iterations:", sol.report.iterations)
+      " iterations:", sol.report.iterations,
+      " upper solution from c_psi =", sol.report.details["c_psi"])
 
 # ---------------------------------------------------------------------------
 # the threshold bracket: the branch of solutions, traced with the mean of u
@@ -70,3 +72,4 @@ try:
     solve_negative(h, est.c_lo)      # bottom lies below the fold
 except NoUpperSolutionFound as exc:
     print("bracket bottom refused:", exc)
+    print("the fold it names: c* =", exc.c_star)

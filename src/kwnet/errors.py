@@ -84,7 +84,15 @@ class OrderingViolated(RuntimeError):
 
 
 class NoUpperSolutionFound(RuntimeError):
-    """No upper solution could be produced at this c — evidence of unsolvability, not proof."""
+    """No upper solution could be produced at this c — evidence of unsolvability, not proof.
+
+    ``c_star`` is the fold of the solution branch that was found above c, or
+    None when the search ended without one.
+    """
+
+    def __init__(self, message: str, c_star: float | None = None):
+        super().__init__(message)
+        self.c_star = c_star
 
 
 class BoundBlowup(RuntimeError):

@@ -90,9 +90,14 @@ def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
 
     def evaluate(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = eval(code, {"__builtins__": {}}, dict(env, s=s))  # noqa: S307
-        return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy()
+        # constant subexpressions are Python numbers: 1/0 raises, 2^10000 is
+        # an int too large for a float, (-1)^0.5 is complex
+        try:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = eval(code, {"__builtins__": {}}, dict(env, s=s))  # noqa: S307
+            return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy()
+        except (ArithmeticError, TypeError) as exc:
+            raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
     return evaluate
 

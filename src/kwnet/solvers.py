@@ -10,17 +10,15 @@ The sign of c decides the machinery:
 * c > 0: minimize 1/2 int |du|^2 + c int u over {int h e^u = c |G|}; the
   projection onto the constraint is an explicit constant shift and the
   multiplier is 1 at the minimizer.
-* c < 0: monotone iteration squeezed between a constant lower solution and a
-  constructed upper solution u+ = a m + b, where m solves a compatible flux
-  problem driven by h minus its mean.  The shift of the sweeps is refreshed
-  from the current iterate every few sweeps, and a damped-Newton tail at the
-  solve's own tolerance finishes it inside the sandwich.  When c lies below
-  the certified range of that construction, a damped-Newton continuation in
-  c supplies the upper solution.  The solvability threshold is the fold of
-  the solution branch, traced once in (u, c) with the mean of u as its
-  parameter.  The critical descent follows solutions down to the bracket,
-  each found by monotone iteration in the box between a constant lower
-  solution and a solution at a slightly smaller c.
+* c < 0: monotone iteration squeezed between a constant lower solution and an
+  upper solution.  For c >= implied_c that is the constructed u+ = a m + b,
+  m the solution of a compatible flux problem driven by h minus its mean;
+  the shift of the sweeps is refreshed from the iterate every few sweeps and
+  a damped-Newton tail at the solve's own tolerance finishes inside the
+  sandwich.  Below implied_c one walk of the solution branch, in (u, c) with
+  the mean of u as parameter, supplies the rest: a point on it at c_psi < c
+  is a strict upper solution at c, its fold is the solvability threshold,
+  and the rungs of the critical descent take their ceilings from it.
 
 All iterations report residuals in the pointwise-defect scale of
 ``apply_residual`` (max |r_i| / weight_i), with convergence thresholds scaled
@@ -131,7 +129,7 @@ class Solution:
 class ThresholdEstimate:
     """Bracket for the solvability threshold in c < 0.
 
-    ``c_hi`` is certified solvable by ``solve_negative``; ``c_lo`` lies below
+    ``c_hi`` is certified solvable by monotone iteration; ``c_lo`` lies below
     the computed fold ``details["c_star"]`` of the solution branch, which is
     its evidence of unsolvability.  When h <= 0 everywhere the threshold is
     minus infinity and the bracket is absent.
@@ -306,6 +304,20 @@ def _safe_exp_integral(w, hv, exponent):
         return float(w @ (hv * np.exp(np.minimum(exponent, 700.0))))
 
 
+def _bump_scale(w, hv, wb, target) -> float:
+    """A scale ell >= 0 with int h e^(ell wb) = target: double ell until
+    the integral exceeds target, then brentq on [0, ell]."""
+    def scan(ell):
+        return _safe_exp_integral(w, hv, ell * wb) - target
+
+    hi = 1.0
+    for _ in range(80):
+        if scan(hi) > 0.0:
+            return brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+        hi *= 2.0
+    raise FeasibilityFailure(f"bump scaling never lifted int h e^(l w) above {target}")
+
+
 def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray):
     """Return to {int v = 0, int h e^v = 0}: scalar Newton along the bump
     direction, then a mean shift.  None when no correction exists."""
@@ -380,18 +392,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
     ih = v0.integral_h
 
     wb = _bump(grid, h).values
-
-    def scan(ell):
-        return _safe_exp_integral(w, hv, ell * wb)
-
-    hi = 1.0
-    for _ in range(80):
-        if scan(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise FeasibilityFailure("bump scaling never made int h e^(l w) positive")
-    ell0 = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    ell0 = _bump_scale(w, hv, wb, 0.0)
 
     v = ell0 * wb
     v = v - (w @ v) / ws.total
@@ -515,19 +516,7 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         u = np.full(grid.ndof, math.log(target / ih))
     else:
         wb = _bump(grid, h).values
-
-        def scan(ell):
-            return _safe_exp_integral(w, hv, ell * wb) - target
-
-        hi = 1.0
-        for _ in range(80):
-            if scan(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise FeasibilityFailure("bump scaling never reached int h e^u = c |G|")
-        ell0 = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-        u = ell0 * wb
+        u = _bump_scale(w, hv, wb, target) * wb
 
     def project(x):
         cur = _safe_exp_integral(w, hv, x)
@@ -694,8 +683,10 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     (monotone_history records the slack of both inequalities each sweep),
     and the smaller refreshed k contracts faster.  Once the steps are small a
     damped-Newton tail may finish the solve if it stays inside the sandwich;
-    when the steps reach roundoff with the residual above tol and the tail
-    fails too, NoConvergence says so.  ``counts``, when given, receives this
+    each refused tail is listed in ``details["rejected_tails"]`` with its
+    reason, "newton_failed" or "left_sandwich".  When the steps reach
+    roundoff with the residual above tol and the tail fails too,
+    NoConvergence says so.  ``counts``, when given, receives this
     call's factorizations and ridge retries as well.
     """
     if not c < 0.0:
@@ -769,19 +760,14 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
             # the sweeps are in their linear tail; accept a Newton finish only
             # if it stays inside the certified sandwich [u_minus, u_n]
             upol = _damped_newton(ws, hv, c, u, tol=ctol, max_iter=50)
-            if upol is None:
-                reason = "newton_failed"
-            else:
-                slack = max(10.0 * step, 1e-8 * (1.0 + abs(c)))
-                reason = "left_sandwich"
-                if (float(np.min(upol - lo)) >= -slack
-                        and float(np.max(upol - u)) <= slack):
-                    u = upol
-                    wn = ws.weak_norm(residual_vector(grid, u, hv, c))
-                    if wn <= ctol:
-                        used_tail = True
-                        break
-                    reason = "above_tol"
+            slack = max(10.0 * step, 1e-8 * (1.0 + abs(c)))
+            if (upol is not None and float(np.min(upol - lo)) >= -slack
+                    and float(np.max(upol - u)) <= slack):
+                # _damped_newton returns only iterates with residual <= ctol
+                u, used_tail = upol, True
+                wn = ws.weak_norm(residual_vector(grid, u, hv, c))
+                break
+            reason = "newton_failed" if upol is None else "left_sandwich"
             rejected_tails.append({"sweep": n, "reason": reason})
             if step <= tol:
                 raise NoConvergence(
@@ -878,41 +864,14 @@ def _solve_ok(lu, x, b) -> bool:
     return res <= 1e-8 * (float(np.max(np.abs(b))) + 1e-300)
 
 
-def _continue_down(ws: _Workspace, hv: np.ndarray, c_from: float,
-                   u_from: np.ndarray, c_to: float, tol: float):
-    """March solutions in c from c_from down to c_to with step halving.
-
-    Returns the solution values at c_to, or None when even tiny steps fail —
-    evidence (not proof) that c_to lies below the solvability threshold.
-    """
-    c_cur = c_from
-    u_cur = np.asarray(u_from, dtype=float).copy()
-    span = c_from - c_to
-    step = span
-    min_step = max(1e-6 * span, 1e-14 * (1.0 + abs(c_to)))
-    # well inside the admissibility tolerance of monotone_iterate, but never
-    # below what damped Newton can reach in floating point
-    newton_tol = max(0.01 * tol, 1e-10)
-    for _ in range(600):
-        if not c_cur > c_to:
-            return u_cur
-        c_try = max(c_to, c_cur - step)
-        unew = _damped_newton(ws, hv, c_try, u_cur, tol=newton_tol * (1.0 + abs(c_try)))
-        if unew is not None:
-            c_cur, u_cur = c_try, unew
-            step = min(step * 2.0, span)
-        else:
-            step *= 0.5
-            if step < min_step:
-                return None
-    return None
-
-
-def _lower_for(h: GridFunction, c: float, u_plus: GridFunction) -> GridFunction:
-    """Constant lower solution sitting below u_plus with a -c/2 margin."""
+def _sandwich(h: GridFunction, c: float, up: GridFunction, *, tol: float,
+              max_iter: int | None, counts: SolveCounts) -> Solution:
+    """Monotone iteration at c from the upper solution ``up``, above a
+    constant lower solution with a -c/2 margin that sits below ``up``."""
     base = build_lower(h, c, margin=0.5 * (-c))
-    a_const = max(-float(np.min(base.values)), 1.0 - float(np.min(u_plus.values)))
-    return constant(h.grid, -a_const)
+    a_const = max(-float(np.min(base.values)), 1.0 - float(np.min(up.values)))
+    return monotone_iterate(h, c, constant(h.grid, -a_const), up, tol=tol,
+                            max_iter=max_iter, counts=counts)
 
 
 def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
@@ -921,11 +880,13 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     """Solve d2u = c - h e^u for c < 0 (needs int h < 0).
 
     h <= 0: the constructed upper solution works for every c < 0.  Otherwise
-    the scaled-flux upper solution certifies c >= implied_c directly; below
-    that a damped-Newton continuation in c supplies the upper solution, and
-    failure of the continuation is reported as NoUpperSolutionFound —
-    evidence of c below the threshold, never a proof.  ``counts``, when
-    given, receives this call's factorizations and ridge retries as well.
+    the scaled-flux upper solution certifies c >= implied_c directly.  Below
+    that the solution branch is walked from implied_c to a point psi at some
+    c_psi just below c, a strict upper solution at c (details ``c_psi`` and
+    ``branch_points``).  When the branch folds above c, NoUpperSolutionFound
+    names the fold c* (its ``c_star``): evidence of c below the threshold,
+    never a proof.  ``counts``, when given, receives this call's
+    factorizations and ridge retries as well.
     """
     if not c < 0.0:
         raise ValueError("solve_negative requires c < 0")
@@ -934,44 +895,25 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         raise NotSolvable(f"c < 0 needs int h < 0 ({v0.reason})")
     ws = _Workspace(h.grid, counts)
     start = replace(ws.counts)
-
+    ws.counts.factorizations += 1  # the flux solve inside build_upper(_hneg)
+    details = {}
     if v0.max_h <= 0.0:
-        up = build_upper_hneg(h, c)
-        ws.counts.factorizations += 1  # the flux solve inside build_upper_hneg
-        sol = monotone_iterate(h, c, _lower_for(h, c, up), up,
-                               tol=tol, max_iter=max_iter, counts=ws.counts)
-        sol.report.method = "monotone(h<=0)"
-        sol.report.details.update(ws.counts.since(start))
-        return sol
-
-    params = build_upper(h)
-    ws.counts.factorizations += 1  # the flux solve inside build_upper
-    if c >= params.implied_c:
-        up = params.u_plus()
-        sol = monotone_iterate(h, c, _lower_for(h, c, up), up,
-                               tol=tol, max_iter=max_iter, counts=ws.counts)
-        sol.report.method = "monotone(certified)"
-        sol.report.details["implied_c"] = params.implied_c
-        sol.report.details.update(ws.counts.since(start))
-        return sol
-
-    # below the certified range: continuation from implied_c down to c
-    base_up = params.u_plus()
-    base = monotone_iterate(h, params.implied_c, _lower_for(h, params.implied_c, base_up),
-                            base_up, tol=tol, max_iter=max_iter, counts=ws.counts)
-    u_cont = _continue_down(ws, h.values, params.implied_c, base.u.values, c, tol)
-    if u_cont is None:
-        raise NoUpperSolutionFound(
-            f"continuation stalled above c = {c}; no upper solution found "
-            f"(certified range starts at {params.implied_c})"
-        )
-    up = GridFunction(h.grid, u_cont)
-    sol = monotone_iterate(h, c, _lower_for(h, c, up), up, tol=tol, max_iter=max_iter,
-                           counts=ws.counts)
-    sol.report.method = "monotone(continuation)"
-    sol.report.details["implied_c"] = params.implied_c
-    sol.report.details["continuation_from"] = params.implied_c
-    sol.report.details.update(ws.counts.since(start))
+        method, up = "monotone(h<=0)", build_upper_hneg(h, c)
+    else:
+        params = build_upper(h)
+        c0 = details["implied_c"] = params.implied_c
+        if c >= c0:
+            method, up = "monotone(certified)", params.u_plus()
+        else:
+            # below the certified range: walk the branch from implied_c to a
+            # point psi just below c
+            walk = _Walk(ws, h, params, tol, max_iter, 1e-4 * abs(c0))
+            psi = walk.upper(c)
+            method, up = "monotone(continuation)", GridFunction(h.grid, psi.u)
+            details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
+    sol = _sandwich(h, c, up, tol=tol, max_iter=max_iter, counts=ws.counts)
+    sol.report.method = method
+    sol.report.details.update(details, **ws.counts.since(start))
     return sol
 
 
@@ -984,6 +926,7 @@ class _BranchPoint(NamedTuple):
     du: np.ndarray  # du/dmu
     dc: float  # dc/dmu
     iters: int  # Newton steps the corrector took
+    res: float  # weak residual at c
 
     def record(self) -> dict:
         return {"mu": self.mu, "c": self.c, "dc_dmu": self.dc, "newton_iters": self.iters}
@@ -1015,7 +958,7 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
             lu = ws.factor(-(w * hv * np.exp(u)), border=w)
             if wn <= tol * (1.0 + abs(c)):
                 t = lu.solve(np.append(np.zeros(n), ws.total))
-                return _BranchPoint(mu, u, c, t[:n], float(t[n]), it)
+                return _BranchPoint(mu, u, c, t[:n], float(t[n]), it, wn)
             if it == 8:
                 return None
             x = lu.solve(np.append(-r, ws.total * mu - float(w @ u)))
@@ -1028,62 +971,141 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
         u, c = u + x[:n], c + float(x[n])
 
 
-def _trace_fold(ws: _Workspace, hv: np.ndarray, u: np.ndarray, c: float,
-                bracket_tol: float, tol: float):
-    """Follow the solution branch from the solution (u, c) in the direction
-    where c falls, to its fold.
+class _Walk:
+    """The solution branch from the certified solution at implied_c, followed
+    where c falls, with mu = mean u as parameter; every point comes from the
+    corrector ``_branch_point``.
 
     The step in mu doubles after a corrector that took at most two Newton
     steps, never beyond twice the distance to the fold that a linear model
-    of dc/dmu predicts, and halves after one that failed.  Once dc/dmu
-    changes sign, a bracketing secant (Illinois) on dc/dmu = 0 refines the
-    fold until the quadratic model of c puts it within 1e-3 bracket_tol of
-    the last point.  Returns the fold point, the traced points (the last two
-    straddle the fold) and the secant points.
+    of dc/dmu predicts, and halves after one that failed.  ``points`` holds
+    the traced points in order (past the fold, the last two straddle it) and
+    ``refinement`` the points of the bracketing secants.
     """
-    mu = float(ws.w @ u) / ws.total
-    # (u, c) solves F = 0 to tol already; this call adds its tangent
-    p = _branch_point(ws, hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0), mu, tol)
-    if p is None:
-        raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
-    branch = [p]
-    sign = -math.copysign(1.0, p.dc)  # mu moves where c falls
-    step = 0.1 * abs(c / p.dc) if p.dc != 0.0 else 0.1
-    for _ in range(200):
-        q = _branch_point(ws, hv, p, p.mu + sign * step, tol)
-        if q is None:
-            step *= 0.5
-            continue
-        branch.append(q)
-        if q.dc * p.dc <= 0.0:
-            break
-        if q.iters <= 2:
-            step *= 2.0
-        if abs(q.dc) < abs(p.dc):
-            step = min(step, 2.0 * abs(q.dc * (q.mu - p.mu) / (p.dc - q.dc)))
-        p = q
-    else:
-        raise NoConvergence(f"the branch trace found no fold in 200 steps "
+
+    def __init__(self, ws: _Workspace, h: GridFunction, params: UpperSolutionParams,
+                 tol: float, max_iter: int | None, bracket_tol: float):
+        c = params.implied_c
+        u = _sandwich(h, c, params.u_plus(), tol=tol, max_iter=max_iter,
+                      counts=ws.counts).u.values
+        self.ws, self.hv, self.tol, self.bracket_tol = ws, h.values, tol, bracket_tol
+        mu = float(ws.w @ u) / ws.total
+        # (u, c) solves F = 0 to tol already; this call adds its tangent
+        p = _branch_point(ws, self.hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0, 0.0),
+                          mu, tol)
+        if p is None:
+            raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
+        self.points, self.refinement, self.fold_point = [p], [], None
+        self.sign = -math.copysign(1.0, p.dc)  # mu moves where c falls
+        self.step = 0.1 * abs(c / p.dc) if p.dc != 0.0 else 0.1
+
+    def solved(self) -> int:
+        return len(self.points) + len(self.refinement)
+
+    def down_to(self, c: float, reach: float = 0.0) -> None:
+        """Step on until the last point lies below c or, first, the last two
+        straddle the fold, which is then refined.  A quadratic model of c(mu)
+        aims each step no lower than c - reach |dc/dmu| / 2 max|du/dmu|."""
+        for _ in range(200):
+            p = self.points[-1]
+            if p.c + p.res <= c:
+                return
+            if len(self.points) > 1 and p.dc * self.points[-2].dc <= 0.0:
+                if self.fold_point is None:
+                    # near the fold c ~ c* + (dc/dmu)^2 / (2 c''), c'' by the
+                    # last secant: refine until that puts c* within 1e-3
+                    # bracket_tol of the last point
+                    self.fold_point = self._secant(
+                        self.points[-2], p, lambda q: q.dc, lambda s, b: 0.5 * s.dc ** 2
+                        * abs(s.mu - b.mu) <= 1e-3 * self.bracket_tol * abs(s.dc - b.dc),
+                        self.tol)
+                return
+            step = self.step
+            aim = c - 0.5 * reach * abs(p.dc) / float(np.max(np.abs(p.du)))
+            if p.c > aim > -math.inf:
+                # where c reaches aim by its tangent and the change of dc/dmu
+                # since the last point: 0.5 c'' x^2 - |dc/dmu| x + (c - aim) = 0
+                o = self.points[-2] if len(self.points) > 1 else p
+                a = 0.5 * (p.dc - o.dc) / (p.mu - o.mu) if o is not p else 0.0
+                g = abs(p.dc)
+                step = min(step, 2.0 * (p.c - aim)
+                           / (g + math.sqrt(max(g * g - 4.0 * a * (p.c - aim), 0.0))))
+            q = _branch_point(self.ws, self.hv, p, p.mu + self.sign * step, self.tol)
+            if q is None:
+                self.step = 0.5 * step
+                continue
+            self.points.append(q)
+            self.step = 2.0 * step if q.iters <= 2 else step
+            if abs(q.dc) < abs(p.dc):
+                self.step = min(self.step, 2.0 * abs(q.dc * (q.mu - p.mu) / (p.dc - q.dc)))
+        raise NoConvergence(f"the branch walk met neither c = {c} nor the fold in 200 steps "
                             f"(last point c = {p.c}, mu = {p.mu})")
 
-    a, b = branch[-2], branch[-1]
-    fa = a.dc
-    refinement = []
-    for _ in range(30):
-        mu_s = (a.mu * b.dc - b.mu * fa) / (b.dc - fa)
-        s = _branch_point(ws, hv, min(a, b, key=lambda x: abs(x.mu - mu_s)), mu_s, tol)
-        if s is None:
-            raise NoConvergence(f"the branch corrector failed at the fold estimate mu = {mu_s}")
-        refinement.append(s)
-        # near the fold c ~ c* + (dc/dmu)^2 / (2 c''), c'' by the last secant
-        if 0.5 * s.dc ** 2 * abs(s.mu - b.mu) <= 1e-3 * bracket_tol * abs(s.dc - b.dc):
-            return s, branch, refinement
-        if s.dc * b.dc < 0.0:
-            a, fa = b, b.dc
-        else:  # Illinois: halve the weight of the end that stays
-            fa *= 0.5
-        b = s
-    raise NoConvergence(f"the secant on dc/dmu = 0 did not settle (c = {b.c})")
+    def _secant(self, a: _BranchPoint, b: _BranchPoint, f, done, tol: float) -> _BranchPoint:
+        """Bracketing secant (Illinois) on f(point) = 0 between solved points
+        a and b where f changes sign, the corrector at ``tol``; returns the
+        first point for which done(point, previous point) holds."""
+        fa, fb = f(a), f(b)
+        for _ in range(30):
+            mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
+            s = _branch_point(self.ws, self.hv, min(a, b, key=lambda x: abs(x.mu - mu_s)),
+                              mu_s, tol)
+            if s is None:
+                raise NoConvergence(f"the branch corrector failed at the secant point mu = {mu_s}")
+            self.refinement.append(s)
+            if done(s, b):
+                return s
+            fs = f(s)
+            if fs * fb < 0.0:
+                a, fa = b, fb
+            else:  # Illinois: halve the weight of the end that stays
+                fa *= 0.5
+            b, fb = s, fs
+        raise NoConvergence(f"the secant on the branch did not settle (c = {b.c})")
+
+    def fold(self) -> _BranchPoint:
+        """The secant point on dc/dmu = 0 that stands for the fold c*."""
+        self.down_to(-math.inf)
+        return self.fold_point
+
+    def upper(self, c: float, c_floor: float = -math.inf) -> _BranchPoint:
+        """A solved point on the approach side of the fold with c_p in
+        (max(c_floor, c - 2 eps), c - residual]: an upper solution at c, and
+        close to the solution there.  eps is half the gap in c over which the
+        tangent of the closest point above c moves u by 1e-3 (1 + |c|) in the
+        max norm, so monotone iteration from the point starts in its Newton
+        tail.  Walks on until a point lies below c, then a bracketing secant
+        on c_p = c - eps closes in.  Raises NoUpperSolutionFound, naming the
+        fold c*, when c lies below it.
+        """
+        first = self.points[0].dc
+        reach = 1e-3 * (1.0 + abs(c))
+        self.down_to(c, reach)
+        solved = self.points + self.refinement
+        if not any(p.c + p.res <= c for p in solved):
+            c_star = self.fold().c
+            raise NoUpperSolutionFound(
+                f"c = {c} lies below the fold of the solution branch at c* = {c_star!r} "
+                f"(certified range starts at {self.points[0].c})", c_star=c_star)
+        a = min((p for p in solved if p.dc * first > 0.0 and p.c + p.res > c),
+                key=lambda p: p.c, default=self.points[0])
+        eps = 0.5 * min(c - c_floor, reach * abs(a.dc) / float(np.max(np.abs(a.du))))
+
+        def done(p, _=None):
+            return p.dc * first > 0.0 and c - 2.0 * eps < p.c and p.c + p.res <= c
+
+        if not any(map(done, solved)):
+            self.down_to(c - eps)  # a point below c - eps, unless the fold comes first
+            solved = self.points + self.refinement
+            eps = min(eps, 0.5 * (c - min(p.c for p in solved)))
+        hits = [p for p in solved if done(p)]
+        if hits:
+            return max(hits, key=lambda p: p.c)
+        a = min((p for p in solved if p.dc * first > 0.0 and p.c > c - eps), key=lambda p: p.c)
+        b = max((p for p in solved if p.c < c - eps), key=lambda p: p.c)
+        # the corrector's residual must stay well inside the gap eps
+        tol = min(self.tol, 0.25 * eps / (1.0 + abs(c)))
+        return self._secant(a, b, lambda p: p.c - (c - eps), done, tol)
 
 
 def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
@@ -1091,11 +1113,12 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
     """Bracket the solvability threshold in c around the fold of the solutions.
 
     h <= 0 everywhere -> minus_infinity.  Otherwise the branch of solutions
-    is traced from the certified monotone solution at implied_c, with the
+    is walked from the certified monotone solution at implied_c, with the
     mean mu of u as its parameter, in the direction where c falls.  Its
     turning point (dc/dmu = 0) is the threshold c*: no solution exists below
-    it.  The bracket is c_hi = c* + bracket_tol / 2, certified by
-    ``solve_negative``, and c_lo = c_hi - bracket_tol.
+    it.  The bracket is c_hi = c* + bracket_tol / 2 and c_lo = c_hi -
+    bracket_tol; monotone iteration certifies c_hi from a branch point just
+    below it on the approach side of the fold, a strict upper solution.
 
     ``details`` holds c_star and mu_star, every traced point (``branch``)
     and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
@@ -1112,16 +1135,14 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
     counts = SolveCounts(factorizations=1)  # the flux solve inside build_upper
     params = build_upper(h)
     c0 = params.implied_c
-    if bracket_tol is None:
-        bracket_tol = 1e-4 * abs(c0)
-    up = params.u_plus()
-    base = monotone_iterate(h, c0, _lower_for(h, c0, up), up, tol=tol, max_iter=max_iter,
-                            counts=counts)
-    fold, branch, refinement = _trace_fold(_Workspace(h.grid, counts), h.values,
-                                           base.u.values, c0, bracket_tol, tol)
+    bracket_tol = 1e-4 * abs(c0) if bracket_tol is None else bracket_tol
+    walk = _Walk(_Workspace(h.grid, counts), h, params, tol, max_iter, bracket_tol)
+    fold = walk.fold()
     c_hi = min(fold.c + 0.5 * bracket_tol, c0)
     try:
-        solve_negative(h, c_hi, tol=tol, max_iter=max_iter, counts=counts)
+        psi = walk.upper(c_hi)
+        _sandwich(h, c_hi, GridFunction(h.grid, psi.u), tol=tol, max_iter=max_iter,
+                  counts=counts)
     except (NoUpperSolutionFound, NoConvergence) as exc:
         raise NoConvergence(f"fold at c* = {fold.c!r}, but c_hi = {c_hi!r} "
                             f"did not solve: {exc}") from exc
@@ -1132,30 +1153,14 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
         c_hi=c_hi,
         analytic_upper_bound=c0,
         details={
-            "probes": len(branch) + len(refinement),
+            "probes": walk.solved(),
             "c_star": fold.c,
             "mu_star": fold.mu,
-            "branch": [p.record() for p in branch],
-            "refinement": [p.record() for p in refinement],
+            "branch": [p.record() for p in walk.points],
+            "refinement": [p.record() for p in walk.refinement],
             **asdict(counts),
         },
     )
-
-
-def _ceiling(h: GridFunction, c_floor: float, c_k: float, tol: float,
-             counts: SolveCounts):
-    """A solution psi at some c_psi in (c_floor, c_k], as (psi, c_psi).
-
-    Below c_k, psi is a strict upper solution at c_k; c_k itself is the last
-    resort.  Raises the error of the last candidate when none solves.
-    """
-    for frac in (0.5, 0.85, 1.0):
-        c_psi = c_floor + frac * (c_k - c_floor)
-        try:
-            return solve_negative(h, c_psi, tol=tol, counts=counts).u, c_psi
-        except (NoUpperSolutionFound, NoConvergence) as exc:
-            err = exc
-    raise err
 
 
 def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
@@ -1163,45 +1168,39 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     """Follow solutions down to the threshold bracket and return the last one.
 
     Up to CRITICAL_RUNGS rungs c_k descend geometrically from the bracket top
-    toward its midpoint.  Each rung solves at a slightly smaller c for the
-    ceiling psi_k, a strict upper solution at c_k, and finds the solution in
-    the box [-A_k, psi_k] by monotone iteration between that pair.  H1 norms
-    and the mass identity int h e^u = c_k |G| are recorded per rung; their
-    boundedness is the point of the construction.  A rung with no ceiling or
-    no solution in its box is recorded with its reason in
-    ``details["rejected_rungs"]``.
+    toward its midpoint.  One walk of the solution branch from implied_c
+    gives every rung its ceiling psi_k, a point at some c in (c_floor, c_k]
+    and so an upper solution at c_k, and monotone iteration finds the rung's
+    solution in the box [-A_k, psi_k].  H1 norms and the mass identity
+    int h e^u = c_k |G| are recorded per rung; their boundedness is the
+    point of the construction.  A rung with no ceiling or no solution in its
+    box is listed with its reason in ``details["rejected_rungs"]``.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")
     grid = h.grid
-    ws = _Workspace(grid)
+    ws = _Workspace(grid, SolveCounts(factorizations=1))  # build_upper's flux solve
     hv, w = h.values, ws.w
     c_lo, c_hi = estimate.c_lo, estimate.c_hi
     c_mid = 0.5 * (c_lo + c_hi)
     width = c_hi - c_lo
 
-    base_lower = build_lower(h, c_hi, margin=0.5 * (-c_hi))
-    a_base = -float(np.min(base_lower.values))
+    a_base = -float(np.min(build_lower(h, c_hi, margin=0.5 * (-c_hi)).values))
+    walk = _Walk(ws, h, build_upper(h), tol, max_iter, width)
 
-    rungs = []
-    rejected = []
-    u_best = None
-    c_best = None
-    total_iters = 0
-    c_floor = c_mid
-    c_top = c_hi
-    c_try = 0.5 * (c_hi + c_mid)
+    rungs, rejected, u_best, c_best, total_iters = [], [], None, None, 0
+    c_floor, c_top, c_try = c_mid, c_hi, 0.5 * (c_hi + c_mid)
     for _ in range(CRITICAL_RUNGS):
         c_k = c_try
         try:
-            psi, c_psi = _ceiling(h, c_floor, c_k, tol, ws.counts)
-            a_k = max(a_base, 1.0 - float(np.min(psi.values)))
+            point = walk.upper(c_k, c_floor)
+            psi = GridFunction(grid, point.u)
+            a_k = max(a_base, 1.0 - float(np.min(point.u)))
             sol = monotone_iterate(h, c_k, constant(grid, -a_k), psi, tol=tol,
                                    max_iter=max_iter, counts=ws.counts)
         except (NoUpperSolutionFound, NoConvergence, OrderingViolated) as exc:
             rejected.append({"c": c_k, "reason": f"{type(exc).__name__}: {exc}"})
-            c_floor = c_k
-            c_try = 0.5 * (c_top + c_floor)
+            c_floor, c_try = c_k, 0.5 * (c_top + c_k)
             continue
         u_k = sol.u.values
         total_iters += sol.report.iterations
@@ -1211,19 +1210,18 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
         energy_cap = (
             _box_value(ws, hv, c_k, np.full(grid.ndof, -a_k))
             - c_k * integrate(psi)
-            + float(np.max(np.abs(hv))) * float(w @ np.exp(psi.values))
+            + float(np.max(np.abs(hv))) * float(w @ np.exp(point.u))
         )
         rungs.append({
             "c": c_k,
-            "c_psi": c_psi,
+            "c_psi": point.c,
             "h1_norm": h1,
             "mass_defect": abs(mass - c_k * ws.total),
             "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
             "energy_cap": energy_cap,
             "residual": sol.report.final_residual,
         })
-        u_best, c_best = u_k, c_k
-        c_top = c_k
+        u_best, c_best, c_top = u_k, c_k, c_k
         c_try = 0.5 * (c_k + c_floor)
         if c_top - c_floor <= max(1e-3 * width, 1e-15 * abs(c_mid)):
             break
@@ -1254,6 +1252,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
             "residual_at_midpoint": r_mid,
             "rungs": rungs,
             "rejected_rungs": rejected,
+            "branch_points": walk.solved(),
             **asdict(ws.counts),
         },
     )

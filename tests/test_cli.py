@@ -71,6 +71,14 @@ def test_solve_input_errors(tmp_path, capsys):
     assert "no c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["cos(pi*s) - 1/0", "2^10000", "(-1)^0.5"])
+def test_solve_reports_arithmetic_errors_in_h(tmp_path, capsys, bad):
+    prob = write_problem(tmp_path, h=bad)
+    assert main(["solve", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expression" in err
+
+
 def test_solve_out_prefix_and_cells(tmp_path):
     prob = write_problem(tmp_path)
     out = tmp_path / "run1"

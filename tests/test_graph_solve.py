@@ -163,4 +163,3 @@ def test_counts_accumulate_across_calls_and_failures():
     with pytest.raises(RuntimeError):
         solve_negative(h, 4.0 * c_certified, counts=counts)  # far below the fold
     assert counts.factorizations > sol.report.details["factorizations"]
-    assert counts.ridge_retries > 0

@@ -51,6 +51,12 @@ def test_expression_rejects(bad):
         compile_expression(bad)
 
 
+@pytest.mark.parametrize("bad", ["cos(pi*s) - 1/0", "2^10000", "(-1)^0.5"])
+def test_expression_arithmetic_errors_are_value_errors(bad):
+    with pytest.raises(ValueError, match="expression"):
+        compile_expression(bad)(np.linspace(0.0, 1.0, 5))
+
+
 def test_default_cells_scales_with_length():
     cells = default_cells({"a": 1.0, "b": 0.25, "c": 3.0})
     assert cells == {"a": 128, "b": 32, "c": 384}

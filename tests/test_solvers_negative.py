@@ -11,6 +11,7 @@ from kwnet import (
     build_upper,
     build_upper_hneg,
     constant,
+    estimate_threshold,
     integrate,
     monotone_iterate,
     sample_function,
@@ -245,6 +246,52 @@ def test_below_fold_reports_no_upper_solution():
     h = cos_h(cells=64)
     with pytest.raises(NoUpperSolutionFound):
         solve_negative(h, -1.0)  # an order of magnitude below the threshold
+
+
+def test_continuation_report_names_its_upper_solution():
+    h = cos_h()
+    params = build_upper(h)
+    c = 2.0 * params.implied_c
+    details = solve_negative(h, c).report.to_dict()["details"]
+    # a solution at c_psi < c is a strict upper solution at c; the walk
+    # lands close below c
+    assert c - 1e-2 * (params.implied_c - c) <= details["c_psi"] < c
+    assert details["branch_points"] >= 2
+    assert details["continuation_from"] == details["implied_c"] == params.implied_c
+
+
+def half_way_to_fold(h):
+    est = estimate_threshold(h)
+    c0 = est.analytic_upper_bound
+    return c0 + 0.5 * (est.details["c_star"] - c0)
+
+
+@pytest.mark.parametrize("cells", [768, 1536, 3072])
+def test_continuation_converges_on_fine_edges(cells):
+    h = cos_h(cells=cells)
+    c = half_way_to_fold(h)
+    sol = solve_negative(h, c)
+    assert sol.report.method == "monotone(continuation)"
+    assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
+
+
+def test_continuation_converges_on_star3_at_384_cells():
+    h = sample_function(make_star3(cells=384), lambda s: math.cos(math.pi * s) - 0.1)
+    c = half_way_to_fold(h)
+    sol = solve_negative(h, c)
+    assert sol.report.method == "monotone(continuation)"
+    assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
+
+
+@pytest.mark.parametrize("where", ["c_lo", "far_below"])
+def test_below_fold_error_names_the_fold(where):
+    h = cos_h(cells=96)
+    est = estimate_threshold(h)
+    bracket_tol = est.c_hi - est.c_lo
+    c = est.c_lo if where == "c_lo" else 20.0 * est.c_lo
+    with pytest.raises(NoUpperSolutionFound) as info:
+        solve_negative(h, c)
+    assert abs(info.value.c_star - est.details["c_star"]) <= bracket_tol
 
 
 def test_refuses_nonnegative_integral():

@@ -15,6 +15,7 @@ from kwnet import (
     solve_critical,
     solve_negative,
 )
+from kwnet import solvers
 from kwnet.errors import IntegralNotNegative, NoUpperSolutionFound
 from helpers import make_single, make_star3, make_theta, oracle_fold, random_h_sign_changing
 
@@ -67,12 +68,13 @@ def test_threshold_edges_solve_and_fail():
 
 
 def test_threshold_refinement_sweep():
-    # from 48 to 768 cells every bracket holds (c_hi solves, c_lo does not)
+    # from 48 to 3072 cells every bracket holds (c_hi solves, c_lo does not)
     # and the fold converges at the O(h^2) rate of the discretization
     stars = []
-    for cells in (48, 96, 192, 384, 768):
+    ests = {}
+    for cells in (48, 96, 192, 384, 768, 1536, 3072):
         h = cos_h(cells)
-        est = estimate_threshold(h)
+        est = ests[cells] = estimate_threshold(h)
         bt = 1e-4 * abs(est.analytic_upper_bound)
         assert est.c_hi - est.c_lo <= bt * 1.0001
         sol = solve_negative(h, est.c_hi)
@@ -85,6 +87,7 @@ def test_threshold_refinement_sweep():
     assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
     # the 768-cell fold found by oracle continuation alone
     oracle_lo, oracle_hi = -0.04978393114880529, -0.04978391022897212
+    est = ests[768]
     assert est.c_lo <= oracle_lo and oracle_hi <= est.c_hi
 
 
@@ -95,6 +98,19 @@ def test_threshold_matches_oracle_fold():
     lo, hi = oracle_fold(h, est.c_hi, 2.0 * est.c_lo, gap=bt)
     fold = 0.5 * (lo + hi)
     assert est.c_lo - 2 * bt <= fold <= est.c_hi + 2 * bt
+
+
+def test_threshold_and_critical_make_no_solve_negative_call(monkeypatch):
+    # both take their upper solutions from the traced branch
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_negative was called")
+
+    monkeypatch.setattr(solvers, "solve_negative", refuse)
+    h = cos_h()
+    est = solvers.estimate_threshold(h)
+    sol = solvers.solve_critical(h, est)
+    assert sol.report.details["rejected_rungs"] == []
+    assert sol.report.details["branch_points"] >= len(sol.report.details["rungs"])
 
 
 def theta_h():
