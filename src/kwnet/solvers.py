@@ -304,20 +304,6 @@ def _safe_exp_integral(w, hv, exponent):
         return float(w @ (hv * np.exp(np.minimum(exponent, 700.0))))
 
 
-def _bump_scale(w, hv, wb, target) -> float:
-    """A scale ell >= 0 with int h e^(ell wb) = target: double ell until
-    the integral exceeds target, then brentq on [0, ell]."""
-    def scan(ell):
-        return _safe_exp_integral(w, hv, ell * wb) - target
-
-    hi = 1.0
-    for _ in range(80):
-        if scan(hi) > 0.0:
-            return brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-        hi *= 2.0
-    raise FeasibilityFailure(f"bump scaling never lifted int h e^(l w) above {target}")
-
-
 def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray):
     """Return to {int v = 0, int h e^v = 0}: scalar Newton along the bump
     direction, then a mean shift.  None when no correction exists."""
@@ -392,7 +378,18 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
     ih = v0.integral_h
 
     wb = _bump(grid, h).values
-    ell0 = _bump_scale(w, hv, wb, 0.0)
+
+    def scan(ell):
+        return _safe_exp_integral(w, hv, ell * wb)
+
+    hi = 1.0
+    for _ in range(80):
+        if scan(hi) > 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise FeasibilityFailure("bump scaling never made int h e^(l w) positive")
+    ell0 = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
 
     v = ell0 * wb
     v = v - (w @ v) / ws.total
@@ -516,7 +513,19 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         u = np.full(grid.ndof, math.log(target / ih))
     else:
         wb = _bump(grid, h).values
-        u = _bump_scale(w, hv, wb, target) * wb
+
+        def scan(ell):
+            return _safe_exp_integral(w, hv, ell * wb) - target
+
+        hi = 1.0
+        for _ in range(80):
+            if scan(hi) > 0.0:
+                break
+            hi *= 2.0
+        else:
+            raise FeasibilityFailure("bump scaling never reached int h e^u = c |G|")
+        ell0 = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+        u = ell0 * wb
 
     def project(x):
         cur = _safe_exp_integral(w, hv, x)
@@ -907,7 +916,7 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         else:
             # below the certified range: walk the branch from implied_c to a
             # point psi just below c
-            walk = _Walk(ws, h, params, tol, max_iter, 1e-4 * abs(c0))
+            walk = _Walk(ws, h, params, tol, max_iter, 1e-4 * abs(c0), aimed=True)
             psi = walk.upper(c)
             method, up = "monotone(continuation)", GridFunction(h.grid, psi.u)
             details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
@@ -980,24 +989,33 @@ class _Walk:
     steps, never beyond twice the distance to the fold that a linear model
     of dc/dmu predicts, and halves after one that failed.  ``points`` holds
     the traced points in order (past the fold, the last two straddle it) and
-    ``refinement`` the points of the bracketing secants.
+    ``refinement`` the other solved points: those of the bracketing secants
+    and of refused steps.  The first step is 0.1 |implied_c / (dc/dmu)|, or,
+    when ``aimed``, the step that ``down_to`` aims at its c.
     """
 
     def __init__(self, ws: _Workspace, h: GridFunction, params: UpperSolutionParams,
-                 tol: float, max_iter: int | None, bracket_tol: float):
+                 tol: float, max_iter: int | None, bracket_tol: float, aimed: bool = False):
         c = params.implied_c
         u = _sandwich(h, c, params.u_plus(), tol=tol, max_iter=max_iter,
                       counts=ws.counts).u.values
-        self.ws, self.hv, self.tol, self.bracket_tol = ws, h.values, tol, bracket_tol
+        self.ws = ws
+        self.hv = h.values
+        self.tol = tol
+        self.bracket_tol = bracket_tol
         mu = float(ws.w @ u) / ws.total
         # (u, c) solves F = 0 to tol already; this call adds its tangent
         p = _branch_point(ws, self.hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0, 0.0),
                           mu, tol)
         if p is None:
             raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
-        self.points, self.refinement, self.fold_point = [p], [], None
+        self.points = [p]
+        self.refinement = []
+        self.fold_point = None
         self.sign = -math.copysign(1.0, p.dc)  # mu moves where c falls
         self.step = 0.1 * abs(c / p.dc) if p.dc != 0.0 else 0.1
+        if aimed and p.dc != 0.0:
+            self.step = math.inf  # down_to caps it by the aimed step
 
     def solved(self) -> int:
         return len(self.points) + len(self.refinement)
@@ -1005,7 +1023,11 @@ class _Walk:
     def down_to(self, c: float, reach: float = 0.0) -> None:
         """Step on until the last point lies below c or, first, the last two
         straddle the fold, which is then refined.  A quadratic model of c(mu)
-        aims each step no lower than c - reach |dc/dmu| / 2 max|du/dmu|."""
+        aims each step no lower than c - reach |dc/dmu| / 2 max|du/dmu|; a
+        step that lands more than as far again below that aim, or crosses the
+        fold far beyond it, is refused and taken again, shorter, from the
+        same point."""
+        over = None  # a refused point below the aim, for the next model
         for _ in range(200):
             p = self.points[-1]
             if p.c + p.res <= c:
@@ -1022,18 +1044,38 @@ class _Walk:
                 return
             step = self.step
             aim = c - 0.5 * reach * abs(p.dc) / float(np.max(np.abs(p.du)))
-            if p.c > aim > -math.inf:
-                # where c reaches aim by its tangent and the change of dc/dmu
-                # since the last point: 0.5 c'' x^2 - |dc/dmu| x + (c - aim) = 0
-                o = self.points[-2] if len(self.points) > 1 else p
-                a = 0.5 * (p.dc - o.dc) / (p.mu - o.mu) if o is not p else 0.0
+            aimed = p.c > aim > -math.inf
+            if aimed:
+                # where c reaches aim by a quadratic a x^2 - |dc/dmu| x + c_p:
+                # a through the c of a refused step past the aim, else by the
+                # change of dc/dmu since the last point
                 g = abs(p.dc)
+                if over is not None:
+                    x = abs(over.mu - p.mu)
+                    a = (over.c - p.c + g * x) / (x * x)
+                elif len(self.points) > 1:
+                    o = self.points[-2]
+                    a = 0.5 * (p.dc - o.dc) / (p.mu - o.mu)
+                else:
+                    a = 0.0
                 step = min(step, 2.0 * (p.c - aim)
                            / (g + math.sqrt(max(g * g - 4.0 * a * (p.c - aim), 0.0))))
             q = _branch_point(self.ws, self.hv, p, p.mu + self.sign * step, self.tol)
             if q is None:
                 self.step = 0.5 * step
                 continue
+            if aimed:
+                # refuse a step across the fold that lands more than as far
+                # again beyond it as dc/dmu interpolates, or, with a reach,
+                # one below c - 2 (c - aim)
+                to_fold = abs(p.dc * (q.mu - p.mu) / (p.dc - q.dc)) if q.dc * p.dc <= 0.0 else step
+                crossed = 2.0 * to_fold < step
+                if crossed or q.c < 2.0 * aim - c < aim:
+                    self.refinement.append(q)
+                    over = None if crossed else q
+                    self.step = min(step, 2.0 * to_fold)
+                    continue
+            over = None
             self.points.append(q)
             self.step = 2.0 * step if q.iters <= 2 else step
             if abs(q.dc) < abs(p.dc):
@@ -1185,11 +1227,18 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     c_mid = 0.5 * (c_lo + c_hi)
     width = c_hi - c_lo
 
-    a_base = -float(np.min(build_lower(h, c_hi, margin=0.5 * (-c_hi)).values))
+    base_lower = build_lower(h, c_hi, margin=0.5 * (-c_hi))
+    a_base = -float(np.min(base_lower.values))
     walk = _Walk(ws, h, build_upper(h), tol, max_iter, width)
 
-    rungs, rejected, u_best, c_best, total_iters = [], [], None, None, 0
-    c_floor, c_top, c_try = c_mid, c_hi, 0.5 * (c_hi + c_mid)
+    rungs = []
+    rejected = []
+    u_best = None
+    c_best = None
+    total_iters = 0
+    c_floor = c_mid
+    c_top = c_hi
+    c_try = 0.5 * (c_hi + c_mid)
     for _ in range(CRITICAL_RUNGS):
         c_k = c_try
         try:
@@ -1200,7 +1249,8 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
                                    max_iter=max_iter, counts=ws.counts)
         except (NoUpperSolutionFound, NoConvergence, OrderingViolated) as exc:
             rejected.append({"c": c_k, "reason": f"{type(exc).__name__}: {exc}"})
-            c_floor, c_try = c_k, 0.5 * (c_top + c_k)
+            c_floor = c_k
+            c_try = 0.5 * (c_top + c_floor)
             continue
         u_k = sol.u.values
         total_iters += sol.report.iterations
@@ -1221,7 +1271,8 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
             "energy_cap": energy_cap,
             "residual": sol.report.final_residual,
         })
-        u_best, c_best, c_top = u_k, c_k, c_k
+        u_best, c_best = u_k, c_k
+        c_top = c_k
         c_try = 0.5 * (c_k + c_floor)
         if c_top - c_floor <= max(1e-3 * width, 1e-15 * abs(c_mid)):
             break

@@ -14,6 +14,7 @@ from kwnet import (
     build_graph,
     build_grid,
     build_upper,
+    estimate_threshold,
     sample_function,
     solve_negative,
     solve_poisson_meanzero,
@@ -162,4 +163,10 @@ def test_counts_accumulate_across_calls_and_failures():
     assert sol.report.details["factorizations"] == counts.factorizations > 0
     with pytest.raises(RuntimeError):
         solve_negative(h, 4.0 * c_certified, counts=counts)  # far below the fold
+    # just above the fold the Newton tail's Jacobian is nearly singular, and
+    # some of its solves take the ridge
+    c_star = estimate_threshold(h).details["c_star"]
+    for gap in (1.5e-7, 2e-7, 3e-7, 4e-7):
+        solve_negative(h, c_star * (1.0 - gap), counts=counts)
     assert counts.factorizations > sol.report.details["factorizations"]
+    assert counts.ridge_retries > 0

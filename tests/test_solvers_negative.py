@@ -28,7 +28,14 @@ from kwnet.errors import (
     NoUpperSolutionFound,
     OrderingViolated,
 )
-from helpers import make_single, make_star3, make_triangle, ordered_pair
+from helpers import (
+    make_single,
+    make_star3,
+    make_theta,
+    make_triangle,
+    ordered_pair,
+    random_h_sign_changing,
+)
 
 
 def cos_h(cells=128):
@@ -281,6 +288,17 @@ def test_continuation_converges_on_star3_at_384_cells():
     sol = solve_negative(h, c)
     assert sol.report.method == "monotone(continuation)"
     assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
+
+
+def test_continuation_refuses_a_step_far_across_the_fold():
+    # implied_c is about -0.27 and the fold about -3.79: the first step aimed
+    # at c_hi lands past the fold, and the walk must step short of it again
+    h = random_h_sign_changing(make_theta(cells=192), np.random.default_rng(103))
+    est = estimate_threshold(h)
+    sol = solve_negative(h, est.c_hi)
+    assert apply_residual(sol.u, h, est.c_hi).weak_residual_norm <= 1e-8 * (1 + abs(est.c_hi))
+    with pytest.raises(NoUpperSolutionFound):
+        solve_negative(h, est.c_lo)
 
 
 @pytest.mark.parametrize("where", ["c_lo", "far_below"])
