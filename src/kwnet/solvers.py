@@ -934,6 +934,7 @@ class _BranchPoint(NamedTuple):
     c: float
     du: np.ndarray  # du/dmu
     dc: float  # dc/dmu
+    ddc: float  # d2c/dmu2
     iters: int  # Newton steps the corrector took
     res: float  # weak residual at c
 
@@ -949,7 +950,8 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
     The Jacobian [[K - diag(w h e^u), w], [w^T, 0]] stays nonsingular through
     the fold: there the null vector of K - diag(w h e^u) is positive (the
     matrix is a Z-matrix), so w is not orthogonal to it.  Its last
-    factorization also gives the tangent, from the right-hand side (0, |G|).
+    factorization also gives the tangent, from the right-hand side (0, |G|),
+    and d2c/dmu2, from (w h e^u (du/dmu)^2, 0).
     Newton counts as failed when its first step moves u by more than half
     the predictor's move or a later step does not halve the one before:
     either means the predictor was too far off to stay on this branch.
@@ -967,7 +969,9 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
             lu = ws.factor(-(w * hv * np.exp(u)), border=w)
             if wn <= tol * (1.0 + abs(c)):
                 t = lu.solve(np.append(np.zeros(n), ws.total))
-                return _BranchPoint(mu, u, c, t[:n], float(t[n]), it, wn)
+                # differentiate F = 0 and w.u = |G| mu twice along the branch
+                s = lu.solve(np.append(w * hv * np.exp(u) * t[:n] ** 2, 0.0))
+                return _BranchPoint(mu, u, c, t[:n], float(t[n]), float(s[n]), it, wn)
             if it == 8:
                 return None
             x = lu.solve(np.append(-r, ws.total * mu - float(w @ u)))
@@ -1005,7 +1009,7 @@ class _Walk:
         self.bracket_tol = bracket_tol
         mu = float(ws.w @ u) / ws.total
         # (u, c) solves F = 0 to tol already; this call adds its tangent
-        p = _branch_point(ws, self.hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0, 0.0),
+        p = _branch_point(ws, self.hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0.0, 0, 0.0),
                           mu, tol)
         if p is None:
             raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
@@ -1024,9 +1028,8 @@ class _Walk:
         """Step on until the last point lies below c or, first, the last two
         straddle the fold, which is then refined.  A quadratic model of c(mu)
         aims each step no lower than c - reach |dc/dmu| / 2 max|du/dmu|; a
-        step that lands more than as far again below that aim, or crosses the
-        fold far beyond it, is refused and taken again, shorter, from the
-        same point."""
+        step that lands more than as far again below that aim is refused and
+        taken again, shorter, from the same point."""
         over = None  # a refused point below the aim, for the next model
         for _ in range(200):
             p = self.points[-1]
@@ -1047,34 +1050,26 @@ class _Walk:
             aimed = p.c > aim > -math.inf
             if aimed:
                 # where c reaches aim by a quadratic a x^2 - |dc/dmu| x + c_p:
-                # a through the c of a refused step past the aim, else by the
-                # change of dc/dmu since the last point
+                # a through the c of a refused step past the aim, else from
+                # d2c/dmu2 at p
                 g = abs(p.dc)
                 if over is not None:
                     x = abs(over.mu - p.mu)
                     a = (over.c - p.c + g * x) / (x * x)
-                elif len(self.points) > 1:
-                    o = self.points[-2]
-                    a = 0.5 * (p.dc - o.dc) / (p.mu - o.mu)
                 else:
-                    a = 0.0
+                    a = 0.5 * p.ddc
                 step = min(step, 2.0 * (p.c - aim)
                            / (g + math.sqrt(max(g * g - 4.0 * a * (p.c - aim), 0.0))))
             q = _branch_point(self.ws, self.hv, p, p.mu + self.sign * step, self.tol)
             if q is None:
                 self.step = 0.5 * step
                 continue
-            if aimed:
-                # refuse a step across the fold that lands more than as far
-                # again beyond it as dc/dmu interpolates, or, with a reach,
-                # one below c - 2 (c - aim)
-                to_fold = abs(p.dc * (q.mu - p.mu) / (p.dc - q.dc)) if q.dc * p.dc <= 0.0 else step
-                crossed = 2.0 * to_fold < step
-                if crossed or q.c < 2.0 * aim - c < aim:
-                    self.refinement.append(q)
-                    over = None if crossed else q
-                    self.step = min(step, 2.0 * to_fold)
-                    continue
+            if aimed and q.c < 2.0 * aim - c < aim:
+                # too far below the aim: keep q for the secant and step again
+                # from p, with the model through the c of q
+                self.refinement.append(q)
+                over = q
+                continue
             over = None
             self.points.append(q)
             self.step = 2.0 * step if q.iters <= 2 else step
@@ -1086,14 +1081,21 @@ class _Walk:
     def _secant(self, a: _BranchPoint, b: _BranchPoint, f, done, tol: float) -> _BranchPoint:
         """Bracketing secant (Illinois) on f(point) = 0 between solved points
         a and b where f changes sign, the corrector at ``tol``; returns the
-        first point for which done(point, previous point) holds."""
+        first point for which done(point, previous point) holds.  Where the
+        corrector fails at the secant point, the point moves halfway to the
+        nearer end, up to 8 times."""
         fa, fb = f(a), f(b)
         for _ in range(30):
             mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
-            s = _branch_point(self.ws, self.hv, min(a, b, key=lambda x: abs(x.mu - mu_s)),
-                              mu_s, tol)
-            if s is None:
-                raise NoConvergence(f"the branch corrector failed at the secant point mu = {mu_s}")
+            near = min(a, b, key=lambda x: abs(x.mu - mu_s))
+            for _ in range(8):
+                s = _branch_point(self.ws, self.hv, near, mu_s, tol)
+                if s is not None:
+                    break
+                mu_s = 0.5 * (near.mu + mu_s)
+            else:
+                raise NoConvergence(f"the branch corrector failed next to the secant point "
+                                    f"mu = {mu_s}")
             self.refinement.append(s)
             if done(s, b):
                 return s

@@ -290,10 +290,12 @@ def test_continuation_converges_on_star3_at_384_cells():
     assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
 
 
-def test_continuation_refuses_a_step_far_across_the_fold():
-    # implied_c is about -0.27 and the fold about -3.79: the first step aimed
-    # at c_hi lands past the fold, and the walk must step short of it again
-    h = random_h_sign_changing(make_theta(cells=192), np.random.default_rng(103))
+@pytest.mark.parametrize("make, seed", [(make_star3, 12), (make_theta, 11), (make_single, 1)])
+def test_branch_secant_moves_closer_where_the_corrector_fails(make, seed):
+    # a secant point on the branch can lie too far from both solved ends for
+    # the corrector: on the fold (the first two) or on c_psi = c - eps (the
+    # third); the secant must come closer instead of giving up
+    h = random_h_sign_changing(make(cells=48), np.random.default_rng(seed))
     est = estimate_threshold(h)
     sol = solve_negative(h, est.c_hi)
     assert apply_residual(sol.u, h, est.c_hi).weak_residual_norm <= 1e-8 * (1 + abs(est.c_hi))
