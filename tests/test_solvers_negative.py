@@ -292,9 +292,10 @@ def test_continuation_converges_on_star3_at_384_cells():
 
 @pytest.mark.parametrize("make, seed", [(make_star3, 12), (make_theta, 11), (make_single, 1)])
 def test_branch_secant_moves_closer_where_the_corrector_fails(make, seed):
-    # a secant point on the branch can lie too far from both solved ends for
-    # the corrector: on the fold (the first two) or on c_psi = c - eps (the
-    # third); the secant must come closer instead of giving up
+    # where dc/dmu changes fast, a secant point on dc/dmu = 0 can lie too far
+    # from both solved ends for the corrector: in estimate_threshold's fold
+    # search (the first two) or in solve_negative's walk (the third); the
+    # secant must come closer instead of giving up
     h = random_h_sign_changing(make(cells=48), np.random.default_rng(seed))
     est = estimate_threshold(h)
     sol = solve_negative(h, est.c_hi)
