@@ -943,7 +943,7 @@ class _BranchPoint(NamedTuple):
 
 
 def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float,
-                  tol: float):
+                  tol: float, curvature: bool = False):
     """Newton on F(u, c) = 0, w.u = |G| mu from the tangent predictor at
     ``start``; the point at ``mu``, or None when Newton fails.
 
@@ -951,7 +951,8 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
     the fold: there the null vector of K - diag(w h e^u) is positive (the
     matrix is a Z-matrix), so w is not orthogonal to it.  Its last
     factorization also gives the tangent, from the right-hand side (0, |G|),
-    and d2c/dmu2, from (w h e^u (du/dmu)^2, 0).
+    and with ``curvature`` d2c/dmu2, from (w h e^u (du/dmu)^2, 0); else it
+    is left at 0.
     Newton counts as failed when its first step moves u by more than half
     the predictor's move or a later step does not halve the one before:
     either means the predictor was too far off to stay on this branch.
@@ -969,9 +970,11 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
             lu = ws.factor(-(w * hv * np.exp(u)), border=w)
             if wn <= tol * (1.0 + abs(c)):
                 t = lu.solve(np.append(np.zeros(n), ws.total))
-                # differentiate F = 0 and w.u = |G| mu twice along the branch
-                s = lu.solve(np.append(w * hv * np.exp(u) * t[:n] ** 2, 0.0))
-                return _BranchPoint(mu, u, c, t[:n], float(t[n]), float(s[n]), it, wn)
+                ddc = 0.0
+                if curvature:
+                    # differentiate F = 0 and w.u = |G| mu twice along the branch
+                    ddc = float(lu.solve(np.append(w * hv * np.exp(u) * t[:n] ** 2, 0.0))[n])
+                return _BranchPoint(mu, u, c, t[:n], float(t[n]), ddc, it, wn)
             if it == 8:
                 return None
             x = lu.solve(np.append(-r, ws.total * mu - float(w @ u)))
@@ -1010,7 +1013,7 @@ class _Walk:
         mu = float(ws.w @ u) / ws.total
         # (u, c) solves F = 0 to tol already; this call adds its tangent
         p = _branch_point(ws, self.hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0.0, 0, 0.0),
-                          mu, tol)
+                          mu, tol, curvature=True)
         if p is None:
             raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
         self.points = [p]
@@ -1060,7 +1063,9 @@ class _Walk:
                     a = 0.5 * p.ddc
                 step = min(step, 2.0 * (p.c - aim)
                            / (g + math.sqrt(max(g * g - 4.0 * a * (p.c - aim), 0.0))))
-            q = _branch_point(self.ws, self.hv, p, p.mu + self.sign * step, self.tol)
+            # only an aimed step models c(mu) with d2c/dmu2
+            q = _branch_point(self.ws, self.hv, p, p.mu + self.sign * step, self.tol,
+                              curvature=c > -math.inf)
             if q is None:
                 self.step = 0.5 * step
                 continue
