@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -47,10 +47,6 @@ class SparseOperator:
     """A symmetric sparse operator on grid DOF vectors."""
 
     matrix: sparse.csr_matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
     def __matmul__(self, vec):
         return self.matrix @ vec
@@ -197,6 +193,7 @@ class KPlusDiag:
         if info > 0:
             raise LinearSolveFailure(f"zero pivot at interior row {info - 1}")
         self._lu = lu
+        self._diag = diag
         cols = (ops.ends if border is None
                 else np.column_stack((ops.ends, np.append(border[nv:], _ZEROS))))
         z = self._z = lapack.dgttrs(*lu, cols)[0][:ops.ni]
@@ -211,9 +208,10 @@ class KPlusDiag:
             schur, slot = ops._bordered
             vals += [border[:nv], coupled[:, 2], border[:nv], coupled[:, 2],
                      [-(border[nv:] @ z[:, 2])]]
+        self._vals = np.concatenate(vals)
         # every factorization of this grid fills the same pattern; SuperLU
         # copies what it keeps, so the data array is scratch space
-        schur.data[:] = np.bincount(slot, weights=np.concatenate(vals), minlength=schur.nnz)
+        schur.data[:] = np.bincount(slot, weights=self._vals, minlength=schur.nnz)
         try:
             self._schur = spla.splu(schur)
         except RuntimeError as exc:
@@ -259,6 +257,20 @@ class KPlusDiag:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """(K + diag(d)) x, for a posteriori residual checks."""
         return self.ops.K @ x + self.d * x
+
+    def negative_eigenvalues(self) -> int:
+        """How many eigenvalues of K + diag(d) are negative (unbordered only).
+
+        By Sylvester's law of inertia the count is that of the interior
+        tridiagonal T, by bisection, plus that of the dense vertex Schur
+        complement S.
+        """
+        ops = self.ops
+        interior = eigvalsh_tridiagonal(self._diag, ops.t_off, select="v",
+                                        select_range=(-np.inf, 0.0))
+        s = np.zeros((ops.nv, ops.nv))
+        np.add.at(s, (ops._rows, ops._cols), self._vals)
+        return len(interior) + int(np.sum(np.linalg.eigvalsh(s) < 0.0))
 
 
 def _check_function(grid: Grid, f: GridFunction, name: str) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -177,6 +178,10 @@ def _read_solution_csv(path: str, spec: ProblemSpec) -> GridFunction:
                     s_val, u_val = float(s_txt), float(u_txt)
                 except ValueError as exc:
                     raise ValueError(f"{path}: non-numeric row {row!r}") from exc
+                if not (math.isfinite(s_val) and math.isfinite(u_val)):
+                    # a NaN arclength would pass the grid comparison below
+                    raise ValueError(f"{path}, line {reader.line_num}: non-finite value "
+                                     f"in row {row!r}")
                 per_edge.setdefault(eid, []).append((s_val, u_val))
     except OSError as exc:
         raise ValueError(f"cannot read solution file {path!r}: {exc}") from exc

@@ -10,6 +10,11 @@ The sign of c decides the machinery:
 * c > 0: minimize 1/2 int |du|^2 + c int u over {int h e^u = c |G|}; the
   projection onto the constraint is an explicit constant shift and the
   multiplier is 1 at the minimizer.
+
+  Both run one projected-gradient descent in the H1 Riesz metric.  Damped
+  Newton on the full equation finishes it whenever the residual has fallen
+  tenfold; its root is kept only when it satisfies the constraint, lowers
+  the value and is a minimum, not a saddle.
 * c < 0: monotone iteration squeezed between a constant lower solution and an
   upper solution.  For c >= implied_c that is the constructed u+ = a m + b,
   m the solution of a compatible flux problem driven by h minus its mean;
@@ -304,6 +309,23 @@ def _safe_exp_integral(w, hv, exponent):
         return float(w @ (hv * np.exp(np.minimum(exponent, 700.0))))
 
 
+def _bump_scale(w, hv, wb, target: float) -> float:
+    """The scale l > 0 at which int h e^(l wb) reaches ``target`` (above
+    int h); raises FeasibilityFailure when doubling l never gets there."""
+
+    def scan(ell):
+        return _safe_exp_integral(w, hv, ell * wb) - target
+
+    hi = 1.0
+    for _ in range(80):
+        if scan(hi) > 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise FeasibilityFailure(f"bump scaling never made int h e^(l w) exceed {target:.6g}")
+    return brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+
+
 def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray):
     """Return to {int v = 0, int h e^v = 0}: scalar Newton along the bump
     direction, then a mean shift.  None when no correction exists."""
@@ -318,8 +340,7 @@ def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray)
         g = float(w @ (hv * ev))
         scale = float(w @ (np.abs(hv) * ev)) + 1e-300
         if abs(g) <= 1e-14 * scale:
-            out = cur - (w @ cur) / ws.total
-            return out
+            return cur - (w @ cur) / ws.total
         d = float(w @ (hv * wb * ev))
         if not (d > 0.0) or not math.isfinite(d):
             return None
@@ -329,14 +350,6 @@ def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray)
             return None
         cur = v + alpha * wb
     return None
-
-
-def _ls_multiplier(w, g, q):
-    """Least-squares lambda minimizing |g - lambda q| in the inverse-mass norm."""
-    denom = float(q @ (q / w))
-    if denom <= 0.0:
-        return 0.0
-    return float(g @ (q / w)) / denom
 
 
 def _armijo(value, project, x, val, d, slope):
@@ -359,15 +372,93 @@ def _armijo(value, project, x, val, d, slope):
     return None
 
 
+def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float,
+             max_iter: int | None, method: str, *, value, project, step, lift):
+    """Projected gradient descent on ``value`` from the feasible x, finished
+    by damped Newton on the full residual at c; returns the last x, its
+    solution u and the report of the descent.
+
+    ``step(x, riesz)`` gives the solution u that x stands for (None if
+    none), the weak residual of u, a descent direction d and the slope
+    <gradient, d>; riesz is the factored H1 Riesz map (K + M);
+    ``project`` is as in _armijo.  The descent stops when that residual is
+    at most tol.  A Newton finish from u, aimed at tol, is tried whenever the
+    residual has fallen tenfold since the start or the last try, and when
+    the descent stalls.  It is accepted when ``lift`` maps the root
+    into the constraint set (else None), its value is no higher than the
+    current one up to roundoff, and it is a minimum: J = K - diag(w h e^u),
+    the Hessian of the Lagrangian, has exactly one negative eigenvalue (it
+    always has one, J 1 = -w h e^u; a second makes the root a saddle).
+    ``details["rejected_tails"]`` lists each refused finish with its
+    iteration and reason: "newton_failed", "constraint", "higher_value" or
+    "saddle".  NoConvergence when the descent stalls or runs out of
+    iterations first.
+    """
+    max_iter = MAX_ITER_GRADIENT if max_iter is None else max_iter
+    riesz = ws.riesz()
+    val = value(x)
+    rejected = []
+
+    def finish(u, it):
+        # the accepted finish from u as (x, u, value), else None
+        root = _damped_newton(ws, hv, c, u, tol=tol)
+        xr = None if root is None else lift(root)
+        vr = None if xr is None else value(xr)
+        if root is None:
+            reason = "newton_failed"
+        elif xr is None:
+            reason = "constraint"
+        elif vr > val + 1e-13 * (1.0 + abs(val)):
+            reason = "higher_value"
+        elif ws.factor(-(ws.w * hv * np.exp(root))).negative_eigenvalues() > 1:
+            reason = "saddle"
+        else:
+            return xr, root, vr
+        rejected.append({"iteration": it, "reason": reason})
+        return None
+
+    wn, it, attempts = math.inf, 0, 0
+    for it in range(1, max_iter + 1):
+        u, wn, d, slope = step(x, riesz)
+        if wn <= tol:
+            break
+        if it == 1:
+            tried_at = wn  # the residual at the start, later at the last finish
+        trial = _armijo(value, project, x, val, d, slope)
+        # stalled: no step lowers the value beyond its roundoff, or the
+        # accepted one leaves x unchanged (every later step would repeat it)
+        stalled = trial is None or np.array_equal(trial[0], x)
+        if wn < 0.1 * tried_at or (stalled and u is not None):
+            tried_at, attempts = wn, attempts + 1
+            done = finish(u, it)
+            if done is not None:
+                x, u, val = done
+                wn = ws.weak_norm(residual_vector(ws.grid, u, hv, c))
+                break
+        if stalled:
+            break
+        x, val = trial
+    if wn > tol:
+        raise NoConvergence(f"projected gradient stalled at residual {wn:.3e} "
+                            f"(tol {tol:.1e}) after {it} iterations")
+    details = {"tail_attempts": attempts, "rejected_tails": rejected, **asdict(ws.counts)}
+    return x, u, SolveReport(method, iterations=it, final_residual=wn, functional_value=val,
+                             details=details)
+
+
 def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
                max_iter: int | None = None) -> Solution:
     """Solve d2u = -h e^u (the c = 0 regime).
 
     Constrained minimization of 1/2 int |dv|^2 over
-    {int v = 0, int h e^v = 0}, started from a scaled bump, followed by the
-    additive shift ln(lambda) with lambda the constraint multiplier.
+    {int v = 0, int h e^v = 0}, started from a scaled bump, by the descent
+    of ``_descend``: the solution is u = v + ln(lambda), with lambda the
+    constraint multiplier, and the stopping test is on the residual of that
+    u.  A Newton finish is accepted only when v = u - mean(u) keeps
+    |int h e^v| <= tol int |h| e^v: from a flat seed Newton can drift to the
+    pseudo-root u -> -infinity, whose residual vanishes with the constraint
+    far from holding.
     """
-    max_iter = MAX_ITER_GRADIENT if max_iter is None else max_iter
     v0 = classify(h, 0.0)
     if not v0.ok:
         raise NotSolvable(f"c = 0 needs sign-changing h with negative integral ({v0.reason})")
@@ -378,22 +469,8 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
     ih = v0.integral_h
 
     wb = _bump(grid, h).values
-
-    def scan(ell):
-        return _safe_exp_integral(w, hv, ell * wb)
-
-    hi = 1.0
-    for _ in range(80):
-        if scan(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise FeasibilityFailure("bump scaling never made int h e^(l w) positive")
-    ell0 = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-
-    v = ell0 * wb
-    v = v - (w @ v) / ws.total
-    v = _project_zero(ws, hv, v, wb)
+    ell0 = _bump_scale(w, hv, wb, 0.0)
+    v = _project_zero(ws, hv, ell0 * wb, wb)
     if v is None:
         raise FeasibilityFailure("could not project the scaled bump onto the constraint set")
 
@@ -403,33 +480,12 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
     def project(x):
         return _project_zero(ws, hv, x, wb)
 
-    riesz = ws.riesz()
-    val = energy(v)
-    lam = 0.0
-    wn = math.inf
-    iterations = 0
-    polish_at = 1e-4
-    for iterations in range(1, max_iter + 1):
-        g = K @ v
-        q = w * hv * np.exp(v)
-        lam = _ls_multiplier(w, g, q)
-        wn = ws.weak_norm(g - lam * q)
-        if wn <= tol and lam > 0.0:
-            break
-        if wn <= polish_at and lam > 0.0:
-            # the gradient method has localized the minimizer; sharpen the
-            # tail with Newton on the full system (whose root satisfies both
-            # constraints identically after recentering)
-            u_try = v + math.log(lam)
-            upol = _damped_newton(ws, hv, 0.0, u_try, tol=0.2 * tol, max_iter=50)
-            if upol is not None and float(np.max(np.abs(upol - u_try))) < 1.0:
-                mean_u = float(w @ upol) / ws.total
-                v = upol - mean_u
-                lam = math.exp(mean_u)
-                val = energy(v)
-                wn = ws.weak_norm(residual_vector(grid, upol, hv, 0.0))
-                break
-            polish_at = wn / 10.0
+    def step(x, riesz):
+        g = K @ x
+        q = w * hv * np.exp(x)
+        lam = float(g @ (q / w)) / float(q @ (q / w))  # least squares, inverse-mass norm
+        u = x + math.log(lam) if lam > 0.0 else None
+        wn = math.inf if u is None else ws.weak_norm(residual_vector(grid, u, hv, 0.0))
         # Reduced gradient in the Riesz metric: pick the multiplier that makes
         # the step tangent to {int h e^v = 0}, so the wb-projection afterwards
         # only has to absorb the second-order constraint drift.
@@ -438,54 +494,23 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
         q_bq = float(q @ dq)
         if not (q_bq > 0.0) or not math.isfinite(q_bq):
             raise NoConvergence("constraint derivative degenerated")
-        mu = float(q @ dg) / q_bq
-        d = dg - mu * dq
-        step = _armijo(energy, project, v, val, d, float(g @ d))
-        if step is None:
-            break
-        v, val = step
-    else:
-        iterations = max_iter
+        d = dg - (float(q @ dg) / q_bq) * dq
+        return u, wn, d, float(g @ d)
 
-    g = K @ v
-    q = w * hv * np.exp(v)
-    lam = _ls_multiplier(w, g, q)
-    wn = ws.weak_norm(g - lam * q)
-    if wn > tol or not lam > 0.0:
-        raise NoConvergence(
-            f"projected gradient stalled at residual {wn:.3e} (tol {tol:.1e}) "
-            f"after {iterations} iterations"
-        )
+    def lift(u):
+        x = u - (w @ u) / ws.total
+        ev = np.exp(x)
+        return x if abs(float(w @ (hv * ev))) <= tol * float(w @ (np.abs(hv) * ev)) else None
 
-    u = v + math.log(lam)
-    final = ws.weak_norm(residual_vector(grid, u, hv, 0.0))
-    if final > tol:
-        # rounding v + ln(lambda) can lift a residual that sits at the
-        # roundoff floor of a fine mesh back above tol; the Newton tail
-        # from u brings it down again, or the solve has not converged
-        upol = _damped_newton(ws, hv, 0.0, u, tol=tol, max_iter=50)
-        if upol is None or float(np.max(np.abs(upol - u))) >= 1.0:
-            raise NoConvergence(f"residual {final:.3e} of u = v + ln(lambda) "
-                                f"exceeds tol {tol:.1e}")
-        mean_u = float(w @ upol) / ws.total
-        u, v, lam = upol, upol - mean_u, math.exp(mean_u)
-        val = energy(v)
-        final = ws.weak_norm(residual_vector(grid, u, hv, 0.0))
-    mass = float(w @ (hv * np.exp(u)))
-    lam_energy = exp_weighted_energy(GridFunction(grid, v)) / (-ih)
-    report = SolveReport(
-        method="constrained-gradient(zero)",
-        iterations=iterations,
-        final_residual=final,
-        multiplier=lam,
-        functional_value=val,
-        identity_checks={
-            "mass_defect": abs(mass),
-            "energy_defect": abs(exp_weighted_energy(GridFunction(grid, u)) + ih),
-            "multiplier_energy": lam_energy,
-        },
-        details={"bump_scale": ell0, "integral_h": ih, **asdict(ws.counts)},
-    )
+    v, u, report = _descend(ws, hv, 0.0, v, tol, max_iter, "constrained-gradient(zero)",
+                            value=energy, project=project, step=step, lift=lift)
+    report.multiplier = math.exp(float(w @ (u - v)) / ws.total)
+    report.identity_checks = {
+        "mass_defect": abs(float(w @ (hv * np.exp(u)))),
+        "energy_defect": abs(exp_weighted_energy(GridFunction(grid, u)) + ih),
+        "multiplier_energy": exp_weighted_energy(GridFunction(grid, v)) / (-ih),
+    }
+    report.details.update(bump_scale=ell0, integral_h=ih)
     return Solution(GridFunction(grid, u), report)
 
 
@@ -493,12 +518,13 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
                    max_iter: int | None = None) -> Solution:
     """Solve d2u = c - h e^u for c > 0 (solvable iff h is positive somewhere).
 
-    Minimizes 1/2 int |du|^2 + c int u over {int h e^u = c |G|}; the
-    projection is the exact constant shift t = ln(c|G| / int h e^u).
+    Minimizes 1/2 int |du|^2 + c int u over {int h e^u = c |G|} by the
+    descent of ``_descend``, whose projection is the exact constant shift
+    t = ln(c|G| / int h e^u).  A Newton finish is accepted only when its
+    root keeps |int h e^u - c |G|| <= tol (1 + c) |G|.
     """
     if not c > 0.0:
         raise ValueError("solve_positive requires c > 0")
-    max_iter = MAX_ITER_GRADIENT if max_iter is None else max_iter
     v0 = classify(h, c)
     if not v0.ok:
         raise NotSolvable(f"c > 0 needs max h > 0 ({v0.reason})")
@@ -507,25 +533,14 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     w, K = ws.w, ws.K
     hv = h.values
     target = c * ws.total
+    ctol = tol * (1.0 + abs(c))
     ih = v0.integral_h
 
     if ih >= target:
         u = np.full(grid.ndof, math.log(target / ih))
     else:
         wb = _bump(grid, h).values
-
-        def scan(ell):
-            return _safe_exp_integral(w, hv, ell * wb) - target
-
-        hi = 1.0
-        for _ in range(80):
-            if scan(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise FeasibilityFailure("bump scaling never reached int h e^u = c |G|")
-        ell0 = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-        u = ell0 * wb
+        u = _bump_scale(w, hv, wb, target) * wb
 
     def project(x):
         cur = _safe_exp_integral(w, hv, x)
@@ -540,54 +555,19 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     def value(x):
         return 0.5 * float(x @ (K @ x)) + c * float(w @ x)
 
-    riesz = ws.riesz()
-    val = value(u)
-    ctol = tol * (1.0 + abs(c))
-    wn = math.inf
-    iterations = 0
-    polish_at = 1e-4 * (1.0 + abs(c))
-    stalled = False
-    for iterations in range(1, max_iter + 1):
-        r = residual_vector(grid, u, hv, c)
-        wn = ws.weak_norm(r)
-        if wn <= ctol:
-            break
-        if wn <= polish_at or stalled:
-            # Newton tail: a root of the full system keeps the mass
-            # constraint exactly (sum the rows), so feasibility survives.
-            # A stalled descent tries it too before giving up.
-            upol = _damped_newton(ws, hv, c, u, tol=0.2 * ctol, max_iter=50)
-            if upol is not None and float(np.max(np.abs(upol - u))) < 1.0:
-                u = upol
-                val = value(u)
-                wn = ws.weak_norm(residual_vector(grid, u, hv, c))
-                break
-            if stalled:
-                break
-            polish_at = wn / 10.0
+    def step(x, riesz):
+        r = residual_vector(grid, x, hv, c)
         d = riesz.solve(r)
-        step = _armijo(value, project, u, val, d, float(r @ d))
-        # stalled: no step decreases the energy beyond its roundoff, or the
-        # accepted one leaves u unchanged (every later sweep would repeat it)
-        stalled = step is None or np.array_equal(step[0], u)
-        if not stalled:
-            u, val = step
-    if wn > ctol:
-        raise NoConvergence(
-            f"projected gradient stalled at residual {wn:.3e} (tol {ctol:.1e}) "
-            f"after {iterations} iterations"
-        )
+        return x, ws.weak_norm(r), d, float(r @ d)
 
-    mass = float(w @ (hv * np.exp(u)))
-    report = SolveReport(
-        method="constrained-gradient(positive)",
-        iterations=iterations,
-        final_residual=wn,
-        multiplier=1.0,
-        functional_value=val,
-        identity_checks={"mass_defect": abs(mass - target)},
-        details={"integral_h": ih, "target_mass": target, **asdict(ws.counts)},
-    )
+    def lift(x):
+        return x if abs(float(w @ (hv * np.exp(x))) - target) <= ctol * ws.total else None
+
+    u, _, report = _descend(ws, hv, c, u, ctol, max_iter, "constrained-gradient(positive)",
+                            value=value, project=project, step=step, lift=lift)
+    report.multiplier = 1.0
+    report.identity_checks = {"mass_defect": abs(float(w @ (hv * np.exp(u))) - target)}
+    report.details.update(integral_h=ih, target_mass=target)
     return Solution(GridFunction(grid, u), report)
 
 

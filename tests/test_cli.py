@@ -177,6 +177,24 @@ def test_verify_rejects_bad_csv(tmp_path, capsys):
     assert main(["verify", str(prob), str(tmp_path / "nope.csv")]) == 1
 
 
+@pytest.mark.parametrize("column", [1, 2])
+def test_verify_rejects_nonfinite_csv(tmp_path, capsys, column):
+    # a nan arclength compares False against any tolerance, so it must be
+    # refused while reading, and so must a nan value of u
+    prob = write_problem(tmp_path)
+    assert main(["solve", str(prob)]) == 0
+    sol = tmp_path / "prob.solution.csv"
+    lines = sol.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = "nan"
+    lines[3] = ",".join(fields)
+    sol.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(prob), str(sol)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "line 4" in err and str(sol) in err
+
+
 def test_verify_c_override(tmp_path, capsys):
     prob = write_problem(tmp_path)
     assert main(["solve", str(prob)]) == 0

@@ -84,6 +84,17 @@ def test_solve_edge_cases_match_dense(grid):
     _assert_matches(grid.operators.factor(d).solve(b), np.linalg.solve(A, b), np.linalg.cond(A))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, spread=st.floats(0.1, 200.0))
+def test_negative_eigenvalues_match_dense(seed, spread):
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, cells_lo=2, cells_hi=48)
+    d = grid.weights * rng.uniform(-spread, spread, grid.ndof)
+    eig = np.linalg.eigvalsh(_dense(grid, d))
+    assume(float(np.min(np.abs(eig))) > 1e-9 * float(np.max(np.abs(eig))))
+    assert grid.operators.factor(d).negative_eigenvalues() == int(np.sum(eig < 0.0))
+
+
 def test_solve_on_thousand_edge_star():
     vs = ["hub"] + [f"v{i}" for i in range(1000)]
     es = [(f"e{i}", "hub", f"v{i}", 0.5 + (i % 7) / 7.0) for i in range(1000)]

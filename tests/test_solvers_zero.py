@@ -15,7 +15,9 @@ from kwnet import (
     solve,
     solve_zero,
 )
+from kwnet import solvers
 from kwnet.errors import NotSolvable
+from kwnet.problemfile import parse_problem
 from helpers import make_single, make_star3, random_h_sign_changing
 
 
@@ -97,3 +99,58 @@ def test_fine_mesh_reported_residual_meets_tol():
     sol = solve_zero(h)
     assert sol.report.final_residual <= 1e-8
     assert apply_residual(sol.u, h, 0.0).weak_residual_norm <= 1e-8
+
+
+def test_pseudo_root_finish_is_refused(monkeypatch):
+    # from a constant seed Newton drifts to the flat pseudo-root: mean u near
+    # -16, residual below tol, but int h e^v off by 16 %.  A finish that
+    # ends there must be refused on the constraint
+    grid, h = cos_instance(cells=256)
+    newton = solvers._damped_newton
+    flat = newton(solvers._Workspace(grid), h.values, 0.0, np.zeros(grid.ndof), tol=1e-8)
+    assert flat is not None and integrate(h.with_values(flat)) / grid.total_length < -10.0
+    calls = []
+
+    def first_finish_flat(ws, hv, c, seed, tol, max_iter=60):
+        calls.append(tol)
+        if len(calls) == 1:
+            return flat.copy()
+        return newton(ws, hv, c, seed, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(solvers, "_damped_newton", first_finish_flat)
+    sol = solve_zero(h)
+    details = sol.report.to_dict()["details"]
+    assert details["rejected_tails"][0]["reason"] == "constraint"
+    assert details["tail_attempts"] == len(calls)
+    assert sol.report.final_residual <= 1e-8
+    monkeypatch.undo()
+    assert sol.report.multiplier == pytest.approx(solve_zero(h).report.multiplier, rel=1e-9)
+
+
+def _theta_instance(cells):
+    # Newton from the scaled bump ends on a saddle of the energy here
+    edges = [("e1", 1.0, "1.26926294371", "-0.163068643549"),
+             ("e2", 1.3, "1.1224603136", "0.17363609731"),
+             ("e3", 0.9, "0.906261605572", "-0.152046716463")]
+    return parse_problem({
+        "vertices": ["a", "b"],
+        "edges": [{"id": eid, "tail": "a", "head": "b", "length": length, "cells": cells}
+                  for eid, length, _, _ in edges],
+        "h": {eid: f"-0.594934285296 + {a}*sin(pi*s/{length})^4 + {b}*sin(2*pi*s/{length})"
+              for eid, length, a, b in edges},
+    }).h
+
+
+def test_value_not_above_pure_descent(rng, monkeypatch):
+    # a Newton finish may only end where the descent would: the reported
+    # energy is never above that of the same descent with every finish failed
+    problems = [cos_instance()[1], cos_instance(cells=256)[1], _theta_instance(cells=48)]
+    grid = make_star3(cells=64)
+    problems += [random_h_sign_changing(grid, rng, depth=0.25) for _ in range(3)]
+    for h in problems:
+        sol = solve_zero(h)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_damped_newton", lambda *args, **kwargs: None)
+            pure = solve_zero(h, tol=1e-6)
+        bound = pure.report.functional_value + 1e-12 * (1 + abs(pure.report.functional_value))
+        assert sol.report.functional_value <= bound
