@@ -68,18 +68,15 @@ def assemble_stiffness(grid: Grid) -> SparseOperator:
     Per-edge tridiagonal blocks with entries +-1/h_j; K is symmetric positive
     semidefinite with constants in its kernel and nonpositive off-diagonal.
     """
-    rows, cols, vals = [], [], []
-    for e in grid.graph.edges:
-        dofs = grid.edge_dofs[e.id]
-        inv_h = 1.0 / grid.spacing[e.id]
-        a, b = dofs[:-1], dofs[1:]
-        cell = np.full(len(a), inv_h)
-        rows.extend((a, b, a, b))
-        cols.extend((a, b, b, a))
-        vals.extend((cell, cell, -cell, -cell))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    a, b = grid.cell_tail, grid.cell_head
+    cell = 1.0 / grid.cell_h
+    # entries edge by edge, each edge's (a, a), (b, b), (a, b), (b, a) blocks
+    # in turn: the order fixes how duplicate entries are summed
+    n = np.diff(grid.edge_start) - 1
+    order = np.argsort(np.tile(np.repeat(np.arange(n.size), n), 4), kind="stable")
+    rows = np.concatenate((a, b, a, b))[order]
+    cols = np.concatenate((a, b, b, a))[order]
+    vals = np.concatenate((cell, cell, -cell, -cell))[order]
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(grid.ndof, grid.ndof))
     mat.sum_duplicates()
     return SparseOperator(mat)
@@ -116,12 +113,10 @@ class GridOperators:
         # edge of two cells has a single interior node
         self.t_diag = np.concatenate((self.kdiag[nv:], np.ones(_PAD)))
         self.t_off = np.concatenate((K.diagonal(1)[nv:], _ZEROS))
-        dofs = [grid.edge_dofs[e.id] for e in grid.graph.edges]
-        tail = np.array([d[0] for d in dofs])
-        head = np.array([d[-1] for d in dofs])
-        first = np.array([d[1] for d in dofs]) - nv
-        last = np.array([d[-2] for d in dofs]) - nv
-        coupling = np.array([-1.0 / grid.spacing[e.id] for e in grid.graph.edges])
+        tail_node, head_node = grid.edge_start[:-1], grid.edge_start[1:] - 1
+        tail, head = grid.node_dof[tail_node], grid.node_dof[head_node]
+        first, last = grid.node_dof[tail_node + 1] - nv, grid.node_dof[head_node - 1] - nv
+        coupling = -1.0 / grid.edge_h
         self.tail, self.head = tail, head
         self.first, self.last = first, last
         self.coupling = coupling
@@ -130,7 +125,7 @@ class GridOperators:
         self.end_vertex = np.concatenate((tail, head))
         self.end_row = np.concatenate((first, last))
         self.end_coupling = np.concatenate((coupling, coupling))
-        interior = np.array([len(d) - 2 for d in dofs])
+        interior = np.diff(grid.edge_start) - 2
         self.tail_of = np.repeat(tail, interior)  # per interior DOF
         self.head_of = np.repeat(head, interior)
         # K_IV as two columns, each edge's coupling to its tail / head vertex

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,8 @@ EXIT_INPUT = 1
 EXIT_NOT_SOLVABLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEFECTS = 4
+# rows of a solution CSV converted at a time
+_CSV_BLOCK = 8192
 
 
 def _out_prefix(args) -> str:
@@ -44,15 +47,19 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_solution_csv(path: str, spec: ProblemSpec, u: GridFunction) -> None:
-    # deterministic layout: edges by id, samples from tail to head
+    # deterministic layout: edges by id, samples from tail to head; %.17g
+    # reads back as the same double
+    grid, edges = spec.grid, spec.graph.edges
+    nodes = grid.edge_nodes(sorted(range(len(edges)), key=lambda j: edges[j].id))
+    # an id quoted as the csv module would
+    ids = ['"%s"' % i.replace('"', '""') if set(i) & set(',"\r\n') else i
+           for i in (str(e.id) for e in edges)]
+    fields = [None] * (3 * nodes.size)
+    fields[0::3] = np.array(ids, dtype=object)[grid.node_edge[nodes]].tolist()
+    fields[1::3] = grid.node_s[nodes].tolist()
+    fields[2::3] = u.values[grid.node_dof[nodes]].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge_id", "s", "u"])
-        for edge in sorted(spec.graph.edges, key=lambda e: e.id):
-            coords = spec.grid.edge_coords(edge.id)
-            vals = u.edge_values(edge.id)
-            for s, value in zip(coords, vals):
-                writer.writerow([edge.id, repr(float(s)), repr(float(value))])
+        fh.write("edge_id,s,u\n" + "%s,%.17g,%.17g\n" * nodes.size % tuple(fields))
 
 
 def _verdict_dict(verdict) -> dict:
@@ -160,63 +167,105 @@ def cmd_threshold(args) -> int:
 
 
 def _read_solution_csv(path: str, spec: ProblemSpec) -> GridFunction:
-    """Rebuild a GridFunction from cmd_solve's CSV; ValueError on mismatch."""
-    per_edge: dict = {}
+    """Rebuild a GridFunction from cmd_solve's CSV; ValueError on mismatch.
+
+    The rows of an edge may be interleaved with other edges' rows.  Faults
+    are reported in this order: the first bad row; unknown or missing
+    edges; then sample counts, arclengths and vertex values unlike an
+    earlier edge's, each for the edge whose rows start first.
+    """
+    blocks = [((), np.empty(0), np.empty(0))]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != ["edge_id", "s", "u"]:
                 raise ValueError(f"{path}: expected header edge_id,s,u")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{path}: malformed row {row!r}")
-                eid, s_txt, u_txt = row
-                try:
-                    s_val, u_val = float(s_txt), float(u_txt)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: non-numeric row {row!r}") from exc
-                if not (math.isfinite(s_val) and math.isfinite(u_val)):
-                    # a NaN arclength would pass the grid comparison below
-                    raise ValueError(f"{path}, line {reader.line_num}: non-finite value "
-                                     f"in row {row!r}")
-                per_edge.setdefault(eid, []).append((s_val, u_val))
+            # a block of rows at a time: only one block is held as text
+            line = reader.line_num
+            while rows := list(itertools.islice(reader, _CSV_BLOCK)):
+                blocks.append(_csv_block(path, rows, line))
+                line = reader.line_num
     except OSError as exc:
         raise ValueError(f"cannot read solution file {path!r}: {exc}") from exc
+    ids = list(itertools.chain.from_iterable(b[0] for b in blocks))
+    s_vals, u_vals = (np.concatenate([b[k] for b in blocks]) for k in (1, 2))
 
     grid = spec.grid
-    known = {e.id for e in spec.graph.edges}
-    extra = sorted(set(per_edge) - known)
+    position = grid.graph.edge_position
+    extra = sorted(set(ids) - position.keys())
     if extra:
         raise ValueError(f"{path}: unknown edges {extra}")
-    missing = sorted(known - set(per_edge))
+    missing = sorted(position.keys() - set(ids))
     if missing:
         raise ValueError(f"{path}: no samples for edges {missing}")
 
-    values = np.full(grid.ndof, np.nan)
-    for eid, rows in per_edge.items():
-        coords = grid.edge_coords(eid)
-        if len(rows) != coords.size:
-            raise ValueError(
-                f"{path}: edge {eid!r} has {len(rows)} samples, "
-                f"the problem grid wants {coords.size} (cells mismatch)"
-            )
-        s_vals = np.array([r[0] for r in rows])
-        u_vals = np.array([r[1] for r in rows])
-        if float(np.max(np.abs(s_vals - coords))) > 1e-9 * (1.0 + coords[-1]):
-            raise ValueError(f"{path}: edge {eid!r} arclength samples do not match the grid")
-        dofs = grid.edge_dofs[eid]
-        seen = ~np.isnan(values[dofs])
-        clash = seen & (np.abs(values[dofs] - u_vals)
-                        > 1e-9 * (1.0 + np.abs(u_vals)))
-        if np.any(clash):
-            raise ValueError(f"{path}: edge {eid!r} disagrees with shared vertex values")
-        values[dofs] = u_vals
-    if np.any(np.isnan(values)):
-        raise ValueError(f"{path}: some grid nodes received no sample")
+    edge = np.fromiter(map(position.__getitem__, ids), dtype=np.intp, count=len(ids))
+    first = np.unique(edge, return_index=True)[1]  # each edge's first row
+
+    def fault(bad, message):
+        if np.any(bad):
+            j = np.flatnonzero(bad)[np.argmin(first[bad])]
+            raise ValueError(f"{path}: edge {spec.graph.edges[j].id!r} " + message(j))
+
+    want = np.diff(grid.edge_start)
+    count = np.bincount(edge, minlength=want.size)
+    fault(count != want, lambda j: f"has {count[j]} samples, the problem grid wants "
+                                   f"{want[j]} (cells mismatch)")
+    # sorted by edge, the rows are the grid's nodes in order
+    order = np.argsort(edge, kind="stable")
+    s_vals, u_vals = s_vals[order], u_vals[order]
+    length = grid.node_s[grid.edge_start[1:] - 1]
+    far = np.abs(s_vals - grid.node_s) > 1e-9 * (1.0 + length[grid.node_edge])
+    fault(np.bincount(grid.node_edge[far], minlength=want.size) > 0,
+          lambda j: "arclength samples do not match the grid")
+    # each vertex value against the one the edge before it wrote there
+    ends = grid.end_nodes
+    ends = ends[np.lexsort((first[grid.node_edge[ends]], grid.node_dof[ends]))]
+    dof = grid.node_dof[ends]
+    same = dof[1:] == dof[:-1]
+    prev, cur = u_vals[ends[:-1]], u_vals[ends[1:]]
+    clash = ends[1:][same & (np.abs(prev - cur) > 1e-9 * (1.0 + np.abs(cur)))]
+    fault(np.bincount(grid.node_edge[clash], minlength=want.size) > 0,
+          lambda j: "disagrees with shared vertex values")
+    values = u_vals[grid.dof_node]
+    last = ends[np.append(~same, True)]  # a vertex keeps the last edge's value
+    values[grid.node_dof[last]] = u_vals[last]
     return GridFunction(grid, values)
+
+
+def _csv_block(path: str, rows: list, line: int) -> tuple:
+    """(ids, s, u) of the rows that follow line ``line`` of the file,
+    skipping empty ones; ValueError names the first row that is not an id
+    and two finite numbers."""
+    width = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    ids, s_txt, u_txt = zip(*itertools.compress(rows, width == 3)) if 3 in width else ((),) * 3
+    try:
+        su = np.fromiter(map(float, s_txt + u_txt), dtype=float, count=2 * len(ids))
+    except ValueError:  # NaN marks the non-numeric rows too
+        su = np.array([_float_or_nan(t) for t in s_txt + u_txt])
+    bad = (width != 3) & (width != 0)
+    bad[width == 3] = ~np.isfinite(su).reshape(2, -1).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if width[i] != 3:
+            raise ValueError(f"{path}: malformed row {rows[i]!r}")
+        try:
+            float(rows[i][1]), float(rows[i][2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric row {rows[i]!r}") from exc
+        # a NaN arclength would pass the comparison with the grid
+        line += i + 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n")
+                            for r in rows[:i + 1] for f in r)
+        raise ValueError(f"{path}, line {line}: non-finite value in row {rows[i]!r}")
+    return ids, su[:len(ids)], su[len(ids):]
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def cmd_verify(args) -> int:
@@ -238,13 +287,10 @@ def cmd_verify(args) -> int:
     # locate the worst pointwise defect for the report
     scaled = np.abs(res.residual) / grid.weights
     worst = int(np.argmax(scaled))
-    worst_loc = None
-    for edge in spec.graph.edges:
-        dofs = grid.edge_dofs[edge.id]
-        hit = np.nonzero(dofs == worst)[0]
-        if hit.size:
-            worst_loc = {"edge_id": edge.id, "s": float(hit[0] * grid.spacing[edge.id])}
-            break
+    node = grid.dof_node[worst]
+    j = grid.node_edge[node]
+    worst_loc = {"edge_id": spec.graph.edges[j].id,
+                 "s": float((node - grid.edge_start[j]) * grid.edge_h[j])}
 
     tol = args.tol
     total = grid.total_length

@@ -64,20 +64,17 @@ class MetricGraph:
     incidence : mapping vertex id -> frozenset of incident edge ids
     total_length : float
         Sum of all edge lengths (the measure of the whole graph).
-    edge_index : mapping edge id -> Edge, built from ``edges``
+    edge_position : mapping edge id -> index of the edge in ``edges``
     """
 
     vertex_ids: tuple
     edges: tuple
     incidence: dict = field(repr=False)
     total_length: float = 0.0
-    edge_index: dict = field(init=False, repr=False, compare=False)
+    edge_position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_index", {e.id: e for e in self.edges})
-
-    def edge(self, edge_id) -> Edge:
-        return self.edge_index[edge_id]
+        object.__setattr__(self, "edge_position", {e.id: j for j, e in enumerate(self.edges)})
 
     def degree(self, vertex_id) -> int:
         return len(self.incidence[vertex_id])
@@ -162,6 +159,10 @@ class Grid:
     spacing : dict edge id -> h_j = l_j / n_j
     weights : ndarray
         Trapezoid weight of every DOF (also the lumped mass diagonal).
+
+    The read-only arrays below number the nodes of all edges, each tail to
+    head, edges in order, and the cells between consecutive nodes likewise.
+    ``edge_dofs`` and ``edge_coords`` are views of ``node_dof`` and ``node_s``.
     """
 
     graph: MetricGraph
@@ -170,6 +171,15 @@ class Grid:
     edge_dofs: dict = field(repr=False)
     spacing: dict = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    edge_start: np.ndarray = field(repr=False)  # edge j: nodes edge_start[j] to [j + 1] - 1
+    edge_h: np.ndarray = field(repr=False)  # spacing of every edge
+    node_dof: np.ndarray = field(repr=False)
+    node_s: np.ndarray = field(repr=False)  # arclength from the edge's tail
+    node_edge: np.ndarray = field(repr=False)
+    dof_node: np.ndarray = field(repr=False)  # a vertex: its first edge end
+    cell_tail: np.ndarray = field(repr=False)  # DOF at each cell's tail end
+    cell_head: np.ndarray = field(repr=False)
+    cell_h: np.ndarray = field(repr=False)
 
     @property
     def total_length(self) -> float:
@@ -192,13 +202,24 @@ class Grid:
 
         return GridOperators(self)
 
+    @cached_property
+    def end_nodes(self) -> np.ndarray:
+        """The tail and head node of every edge, edges in order."""
+        return np.column_stack((self.edge_start[:-1], self.edge_start[1:] - 1)).ravel()
+
+    def edge_nodes(self, edges) -> np.ndarray:
+        """The nodes of the edges with indices ``edges``, edge after edge."""
+        start = self.edge_start[edges]
+        count = self.edge_start[np.asarray(edges) + 1] - start
+        return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
     def vertex_dof(self, vertex_id) -> int:
         return self.graph.vertex_ids.index(vertex_id)
 
     def edge_coords(self, edge_id) -> np.ndarray:
         """Arclength coordinates (from the tail) of the edge's nodes."""
-        n = self.cells_per_edge[edge_id]
-        return np.linspace(0.0, self.graph.edge(edge_id).length, n + 1)
+        j = self.graph.edge_position[edge_id]
+        return self.node_s[self.edge_start[j]:self.edge_start[j + 1]]
 
 
 def grids_compatible(a: Grid, b: Grid) -> bool:
@@ -220,51 +241,62 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
     spacing; n_j = ceil(l_j / resolution), floored at 2), or a mapping
     edge id -> cell count.
     """
-    cells = {}
-    for e in graph.edges:
-        if isinstance(resolution, Mapping):
-            n = int(resolution[e.id])
-        elif isinstance(resolution, int) and not isinstance(resolution, bool):
-            n = resolution
-        else:
-            target = float(resolution)
-            if target <= 0:
-                raise ResolutionTooCoarse("target spacing must be positive")
-            n = max(2, math.ceil(e.length / target))
+    if isinstance(resolution, Mapping):
+        cells = {e.id: int(resolution[e.id]) for e in graph.edges}
+    elif isinstance(resolution, int) and not isinstance(resolution, bool):
+        cells = {e.id: resolution for e in graph.edges}
+    else:
+        target = float(resolution)
+        if target <= 0:
+            raise ResolutionTooCoarse("target spacing must be positive")
+        cells = {e.id: max(2, math.ceil(e.length / target)) for e in graph.edges}
+    for eid, n in cells.items():
         if n < 2:
-            raise ResolutionTooCoarse(f"edge {e.id!r}: {n} cells requested, need >= 2")
-        cells[e.id] = n
+            raise ResolutionTooCoarse(f"edge {eid!r}: {n} cells requested, need >= 2")
 
     nv = len(graph.vertex_ids)
     vdof = {v: i for i, v in enumerate(graph.vertex_ids)}
-    edge_dofs = {}
-    next_dof = nv
-    for e in graph.edges:
-        n = cells[e.id]
-        interior = np.arange(next_dof, next_dof + n - 1)
-        next_dof += n - 1
-        edge_dofs[e.id] = np.concatenate(([vdof[e.tail]], interior, [vdof[e.head]]))
+    n = np.array(list(cells.values()))
+    length = np.array([e.length for e in graph.edges])
+    end_dof = np.array([(vdof[e.tail], vdof[e.head]) for e in graph.edges], dtype=np.intp)
+    edge_h = length / n
+    edge_start = np.concatenate(([0], np.cumsum(n + 1)))
+    first, last = edge_start[:-1], edge_start[1:] - 1
+    node = np.arange(edge_start[-1])
+    node_edge = np.repeat(np.arange(n.size), n + 1)
+    # arange * (l/n) with the end at l: bitwise np.linspace(0, l, n + 1)
+    node_s = (node - edge_start[node_edge]) * edge_h[node_edge]
+    node_s[last] = length
+    # interior DOFs follow the vertices, numbered along the edges in order
+    node_dof = nv - 1 + node - 2 * node_edge
+    node_dof[first], node_dof[last] = end_dof.T
+    ndof = nv + int(np.sum(n - 1))
+    not_first, not_last = np.ones(node.size, bool), np.ones(node.size, bool)
+    not_first[first], not_last[last] = False, False
+    dof_node = np.concatenate((np.full(nv, node.size), node[not_first & not_last]))
+    # the nodes at edge ends increase, so each vertex's smallest is its first
+    np.minimum.at(dof_node, end_dof.ravel(), np.column_stack((first, last)).ravel())
 
-    ndof = next_dof
-    spacing = {e.id: e.length / cells[e.id] for e in graph.edges}
     weights = np.zeros(ndof)
-    for e in graph.edges:
-        h = spacing[e.id]
-        dofs = edge_dofs[e.id]
-        weights[dofs] += h
-        weights[dofs[0]] -= h / 2.0
-        weights[dofs[-1]] -= h / 2.0
-    weights.setflags(write=False)
-    for d in edge_dofs.values():
-        d.setflags(write=False)
+    weights[nv:] = np.repeat(edge_h, n - 1)
+    # each end adds h and then takes h/2 back, in edge order: (w + h) - h/2
+    # rounds otherwise than w + h/2
+    np.add.at(weights, np.tile(end_dof, 2).ravel(),
+              np.column_stack((edge_h, edge_h, -edge_h / 2.0, -edge_h / 2.0)).ravel())
+    arrays = dict(weights=weights, edge_start=edge_start, edge_h=edge_h, node_dof=node_dof,
+                  node_s=node_s, node_edge=node_edge, dof_node=dof_node,
+                  cell_tail=node_dof[not_last], cell_head=node_dof[not_first],
+                  cell_h=np.repeat(edge_h, n))
+    for a in arrays.values():
+        a.setflags(write=False)
 
     return Grid(
         graph=graph,
         cells_per_edge=cells,
         ndof=ndof,
-        edge_dofs=edge_dofs,
-        spacing=spacing,
-        weights=weights,
+        edge_dofs={e.id: node_dof[first[j]:last[j] + 1] for j, e in enumerate(graph.edges)},
+        spacing=dict(zip(cells, edge_h.tolist())),
+        **arrays,
     )
 
 
@@ -312,43 +344,41 @@ def sample_function(grid: Grid, edge_profiles) -> GridFunction:
     Raises ContinuityMismatch when profiles disagree at a shared vertex.
     """
     if callable(edge_profiles):
-        edge_profiles = {e.id: edge_profiles for e in grid.graph.edges}
+        return _sample_nodes(grid, np.asarray([float(edge_profiles(s)) for s in grid.node_s]))
 
-    per_edge = {}
+    per_edge = []
     for e in grid.graph.edges:
         if e.id not in edge_profiles:
             raise ValueError(f"no profile for edge {e.id!r}")
         prof = edge_profiles[e.id]
-        n = grid.cells_per_edge[e.id]
         if callable(prof):
-            s = grid.edge_coords(e.id)
-            vals = np.asarray([float(prof(si)) for si in s])
+            vals = np.asarray([float(prof(si)) for si in grid.edge_coords(e.id)])
         else:
             vals = np.asarray(prof, dtype=float)
+            n = grid.cells_per_edge[e.id]
             if vals.shape != (n + 1,):
                 raise ValueError(
                     f"edge {e.id!r}: expected {n + 1} samples, got shape {vals.shape}"
                 )
-        per_edge[e.id] = vals
+        per_edge.append(vals)
+    return _sample_nodes(grid, np.concatenate(per_edge))
 
-    values = np.zeros(grid.ndof)
-    filled = np.zeros(grid.ndof, dtype=bool)
-    # edges in construction order so the lowest-indexed edge sets shared values
-    for e in grid.graph.edges:
-        vals = per_edge[e.id]
-        dofs = grid.edge_dofs[e.id]
-        for node, dof in ((0, dofs[0]), (len(vals) - 1, dofs[-1])):
-            if filled[dof]:
-                scale = max(1.0, abs(values[dof]), abs(vals[node]))
-                if abs(values[dof] - vals[node]) > CONTINUITY_RTOL * scale:
-                    raise ContinuityMismatch(
-                        f"edge {e.id!r} gives {vals[node]!r} at a vertex already "
-                        f"valued {values[dof]!r}"
-                    )
-            else:
-                values[dof] = vals[node]
-                filled[dof] = True
-        values[dofs[1:-1]] = vals[1:-1]
+
+def _sample_nodes(grid: Grid, node_values: np.ndarray) -> GridFunction:
+    """The GridFunction taking ``node_values`` at the grid's nodes; each
+    vertex takes the value of its first incident edge end, and every other
+    end must agree with it (ContinuityMismatch names the first that does not)."""
+    values = node_values[grid.dof_node]
+    ends = grid.end_nodes
+    given, kept = node_values[ends], values[grid.node_dof[ends]]
+    scale = np.maximum(1.0, np.maximum(np.abs(kept), np.abs(given)))
+    clash = np.abs(kept - given) > CONTINUITY_RTOL * scale
+    if clash.any():
+        k = int(np.argmax(clash))
+        eid = grid.graph.edges[k // 2].id
+        raise ContinuityMismatch(
+            f"edge {eid!r} gives {given[k]!r} at a vertex already valued {kept[k]!r}"
+        )
     return GridFunction(grid, values)
 
 
@@ -367,12 +397,9 @@ class Norms:
 
 def h1_seminorm(f: GridFunction) -> float:
     """sqrt of the Dirichlet energy sum_j sum_cells (df/h_j)^2 h_j (exact)."""
-    acc = 0.0
-    for e in f.grid.graph.edges:
-        h = f.grid.spacing[e.id]
-        d = np.diff(f.edge_values(e.id))
-        acc += float(d @ d) / h
-    return math.sqrt(acc)
+    grid = f.grid
+    d = f.values[grid.cell_head] - f.values[grid.cell_tail]
+    return math.sqrt(float(d @ (d / grid.cell_h)))
 
 
 def norms(f: GridFunction) -> Norms:
@@ -394,14 +421,10 @@ def exp_weighted_energy(u: GridFunction) -> float:
     Testing the c = 0 equation against e^(-u) shows this equals -int h at a
     solution, which is the identity the verification layer checks.
     """
-    acc = 0.0
-    for e in u.grid.graph.edges:
-        h = u.grid.spacing[e.id]
-        vals = u.edge_values(e.id)
-        d = np.diff(vals)
-        mid = 0.5 * (vals[:-1] + vals[1:])
-        acc += float((d * d / h) @ np.exp(-mid))
-    return acc
+    grid = u.grid
+    left, right = u.values[grid.cell_tail], u.values[grid.cell_head]
+    d = right - left
+    return float((d * d / grid.cell_h) @ np.exp(-0.5 * (left + right)))
 
 
 def _require_mean_zero(f: GridFunction) -> None:

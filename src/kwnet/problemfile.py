@@ -13,7 +13,18 @@ Schema::
 "h" may also be a single expression string or number applied to every edge.
 Expression strings use the arclength variable s (measured from the edge
 tail), the operators + - * / ^ (or **), the functions sin, cos, exp, log,
-and the constants pi and e.  Vertex entries may carry coordinates; they are
+and the constants pi and e.
+
+Edges whose expressions differ only in their float literals (the numbers
+with a decimal point or an exponent) share a template.  It is checked and
+compiled once and evaluated once, on the concatenated nodes of those edges,
+a literal becoming an array that holds at each node its edge's value.  The
+values are bitwise those of evaluating each text on its own: a literal
+becomes an array only where nothing but + - * / and signs lies between it
+and s.  Under ^ or in a function of constants it stays a Python float, and
+edges that differ there are evaluated in separate batches.
+
+Vertex entries may carry coordinates; they are
 accepted and ignored (edge lengths alone fix the metric).  "cells" defaults
 to the finest that keeps every spacing below min(length)/32, and "c" may be
 omitted when the caller supplies it separately.
@@ -24,17 +35,24 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .graph import Grid, GridFunction, MetricGraph, build_graph, build_grid, sample_function
+from .graph import Grid, GridFunction, MetricGraph, _sample_nodes, build_graph, build_grid
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)
+_ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+# a float literal: digits with a point and/or an exponent, not part of a name
+# or of a longer number
+_DIGITS = r"\d(?:_?\d)*"
+_FLOAT = re.compile(rf"(?<![\w.])((?:{_DIGITS}\.(?:{_DIGITS})?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?"
+                    rf"|{_DIGITS}[eE][+-]?{_DIGITS})(?![\w.])")
 
 
 @dataclass(frozen=True)
@@ -52,54 +70,116 @@ def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     Only arithmetic, the whitelisted functions, and the constants pi/e are
     admitted; anything else raises ValueError with the offending construct.
     """
-    # normalize the file format's ^ and any unicode minus to python syntax
-    src = text.replace("^", "**").replace("−", "-")
+    code, _ = _compile(_normalize(text), text)
+
+    def evaluate(s: np.ndarray) -> np.ndarray:
+        return _evaluate(code, text, np.asarray(s, dtype=float))
+
+    return evaluate
+
+
+def _normalize(text: str) -> str:
+    """The file format's ^ and any unicode minus in python syntax."""
+    return text.replace("^", "**").replace("−", "-")
+
+
+def _compile(src: str, text: str, params=frozenset()) -> tuple:
+    """Compile ``src``, admitting only arithmetic, the whitelisted functions,
+    s, pi, e and the names in ``params`` (ValueError naming ``text``), and
+    find the parameters that may hold one value per node: those with only
+    + - * / and signs between them and the nearest subexpression in s, or
+    the root.  Under ^ or in a function of constants numpy would take other
+    paths for an array than for a Python float (x^0.5 is a sqrt)."""
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc.msg}") from exc
+    per_node = set()
 
-    def check(node: ast.AST) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-            check(node.left)
-            check(node.right)
+    def check(node: ast.AST) -> tuple:  # (in s, parameters on an arithmetic path)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            (left_s, left), (right_s, right) = check(node.left), check(node.right)
+            in_s, pending = left_s or right_s, left | right
+            if not isinstance(node.op, _ARITHMETIC):
+                return in_s, set()
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
-            check(node.operand)
+            in_s, pending = check(node.operand)
         elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
+            return False, set()
         elif isinstance(node, ast.Name):
-            if node.id != "s" and node.id not in _CONSTANTS:
+            if node.id != "s" and node.id not in _CONSTANTS and node.id not in params:
                 raise ValueError(f"unknown name {node.id!r} in expression {text!r}")
+            return node.id == "s", {node.id} & params
         elif isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS):
                 raise ValueError(f"only {sorted(_FUNCTIONS)} may be called in {text!r}")
             if len(node.args) != 1 or node.keywords:
                 raise ValueError(f"{node.func.id} takes exactly one argument in {text!r}")
-            check(node.args[0])
+            return check(node.args[0])[0], set()
         else:
             raise ValueError(
                 f"disallowed syntax {type(node).__name__} in expression {text!r}"
             )
+        if in_s:
+            per_node.update(pending)
+            return True, set()
+        return False, pending
 
-    check(tree)
-    code = compile(tree, "<h-expression>", "eval")
-    env = dict(_FUNCTIONS)
-    env.update(_CONSTANTS)
+    per_node.update(check(tree.body)[1])
+    return compile(tree, "<h-expression>", "eval"), per_node
 
-    def evaluate(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        # constant subexpressions are Python numbers: 1/0 raises, 2^10000 is
-        # an int too large for a float, (-1)^0.5 is complex
+
+def _evaluate(code, text: str, s: np.ndarray, params=None) -> np.ndarray:
+    env = dict(_FUNCTIONS, **_CONSTANTS, **(params or {}), s=s)
+    # constant subexpressions are Python numbers: 1/0 raises, 2^10000 is
+    # an int too large for a float, (-1)^0.5 is complex
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = eval(code, {"__builtins__": {}}, env)  # noqa: S307
+        return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy()
+    except (ArithmeticError, TypeError) as exc:
+        raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from exc
+
+
+def _expression_values(grid: Grid, exprs: dict, out: np.ndarray) -> None:
+    """Write the values of the edge expressions ``exprs`` (edge id -> text)
+    at their edges' nodes into ``out`` (one entry per grid node)."""
+    templates = {}
+    for eid, text in exprs.items():
+        pieces = _FLOAT.split(_normalize(text))
+        templates.setdefault(tuple(pieces[0::2]), []).append(
+            (grid.graph.edge_position[eid], text, [float(x) for x in pieces[1::2]]))
+    for template, members in templates.items():
+        names = [f"_{k}" for k in range(len(template) - 1)]
+        src = "".join(t + n for t, n in zip(template, names + [""]))
         try:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = eval(code, {"__builtins__": {}}, dict(env, s=s))  # noqa: S307
-            return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy()
-        except (ArithmeticError, TypeError) as exc:
-            raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from exc
-
-    return evaluate
+            if any("_" in t for t in template):  # a name that passes for a parameter
+                raise ValueError(src)
+            code, per_node = _compile(src, src, set(names))
+            # edges that agree on the literals that stay Python floats
+            batches = {}
+            for j, _, lits in members:
+                key = tuple(x for x, n in zip(lits, names) if n not in per_node)
+                batches.setdefault(key, []).append((j, lits))
+            for batch in batches.values():
+                edges = [j for j, _ in batch]
+                count = np.diff(grid.edge_start)[edges]
+                lits = np.array([x for _, x in batch]).reshape(len(batch), len(names))
+                params = {n: np.repeat(lits[:, k], count) if n in per_node else float(lits[0, k])
+                          for k, n in enumerate(names)}
+                nodes = grid.edge_nodes(edges)
+                out[nodes] = _evaluate(code, src, grid.node_s[nodes], params)
+                if not np.isfinite(out[nodes]).all():
+                    raise ValueError(src)
+        except ValueError:
+            # the template tells neither which edge failed nor why in the
+            # words of that edge's text: evaluate edge by edge
+            for j, text, _ in members:
+                nodes = grid.edge_nodes([j])
+                try:
+                    out[nodes] = compile_expression(text)(grid.node_s[nodes])
+                except ValueError as exc:
+                    raise ValueError(f"edge {grid.graph.edges[j].id!r}: {exc}") from exc
 
 
 def default_cells(lengths: Mapping[str, float]) -> dict:
@@ -179,13 +259,16 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
     if extra:
         raise ValueError(f'"h" names unknown edges {extra}')
 
-    profiles = {}
+    node_h = np.empty(grid.node_s.size)
+    exprs = {}
     for eid, entry in spec_h.items():
-        coords = grid.edge_coords(eid)
+        j = grid.graph.edge_position[eid]
+        nodes = slice(grid.edge_start[j], grid.edge_start[j + 1])
+        coords = grid.node_s[nodes]
         if isinstance(entry, str):
-            vals = compile_expression(entry)(coords)
+            exprs[eid] = entry
         elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            vals = np.full(coords.size, float(entry))
+            node_h[nodes] = float(entry)
         elif isinstance(entry, list):
             vals = np.asarray(entry, dtype=float)
             if vals.shape != coords.shape:
@@ -193,14 +276,15 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
                     f"edge {eid!r}: h sample array has {vals.size} entries, "
                     f"grid wants {coords.size}"
                 )
+            node_h[nodes] = vals
         else:
             raise ValueError(f"edge {eid!r}: h must be an expression, number, or array")
-        if vals.ndim == 0:
-            vals = np.full(coords.size, float(vals))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"edge {eid!r}: h evaluates to non-finite values")
-        profiles[eid] = vals
-    h = sample_function(grid, profiles)
+    _expression_values(grid, exprs, node_h)
+    bad = ~np.isfinite(node_h)
+    if bad.any():
+        eid = graph.edges[grid.node_edge[np.argmax(bad)]].id
+        raise ValueError(f"edge {eid!r}: h evaluates to non-finite values")
+    h = _sample_nodes(grid, node_h)
 
     c = data.get("c")
     if c is not None:

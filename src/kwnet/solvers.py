@@ -251,11 +251,9 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
     at half the edge; value 1 on the middle half of that interval with cubic
     smoothstep ramps to 0.
     """
-    best_eid, best_max = None, -math.inf
-    for e in grid.graph.edges:
-        m = float(np.max(h.values[grid.edge_dofs[e.id]]))
-        if m > best_max:
-            best_eid, best_max = e.id, m
+    maxima = np.maximum.reduceat(h.values[grid.node_dof], grid.edge_start[:-1])
+    best = int(np.argmax(maxima))
+    best_eid, best_max = grid.graph.edges[best].id, float(maxima[best])
     if best_max <= 0.0:
         raise FeasibilityFailure("h has no positive part to concentrate a bump on")
 
@@ -263,7 +261,7 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
     vals = h.values[dofs]
     n = grid.cells_per_edge[best_eid]
     hj = grid.spacing[best_eid]
-    length = grid.graph.edge(best_eid).length
+    length = grid.graph.edges[best].length
 
     mask = vals > best_max / 2.0
     peak = int(np.argmax(vals))

@@ -1,13 +1,15 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
 import csv
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from kwnet.cli import main
+from kwnet import GridFunction, parse_problem
+from kwnet.cli import _read_solution_csv, _write_solution_csv, main
 
 
 def write_problem(tmp_path, name="prob.json", **overrides):
@@ -222,3 +224,157 @@ def test_solve_zero_case_and_energy_check(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["checks"]["energy_identity"]["ok"]
+
+
+# ----------------------------------------------------------------------
+# solution CSV: exact round trip and the reader's checks
+# ----------------------------------------------------------------------
+
+def star_spec(n_edges, cells, seed=0):
+    rng = np.random.default_rng(seed)
+    return parse_problem({
+        "vertices": ["o"] + [f"v{j}" for j in range(n_edges)],
+        "edges": [{"id": f"e{j}", "tail": "o", "head": f"v{j}",
+                   "length": float(rng.uniform(0.3, 2.0)), "cells": cells}
+                  for j in range(n_edges)],
+        "h": "cos(pi*s) - 0.1",
+    })
+
+
+def wild_values(spec, seed=1):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=spec.grid.ndof) * 10.0 ** rng.integers(-300, 300, spec.grid.ndof)
+    v[:3] = (0.1, -0.0, 5e-324)
+    return GridFunction(spec.grid, v)
+
+
+@pytest.mark.parametrize("n_edges, cells", [(100, 8), (1, 3072)])
+def test_csv_round_trip_is_bitwise(tmp_path, n_edges, cells):
+    spec = star_spec(n_edges, cells)
+    u = wild_values(spec)
+    path = str(tmp_path / "u.csv")
+    _write_solution_csv(path, spec, u)
+    back = _read_solution_csv(path, spec)
+    assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + sum(c + 1 for c in spec.cells.values())
+    # edges by id, each from tail to head
+    assert [r[0] for r in rows[1:]] == sorted(r[0] for r in rows[1:])
+
+
+def test_csv_accepts_interleaved_rows_and_quoted_ids(tmp_path):
+    spec = parse_problem({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": 'x,"y"', "tail": "a", "head": "b", "length": 1.0, "cells": 4},
+                  {"id": "z", "tail": "b", "head": "c", "length": 0.5, "cells": 5}],
+        "h": "-1",
+    })
+    u = wild_values(spec)
+    path = tmp_path / "u.csv"
+    _write_solution_csv(str(path), spec, u)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # alternate the two edges' rows, each edge's still from tail to head
+    by_edge = {}
+    for row in rows[1:]:
+        by_edge.setdefault(row[0], []).append(row)
+    body = [row for pair in itertools.zip_longest(*by_edge.values()) for row in pair if row]
+    assert body != rows[1:]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + body)
+    assert np.array_equal(_read_solution_csv(str(path), spec).values, u.values)
+
+
+def _csv_lines(spec, u):
+    lines = ["edge_id,s,u"]
+    for edge in sorted(spec.graph.edges, key=lambda e: e.id):
+        for s, v in zip(spec.grid.edge_coords(edge.id), u.edge_values(edge.id)):
+            lines.append(f"{edge.id},{float(s)!r},{float(v)!r}")
+    return lines
+
+
+def _drop_rows(lines, edge_id, k):
+    rows = [i for i, line in enumerate(lines) if line.startswith(edge_id + ",")]
+    return [line for i, line in enumerate(lines) if i not in rows[-k:]]
+
+
+def _edit(lines, index, column, text):
+    fields = lines[index].split(",")
+    fields[column] = text
+    return lines[:index] + [",".join(fields)] + lines[index + 1:]
+
+
+# path p -e1- q -e2- r with 4 and 3 cells: rows 1-5 are e1, rows 6-9 e2
+CSV_FAULTS = [
+    ("header", lambda L: ["edge,s,u"] + L[1:], "{p}: expected header edge_id,s,u"),
+    ("width", lambda L: L[:3] + ["e1,0.5"] + L[3:], "{p}: malformed row ['e1', '0.5']"),
+    ("non-numeric", lambda L: _edit(L, 2, 2, "abc"),
+     "{p}: non-numeric row ['e1', '0.25', 'abc']"),
+    ("non-finite", lambda L: _edit(L, 3, 1, "nan"),
+     "{p}, line 4: non-finite value in row ['e1', 'nan', '0.5714285714285714']"),
+    ("non-finite after blank lines", lambda L: L[:2] + ["", ""] + _edit(L, 7, 2, "inf")[2:],
+     "{p}, line 10: non-finite value in row ['e2', '0.25', 'inf']"),
+    ("unknown edge", lambda L: L + ["zz,0.0,1.0"], "{p}: unknown edges ['zz']"),
+    ("missing edge", lambda L: L[:6], "{p}: no samples for edges ['e2']"),
+    ("count", lambda L: _drop_rows(L, "e2", 1),
+     "{p}: edge 'e2' has 3 samples, the problem grid wants 4 (cells mismatch)"),
+    ("arclength", lambda L: _edit(L, 7, 1, "0.26"),
+     "{p}: edge 'e2' arclength samples do not match the grid"),
+    ("vertex clash", lambda L: _edit(L, 6, 2, "1.001"),
+     "{p}: edge 'e2' disagrees with shared vertex values"),
+]
+
+
+@pytest.mark.parametrize("name, damage, message", CSV_FAULTS, ids=[f[0] for f in CSV_FAULTS])
+def test_csv_rejections_name_the_fault(tmp_path, name, damage, message):
+    spec = parse_problem({
+        "vertices": ["p", "q", "r"],
+        "edges": [{"id": "e1", "tail": "p", "head": "q", "length": 1.0, "cells": 4},
+                  {"id": "e2", "tail": "q", "head": "r", "length": 0.75, "cells": 3}],
+        "h": "-1",
+    })
+    u = GridFunction(spec.grid, np.linspace(0.0, 1.0, spec.grid.ndof))
+    path = tmp_path / "u.csv"
+    path.write_text("\n".join(damage(_csv_lines(spec, u))) + "\n")
+    with pytest.raises(ValueError) as info:
+        _read_solution_csv(str(path), spec)
+    assert str(info.value) == message.format(p=path)
+
+
+def test_csv_line_numbers_count_across_blocks_of_rows(tmp_path):
+    # more rows than the reader converts at a time, blank lines between
+    spec = star_spec(1, 20000)
+    lines = _csv_lines(spec, GridFunction(spec.grid, np.zeros(spec.grid.ndof)))
+    lines = lines[:5] + [""] * 3 + _edit(lines, 15001, 2, "-inf")[5:]
+    path = tmp_path / "u.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r", line 15005: non-finite value in row \['e0', '"):
+        _read_solution_csv(str(path), spec)
+
+
+def test_verify_locates_worst_residual_on_a_star(tmp_path, capsys):
+    spec = star_spec(5, 8, seed=4)
+    prob = tmp_path / "star.json"
+    prob.write_text(json.dumps({
+        "vertices": list(spec.graph.vertex_ids),
+        "edges": [{"id": e.id, "tail": e.tail, "head": e.head, "length": e.length,
+                   "cells": 8} for e in spec.graph.edges],
+        "h": "-1", "c": -1.0,
+    }))
+    grid = spec.grid
+
+    def worst_at(dof):
+        u = np.zeros(grid.ndof)
+        u[dof] = 10.0  # e^u outweighs every stiffness term
+        path = tmp_path / "u.csv"
+        path.write_text("\n".join(_csv_lines(spec, GridFunction(grid, u))) + "\n")
+        assert main(["verify", str(prob), str(path)]) == 4
+        return json.loads(capsys.readouterr().out)["worst_residual"]["location"]
+
+    # an interior node: its edge and k h
+    assert worst_at(grid.edge_dofs["e2"][3]) == {"edge_id": "e2", "s": 3 * grid.spacing["e2"]}
+    # the hub: the tail of every edge, located on the first
+    assert worst_at(grid.vertex_dof("o")) == {"edge_id": "e0", "s": 0.0}
+    # a leaf: the head of its only edge, at n h
+    assert worst_at(grid.vertex_dof("v3")) == {"edge_id": "e3", "s": 8 * grid.spacing["e3"]}

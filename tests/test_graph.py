@@ -85,6 +85,64 @@ def test_edge_coords_run_tail_to_head():
     assert np.allclose(grid.edge_coords("e1"), [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def random_tree_grid(n_edges, seed, cells=None):
+    """A random tree with hubs of high degree and edges of many lengths."""
+    rng = np.random.default_rng(seed)
+    parents = [int(rng.integers(0, max(1, j // 4))) for j in range(1, n_edges + 1)]
+    edges = [(f"e{j}", f"v{p}", f"v{j + 1}", float(rng.uniform(0.1, 3.0)))
+             for j, p in enumerate(parents)]
+    graph = build_graph([f"v{j}" for j in range(n_edges + 1)], edges)
+    if cells is None:
+        cells = {e[0]: int(rng.integers(2, 40)) for e in edges}
+    return build_grid(graph, cells)
+
+
+def loop_stiffness_and_weights(grid):
+    """K and the trapezoid weights assembled edge by edge (reference)."""
+    from scipy import sparse
+
+    rows, cols, vals = [], [], []
+    weights = np.zeros(grid.ndof)
+    for e in grid.graph.edges:
+        dofs = grid.edge_dofs[e.id]
+        h = e.length / grid.cells_per_edge[e.id]
+        a, b = dofs[:-1], dofs[1:]
+        cell = np.full(len(a), 1.0 / h)
+        rows.extend((a, b, a, b))
+        cols.extend((a, b, b, a))
+        vals.extend((cell, cell, -cell, -cell))
+        weights[dofs] += h
+        weights[dofs[0]] -= h / 2.0
+        weights[dofs[-1]] -= h / 2.0
+    K = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(grid.ndof, grid.ndof))
+    K.sum_duplicates()
+    return K, weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stiffness_and_weights_match_the_edge_loop_bitwise(seed):
+    from kwnet import assemble_stiffness
+
+    grid = random_tree_grid(60, seed)
+    K = assemble_stiffness(grid).matrix
+    K_ref, w_ref = loop_stiffness_and_weights(grid)
+    assert np.array_equal(K.indptr, K_ref.indptr) and np.array_equal(K.indices, K_ref.indices)
+    assert np.array_equal(K.data, K_ref.data)
+    assert np.array_equal(grid.weights, w_ref)
+
+
+def test_edge_coords_are_bitwise_linspace():
+    grid = random_tree_grid(200, seed=5)
+    for e in grid.graph.edges:
+        n = grid.cells_per_edge[e.id]
+        assert np.array_equal(grid.edge_coords(e.id), np.linspace(0.0, e.length, n + 1))
+        assert grid.spacing[e.id] == e.length / n
+    # the node numbering: DOFs interior to edges follow the vertices in edge order
+    interior = np.concatenate([grid.edge_dofs[e.id][1:-1] for e in grid.graph.edges])
+    assert np.array_equal(interior, np.arange(len(grid.graph.vertex_ids), grid.ndof))
+
+
 def test_sample_function_shares_vertex_values():
     grid = make_star3(cells=8)
     f = sample_function(grid, lambda s: 1.0 + s * s)

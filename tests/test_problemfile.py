@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kwnet import compile_expression, default_cells, load_problem, parse_problem
 
@@ -141,3 +143,92 @@ def test_load_problem_bad_file(tmp_path):
         load_problem(str(path))
     with pytest.raises(ValueError):
         load_problem(str(tmp_path / "missing.json"))
+
+
+# ----------------------------------------------------------------------
+# edges that share a template: one evaluation, bitwise the per-edge values
+# ----------------------------------------------------------------------
+
+def star_problem(h_by_edge, cells=6):
+    n = len(h_by_edge)
+    return {
+        "vertices": ["o"] + [f"v{j}" for j in range(n)],
+        "edges": [{"id": f"e{j}", "tail": "o", "head": f"v{j}", "length": 0.5 + 0.37 * j,
+                   "cells": cells + j} for j in range(n)],
+        "h": {f"e{j}": text for j, text in enumerate(h_by_edge)},
+    }
+
+
+def per_edge_reference(data):
+    """h of every edge from its own compile_expression (ValueError if any fails)."""
+    spec_grid = parse_problem(dict(data, h="0")).grid
+    out = {}
+    for eid, text in data["h"].items():
+        vals = compile_expression(text)(spec_grid.edge_coords(eid))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{eid}: non-finite")
+        out[eid] = vals
+    return out
+
+
+def literal_texts():
+    magnitude = st.floats(min_value=1e-7, max_value=1e7, allow_nan=False)
+    styles = st.sampled_from(["{!r}", "{:.3e}", "{:.9g}", "{:.2E}", "{:f}"])
+    text = st.tuples(styles, magnitude).map(lambda p: p[0].format(p[1]))
+    return st.tuples(st.booleans(), text).map(lambda p: ("-" if p[0] else "") + p[1])
+
+
+def templates():
+    leaves = st.sampled_from(["s", "pi", "e", "2", "3", "LIT", "LIT", "LIT"])
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from(["+", "-", "*", "/", "^"]), kids).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "-"]), kids).map(
+            lambda t: f"{t[0]}({t[1]})")), max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(template=templates(), data=st.data())
+def test_shared_templates_give_the_per_edge_values_bitwise(template, data):
+    n_edges = 4
+    pieces = template.split("LIT")
+    texts = []
+    for _ in range(n_edges):
+        lits = data.draw(st.lists(literal_texts(), min_size=len(pieces) - 1,
+                                  max_size=len(pieces) - 1))
+        body = pieces[0] + "".join(f"({x}){p}" for x, p in zip(lits, pieces[1:]))
+        texts.append(f"({body})*s")  # zero at the shared hub, s = 0
+    problem = star_problem(texts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            ref = per_edge_reference(problem)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_problem(problem)
+            return
+        h = parse_problem(problem).h
+    for eid, vals in ref.items():
+        assert np.array_equal(h.edge_values(eid)[1:], vals[1:])
+
+
+def test_integer_literals_stay_exact():
+    h = parse_problem(star_problem(["10^20 + 1 - 10^20 + 0.5*s"] * 3)).h
+    for eid in ("e0", "e1", "e2"):
+        s = h.grid.edge_coords(eid)
+        assert np.array_equal(h.edge_values(eid), 1.0 + 0.5 * s)
+
+
+@pytest.mark.parametrize("bad, why", [
+    ("1.5*s + 1/0.0", "cannot evaluate"),
+    ("1.5*s + 2.5.5", "cannot parse"),
+    ("1.5*s + log(-1.0 - s)", "non-finite"),
+])
+def test_bad_literal_on_one_edge_names_that_edge(bad, why):
+    texts = ["1.5*s + 1/4.0", "1.5*s + 1/2.0", bad, "1.5*s + 1/8.0"]
+    with pytest.raises(ValueError) as info:
+        parse_problem(star_problem(texts))
+    message = str(info.value)
+    assert message.startswith("edge 'e2': ") and why in message
+    if why != "non-finite":
+        assert repr(bad) in message

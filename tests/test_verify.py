@@ -113,6 +113,27 @@ def test_manufacture_rejects_flux_imbalance():
     assert apply_residual(u, h, 0.0).weak_residual_norm <= 1e-12
 
 
+def test_manufacture_names_the_first_unbalanced_vertex():
+    # on the 3-star, a profile sin(k s) with a different k per edge leaves a
+    # flux defect at the hub "o" and at every leaf; the hub comes first
+    grid = make_star3(cells=40)
+    k = {"e1": 1.0, "e2": -2.0, "e3": 0.5}
+    u = sample_function(grid, {eid: (lambda s, a=a: math.sin(a * s)) for eid, a in k.items()})
+    # the flux balance summed vertex by vertex over the edges in order
+    slopes = {}
+    for e in grid.graph.edges:
+        v, h = u.edge_values(e.id), grid.spacing[e.id]
+        slopes[e.id] = ((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h),
+                        (-3.0 * v[-1] + 4.0 * v[-2] - v[-3]) / (2.0 * h))
+    net = {vid: sum(t for e in grid.graph.edges for t, end in zip(slopes[e.id], (e.tail, e.head))
+                    if end == vid) for vid in grid.graph.vertex_ids}
+    assert abs(net["p"]) > 0.1 and abs(net["o"]) > 0.1
+    with pytest.raises(KirchhoffDefect) as info:
+        manufacture(u, c=0.0, kirchhoff_tol=0.1)
+    assert str(info.value) == (f"vertex 'o': net inward slope {net['o']:.4e} exceeds 1.0000e-01; "
+                               "the profile is not compatible with the flux balance")
+
+
 def test_oracle_newton_constant_case():
     grid = make_triangle(cells=16)
     sol = oracle_newton(constant(grid, -1.0), -2.0)
