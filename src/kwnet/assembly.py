@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack, ldl
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -258,14 +258,24 @@ class KPlusDiag:
 
         By Sylvester's law of inertia the count is that of the interior
         tridiagonal T, by bisection, plus that of the dense vertex Schur
-        complement S.
+        complement S, which is the count of the block diagonal D of its
+        Bunch-Kaufman LDL^T: D's 1 x 1 blocks and the eigenvalues of its
+        2 x 2 blocks.
         """
         ops = self.ops
         interior = eigvalsh_tridiagonal(self._diag, ops.t_off, select="v",
                                         select_range=(-np.inf, 0.0))
         s = np.zeros((ops.nv, ops.nv))
         np.add.at(s, (ops._rows, ops._cols), self._vals)
-        return len(interior) + int(np.sum(np.linalg.eigvalsh(s) < 0.0))
+        _, blocks, _ = ldl(s, overwrite_a=True)
+        # a 2 x 2 block starts wherever D has a nonzero superdiagonal entry
+        two = np.flatnonzero(np.diagonal(blocks, 1))
+        single = np.ones(ops.nv, dtype=bool)
+        single[two] = single[two + 1] = False
+        pair = two[:, None] + np.arange(2)
+        pair_eig = np.linalg.eigvalsh(blocks[pair[:, :, None], pair[:, None, :]])
+        return (len(interior) + int(np.sum(np.diagonal(blocks)[single] < 0.0))
+                + int(np.sum(pair_eig < 0.0)))
 
 
 def _check_function(grid: Grid, f: GridFunction, name: str) -> None:

@@ -67,6 +67,8 @@ DEFAULT_TOL = 1e-8
 MAX_ITER_GRADIENT = 5000
 MAX_ITER_MONOTONE = 500
 SHIFT_REFRESH = 5
+# floor of the monotone shift, relative to max(-h): keeps k > 0 where h >= 0
+SHIFT_FLOOR = 1e-2
 CRITICAL_RUNGS = 8
 ARMIJO_START = 1.0
 ARMIJO_FACTOR = 0.5
@@ -663,12 +665,17 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     """Descend from the upper solution through shifted linear solves.
 
     Each sweep solves d2u' - k u' = f(u) - k u, f(x, u) = c - h e^u, with the
-    shift k = max(1, -h) e^(u_n) taken from the latest iterate u_n: first
-    from u+, then refreshed (and refactored) every SHIFT_REFRESH sweeps.  Any
-    k >= -h e^v on [u-, u_n] keeps the sweeps ordered through the M-matrix
-    structure of the shifted operator, u- <= u_{n+1} <= u_n <= u+
-    (monotone_history records the slack of both inequalities each sweep),
-    and the smaller refreshed k contracts faster.  Once the steps are small a
+    shift k = max(-h, SHIFT_FLOOR max(-h)) e^(u_n) taken from the latest
+    iterate u_n: first from u+, then refreshed (and refactored) every
+    SHIFT_REFRESH sweeps.  Any k > 0 with k >= -h e^v for every v between
+    u- and u_n keeps the sweeps ordered, u- <= u_{n+1} <= u_n <= u+: then
+    f(v) + k v is nondecreasing in v there, so the right-hand side of a
+    sweep inherits the order of its iterates, and (K + M_k)^(-1) is a
+    nonnegative matrix (K + M_k is an M-matrix).  As the iterates only
+    descend, -h e^(u_n) is the least such k where h < 0; where h >= 0 the
+    floor only keeps k positive.  The smaller k is, the faster the sweeps
+    contract (monotone_history records the slack of both inequalities each
+    sweep).  Once the steps are small a
     damped-Newton tail may finish the solve if it stays inside the sandwich;
     each refused tail is listed in ``details["rejected_tails"]`` with its
     reason, "newton_failed" or "left_sandwich".  When the steps reach
@@ -698,7 +705,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     if lower_defect > pair_tol:
         raise OrderingViolated(f"u_minus is not a discrete lower solution (defect {lower_defect:.3e})")
 
-    k_scale = np.maximum(1.0, -hv)
+    k_scale = np.maximum(-hv, SHIFT_FLOOR * float(np.max(-hv)))
 
     def shift(v: np.ndarray):
         k = k_scale * np.exp(v)
@@ -709,10 +716,13 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
 
     # An exact upper/lower pair keeps the sweeps ordered to machine precision;
     # a pair admitted with a small defect can leak that defect into the
-    # ordering, amplified by at most 1 / min(k) (inverse positivity of the
-    # shifted operator), so the allowed slack scales accordingly.
+    # ordering.  (K + M_k)^(-1) is nonnegative, so a defect of at most
+    # pair_leak per unit weight moves a sweep by at most
+    # pair_leak max((K + M_k)^(-1) w), and the allowed slack scales with that.
     pair_leak = max(0.0, -upper_defect, lower_defect)
-    order_slack = 1e-12 + 20.0 * pair_leak / float(np.min(k))
+    order_slack = 1e-12
+    if pair_leak > 0.0:
+        order_slack += 20.0 * pair_leak * float(np.max(sweep(w)))
 
     u = u_plus.values.copy()
     lo = u_minus.values

@@ -378,3 +378,27 @@ def test_verify_locates_worst_residual_on_a_star(tmp_path, capsys):
     assert worst_at(grid.vertex_dof("o")) == {"edge_id": "e0", "s": 0.0}
     # a leaf: the head of its only edge, at n h
     assert worst_at(grid.vertex_dof("v3")) == {"edge_id": "e3", "s": 8 * grid.spacing["e3"]}
+
+
+def test_consecutive_main_calls_share_no_options(tmp_path, capsys):
+    # main builds its parser once per process; options of one call must not
+    # leak into the next
+    from kwnet import cli
+
+    prob = write_problem(tmp_path)
+    out = tmp_path / "other"
+    assert main(["solve", str(prob), "--c", "-3", "--cells", "16", "--tol", "1e-6",
+                 "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "other.report").read_text())
+    assert (report["c"], report["cells"]["e1"], report["tolerance"]) == (-3.0, 16, 1e-6)
+
+    assert main(["solve", str(prob)]) == 0
+    report = json.loads((tmp_path / "prob.report").read_text())
+    assert (report["c"], report["cells"]["e1"], report["tolerance"]) == (-2.0, 64, 1e-8)
+
+    assert main(["threshold", str(prob), "--cells", "16"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(prob), str(tmp_path / "prob.solution.csv")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["c"], payload["tolerance"]) == (-2.0, 1e-4)
+    assert cli._parser() is cli._parser()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
+from scipy.linalg import ldl
 from scipy.sparse.linalg import spsolve
 
 from kwnet import (
@@ -85,11 +86,21 @@ def test_solve_edge_cases_match_dense(grid):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, spread=st.floats(0.1, 200.0))
-def test_negative_eigenvalues_match_dense(seed, spread):
+@given(seed=seeds, spread=st.floats(0.1, 200.0), two_by_two=st.booleans())
+def test_negative_eigenvalues_match_dense(seed, spread, two_by_two):
     rng = np.random.default_rng(seed)
     grid = random_grid(rng, cells_lo=2, cells_hi=48)
     d = grid.weights * rng.uniform(-spread, spread, grid.ndof)
+    if two_by_two:
+        # vertex shifts that zero the diagonal of the vertex Schur complement
+        # leave its LDL^T no 1 x 1 pivot to start with: D gets 2 x 2 blocks
+        nv = len(grid.graph.vertex_ids)
+        d[:nv] = 0.0
+        A = _dense(grid, d)
+        s0 = A[:nv, :nv] - A[:nv, nv:] @ np.linalg.solve(A[nv:, nv:], A[nv:, :nv])
+        d[:nv] = -np.diag(s0)
+        _, blocks, _ = ldl(s0 - np.diag(np.diag(s0)))
+        assert np.any(np.diagonal(blocks, 1) != 0.0)
     eig = np.linalg.eigvalsh(_dense(grid, d))
     assume(float(np.min(np.abs(eig))) > 1e-9 * float(np.max(np.abs(eig))))
     assert grid.operators.factor(d).negative_eigenvalues() == int(np.sum(eig < 0.0))

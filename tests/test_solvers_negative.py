@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kwnet import (
+    GridFunction,
     apply_residual,
     build_lower,
     build_upper,
@@ -17,6 +18,7 @@ from kwnet import (
     sample_function,
     solve,
     solve_negative,
+    solve_shifted,
 )
 from kwnet import solvers
 from kwnet.errors import (
@@ -34,6 +36,7 @@ from helpers import (
     make_theta,
     make_triangle,
     ordered_pair,
+    random_h_nonpositive,
     random_h_sign_changing,
 )
 
@@ -41,6 +44,33 @@ from helpers import (
 def cos_h(cells=128):
     grid = make_single(cells=cells)
     return sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+
+
+def theta_h(cells=48):
+    """h = 1/2 on the whole edge e1 (its ends included), dipping to -3/2 in
+    the middle of e2 and e3; int h < 0."""
+    grid = make_theta(cells=cells)
+    return sample_function(grid, {
+        "e1": lambda s: 0.5,
+        "e2": lambda s: 0.5 - 2.0 * math.sin(math.pi * s / 1.3),
+        "e3": lambda s: 0.5 - 2.0 * math.sin(math.pi * s / 0.9),
+    })
+
+
+def reference_monotone(h, c, up, step_tol=1e-13, max_sweeps=5000):
+    """Plain monotone iteration from ``up`` with the fixed shift
+    max(1, -h) e^(u+), one solve_shifted per sweep, no Newton finish."""
+    grid, hv = h.grid, h.values
+    k = GridFunction(grid, np.maximum(1.0, -hv) * np.exp(up.values))
+    u = up.values
+    for _ in range(max_sweeps):
+        rhs = GridFunction(grid, c - hv * np.exp(u) - k.values * u)
+        unew = solve_shifted(grid, k, rhs).values
+        step = float(np.max(np.abs(unew - u)))
+        u = unew
+        if step <= step_tol:
+            return u
+    raise AssertionError(f"reference iteration took more than {max_sweeps} sweeps")
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +218,56 @@ def test_monotone_records_rejected_tails(monkeypatch, reason):
     assert [row["reason"] for row in details["rejected_tails"]] == [reason]
     assert 1 <= details["rejected_tails"][0]["sweep"] < sol.report.iterations
     assert calls == [1e-8 * (1.0 + abs(c))] * 2  # the tail aims at the solve's own tol
+
+
+@pytest.mark.parametrize("cells", [96, 1536])
+def test_least_shift_sweeps_at_most_40(cells):
+    h = cos_h(cells=cells)
+    c = 0.3 * build_upper(h).implied_c
+    sol = solve_negative(h, c)
+    assert sol.report.iterations <= 40
+    assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
+
+
+@pytest.mark.parametrize("case", ["certified-0.3", "certified-0.9", "hneg-star3", "theta"])
+def test_matches_reference_iteration_with_the_old_shift(case):
+    if case.startswith("certified"):
+        h = cos_h(cells=96)
+        c = float(case.split("-")[1]) * build_upper(h).implied_c
+    elif case == "hneg-star3":
+        h = random_h_nonpositive(make_star3(cells=32), np.random.default_rng(3))
+        c = -0.7
+    else:
+        h = theta_h()
+        c = 0.5 * build_upper(h).implied_c
+    _, up = ordered_pair(h, c)
+    sol = solve_negative(h, c)
+    assert np.max(np.abs(sol.u.values - reference_monotone(h, c, up))) <= 1e-9
+
+
+def test_pair_with_small_defect_solves_where_h_is_positive_on_an_edge():
+    # u+ certified at implied_c, used a little below: its defect is -5e-10
+    # at one node, inside the admitted 1e-9 (1 + |c|)
+    h = theta_h()
+    params = build_upper(h)
+    up = params.u_plus()
+    defect = apply_residual(up, h, params.implied_c).residual / h.grid.weights
+    c = params.implied_c - float(np.min(defect)) - 5e-10
+    lo, _ = ordered_pair(h, params.implied_c)
+    sol = monotone_iterate(h, c, lo, up)
+    assert sol.report.details["upper_defect"] == pytest.approx(-5e-10, rel=1e-3)
+    assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
+    assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
+
+
+def test_theta_pair_ordering_guards():
+    h = theta_h()
+    c = 0.5 * build_upper(h).implied_c
+    lo, up = ordered_pair(h, c)
+    with pytest.raises(OrderingViolated):
+        monotone_iterate(h, c, up, lo)
+    with pytest.raises(OrderingViolated):
+        monotone_iterate(h, c, lo, constant(h.grid, 10.0))
 
 
 def test_refreshed_shift_cuts_sweeps_at_768_cells():
