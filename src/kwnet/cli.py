@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -30,8 +31,9 @@ EXIT_INPUT = 1
 EXIT_NOT_SOLVABLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEFECTS = 4
-# rows of a solution CSV converted at a time
+# rows of a solution CSV converted at a time when the csv module reads it
 _CSV_BLOCK = 8192
+_CSV_ROW = np.dtype([("id", object), ("s", float), ("u", float)])
 
 
 def _out_prefix(args) -> str:
@@ -51,16 +53,17 @@ def _write_solution_csv(path: str, spec: ProblemSpec, u: GridFunction) -> None:
     # deterministic layout: edges by id, samples from tail to head; %.17g
     # reads back as the same double
     grid, edges = spec.grid, spec.graph.edges
-    nodes = grid.edge_nodes(sorted(range(len(edges)), key=lambda j: edges[j].id))
-    # an id quoted as the csv module would
+    order = sorted(range(len(edges)), key=lambda j: edges[j].id)
+    nodes = grid.edge_nodes(order)
+    count = np.diff(grid.edge_start).tolist()
+    # one row template per edge, its id quoted as the csv module would
     ids = ['"%s"' % i.replace('"', '""') if set(i) & set(',"\r\n') else i
-           for i in (str(e.id) for e in edges)]
-    fields = [None] * (3 * nodes.size)
-    fields[0::3] = np.array(ids, dtype=object)[grid.node_edge[nodes]].tolist()
-    fields[1::3] = grid.node_s[nodes].tolist()
-    fields[2::3] = u.values[grid.node_dof[nodes]].tolist()
+           for i in (str(edges[j].id) for j in order)]
+    rows = "".join((i.replace("%", "%%") + ",%.17g,%.17g\n") * count[j]
+                   for i, j in zip(ids, order))
+    su = np.column_stack((grid.node_s[nodes], u.values[grid.node_dof[nodes]]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("edge_id,s,u\n" + "%s,%.17g,%.17g\n" * nodes.size % tuple(fields))
+        fh.write("edge_id,s,u\n" + rows % tuple(su.ravel().tolist()))
 
 
 def _verdict_dict(verdict) -> dict:
@@ -170,27 +173,32 @@ def cmd_threshold(args) -> int:
 def _read_solution_csv(path: str, spec: ProblemSpec) -> GridFunction:
     """Rebuild a GridFunction from cmd_solve's CSV; ValueError on mismatch.
 
+    After the header, numpy's C reader parses every row in one pass, quoted
+    ids included.  A file it refuses, or one with a non-finite number, is
+    read again by the csv module (``_scan_csv``), which names the first bad
+    row; text that only Python's float reads (``1_0``) is read there too.
     The rows of an edge may be interleaved with other edges' rows.  Faults
     are reported in this order: the first bad row; unknown or missing
     edges; then sample counts, arclengths and vertex values unlike an
     earlier edge's, each for the edge whose rows start first.
     """
-    blocks = [((), np.empty(0), np.empty(0))]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["edge_id", "s", "u"]:
-                raise ValueError(f"{path}: expected header edge_id,s,u")
-            # a block of rows at a time: only one block is held as text
-            line = reader.line_num
-            while rows := list(itertools.islice(reader, _CSV_BLOCK)):
-                blocks.append(_csv_block(path, rows, line))
-                line = reader.line_num
+            _csv_header(path, csv.reader(fh))
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file: "no samples for edges" names it
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", quotechar='"',
+                                      comments=None, ndmin=1)
+            except ValueError:
+                rows = None
+        if rows is not None and np.isfinite(rows["s"]).all() and np.isfinite(rows["u"]).all():
+            ids, s_vals, u_vals = rows["id"].tolist(), rows["s"], rows["u"]
+        else:
+            ids, s_vals, u_vals = _scan_csv(path)
     except OSError as exc:
         raise ValueError(f"cannot read solution file {path!r}: {exc}") from exc
-    ids = list(itertools.chain.from_iterable(b[0] for b in blocks))
-    s_vals, u_vals = (np.concatenate([b[k] for b in blocks]) for k in (1, 2))
 
     grid = spec.grid
     position = grid.graph.edge_position
@@ -233,6 +241,29 @@ def _read_solution_csv(path: str, spec: ProblemSpec) -> GridFunction:
     last = ends[np.append(~same, True)]  # a vertex keeps the last edge's value
     values[grid.node_dof[last]] = u_vals[last]
     return GridFunction(grid, values)
+
+
+def _csv_header(path: str, reader) -> None:
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != ["edge_id", "s", "u"]:
+        raise ValueError(f"{path}: expected header edge_id,s,u")
+
+
+def _scan_csv(path: str) -> tuple:
+    """(ids, s, u) of the rows by the csv module, a block of rows at a time
+    so that only one block is held as text; ValueError names the first row
+    that is not an id and two finite numbers, with its line."""
+    blocks = [((), np.empty(0), np.empty(0))]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        _csv_header(path, reader)
+        line = reader.line_num
+        while rows := list(itertools.islice(reader, _CSV_BLOCK)):
+            blocks.append(_csv_block(path, rows, line))
+            line = reader.line_num
+    ids = list(itertools.chain.from_iterable(b[0] for b in blocks))
+    s_vals, u_vals = (np.concatenate([b[k] for b in blocks]) for k in (1, 2))
+    return ids, s_vals, u_vals
 
 
 def _csv_block(path: str, rows: list, line: int) -> tuple:
@@ -325,7 +356,8 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _write_json(args.out + ".verify", payload)
+        with open(args.out + ".verify", "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     print(text)
     return EXIT_OK if ok else EXIT_DEFECTS
 

@@ -42,13 +42,17 @@ MEAN_RTOL = 1e-9
 class Edge:
     """One edge of a metric graph.
 
-    The coordinate s runs from 0 at ``tail`` to ``length`` at ``head``.
+    The coordinate s runs from 0 at ``tail`` to ``length`` at ``head``;
+    ``length`` is stored as a float.
     """
 
     id: str
     tail: str
     head: str
     length: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "length", float(self.length))
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,14 @@ def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
     if len(vertex_set) != len(vertex_ids):
         raise ValueError("duplicate vertex ids")
 
-    built = []
+    # one pass over the edges: build, check, and collect ids, incidence
+    # and adjacency; duplicate ids are reported after every edge
+    # has passed its own checks
+    built, edge_ids = [], set()
+    incidence = {v: set() for v in vertex_ids}
+    adj = {v: set() for v in vertex_ids}
     for spec in edges:
         e = spec if isinstance(spec, Edge) else Edge(*spec)
-        e = Edge(e.id, e.tail, e.head, float(e.length))
         if not math.isfinite(e.length) or e.length <= 0.0:
             raise NonpositiveLength(f"edge {e.id!r} has length {e.length}")
         if e.tail == e.head:
@@ -111,21 +119,17 @@ def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
             if v not in vertex_set:
                 raise DanglingEndpoint(f"edge {e.id!r} references unknown vertex {v!r}")
         built.append(e)
-    if len({e.id for e in built}) != len(built):
-        raise ValueError("duplicate edge ids")
-
-    incidence = {v: set() for v in vertex_ids}
-    for e in built:
+        edge_ids.add(e.id)
         incidence[e.tail].add(e.id)
         incidence[e.head].add(e.id)
+        adj[e.tail].add(e.head)
+        adj[e.head].add(e.tail)
+    if len(edge_ids) != len(built):
+        raise ValueError("duplicate edge ids")
 
     # connectivity by breadth-first search over vertices
     seen = {vertex_ids[0]}
     frontier = [vertex_ids[0]]
-    adj = {v: set() for v in vertex_ids}
-    for e in built:
-        adj[e.tail].add(e.head)
-        adj[e.head].add(e.tail)
     while frontier:
         v = frontier.pop()
         for u in adj[v]:

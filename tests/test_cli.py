@@ -4,11 +4,16 @@ import csv
 import itertools
 import json
 import math
+import os
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kwnet import GridFunction, parse_problem
+from kwnet import GridFunction, cli, parse_problem
 from kwnet.cli import _read_solution_csv, _write_solution_csv, main
 
 
@@ -156,7 +161,9 @@ def test_verify_flags_perturbation(tmp_path, capsys):
     loc = payload["worst_residual"]["location"]
     assert loc["edge_id"] == "e1"
     assert abs(loc["s"] - 29 / 64) < 1e-12
-    assert (tmp_path / "bad.verify").exists()
+    # the file holds the text printed
+    assert (tmp_path / "bad.verify").read_text() == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_rejects_cells_mismatch(tmp_path, capsys):
@@ -351,6 +358,113 @@ def test_csv_line_numbers_count_across_blocks_of_rows(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r", line 15005: non-finite value in row \['e0', '"):
         _read_solution_csv(str(path), spec)
+
+
+def test_csv_with_no_rows_names_the_missing_edges(tmp_path):
+    spec = star_spec(2, 4)
+    path = tmp_path / "u.csv"
+    path.write_text("edge_id,s,u\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r": no samples for edges \['e0', 'e1'\]$"):
+            _read_solution_csv(str(path), spec)
+
+
+def _reference_write(path, spec, u):
+    # the writer as it was when it formatted one id field per row
+    grid, edges = spec.grid, spec.graph.edges
+    nodes = grid.edge_nodes(sorted(range(len(edges)), key=lambda j: edges[j].id))
+    ids = ['"%s"' % i.replace('"', '""') if set(i) & set(',"\r\n') else i
+           for i in (str(e.id) for e in edges)]
+    fields = [None] * (3 * nodes.size)
+    fields[0::3] = np.array(ids, dtype=object)[grid.node_edge[nodes]].tolist()
+    fields[1::3] = grid.node_s[nodes].tolist()
+    fields[2::3] = u.values[grid.node_dof[nodes]].tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("edge_id,s,u\n" + "%s,%.17g,%.17g\n" * nodes.size % tuple(fields))
+
+
+def path_spec(ids, cells):
+    n = len(ids)
+    return parse_problem({
+        "vertices": [f"v{k}" for k in range(n + 1)],
+        "edges": [{"id": i, "tail": f"v{k}", "head": f"v{k + 1}", "length": 0.5 + k,
+                   "cells": cells} for k, i in enumerate(ids)],
+        "h": "-1",
+    })
+
+
+csv_ids = st.text(st.sampled_from(list('%s,"\r\n #é中\u2028'))
+                  | st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(csv_ids, min_size=1, max_size=4, unique=True),
+       cells=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_csv_writer_bytes_match_the_reference_and_read_back(ids, cells, seed):
+    spec = path_spec(ids, cells)
+    u = wild_values(spec, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = os.path.join(tmp, "new.csv"), os.path.join(tmp, "ref.csv")
+        _write_solution_csv(new, spec, u)
+        _reference_write(ref, spec, u)
+        with open(new, "rb") as a, open(ref, "rb") as b:
+            assert a.read() == b.read()
+        # a written file never needs the csv module's second reading
+        with mock.patch.object(cli, "_scan_csv", side_effect=AssertionError("re-scanned")):
+            back = _read_solution_csv(new, spec)
+    assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
+
+def _underscored(text):
+    for k in range(len(text) - 1):
+        if text[k].isdigit() and text[k + 1].isdigit():
+            return text[:k + 1] + "_" + text[k + 1:]
+    return text + "_0" if text[-1:].isdigit() else text
+
+
+NUMBER_EDITS = [_underscored, lambda t: "nan", lambda t: "1e400", lambda t: "-inf",
+                lambda t: f" {t} ", lambda t: f'"{t}"', lambda t: "abc", lambda t: ""]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_csv_reader_matches_the_csv_module_reading(data):
+    spec = parse_problem({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": 'x,"y"', "tail": "a", "head": "b", "length": 1.0, "cells": 4},
+                  {"id": "z", "tail": "b", "head": "c", "length": 0.5, "cells": 5}],
+        "h": "-1",
+    })
+    u = wild_values(spec, data.draw(st.integers(0, 2**32 - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.csv")
+        _write_solution_csv(path, spec, u)
+        with open(path, newline="") as fh:
+            rows = [[r[0] if r[0] == "z" else '"x,""y"""', r[1], r[2]]
+                    for r in list(csv.reader(fh))[1:]]
+        for _ in range(data.draw(st.integers(0, 3))):
+            k, col = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.sampled_from([1, 2]))
+            rows[k][col] = data.draw(st.sampled_from(NUMBER_EDITS))(rows[k][col])
+        if data.draw(st.booleans()):
+            rows = [['"z"' if r[0] == "z" else r[0]] + r[1:] for r in rows]
+        lines = ["edge_id,s,u"] + [",".join(r) for r in rows]
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(data.draw(st.integers(1, len(lines))),
+                         data.draw(st.sampled_from(["", " ", "\t"])))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        with open(path, "w", newline="") as fh:
+            fh.write(end.join(lines) + end)
+
+        def outcome():
+            try:
+                return _read_solution_csv(path, spec).values.view(np.int64).tolist()
+            except ValueError as exc:
+                return str(exc)
+
+        fast = outcome()
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            assert outcome() == fast
 
 
 def test_verify_locates_worst_residual_on_a_star(tmp_path, capsys):
