@@ -1,21 +1,23 @@
 """
-The critical case: descending to the threshold itself
-=====================================================
+The critical case: the solution at the threshold itself
+=======================================================
 
 Right at the solvability threshold c(h) the monotone machinery runs out
-of upper solutions, but solutions still exist.  The construction follows
-solutions down a ladder of c values toward the threshold, trapping each
-one in a box [-A, psi_k] whose ceiling psi_k is a solution at a slightly
-smaller c, hence an upper solution, and finding it there by monotone
-iteration; the point of the exercise is that the H1 norms stay bounded
-along the way, so the ladder has a limit.  Rungs that found no solution
-would be listed in the report's rejected_rungs.
+of upper solutions, but a solution still exists.  In the discrete problem
+it is the turning point of the solution branch: walked from the certified
+solution at implied_c with the mean of u as its parameter, c falls until
+dc/dmu = 0, and that fold is both the threshold c* and the solution there.
+The point of the critical case is that the solutions stay bounded on the
+way down; the report's approach record holds the H1 norms, Dirichlet
+energies, mass defects and residuals of the branch points the walk solved
+between the bracket top and the fold.
 """
 
 import numpy as np
 
 from kwnet import (
     GridFunction,
+    apply_residual,
     build_graph,
     build_grid,
     estimate_threshold,
@@ -34,22 +36,20 @@ print("threshold bracket:", [est.c_lo, est.c_hi])
 
 sol = solve_critical(h, est)
 rep = sol.report
+c_final = rep.details["c_final"]
 print("method:", rep.method, " status:", rep.status)
-print("c_final:", rep.details["c_final"],
-      " c_midpoint:", rep.details["c_midpoint"])
+print("c_final:", c_final, " c_midpoint:", rep.details["c_midpoint"])
+print("residual at c_final:", apply_residual(sol.u, h, c_final).weak_residual_norm)
 
-# the rung log: c values walked, H1 norms, and the energy bound that
-# keeps them honest (dirichlet_half <= energy_cap is the boundedness
-# estimate, checked per rung)
-print("\n rung    c           |u|_H1     1/2|du|^2   energy cap")
-for i, r in enumerate(rep.details["rungs"]):
-    print(f"  {i:2d}  {r['c']:.8f}  {r['h1_norm']:9.5f}  {r['dirichlet_half']:9.5f}"
-          f"  {r['energy_cap']:10.5f}")
+# the approach record: branch points from the bracket top down to the fold
+# (the last row); bounded H1 norms here are what the critical case rests on
+print("\n        c            |u|_H1     1/2|du|^2   mass defect   residual")
+for r in rep.details["approach"]:
+    print(f"  {r['c']:.10f}  {r['h1_norm']:9.5f}  {r['dirichlet_half']:9.5f}"
+          f"  {r['mass_defect']:11.2e}  {r['residual']:9.2e}")
 
-print("rejected rungs:", rep.details["rejected_rungs"])
-
-h1s = [r["h1_norm"] for r in rep.details["rungs"]]
-print("\nH1 spread along the descent:", max(h1s) / min(h1s))
+h1s = [r["h1_norm"] for r in rep.details["approach"]]
+print("\nH1 spread along the approach:", max(h1s) / min(h1s))
 
 # mass identity at the bracket midpoint, the quantity the bracket width
 # actually controls

@@ -337,9 +337,10 @@ def cmd_verify(args) -> int:
         },
     }
     if c == 0.0:
+        # the scheme's own form of the identity, exact up to roundoff
         checks["energy_identity"] = {
-            "value": ident.energy_defect,
-            "bound": tol * max(1.0, abs(integrate(spec.h))),
+            "value": ident.discrete_energy_defect,
+            "bound": tol * max(1.0, abs(ident.energy_target)),
         }
     ok = all(entry["value"] <= entry["bound"] for entry in checks.values())
     for entry in checks.values():
@@ -354,6 +355,11 @@ def cmd_verify(args) -> int:
         "worst_residual": {"value": float(scaled[worst]), "location": worst_loc},
         "status": "ok" if ok else "defects",
     }
+    if c == 0.0:
+        payload["midpoint_energy_defect"] = {
+            "value": ident.energy_defect,
+            "note": "continuum identity at cell midpoints: O(h^2) discretization error, not gated",
+        }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out + ".verify", "w", encoding="utf-8") as fh:

@@ -22,8 +22,8 @@ The sign of c decides the machinery:
   a damped-Newton tail at the solve's own tolerance finishes inside the
   sandwich.  Below implied_c one walk of the solution branch, in (u, c) with
   the mean of u as parameter, supplies the rest: a point on it at c_psi < c
-  is a strict upper solution at c, its fold is the solvability threshold,
-  and the rungs of the critical descent take their ceilings from it.
+  is a strict upper solution at c, and its fold is both the solvability
+  threshold and the solution of the critical case c = c*.
 
 All iterations report residuals in the pointwise-defect scale of
 ``apply_residual`` (max |r_i| / weight_i), with convergence thresholds scaled
@@ -69,7 +69,6 @@ MAX_ITER_MONOTONE = 500
 SHIFT_REFRESH = 5
 # floor of the monotone shift, relative to max(-h): keeps k > 0 where h >= 0
 SHIFT_FLOOR = 1e-2
-CRITICAL_RUNGS = 8
 ARMIJO_START = 1.0
 ARMIJO_FACTOR = 0.5
 ARMIJO_DECREASE = 1e-4
@@ -1105,9 +1104,9 @@ class _Walk:
         self.down_to(-math.inf)
         return self.fold_point
 
-    def upper(self, c: float, c_floor: float = -math.inf) -> _BranchPoint:
+    def upper(self, c: float) -> _BranchPoint:
         """A solved point on the approach side of the fold with c_p in
-        (max(c_floor, c - 2 eps), c - residual]: an upper solution at c, and
+        (c - 2 eps, c - residual]: an upper solution at c, and
         close to the solution there.  eps is half the gap in c over which the
         tangent of the closest point above c moves u by 1e-3 (1 + |c|) in the
         max norm, so monotone iteration from the point starts in its Newton
@@ -1126,7 +1125,7 @@ class _Walk:
                 f"(certified range starts at {self.points[0].c})", c_star=c_star)
         a = min((p for p in solved if p.dc * first > 0.0 and p.c + p.res > c),
                 key=lambda p: p.c, default=self.points[0])
-        eps = 0.5 * min(c - c_floor, reach * abs(a.dc) / float(np.max(np.abs(a.du))))
+        eps = 0.5 * reach * abs(a.dc) / float(np.max(np.abs(a.du)))
 
         def done(p, _=None):
             return p.dc * first > 0.0 and c - 2.0 * eps < p.c and p.c + p.res <= c
@@ -1202,16 +1201,16 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
 
 def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
                    tol: float = DEFAULT_TOL, max_iter: int | None = None) -> Solution:
-    """Follow solutions down to the threshold bracket and return the last one.
+    """The solution at the threshold itself: the fold of the solution branch.
 
-    Up to CRITICAL_RUNGS rungs c_k descend geometrically from the bracket top
-    toward its midpoint.  One walk of the solution branch from implied_c
-    gives every rung its ceiling psi_k, a point at some c in (c_floor, c_k]
-    and so an upper solution at c_k, and monotone iteration finds the rung's
-    solution in the box [-A_k, psi_k].  H1 norms and the mass identity
-    int h e^u = c_k |G| are recorded per rung; their boundedness is the
-    point of the construction.  A rung with no ceiling or no solution in its
-    box is listed with its reason in ``details["rejected_rungs"]``.
+    One walk of the branch from implied_c, with the bracket width as its
+    fold precision, ends at the turning point dc/dmu = 0; that point solves
+    the equation at c_final = c*, its c.  The fold must lie in the bracket
+    [c_lo, c_hi], else NoConvergence names c*.  ``details["approach"]`` is
+    the boundedness record the critical case rests on: H1 norm, 1/2 |du|^2,
+    mass defect and residual of every solved point on the approach side of
+    the fold with c <= c_hi, then of the fold.  It costs no extra solve.
+    BoundBlowup is raised when its H1 norms spread by more than 50x.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")
@@ -1220,94 +1219,47 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     hv, w = h.values, ws.w
     c_lo, c_hi = estimate.c_lo, estimate.c_hi
     c_mid = 0.5 * (c_lo + c_hi)
-    width = c_hi - c_lo
+    walk = _Walk(ws, h, build_upper(h), tol, max_iter, c_hi - c_lo)
+    fold = walk.fold()
+    if not c_lo <= fold.c <= c_hi:
+        raise NoConvergence(f"the fold of the solution branch at c* = {fold.c!r} lies "
+                            f"outside the bracket [{c_lo!r}, {c_hi!r}]")
 
-    base_lower = build_lower(h, c_hi, margin=0.5 * (-c_hi))
-    a_base = -float(np.min(base_lower.values))
-    walk = _Walk(ws, h, build_upper(h), tol, max_iter, width)
+    def mass(p):
+        return float(w @ (hv * np.exp(p.u)))
 
-    rungs = []
-    rejected = []
-    u_best = None
-    c_best = None
-    total_iters = 0
-    c_floor = c_mid
-    c_top = c_hi
-    c_try = 0.5 * (c_hi + c_mid)
-    for _ in range(CRITICAL_RUNGS):
-        c_k = c_try
-        try:
-            point = walk.upper(c_k, c_floor)
-            psi = GridFunction(grid, point.u)
-            a_k = max(a_base, 1.0 - float(np.min(point.u)))
-            sol = monotone_iterate(h, c_k, constant(grid, -a_k), psi, tol=tol,
-                                   max_iter=max_iter, counts=ws.counts)
-        except (NoUpperSolutionFound, NoConvergence, OrderingViolated) as exc:
-            rejected.append({"c": c_k, "reason": f"{type(exc).__name__}: {exc}"})
-            c_floor = c_k
-            c_try = 0.5 * (c_top + c_floor)
-            continue
-        u_k = sol.u.values
-        total_iters += sol.report.iterations
-        nr = norms(sol.u)
-        h1 = math.hypot(nr.l2, nr.h1_seminorm)
-        mass = float(w @ (hv * np.exp(u_k)))
-        energy_cap = (
-            _box_value(ws, hv, c_k, np.full(grid.ndof, -a_k))
-            - c_k * integrate(psi)
-            + float(np.max(np.abs(hv))) * float(w @ np.exp(point.u))
-        )
-        rungs.append({
-            "c": c_k,
-            "c_psi": point.c,
-            "h1_norm": h1,
-            "mass_defect": abs(mass - c_k * ws.total),
-            "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
-            "energy_cap": energy_cap,
-            "residual": sol.report.final_residual,
-        })
-        u_best, c_best = u_k, c_k
-        c_top = c_k
-        c_try = 0.5 * (c_k + c_floor)
-        if c_top - c_floor <= max(1e-3 * width, 1e-15 * abs(c_mid)):
-            break
+    def record(p):
+        nr = norms(GridFunction(grid, p.u))
+        return {"c": p.c, "h1_norm": math.hypot(nr.l2, nr.h1_seminorm),
+                "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
+                "mass_defect": abs(mass(p) - p.c * ws.total), "residual": p.res}
 
-    if u_best is None:
-        raise NoConvergence("no rung of the critical descent produced a solution")
-
-    h1s = [r["h1_norm"] for r in rungs]
+    first = walk.points[0].dc
+    side = [p for p in walk.points + walk.refinement
+            if p is not fold and p.dc * first > 0.0 and p.c <= c_hi]
+    approach = [record(p) for p in sorted(side, key=lambda p: p.c, reverse=True)] + [record(fold)]
+    h1s = [r["h1_norm"] for r in approach]
     if max(h1s) > 50.0 * max(min(h1s), 1e-30):
-        raise BoundBlowup(f"H1 norms along the descent spread by {max(h1s)/min(h1s):.1f}x")
+        raise BoundBlowup(f"H1 norms along the approach spread by {max(h1s)/min(h1s):.1f}x")
 
-    r_own = ws.weak_norm(residual_vector(grid, u_best, hv, c_best))
-    r_mid = ws.weak_norm(residual_vector(grid, u_best, hv, c_mid))
-    mass = float(w @ (hv * np.exp(u_best)))
     report = SolveReport(
-        method="critical-box",
-        iterations=total_iters,
-        final_residual=r_own,
-        functional_value=_box_value(ws, hv, c_best, u_best),
+        method="critical-fold",
+        iterations=sum(p.iters for p in walk.points + walk.refinement),
+        final_residual=fold.res,
         identity_checks={
-            "mass_defect_at_c_final": abs(mass - c_best * ws.total),
-            "mass_defect_at_midpoint": abs(mass - c_mid * ws.total),
+            "mass_defect_at_c_final": approach[-1]["mass_defect"],
+            "mass_defect_at_midpoint": abs(mass(fold) - c_mid * ws.total),
         },
         details={
-            "c_final": c_best,
+            "c_final": fold.c,
             "c_midpoint": c_mid,
             "bracket": [c_lo, c_hi],
-            "residual_at_midpoint": r_mid,
-            "rungs": rungs,
-            "rejected_rungs": rejected,
+            "approach": approach,
             "branch_points": walk.solved(),
             **asdict(ws.counts),
         },
     )
-    return Solution(GridFunction(grid, u_best), report)
-
-
-def _box_value(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray) -> float:
-    return (0.5 * float(x @ (ws.K @ x)) + c * float(ws.w @ x)
-            - float(ws.w @ (hv * np.exp(x))))
+    return Solution(GridFunction(grid, fold.u), report)
 
 
 def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,

@@ -368,7 +368,7 @@ def test_criterion_07_threshold():
 
 
 # ---------------------------------------------------------------------------
-# 8. critical case: bounded descent to the bracket midpoint
+# 8. critical case: the fold of the branch, with bounded norms on its approach
 
 
 def _c08():
@@ -378,17 +378,21 @@ def _c08():
     est = estimate_threshold(h, bracket_tol=bt)
     sol = solve_critical(h, est)
     assert sol.report.status == "Converged"
-    assert sol.report.method == "critical-box"
-    rungs = sol.report.details["rungs"]
-    assert len(rungs) >= 1
-    h1s = [r["h1_norm"] for r in rungs]
+    assert sol.report.method == "critical-fold"
+    approach = sol.report.details["approach"]
+    assert len(approach) >= 1
+    h1s = [r["h1_norm"] for r in approach]
     assert max(h1s) / min(h1s) <= 10.0, h1s
-    c_mid = sol.report.details["c_midpoint"]
+    for r in approach:
+        assert r["residual"] <= 1e-8 * (1 + abs(r["c"])), r
+    c_mid, c_final = sol.report.details["c_midpoint"], sol.report.details["c_final"]
+    assert est.c_lo <= c_final <= est.c_hi
+    assert abs(c_final - c_mid) <= 0.01 * (est.c_hi - est.c_lo)
     defect = abs(integrate(GridFunction(grid, h.values * np.exp(sol.u.values)))
                  - c_mid * grid.total_length)
     assert defect <= bt * grid.total_length, (defect, bt)
     assert abs(defect - sol.report.identity_checks["mass_defect_at_midpoint"]) <= 1e-12
-    return (f"{len(rungs)} rungs, H1 spread {max(h1s)/min(h1s):.2f} <= 10, "
+    return (f"{len(approach)} approach points, H1 spread {max(h1s)/min(h1s):.2f} <= 10, "
             f"midpoint mass defect {defect:.2e} <= {bt:g}|G|")
 
 

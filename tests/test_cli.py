@@ -231,6 +231,9 @@ def test_solve_zero_case_and_energy_check(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["checks"]["energy_identity"]["ok"]
+    # the midpoint figure is reported beside the checks, not gated
+    assert payload["midpoint_energy_defect"]["value"] > payload["checks"]["energy_identity"]["value"]
+    assert "midpoint_energy_defect" not in payload["checks"]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Threshold bracketing and the behavior at the critical c."""
 
+import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +14,14 @@ from kwnet import (
     constant,
     estimate_threshold,
     integrate,
+    load_problem,
     sample_function,
     solve_critical,
     solve_negative,
 )
 from kwnet import solvers
-from kwnet.errors import IntegralNotNegative, NoUpperSolutionFound
+from kwnet.cli import _write_solution_csv, main
+from kwnet.errors import IntegralNotNegative, NoConvergence, NoUpperSolutionFound
 from helpers import make_single, make_star3, make_theta, oracle_fold, random_h_sign_changing
 
 
@@ -109,8 +114,7 @@ def test_threshold_and_critical_make_no_solve_negative_call(monkeypatch):
     h = cos_h()
     est = solvers.estimate_threshold(h)
     sol = solvers.solve_critical(h, est)
-    assert sol.report.details["rejected_rungs"] == []
-    assert sol.report.details["branch_points"] >= len(sol.report.details["rungs"])
+    assert sol.report.details["branch_points"] >= len(sol.report.details["approach"])
 
 
 def theta_h():
@@ -124,23 +128,54 @@ def test_critical_descent_unit_edge(make_h):
     est = estimate_threshold(h)
     sol = solve_critical(h, est)
     rep = sol.report
-    assert rep.method == "critical-box"
-    rungs = rep.details["rungs"]
-    assert len(rungs) >= 1
-    # every rung found its solution in its box
-    assert rep.details["rejected_rungs"] == []
-    h1s = [r["h1_norm"] for r in rungs]
+    assert rep.method == "critical-fold"
+    approach = rep.details["approach"]
+    assert len(approach) >= 1
+    h1s = [r["h1_norm"] for r in approach]
     assert max(h1s) / min(h1s) <= 10.0
-    for r in rungs:
-        assert r["dirichlet_half"] <= r["energy_cap"] + 1e-9
+    for r in approach:
         assert r["residual"] <= 1e-8 * (1 + abs(r["c"]))
-    # the final c hugs the bracket midpoint from above
-    c_mid = rep.details["c_midpoint"]
-    assert est.c_lo <= c_mid <= rep.details["c_final"] <= est.c_hi
+    # the fold lands on the bracket midpoint, to roundoff from either side
+    c_mid, c_final = rep.details["c_midpoint"], rep.details["c_final"]
+    assert est.c_lo <= c_final <= est.c_hi
     width = est.c_hi - est.c_lo
-    assert rep.details["c_final"] - c_mid <= 0.01 * width
+    assert abs(c_final - c_mid) <= 0.01 * width
+    assert approach[-1]["c"] == c_final
+    assert rep.final_residual == approach[-1]["residual"]
+    assert apply_residual(sol.u, h, c_final).weak_residual_norm <= 1e-8 * (1 + abs(c_final))
     defect = rep.identity_checks["mass_defect_at_midpoint"]
     assert defect <= width * h.grid.total_length
+
+
+@pytest.mark.parametrize("cells", [768, 3072])
+def test_critical_solution_verifies_at_fine_meshes(tmp_path, cells):
+    prob = tmp_path / "edge.json"
+    prob.write_text(json.dumps({
+        "vertices": ["p", "q"],
+        "edges": [{"id": "e1", "tail": "p", "head": "q", "length": 1.0, "cells": cells}],
+        "h": "cos(pi*s) - 0.1",
+    }))
+    spec = load_problem(str(prob))
+    est = estimate_threshold(spec.h)
+    sol = solve_critical(spec.h, est)
+    c_final = sol.report.details["c_final"]
+    assert est.c_lo <= c_final <= est.c_hi
+    res = apply_residual(sol.u, spec.h, c_final).weak_residual_norm
+    assert res <= 1e-8 * (1 + abs(c_final))
+    csv_path = str(tmp_path / "edge.solution.csv")
+    _write_solution_csv(csv_path, spec, sol.u)
+    assert main(["verify", str(prob), csv_path, "--c", repr(c_final)]) == 0
+
+
+def test_critical_names_the_fold_outside_the_bracket():
+    h = cos_h()
+    est = estimate_threshold(h)
+    width = est.c_hi - est.c_lo
+    moved = replace(est, c_lo=est.c_lo + 10.0 * width, c_hi=est.c_hi + 10.0 * width)
+    with pytest.raises(NoConvergence, match=r"c\* = ") as info:
+        solve_critical(h, moved)
+    named = float(re.search(r"c\* = (\S+)", str(info.value)).group(1))
+    assert abs(named - est.details["c_star"]) <= 1e-3 * width
 
 
 def test_critical_requires_finite_threshold():

@@ -8,6 +8,8 @@ import pytest
 from kwnet import (
     GridFunction,
     apply_residual,
+    build_graph,
+    build_grid,
     constant,
     fd_gradient_check,
     identity_report,
@@ -29,6 +31,7 @@ def test_identity_report_constant_case():
     assert rep.mass_value == pytest.approx(-2.0 * grid.total_length, rel=1e-13)
     assert rep.mass_defect <= 1e-12
     assert rep.energy_value is None and rep.energy_defect is None
+    assert rep.discrete_energy_value is None and rep.discrete_energy_defect is None
 
 
 def test_identity_report_zero_case():
@@ -39,6 +42,22 @@ def test_identity_report_zero_case():
     assert rep.energy_target == pytest.approx(-integrate(h))
     assert rep.energy_defect <= 1e-5 * abs(integrate(h))
     assert rep.mass_defect <= 1e-9
+
+
+@pytest.mark.parametrize("n_edges", [100, 1000])
+def test_discrete_energy_identity_on_large_stars(n_edges):
+    # the scheme meets its own form of the c = 0 identity to roundoff, where
+    # the midpoint form carries the O(h^2) discretization error
+    vs = ["hub"] + [f"v{i}" for i in range(n_edges)]
+    es = [(f"e{i}", "hub", f"v{i}", 0.5 + (i % 7) / 7.0) for i in range(n_edges)]
+    grid = build_grid(build_graph(vs, es), 32)
+    h = sample_function(grid, {e[0]: (lambda s, L=e[3]: np.cos(np.pi * s / L) - 0.1)
+                               for e in es})
+    rep = identity_report(solve_zero(h).u, h, 0.0)
+    ih = abs(integrate(h))
+    assert rep.discrete_energy_defect <= 1e-10 * ih
+    assert rep.discrete_energy_defect == abs(rep.discrete_energy_value - rep.energy_target)
+    assert rep.energy_defect > 1e3 * rep.discrete_energy_defect
 
 
 def test_identity_report_grid_mismatch():
