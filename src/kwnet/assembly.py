@@ -12,9 +12,12 @@ through ``GridOperators.factor``.  The edge interiors are eliminated first:
 they form one tridiagonal that couples no two edges, factored by LAPACK in
 O(ndof) time and memory.  What remains is the |V| x |V| vertex Schur
 complement, which has the graph-Laplacian pattern (one entry per vertex and
-per edge) and is factored by SuperLU at a cost set by the vertex graph
-alone, however fine the edges are meshed (Arioli & Benzi, IMA J. Numer.
-Anal. 38, 2018).
+per edge) and is factored at a cost set by the vertex graph alone, however
+fine the edges are meshed (Arioli & Benzi, IMA J. Numer. Anal. 38, 2018):
+by dense LAPACK LU while it has at most _DENSE_ROWS rows, by SuperLU above.
+SuperLU's fixed cost is about 50 us per factorization and 8 us per solve
+even at |V| = 2-11, where dense LU takes about 2 us for each; on stars and
+random trees dense LU stays the cheaper up to about |V| = 100.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ LINEAR_RTOL = 1e-12
 # decoupled unit rows appended to the interior tridiagonal (see GridOperators)
 _PAD = 2
 _ZEROS = np.zeros(_PAD)
+# the largest vertex Schur complement, bordered or not, factored dense
+_DENSE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -135,15 +140,24 @@ class GridOperators:
         vs, ev = np.arange(nv), self.end_vertex
         self._rows = np.concatenate((vs, ev, ev))
         self._cols = np.concatenate((vs, tail, tail, head, head))
-        self._schur = _csc_pattern(self._rows, self._cols, nv)
+        # the bordered Schur complement has nv + 1 rows
+        self.dense = nv < _DENSE_ROWS
+        self._schur = self._pattern(self._rows, self._cols, nv)
 
     @cached_property
     def _bordered(self):
         """The Schur pattern bordered by one dense last row and column."""
         nv, ev = self.nv, self.end_vertex
         vs, b, e = np.arange(nv), np.full(nv, nv), np.full(len(ev), nv)
-        return _csc_pattern(np.concatenate((self._rows, vs, ev, b, e, [nv])),
-                            np.concatenate((self._cols, b, e, vs, ev, [nv])), nv + 1)
+        return self._pattern(np.concatenate((self._rows, vs, ev, b, e, [nv])),
+                             np.concatenate((self._cols, b, e, vs, ev, [nv])), nv + 1)
+
+    def _pattern(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        """Where each (row, col) entry given of an n x n Schur complement is
+        summed: its index in the column-major dense matrix, or a CSC matrix
+        and its data slot (see _csc_pattern)."""
+        index = cols * n + rows
+        return index if self.dense else _csc_pattern(index, n)
 
     def couple(self, x_interior: np.ndarray) -> np.ndarray:
         """K_VI x_I: the interior values' contribution to the vertex rows."""
@@ -156,14 +170,21 @@ class GridOperators:
         return KPlusDiag(self, np.asarray(d, dtype=float), border)
 
 
-def _csc_pattern(rows: np.ndarray, cols: np.ndarray, n: int):
-    """An n x n CSC matrix holding every (row, col) given, zero-filled, and
-    the data slot of each given entry (repeated entries share a slot)."""
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+def _csc_pattern(index: np.ndarray, n: int):
+    """An n x n CSC matrix holding every entry given by its column-major
+    index, zero-filled, and the data slot of each (repeated entries share
+    a slot)."""
+    keys, slot = np.unique(index, return_inverse=True)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
     mat = sparse.csc_matrix((np.zeros(len(keys)), (keys % n).astype(np.intc),
                              indptr.astype(np.intc)), shape=(n, n))
     return mat, slot
+
+
+def _dense(index: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix, Fortran-ordered, whose entry at column-major
+    ``index[k]`` is the sum of ``vals[k]``, added in order."""
+    return np.bincount(index, weights=vals, minlength=n * n).reshape(n, n).T
 
 
 class KPlusDiag:
@@ -172,10 +193,13 @@ class KPlusDiag:
     One LAPACK dgttrf factors the interior tridiagonal T; one dgttrs gives
     Z = T^-1 [K_IV, border_I], each edge's response to its tail and its
     head vertex (and to the border).  The vertex Schur complement
-    S = A_VV - K_VI Z is filled into the grid's prebuilt CSC pattern and
-    factored by SuperLU.  A zero interior pivot, a singular S or a nonfinite
-    solution raise LinearSolveFailure.  The reduced unknowns x_R are the
-    vertex values, plus the border multiplier when bordered.
+    S = A_VV - K_VI Z is summed into the grid's prebuilt pattern, in the
+    same order on either path, and factored by LAPACK dgetrf while it has at
+    most _DENSE_ROWS rows (about 2 us at |V| <= 11, where SuperLU takes
+    about 50 us; the two cost the same near |V| = 100), by SuperLU above.
+    A zero interior pivot, a singular S or a nonfinite solution raise
+    LinearSolveFailure.  The reduced unknowns x_R are the vertex values,
+    plus the border multiplier when bordered.
     """
 
     def __init__(self, ops: GridOperators, d: np.ndarray, border: np.ndarray | None):
@@ -197,20 +221,29 @@ class KPlusDiag:
         self._a_vv = ops.kdiag[:nv] + d[:nv]
         vals = [self._a_vv, coupled[:, 0], coupled[:, 1]]
         self._border = border
-        if border is None:
-            schur, slot = ops._schur
-        else:
-            schur, slot = ops._bordered
+        pattern = ops._schur
+        if border is not None:
+            pattern = ops._bordered
             vals += [border[:nv], coupled[:, 2], border[:nv], coupled[:, 2],
                      [-(border[nv:] @ z[:, 2])]]
         self._vals = np.concatenate(vals)
-        # every factorization of this grid fills the same pattern; SuperLU
-        # copies what it keeps, so the data array is scratch space
-        schur.data[:] = np.bincount(slot, weights=self._vals, minlength=schur.nnz)
-        try:
-            self._schur = spla.splu(schur)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(f"vertex Schur complement: {exc}") from exc
+        if ops.dense:
+            # dgetrf factors a copy: S stays for the inertia count
+            self._s = _dense(pattern, self._vals, nv + (border is not None))
+            lu, piv, info = lapack.dgetrf(self._s)
+            if info > 0:
+                raise LinearSolveFailure(
+                    f"vertex Schur complement: exactly singular (zero pivot in column {info - 1})")
+            self._schur_solve = lambda r: lapack.dgetrs(lu, piv, r)[0]
+        else:
+            # every factorization of this grid fills the same pattern; SuperLU
+            # copies what it keeps, so the data array is scratch space
+            schur, slot = pattern
+            schur.data[:] = np.bincount(slot, weights=self._vals, minlength=schur.nnz)
+            try:
+                self._schur_solve = spla.splu(schur).solve
+            except RuntimeError as exc:
+                raise LinearSolveFailure(f"vertex Schur complement: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (K + diag(d)) x = b (length ndof, or ndof + 1 when bordered).
@@ -229,7 +262,7 @@ class KPlusDiag:
         r = b[:nv] - ops.couple(y)
         if border is not None:
             r = np.append(r, b[n] - border[nv:] @ y)
-        xr = self._schur.solve(r)
+        xr = self._schur_solve(r)
         rhs[ops.first] -= ops.coupling * xr[ops.tail]
         rhs[ops.last] -= ops.coupling * xr[ops.head]
         if border is not None:
@@ -239,7 +272,7 @@ class KPlusDiag:
         if border is not None:
             r -= border[:nv] * xr[nv]
             r = np.append(r, b[n] - border[:nv] @ xr[:nv] - border[nv:] @ xi)
-        dr = self._schur.solve(r)
+        dr = self._schur_solve(r)
         xr += dr
         xi -= z[:, 0] * dr[ops.tail_of] + z[:, 1] * dr[ops.head_of]
         if border is not None:
@@ -265,8 +298,8 @@ class KPlusDiag:
         ops = self.ops
         interior = eigvalsh_tridiagonal(self._diag, ops.t_off, select="v",
                                         select_range=(-np.inf, 0.0))
-        s = np.zeros((ops.nv, ops.nv))
-        np.add.at(s, (ops._rows, ops._cols), self._vals)
+        s = (self._s.copy() if ops.dense
+             else _dense(ops._cols * ops.nv + ops._rows, self._vals, ops.nv))
         _, blocks, _ = ldl(s, overwrite_a=True)
         # a 2 x 2 block starts wherever D has a nonzero superdiagonal entry
         two = np.flatnonzero(np.diagonal(blocks, 1))

@@ -33,6 +33,7 @@ omitted when the caller supplies it separately.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import re
@@ -83,13 +84,18 @@ def _normalize(text: str) -> str:
     return text.replace("^", "**").replace("−", "-")
 
 
-def _compile(src: str, text: str, params=frozenset()) -> tuple:
+@functools.lru_cache(maxsize=512)
+def _compile(src: str, text: str, params: frozenset = frozenset()) -> tuple:
     """Compile ``src``, admitting only arithmetic, the whitelisted functions,
     s, pi, e and the names in ``params`` (ValueError naming ``text``), and
     find the parameters that may hold one value per node: those with only
     + - * / and signs between them and the nearest subexpression in s, or
     the root.  Under ^ or in a function of constants numpy would take other
-    paths for an array than for a Python float (x^0.5 is a sqrt)."""
+    paths for an array than for a Python float (x^0.5 is a sqrt).
+
+    A pure function of its strings, so memoized: problems that repeat a
+    template (every parse of the same file) compile it once.  A ValueError
+    is not cached and is raised again on every call."""
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -126,7 +132,7 @@ def _compile(src: str, text: str, params=frozenset()) -> tuple:
         return False, pending
 
     per_node.update(check(tree.body)[1])
-    return compile(tree, "<h-expression>", "eval"), per_node
+    return compile(tree, "<h-expression>", "eval"), frozenset(per_node)
 
 
 def _evaluate(code, text: str, s: np.ndarray, params=None) -> np.ndarray:
@@ -155,7 +161,7 @@ def _expression_values(grid: Grid, exprs: dict, out: np.ndarray) -> None:
         try:
             if any("_" in t for t in template):  # a name that passes for a parameter
                 raise ValueError(src)
-            code, per_node = _compile(src, src, set(names))
+            code, per_node = _compile(src, src, frozenset(names))
             # edges that agree on the literals that stay Python floats
             batches = {}
             for j, _, lits in members:

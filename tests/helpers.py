@@ -83,6 +83,18 @@ def random_grid(rng, cells_lo=16, cells_hi=48):
     return maker(cells=cells, lengths=lengths)
 
 
+def random_tree_grid(n_edges, seed, cells=None):
+    """A random tree with hubs of high degree and edges of many lengths."""
+    rng = np.random.default_rng(seed)
+    parents = [int(rng.integers(0, max(1, j // 4))) for j in range(1, n_edges + 1)]
+    edges = [(f"e{j}", f"v{p}", f"v{j + 1}", float(rng.uniform(0.1, 3.0)))
+             for j, p in enumerate(parents)]
+    graph = build_graph([f"v{j}" for j in range(n_edges + 1)], edges)
+    if cells is None:
+        cells = {e[0]: int(rng.integers(2, 40)) for e in edges}
+    return build_grid(graph, cells)
+
+
 # ----------------------------------------------------------------------
 # random smooth profiles (continuity is automatic on shared DOFs)
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from kwnet.errors import (
     SelfLoop,
     SeminormExceedsDelta,
 )
-from helpers import make_single, make_star3, make_theta, make_triangle
+from helpers import make_single, make_star3, make_theta, make_triangle, random_tree_grid
 
 
 def test_build_graph_validates():
@@ -83,18 +83,6 @@ def test_grid_resolution_forms():
 def test_edge_coords_run_tail_to_head():
     grid = make_single(cells=4, length=2.0)
     assert np.allclose(grid.edge_coords("e1"), [0.0, 0.5, 1.0, 1.5, 2.0])
-
-
-def random_tree_grid(n_edges, seed, cells=None):
-    """A random tree with hubs of high degree and edges of many lengths."""
-    rng = np.random.default_rng(seed)
-    parents = [int(rng.integers(0, max(1, j // 4))) for j in range(1, n_edges + 1)]
-    edges = [(f"e{j}", f"v{p}", f"v{j + 1}", float(rng.uniform(0.1, 3.0)))
-             for j, p in enumerate(parents)]
-    graph = build_graph([f"v{j}" for j in range(n_edges + 1)], edges)
-    if cells is None:
-        cells = {e[0]: int(rng.integers(2, 40)) for e in edges}
-    return build_grid(graph, cells)
 
 
 def loop_stiffness_and_weights(grid):

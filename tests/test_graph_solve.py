@@ -22,10 +22,17 @@ from kwnet import (
     solve_positive,
     solve_shifted,
 )
+from kwnet import assembly
 from kwnet.assembly import LINEAR_RTOL
 from kwnet.errors import LinearSolveFailure
 from kwnet.solvers import _damped_newton, _linsolve, _Workspace
-from helpers import make_single, make_theta, random_grid, random_h_positive_somewhere
+from helpers import (
+    make_single,
+    make_theta,
+    random_grid,
+    random_h_positive_somewhere,
+    random_tree_grid,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -104,6 +111,58 @@ def test_negative_eigenvalues_match_dense(seed, spread, two_by_two):
     eig = np.linalg.eigvalsh(_dense(grid, d))
     assume(float(np.min(np.abs(eig))) > 1e-9 * float(np.max(np.abs(eig))))
     assert grid.operators.factor(d).negative_eigenvalues() == int(np.sum(eig < 0.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_superlu_path_matches_dense(seed):
+    # 81 vertices: above the dense-LU limit, S goes to SuperLU
+    grid = random_tree_grid(80, seed, cells={f"e{j}": 4 + j % 5 for j in range(80)})
+    assert not grid.operators.dense
+    rng = np.random.default_rng(seed)
+    n = grid.ndof
+    d = grid.weights * rng.uniform(-20.0, 20.0, n)
+    A = _dense(grid, d)
+    b = rng.standard_normal(n)
+    lu = grid.operators.factor(d)
+    _assert_matches(lu.solve(b), np.linalg.solve(A, b), np.linalg.cond(A))
+    eig = np.linalg.eigvalsh(A)
+    assert float(np.min(np.abs(eig))) > 1e-9 * float(np.max(np.abs(eig)))
+    assert lu.negative_eigenvalues() == int(np.sum(eig < 0.0)) > 0
+
+    w = grid.weights
+    B = np.block([[grid.stiffness.toarray(), w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    b = rng.standard_normal(n + 1)
+    x = grid.operators.factor(np.zeros(n), border=w).solve(b)
+    _assert_matches(x, np.linalg.solve(B, b), np.linalg.cond(B))
+
+
+@pytest.mark.parametrize("superlu", [False, True], ids=["dense", "superlu"])
+def test_singular_schur_complement_is_a_failure(monkeypatch, superlu):
+    if superlu:
+        monkeypatch.setattr(assembly, "_DENSE_ROWS", 0)
+    # with d = 0 the two-cell edge leaves S = [[1, -1], [-1, 1]] exactly
+    grid = make_single(cells=2)
+    assert grid.operators.dense is not superlu
+    with pytest.raises(LinearSolveFailure, match="vertex Schur complement"):
+        grid.operators.factor(np.zeros(grid.ndof))
+
+
+def test_dense_and_superlu_paths_agree(monkeypatch):
+    grid = make_theta(cells=9)
+    dense = grid.operators  # built, and its path chosen, before the patch
+    monkeypatch.setattr(assembly, "_DENSE_ROWS", 0)
+    superlu = make_theta(cells=9).operators
+    assert dense.dense and not superlu.dense
+    rng = np.random.default_rng(9)
+    n, w = grid.ndof, grid.weights
+    d = w * rng.uniform(-20.0, 20.0, n)
+    b = rng.standard_normal(n + 1)
+    x, ref = (ops.factor(d).solve(b[:n]) for ops in (dense, superlu))
+    _assert_matches(x, ref, np.linalg.cond(_dense(grid, d)))
+    x, ref = (ops.factor(np.zeros(n), border=w).solve(b) for ops in (dense, superlu))
+    B = np.block([[grid.stiffness.toarray(), w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    _assert_matches(x, ref, np.linalg.cond(B))
+    assert dense.factor(d).negative_eigenvalues() == superlu.factor(d).negative_eigenvalues()
 
 
 def test_solve_on_thousand_edge_star():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwnet import compile_expression, default_cells, load_problem, parse_problem
+from kwnet import compile_expression, default_cells, load_problem, parse_problem, problemfile
 
 
 BASE = {
@@ -51,6 +51,31 @@ def test_expression_constant_broadcasts():
 def test_expression_rejects(bad):
     with pytest.raises(ValueError):
         compile_expression(bad)
+
+
+def test_templates_compile_once_and_bad_ones_raise_every_time(monkeypatch):
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(problemfile, "compile", counting_compile, raising=False)
+    problemfile._compile.cache_clear()
+    good = dict(BASE, h="cos(pi*s) - 0.25")
+    first = parse_problem(good)
+    assert compiled
+    compiled.clear()
+    assert np.array_equal(parse_problem(good).h.values, first.h.values)
+    assert compiled == []
+
+    bad = dict(BASE, h="cos(pi*s) + t")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown name 't'") as exc:
+            parse_problem(bad)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("bad", ["cos(pi*s) - 1/0", "2^10000", "(-1)^0.5"])
