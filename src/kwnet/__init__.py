@@ -23,7 +23,6 @@ from .graph import (  # noqa: F401
     sample_function,
 )
 from .assembly import (  # noqa: F401
-    SparseOperator,
     apply_residual,
     assemble_mass,
     assemble_stiffness,

@@ -47,28 +47,8 @@ _ZEROS = np.zeros(_PAD)
 _DENSE_ROWS = 64
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """A symmetric sparse operator on grid DOF vectors."""
-
-    matrix: sparse.csr_matrix
-
-    def __matmul__(self, vec):
-        return self.matrix @ vec
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def is_symmetric(self) -> bool:
-        d = self.matrix - self.matrix.T
-        return d.nnz == 0 or float(np.max(np.abs(d.data))) == 0.0
-
-
-def assemble_stiffness(grid: Grid) -> SparseOperator:
-    """P1 stiffness: u^T K u = sum_j sum_cells (du/h_j)^2 h_j.
+def assemble_stiffness(grid: Grid) -> sparse.csr_matrix:
+    """P1 stiffness as a CSR matrix: u^T K u = sum_j sum_cells (du/h_j)^2 h_j.
 
     Per-edge tridiagonal blocks with entries +-1/h_j; K is symmetric positive
     semidefinite with constants in its kernel and nonpositive off-diagonal.
@@ -84,12 +64,13 @@ def assemble_stiffness(grid: Grid) -> SparseOperator:
     vals = np.concatenate((cell, cell, -cell, -cell))[order]
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(grid.ndof, grid.ndof))
     mat.sum_duplicates()
-    return SparseOperator(mat)
+    return mat
 
 
-def assemble_mass(grid: Grid) -> SparseOperator:
-    """Lumped mass: diagonal of trapezoid weights, so 1^T M f = integrate(f)."""
-    return SparseOperator(sparse.diags(grid.weights).tocsr())
+def assemble_mass(grid: Grid) -> sparse.csr_matrix:
+    """Lumped mass as a CSR matrix: diagonal of trapezoid weights, so
+    1^T M f = integrate(f)."""
+    return sparse.diags(grid.weights).tocsr()
 
 
 class GridOperators:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -19,7 +19,6 @@ import warnings
 
 import numpy as np
 
-from .errors import NotSolvable
 from .graph import GridFunction, integrate
 from .assembly import apply_residual
 from .problemfile import ProblemSpec, load_problem
@@ -31,8 +30,6 @@ EXIT_INPUT = 1
 EXIT_NOT_SOLVABLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEFECTS = 4
-# rows of a solution CSV converted at a time when the csv module reads it
-_CSV_BLOCK = 8192
 _CSV_ROW = np.dtype([("id", object), ("s", float), ("u", float)])
 
 
@@ -66,16 +63,6 @@ def _write_solution_csv(path: str, spec: ProblemSpec, u: GridFunction) -> None:
         fh.write("edge_id,s,u\n" + rows % tuple(su.ravel().tolist()))
 
 
-def _verdict_dict(verdict) -> dict:
-    return {
-        "status": verdict.status,
-        "reason": verdict.reason,
-        "integral_h": verdict.integral_h,
-        "max_h": verdict.max_h,
-        "min_h": verdict.min_h,
-    }
-
-
 def cmd_solve(args) -> int:
     try:
         spec = load_problem(args.problem, cells_override=args.cells)
@@ -96,7 +83,7 @@ def cmd_solve(args) -> int:
         "tolerance": args.tol,
         "cells": spec.cells,
         "total_length": spec.grid.total_length,
-        "verdict": _verdict_dict(verdict),
+        "verdict": dataclasses.asdict(verdict),
     }
 
     if not verdict.ok:
@@ -105,11 +92,7 @@ def cmd_solve(args) -> int:
         return EXIT_NOT_SOLVABLE
 
     try:
-        sol = solve(spec.h, c, tol=args.tol, max_iter=args.max_iter)
-    except NotSolvable as exc:  # classify above should have caught this
-        _write_json(report_path, dict(base, status="NotSolvable", message=str(exc)))
-        print(f"not solvable: {exc}", file=sys.stderr)
-        return EXIT_NOT_SOLVABLE
+        sol = solve(spec.h, c, tol=args.tol)
     except RuntimeError as exc:
         _write_json(report_path, dict(
             base, status="Failed", error=type(exc).__name__, message=str(exc)))
@@ -250,54 +233,30 @@ def _csv_header(path: str, reader) -> None:
 
 
 def _scan_csv(path: str) -> tuple:
-    """(ids, s, u) of the rows by the csv module, a block of rows at a time
-    so that only one block is held as text; ValueError names the first row
-    that is not an id and two finite numbers, with its line."""
-    blocks = [((), np.empty(0), np.empty(0))]
+    """(ids, s, u) of the rows by the csv module, skipping empty ones;
+    ValueError names the first row that is not an id and two finite
+    numbers, and for a non-finite one the file line the row ends on."""
+    ids, s_vals, u_vals = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         _csv_header(path, reader)
-        line = reader.line_num
-        while rows := list(itertools.islice(reader, _CSV_BLOCK)):
-            blocks.append(_csv_block(path, rows, line))
-            line = reader.line_num
-    ids = list(itertools.chain.from_iterable(b[0] for b in blocks))
-    s_vals, u_vals = (np.concatenate([b[k] for b in blocks]) for k in (1, 2))
-    return ids, s_vals, u_vals
-
-
-def _csv_block(path: str, rows: list, line: int) -> tuple:
-    """(ids, s, u) of the rows that follow line ``line`` of the file,
-    skipping empty ones; ValueError names the first row that is not an id
-    and two finite numbers."""
-    width = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    ids, s_txt, u_txt = zip(*itertools.compress(rows, width == 3)) if 3 in width else ((),) * 3
-    try:
-        su = np.fromiter(map(float, s_txt + u_txt), dtype=float, count=2 * len(ids))
-    except ValueError:  # NaN marks the non-numeric rows too
-        su = np.array([_float_or_nan(t) for t in s_txt + u_txt])
-    bad = (width != 3) & (width != 0)
-    bad[width == 3] = ~np.isfinite(su).reshape(2, -1).all(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if width[i] != 3:
-            raise ValueError(f"{path}: malformed row {rows[i]!r}")
-        try:
-            float(rows[i][1]), float(rows[i][2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric row {rows[i]!r}") from exc
-        # a NaN arclength would pass the comparison with the grid
-        line += i + 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n")
-                            for r in rows[:i + 1] for f in r)
-        raise ValueError(f"{path}, line {line}: non-finite value in row {rows[i]!r}")
-    return ids, su[:len(ids)], su[len(ids):]
-
-
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}: malformed row {row!r}")
+            try:
+                s, u = float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}: non-numeric row {row!r}") from exc
+            if not (math.isfinite(s) and math.isfinite(u)):
+                # a NaN arclength would pass the comparison with the grid
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"non-finite value in row {row!r}")
+            ids.append(row[0])
+            s_vals.append(s)
+            u_vals.append(u)
+    return ids, np.array(s_vals, dtype=float), np.array(u_vals, dtype=float)
 
 
 def cmd_verify(args) -> int:
@@ -381,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("problem", help="problem file (JSON)")
     ps.add_argument("--c", type=float, default=None, help="override c from the file")
     ps.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-    ps.add_argument("--max-iter", type=int, default=None, help="iteration cap")
     ps.add_argument("--cells", type=int, default=None,
                     help="cells per edge, overriding the file and defaults")
     ps.add_argument("--out", default=None,

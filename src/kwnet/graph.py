@@ -196,7 +196,7 @@ class Grid:
         first use and kept for the life of the grid."""
         from .assembly import assemble_stiffness
 
-        return assemble_stiffness(self).matrix
+        return assemble_stiffness(self)
 
     @cached_property
     def operators(self):

@@ -372,7 +372,7 @@ def _armijo(value, project, x, val, d, slope):
 
 
 def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float,
-             max_iter: int | None, method: str, *, value, project, step, lift):
+             method: str, *, value, project, step, lift):
     """Projected gradient descent on ``value`` from the feasible x, finished
     by damped Newton on the full residual at c; returns the last x, its
     solution u and the report of the descent.
@@ -390,10 +390,9 @@ def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float
     always has one, J 1 = -w h e^u; a second makes the root a saddle).
     ``details["rejected_tails"]`` lists each refused finish with its
     iteration and reason: "newton_failed", "constraint", "higher_value" or
-    "saddle".  NoConvergence when the descent stalls or runs out of
-    iterations first.
+    "saddle".  NoConvergence when the descent stalls or runs out of its
+    MAX_ITER_GRADIENT iterations first.
     """
-    max_iter = MAX_ITER_GRADIENT if max_iter is None else max_iter
     riesz = ws.riesz()
     val = value(x)
     rejected = []
@@ -417,7 +416,7 @@ def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float
         return None
 
     wn, it, attempts = math.inf, 0, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER_GRADIENT + 1):
         u, wn, d, slope = step(x, riesz)
         if wn <= tol:
             break
@@ -445,18 +444,17 @@ def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float
                              details=details)
 
 
-def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
-               max_iter: int | None = None) -> Solution:
+def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
     """Solve d2u = -h e^u (the c = 0 regime).
 
     Constrained minimization of 1/2 int |dv|^2 over
     {int v = 0, int h e^v = 0}, started from a scaled bump, by the descent
     of ``_descend``: the solution is u = v + ln(lambda), with lambda the
     constraint multiplier, and the stopping test is on the residual of that
-    u.  A Newton finish is accepted only when v = u - mean(u) keeps
-    |int h e^v| <= tol int |h| e^v: from a flat seed Newton can drift to the
-    pseudo-root u -> -infinity, whose residual vanishes with the constraint
-    far from holding.
+    u, at most tol within MAX_ITER_GRADIENT iterations.  A Newton finish is
+    accepted only when v = u - mean(u) keeps |int h e^v| <= tol int |h| e^v:
+    from a flat seed Newton can drift to the pseudo-root u -> -infinity,
+    whose residual vanishes with the constraint far from holding.
     """
     v0 = classify(h, 0.0)
     if not v0.ok:
@@ -501,7 +499,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
         ev = np.exp(x)
         return x if abs(float(w @ (hv * ev))) <= tol * float(w @ (np.abs(hv) * ev)) else None
 
-    v, u, report = _descend(ws, hv, 0.0, v, tol, max_iter, "constrained-gradient(zero)",
+    v, u, report = _descend(ws, hv, 0.0, v, tol, "constrained-gradient(zero)",
                             value=energy, project=project, step=step, lift=lift)
     report.multiplier = math.exp(float(w @ (u - v)) / ws.total)
     report.identity_checks = {
@@ -513,14 +511,14 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL,
     return Solution(GridFunction(grid, u), report)
 
 
-def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
-                   max_iter: int | None = None) -> Solution:
+def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> Solution:
     """Solve d2u = c - h e^u for c > 0 (solvable iff h is positive somewhere).
 
     Minimizes 1/2 int |du|^2 + c int u over {int h e^u = c |G|} by the
     descent of ``_descend``, whose projection is the exact constant shift
-    t = ln(c|G| / int h e^u).  A Newton finish is accepted only when its
-    root keeps |int h e^u - c |G|| <= tol (1 + c) |G|.
+    t = ln(c|G| / int h e^u), until the residual is at most tol (1 + c)
+    within MAX_ITER_GRADIENT iterations.  A Newton finish is accepted only
+    when its root keeps |int h e^u - c |G|| <= tol (1 + c) |G|.
     """
     if not c > 0.0:
         raise ValueError("solve_positive requires c > 0")
@@ -562,7 +560,7 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     def lift(x):
         return x if abs(float(w @ (hv * np.exp(x))) - target) <= ctol * ws.total else None
 
-    u, _, report = _descend(ws, hv, c, u, ctol, max_iter, "constrained-gradient(positive)",
+    u, _, report = _descend(ws, hv, c, u, ctol, "constrained-gradient(positive)",
                             value=value, project=project, step=step, lift=lift)
     report.multiplier = 1.0
     report.identity_checks = {"mass_defect": abs(float(w @ (hv * np.exp(u))) - target)}
@@ -659,7 +657,6 @@ def build_upper_hneg(h: GridFunction, c: float) -> GridFunction:
 
 def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
                      u_plus: GridFunction, *, tol: float = DEFAULT_TOL,
-                     max_iter: int | None = None,
                      counts: SolveCounts | None = None) -> Solution:
     """Descend from the upper solution through shifted linear solves.
 
@@ -678,13 +675,13 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     damped-Newton tail may finish the solve if it stays inside the sandwich;
     each refused tail is listed in ``details["rejected_tails"]`` with its
     reason, "newton_failed" or "left_sandwich".  When the steps reach
-    roundoff with the residual above tol and the tail fails too,
-    NoConvergence says so.  ``counts``, when given, receives this
-    call's factorizations and ridge retries as well.
+    roundoff with the residual above tol and the tail fails too, or when
+    MAX_ITER_MONOTONE sweeps do not reach tol, NoConvergence says so.
+    ``counts``, when given, receives this call's factorizations and ridge
+    retries as well.
     """
     if not c < 0.0:
         raise ValueError("monotone iteration applies to c < 0")
-    max_iter = MAX_ITER_MONOTONE if max_iter is None else max_iter
     grid = h.grid
     for f, name in ((u_minus, "u_minus"), (u_plus, "u_plus")):
         if not grids_compatible(grid, f.grid):
@@ -732,7 +729,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     used_tail = False
     refreshes = 0
     rejected_tails = []
-    for n in range(1, max_iter + 1):
+    for n in range(1, MAX_ITER_MONOTONE + 1):
         if n > 1 and (n - 1) % SHIFT_REFRESH == 0:
             sweep = None  # free the old factors before computing the new ones
             k, sweep = shift(u)
@@ -772,7 +769,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
                 )
             tail_at = step / 10.0
     else:
-        raise NoConvergence(f"monotone iteration exhausted {max_iter} sweeps")
+        raise NoConvergence(f"monotone iteration exhausted {MAX_ITER_MONOTONE} sweeps")
 
     mass = float(w @ (hv * np.exp(u)))
     report = SolveReport(
@@ -861,17 +858,15 @@ def _solve_ok(lu, x, b) -> bool:
 
 
 def _sandwich(h: GridFunction, c: float, up: GridFunction, *, tol: float,
-              max_iter: int | None, counts: SolveCounts) -> Solution:
+              counts: SolveCounts) -> Solution:
     """Monotone iteration at c from the upper solution ``up``, above a
     constant lower solution with a -c/2 margin that sits below ``up``."""
     base = build_lower(h, c, margin=0.5 * (-c))
     a_const = max(-float(np.min(base.values)), 1.0 - float(np.min(up.values)))
-    return monotone_iterate(h, c, constant(h.grid, -a_const), up, tol=tol,
-                            max_iter=max_iter, counts=counts)
+    return monotone_iterate(h, c, constant(h.grid, -a_const), up, tol=tol, counts=counts)
 
 
 def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
-                   max_iter: int | None = None,
                    counts: SolveCounts | None = None) -> Solution:
     """Solve d2u = c - h e^u for c < 0 (needs int h < 0).
 
@@ -881,7 +876,8 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     c_psi just below c, a strict upper solution at c (details ``c_psi`` and
     ``branch_points``).  When the branch folds above c, NoUpperSolutionFound
     names the fold c* (its ``c_star``): evidence of c below the threshold,
-    never a proof.  ``counts``, when given, receives this call's
+    never a proof.  Every monotone iteration, and the branch walk, stops at
+    residual tol (1 + |c|).  ``counts``, when given, receives this call's
     factorizations and ridge retries as well.
     """
     if not c < 0.0:
@@ -903,11 +899,11 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         else:
             # below the certified range: walk the branch from implied_c to a
             # point psi just below c
-            walk = _Walk(ws, h, params, tol, max_iter, 1e-4 * abs(c0), aimed=True)
+            walk = _Walk(ws, h, params, tol, 1e-4 * abs(c0), aimed=True)
             psi = walk.upper(c)
             method, up = "monotone(continuation)", GridFunction(h.grid, psi.u)
             details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
-    sol = _sandwich(h, c, up, tol=tol, max_iter=max_iter, counts=ws.counts)
+    sol = _sandwich(h, c, up, tol=tol, counts=ws.counts)
     sol.report.method = method
     sol.report.details.update(details, **ws.counts.since(start))
     return sol
@@ -989,10 +985,9 @@ class _Walk:
     """
 
     def __init__(self, ws: _Workspace, h: GridFunction, params: UpperSolutionParams,
-                 tol: float, max_iter: int | None, bracket_tol: float, aimed: bool = False):
+                 tol: float, bracket_tol: float, aimed: bool = False):
         c = params.implied_c
-        u = _sandwich(h, c, params.u_plus(), tol=tol, max_iter=max_iter,
-                      counts=ws.counts).u.values
+        u = _sandwich(h, c, params.u_plus(), tol=tol, counts=ws.counts).u.values
         self.ws = ws
         self.hv = h.values
         self.tol = tol
@@ -1144,8 +1139,7 @@ class _Walk:
         return self._secant(a, b, lambda p: p.c - (c - eps), done, tol)
 
 
-def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
-                       tol: float = DEFAULT_TOL, max_iter: int | None = None) -> ThresholdEstimate:
+def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> ThresholdEstimate:
     """Bracket the solvability threshold in c around the fold of the solutions.
 
     h <= 0 everywhere -> minus_infinity.  Otherwise the branch of solutions
@@ -1155,6 +1149,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
     it.  The bracket is c_hi = c* + bracket_tol / 2 and c_lo = c_hi -
     bracket_tol; monotone iteration certifies c_hi from a branch point just
     below it on the approach side of the fold, a strict upper solution.
+    Every solve in the walk and the certificate runs at DEFAULT_TOL.
 
     ``details`` holds c_star and mu_star, every traced point (``branch``)
     and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
@@ -1172,13 +1167,12 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
     params = build_upper(h)
     c0 = params.implied_c
     bracket_tol = 1e-4 * abs(c0) if bracket_tol is None else bracket_tol
-    walk = _Walk(_Workspace(h.grid, counts), h, params, tol, max_iter, bracket_tol)
+    walk = _Walk(_Workspace(h.grid, counts), h, params, DEFAULT_TOL, bracket_tol)
     fold = walk.fold()
     c_hi = min(fold.c + 0.5 * bracket_tol, c0)
     try:
         psi = walk.upper(c_hi)
-        _sandwich(h, c_hi, GridFunction(h.grid, psi.u), tol=tol, max_iter=max_iter,
-                  counts=counts)
+        _sandwich(h, c_hi, GridFunction(h.grid, psi.u), tol=DEFAULT_TOL, counts=counts)
     except (NoUpperSolutionFound, NoConvergence) as exc:
         raise NoConvergence(f"fold at c* = {fold.c!r}, but c_hi = {c_hi!r} "
                             f"did not solve: {exc}") from exc
@@ -1199,12 +1193,11 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None,
     )
 
 
-def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
-                   tol: float = DEFAULT_TOL, max_iter: int | None = None) -> Solution:
+def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     """The solution at the threshold itself: the fold of the solution branch.
 
-    One walk of the branch from implied_c, with the bracket width as its
-    fold precision, ends at the turning point dc/dmu = 0; that point solves
+    One walk of the branch from implied_c, at DEFAULT_TOL and with the
+    bracket width as its fold precision, ends at the turning point dc/dmu = 0; that point solves
     the equation at c_final = c*, its c.  The fold must lie in the bracket
     [c_lo, c_hi], else NoConvergence names c*.  ``details["approach"]`` is
     the boundedness record the critical case rests on: H1 norm, 1/2 |du|^2,
@@ -1219,7 +1212,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     hv, w = h.values, ws.w
     c_lo, c_hi = estimate.c_lo, estimate.c_hi
     c_mid = 0.5 * (c_lo + c_hi)
-    walk = _Walk(ws, h, build_upper(h), tol, max_iter, c_hi - c_lo)
+    walk = _Walk(ws, h, build_upper(h), DEFAULT_TOL, c_hi - c_lo)
     fold = walk.fold()
     if not c_lo <= fold.c <= c_hi:
         raise NoConvergence(f"the fold of the solution branch at c* = {fold.c!r} lies "
@@ -1262,11 +1255,10 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate, *,
     return Solution(GridFunction(grid, fold.u), report)
 
 
-def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
-          max_iter: int | None = None) -> Solution:
-    """Dispatch on the sign of c to the matching solver."""
+def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> Solution:
+    """Dispatch on the sign of c to the matching solver, at residual tol."""
     if c == 0.0:
-        return solve_zero(h, tol=tol, max_iter=max_iter)
+        return solve_zero(h, tol=tol)
     if c > 0.0:
-        return solve_positive(h, c, tol=tol, max_iter=max_iter)
-    return solve_negative(h, c, tol=tol, max_iter=max_iter)
+        return solve_positive(h, c, tol=tol)
+    return solve_negative(h, c, tol=tol)

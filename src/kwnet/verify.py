@@ -186,7 +186,7 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
         if not grids_compatible(grid, seed.grid):
             raise GridMismatch("seed lives on a different grid")
         u = seed.values.copy()
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     w = grid.weights
     hv = h.values
     ctol = tol * (1.0 + abs(c))

@@ -102,7 +102,7 @@ def random_tree_grid(n_edges, seed, cells=None):
 def smooth_random(grid, rng):
     """Random continuous profile, smoothed and normalized to sup = 1."""
     v = rng.standard_normal(grid.ndof)
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     eps = (grid.total_length / 10.0) ** 2
     A = (eps * K + diags(grid.weights)).tocsc()
     v = splu(A).solve(grid.weights * v)

@@ -24,7 +24,7 @@ from helpers import make_single, make_star3, make_theta, make_triangle
 
 def test_stiffness_symmetric_kernel_constants():
     grid = make_star3(cells=16)
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     assert (K - K.T).nnz == 0 or np.max(np.abs((K - K.T).data)) < 1e-14
     ones = np.ones(grid.ndof)
     assert np.max(np.abs(K @ ones)) < 1e-12
@@ -38,14 +38,14 @@ def test_stiffness_symmetric_kernel_constants():
 def test_stiffness_offdiagonals_nonpositive():
     # M-matrix sign pattern is what makes the monotone machinery work
     grid = make_theta(cells=12)
-    K = assemble_stiffness(grid).matrix.tocoo()
+    K = assemble_stiffness(grid).tocoo()
     off = K.data[K.row != K.col]
     assert np.all(off <= 0.0)
 
 
 def test_mass_matches_grid_weights():
     grid = make_triangle(cells=9)
-    M = assemble_mass(grid).matrix
+    M = assemble_mass(grid)
     assert np.allclose(M.diagonal(), grid.weights)
     assert M.nnz == grid.ndof
 
@@ -53,7 +53,7 @@ def test_mass_matches_grid_weights():
 def test_dirichlet_energy_via_stiffness():
     grid = make_single(cells=13, length=2.0)
     f = sample_function(grid, lambda s: 0.75 * s)
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     energy = float(f.values @ (K @ f.values))
     assert energy == pytest.approx(0.75**2 * 2.0, rel=1e-13)
 
@@ -105,7 +105,7 @@ def test_poisson_meanzero_roundtrip():
     f = GridFunction(grid, raw - (grid.weights @ raw) / grid.total_length)
     m = solve_poisson_meanzero(grid, f)
     assert abs(integrate(m)) < 1e-10 * (1 + float(np.max(np.abs(m.values))))
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     resid = K @ m.values + grid.weights * f.values  # weak form: K m = -M f
     assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.max(np.abs(f.values)))
 
@@ -119,7 +119,7 @@ def test_poisson_meanzero_requires_compatible_data():
 def test_apply_residual_zero_at_manufactured_root():
     grid = make_single(cells=32)
     u = sample_function(grid, lambda s: 0.3 * math.cos(math.pi * s))
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     c = 0.7
     hv = (c + (K @ u.values) / grid.weights) * np.exp(-u.values)
     rep = apply_residual(u, GridFunction(grid, hv), c)

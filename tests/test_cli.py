@@ -70,11 +70,19 @@ def test_solve_input_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["solve", str(bad)]) == 1
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
+    capsys.readouterr()
+    assert main(["threshold", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     noc = write_problem(tmp_path, name="noc.json")
     data = json.loads(noc.read_text())
     del data["c"]
     noc.write_text(json.dumps(data))
     assert main(["solve", str(noc)]) == 1
+    assert "no c" in capsys.readouterr().err
+    # verify asks for c once the solution file has been read
+    assert main(["solve", str(noc), "--c", "-2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(noc), str(tmp_path / "noc.solution.csv")]) == 1
     assert "no c" in capsys.readouterr().err
 
 
@@ -324,6 +332,10 @@ CSV_FAULTS = [
     ("non-finite", lambda L: _edit(L, 3, 1, "nan"),
      "{p}, line 4: non-finite value in row ['e1', 'nan', '0.5714285714285714']"),
     ("non-finite after blank lines", lambda L: L[:2] + ["", ""] + _edit(L, 7, 2, "inf")[2:],
+     "{p}, line 10: non-finite value in row ['e2', '0.25', 'inf']"),
+    # a quoted id that spans two lines counts as both
+    ("non-finite after a multi-line id",
+     lambda L: L[:2] + ['"z\nz",0.0,1.0'] + _edit(L, 7, 2, "inf")[2:],
      "{p}, line 10: non-finite value in row ['e2', '0.25', 'inf']"),
     ("unknown edge", lambda L: L + ["zz,0.0,1.0"], "{p}: unknown edges ['zz']"),
     ("missing edge", lambda L: L[:6], "{p}: no samples for edges ['e2']"),

@@ -113,7 +113,7 @@ def test_stiffness_and_weights_match_the_edge_loop_bitwise(seed):
     from kwnet import assemble_stiffness
 
     grid = random_tree_grid(60, seed)
-    K = assemble_stiffness(grid).matrix
+    K = assemble_stiffness(grid)
     K_ref, w_ref = loop_stiffness_and_weights(grid)
     assert np.array_equal(K.indptr, K_ref.indptr) and np.array_equal(K.indices, K_ref.indices)
     assert np.array_equal(K.data, K_ref.data)

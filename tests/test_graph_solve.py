@@ -147,6 +147,36 @@ def test_singular_schur_complement_is_a_failure(monkeypatch, superlu):
         grid.operators.factor(np.zeros(grid.ndof))
 
 
+def _star(n_edges):
+    vs = ["hub"] + [f"v{i}" for i in range(n_edges)]
+    es = [(f"e{i}", "hub", f"v{i}", 0.5 + (i % 7) / 7.0) for i in range(n_edges)]
+    return build_grid(build_graph(vs, es), {f"e{i}": 2 + i % 5 for i in range(n_edges)})
+
+
+@pytest.mark.parametrize("bordered", [False, True], ids=["plain", "bordered"])
+@pytest.mark.parametrize("n_edges", [5, 70], ids=["dense", "superlu"])
+def test_filled_schur_complement_matches_dense(n_edges, bordered):
+    # the correction step in solve() hides small errors in S from solution
+    # checks, so compare S itself with A_RR - A_RI A_II^-1 A_IR, where R is
+    # the vertex rows (and the border row) and I the edge interiors
+    grid = _star(n_edges)
+    ops = grid.operators
+    assert ops.dense is (n_edges == 5)
+    rng = np.random.default_rng(n_edges)
+    n, nv = grid.ndof, ops.nv
+    d = grid.weights * rng.uniform(-5.0, 20.0, n)
+    A = _dense(grid, d)
+    border = None
+    if bordered:
+        border = grid.weights * rng.uniform(0.5, 2.0, n)
+        A = np.block([[A, border[:, None]], [border[None, :], np.zeros((1, 1))]])
+    r, i = np.r_[:nv, n:len(A)], np.arange(nv, n)
+    ref = A[np.ix_(r, r)] - A[np.ix_(r, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, r)])
+    lu = ops.factor(d, border)
+    s = lu._s if ops.dense else (ops._bordered if bordered else ops._schur)[0].toarray()
+    assert float(np.max(np.abs(s - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+
 def test_dense_and_superlu_paths_agree(monkeypatch):
     grid = make_theta(cells=9)
     dense = grid.operators  # built, and its path chosen, before the patch
