@@ -24,10 +24,12 @@ becomes an array only where nothing but + - * / and signs lies between it
 and s.  Under ^ or in a function of constants it stays a Python float, and
 edges that differ there are evaluated in separate batches.
 
-Vertex entries may carry coordinates; they are
-accepted and ignored (edge lengths alone fix the metric).  "cells" defaults
-to the finest that keeps every spacing below min(length)/32, and "c" may be
-omitted when the caller supplies it separately.
+Vertex, edge, tail and head ids are strings, and h must be real: an
+expression that evaluates to complex values is rejected.  Vertex entries
+may carry coordinates; they are accepted and ignored (edge lengths alone
+fix the metric).  "cells" defaults to the finest that keeps every spacing
+below min(length)/32, and "c" may be omitted when the caller supplies it
+separately.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def _evaluate(code, text: str, s: np.ndarray, params=None) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore", divide="ignore"):
             out = eval(code, {"__builtins__": {}}, env)  # noqa: S307
+        if np.iscomplexobj(out):
+            # a float cast would keep the real part, which numpy computes
+            # differently for an array than for a Python complex
+            raise ValueError(f"expression {text!r} evaluates to complex values; h must be real")
         return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy()
     except (ArithmeticError, TypeError) as exc:
         raise ValueError(f"cannot evaluate expression {text!r}: {exc}") from exc
@@ -202,12 +208,11 @@ def _vertex_ids(raw) -> list:
         raise ValueError('"vertices" must be a non-empty list')
     out = []
     for item in raw:
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, dict) and "id" in item:
-            out.append(item["id"])  # coordinates, if any, are ignored
-        else:
-            raise ValueError(f"vertex entries must be ids or objects with an id: {item!r}")
+        vid = item.get("id") if isinstance(item, dict) else item  # coordinates are ignored
+        if not isinstance(vid, str):
+            raise ValueError(f"vertex entries must be string ids or objects with a string id: "
+                             f"{item!r}")
+        out.append(vid)
     return out
 
 
@@ -234,6 +239,11 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
             length = float(item["length"])
         except KeyError as exc:
             raise ValueError(f"edge entry missing {exc.args[0]!r}: {item!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"edge entry {item!r}: length must be a number") from exc
+        if not all(isinstance(x, str) for x in (eid, tail, head)):
+            # the solution CSV holds ids as text: verify must find them again
+            raise ValueError(f"edge entry {item!r}: id, tail and head must be strings")
         edges.append((eid, tail, head, length))
         lengths[eid] = length
         if "cells" in item:
@@ -276,11 +286,14 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
         elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
             node_h[nodes] = float(entry)
         elif isinstance(entry, list):
-            vals = np.asarray(entry, dtype=float)
+            try:
+                vals = np.asarray(entry, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"edge {eid!r}: h samples must be numbers: {exc}") from exc
             if vals.shape != coords.shape:
                 raise ValueError(
-                    f"edge {eid!r}: h sample array has {vals.size} entries, "
-                    f"grid wants {coords.size}"
+                    f"edge {eid!r}: h sample array has shape {vals.shape}, "
+                    f"grid wants a flat list of {coords.size} numbers"
                 )
             node_h[nodes] = vals
         else:

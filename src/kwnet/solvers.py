@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .assembly import residual_vector, shifted_solver, solve_poisson_meanzero
 from .errors import (
@@ -308,6 +307,64 @@ def _safe_exp_integral(w, hv, exponent):
         return float(w @ (hv * np.exp(np.minimum(exponent, 700.0))))
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), step for step as
+    scipy.optimize.brentq takes it, so the root is bitwise the same.
+    ValueError when f(a) and f(b) have one sign or f is NaN; RuntimeError
+    after ``maxiter`` steps."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an infinite or NaN step in C: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps (x = {xcur!r})")
+
+
 def _bump_scale(w, hv, wb, target: float) -> float:
     """The scale l > 0 at which int h e^(l wb) reaches ``target`` (above
     int h); raises FeasibilityFailure when doubling l never gets there."""
@@ -322,7 +379,7 @@ def _bump_scale(w, hv, wb, target: float) -> float:
         hi *= 2.0
     else:
         raise FeasibilityFailure(f"bump scaling never made int h e^(l w) exceed {target:.6g}")
-    return brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    return _brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray):

@@ -94,6 +94,48 @@ def test_solve_reports_arithmetic_errors_in_h(tmp_path, capsys, bad):
     assert err.startswith("error:") and "expression" in err
 
 
+def test_solve_rejects_complex_h(tmp_path, capsys):
+    prob = write_problem(tmp_path, h="((-1.0) ^ pi) * s + 0.2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no ComplexWarning
+        assert main(["solve", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge 'e1': ") and "complex values" in err
+    assert not (tmp_path / "prob.solution.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    {"length": None}, {"length": [1.0]}, {"id": ["e1"]}, {"tail": ["p"]}, {"head": ["q"]},
+    {"vertex": {"id": ["p"]}},
+], ids=["null-length", "list-length", "list-id", "list-tail", "list-head", "list-vertex-id"])
+def test_malformed_problem_files_exit_1_without_a_traceback(tmp_path, capsys, edit):
+    edge = {"id": "e1", "tail": "p", "head": "q", "length": 1.0, "cells": 64}
+    vertex = edit.pop("vertex", "p")
+    edge.update(edit)
+    prob = write_problem(tmp_path, vertices=[vertex, "q"], edges=[edge])
+    # the message names the entry at fault
+    named = f"edge entry {edge!r}: " if vertex == "p" else "vertex entries must be string ids"
+    for command in ("solve", "threshold"):
+        assert main([command, str(prob)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_ids_are_strings_so_verify_reads_what_solve_wrote(tmp_path, capsys):
+    numeric = write_problem(tmp_path, vertices=[{"id": 1}, {"id": 2}],
+                            edges=[{"id": 7, "tail": 1, "head": 2, "length": 1.0, "cells": 16}])
+    assert main(["solve", str(numeric)]) == 1
+    assert "must be string" in capsys.readouterr().err
+    assert not (tmp_path / "prob.solution.csv").exists()
+    # the same problem with string ids round trips
+    prob = write_problem(tmp_path, vertices=[{"id": "1"}, {"id": "2"}],
+                         edges=[{"id": "7", "tail": "1", "head": "2", "length": 1.0,
+                                 "cells": 16}])
+    assert main(["solve", str(prob)]) == 0
+    assert main(["verify", str(prob), str(tmp_path / "prob.solution.csv")]) == 0
+
+
 def test_solve_out_prefix_and_cells(tmp_path):
     prob = write_problem(tmp_path)
     out = tmp_path / "run1"
@@ -365,7 +407,8 @@ def test_csv_rejections_name_the_fault(tmp_path, name, damage, message):
 
 
 def test_csv_line_numbers_count_across_blocks_of_rows(tmp_path):
-    # more rows than the reader converts at a time, blank lines between
+    # 20000 rows, three blank lines among the first, a non-finite value near
+    # the end: the reported line counts every line of the file, blank ones too
     spec = star_spec(1, 20000)
     lines = _csv_lines(spec, GridFunction(spec.grid, np.zeros(spec.grid.ndof)))
     lines = lines[:5] + [""] * 3 + _edit(lines, 15001, 2, "-inf")[5:]

@@ -146,11 +146,36 @@ def test_parse_c_optional():
     (lambda d: d.update(h={"e1": "log(s - 5)"}), "non-finite samples"),
     (lambda d: d.pop("vertices"), "missing vertices"),
     (lambda d: d.pop("h"), "missing h"),
+    (lambda d: d["edges"][0].update(length=None), "null length"),
+    (lambda d: d["edges"][0].update(length=[1.0]), "list length"),
+    (lambda d: d["edges"][0].update(id=["e1"]), "list edge id"),
+    (lambda d: d["edges"][0].update(tail=["p"]), "list tail"),
+    (lambda d: d["edges"][0].update(head=["q"]), "list head"),
+    (lambda d: d.update(vertices=[{"id": ["p"]}, "q"]), "list vertex id"),
+    (lambda d: d.update(vertices=[{"id": 1}, {"id": 2}],
+                        edges=[{"id": 7, "tail": 1, "head": 2, "length": 1.0}]), "integer ids"),
+    (lambda d: d.update(h={"e1": [[0.0] * 11] * 3}), "nested samples"),
+    (lambda d: d.update(h={"e1": ["x"] * 33}), "non-numeric samples"),
+    (lambda d: d.update(h="((-1.0) ^ pi) * s + 0.2"), "complex h"),
 ])
 def test_parse_rejects(mutate, tag):
     data = json.loads(json.dumps(BASE))
     mutate(data)
-    with pytest.raises(ValueError):
+    with warnings.catch_warnings():
+        # rejected, not cast to float with a ComplexWarning (a RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            parse_problem(data)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([[0.0, 1.0, 2.0]] * 3, r"^edge 'e1': h sample array has shape \(3, 3\), "
+                            r"grid wants a flat list of 9 numbers$"),
+    ([0.0] * 8 + ["x"], r"^edge 'e1': h samples must be numbers: .*'x'"),
+], ids=["nested", "non-numeric"])
+def test_h_sample_errors_name_the_edge_and_shape(samples, message):
+    data = dict(BASE, edges=[dict(BASE["edges"][0], cells=8)], h={"e1": samples})
+    with pytest.raises(ValueError, match=message):
         parse_problem(data)
 
 
@@ -242,6 +267,21 @@ def test_integer_literals_stay_exact():
     for eid in ("e0", "e1", "e2"):
         s = h.grid.edge_coords(eid)
         assert np.array_equal(h.edge_values(eid), 1.0 + 0.5 * s)
+
+
+def test_complex_h_is_rejected_on_both_paths():
+    # once a Hypothesis find of the property above: the templated and the
+    # per-edge evaluation took the real parts of complex values that differ
+    # by an ulp.  Four edges share the template; one edge has it alone.
+    text = "(((1.0) / ((1.0) + ((-1.0) ^ pi))))*s"
+    for texts in ([text] * 4, [text]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="complex values") as info:
+                parse_problem(star_problem(texts))
+        assert str(info.value).startswith(f"edge 'e0': expression {text!r} ")
+    with pytest.raises(ValueError, match="h must be real"):
+        compile_expression(text)(np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("bad, why", [
