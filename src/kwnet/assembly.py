@@ -9,15 +9,18 @@ gives the discrete maximum principle the monotone iteration relies on.
 Every linear solve has the form K + diag(d) (the Riesz map, the monotone
 sweep, the Newton Jacobian and its ridge, the bordered flux problem) and goes
 through ``GridOperators.factor``.  The edge interiors are eliminated first:
-they form one tridiagonal that couples no two edges, factored by LAPACK in
-O(ndof) time and memory.  What remains is the |V| x |V| vertex Schur
-complement, which has the graph-Laplacian pattern (one entry per vertex and
-per edge) and is factored at a cost set by the vertex graph alone, however
-fine the edges are meshed (Arioli & Benzi, IMA J. Numer. Anal. 38, 2018):
-by dense LAPACK LU while it has at most _DENSE_ROWS rows, by SuperLU above.
-SuperLU's fixed cost is about 50 us per factorization and 8 us per solve
-even at |V| = 2-11, where dense LU takes about 2 us for each; on stars and
-random trees dense LU stays the cheaper up to about |V| = 100.
+they form one tridiagonal T that couples no two edges, factored by LAPACK in
+O(ndof) time and memory as LDL^T (dpttrf), or by partially pivoted LU
+(dgttrf) where LDL^T meets a nonpositive pivot.  What remains is the
+|V| x |V| vertex Schur complement, which has the graph-Laplacian pattern
+(one entry per vertex and per edge) and is factored at a cost set by the
+vertex graph alone, however fine the edges are meshed (Arioli & Benzi, IMA
+J. Numer. Anal. 38, 2018): by dense LAPACK LU while it has at most
+_DENSE_ROWS rows, by SuperLU above.  SuperLU's fixed cost is about 50 us per
+factorization and 8 us per solve even at |V| = 2-11, where dense LU takes
+about 2 us for each; on stars and random trees dense LU stays the cheaper up
+to about |V| = 100.  A solve then takes one substitution with T and one
+with the Schur complement.
 """
 
 from __future__ import annotations
@@ -103,9 +106,6 @@ class GridOperators:
         tail, head = grid.node_dof[tail_node], grid.node_dof[head_node]
         first, last = grid.node_dof[tail_node + 1] - nv, grid.node_dof[head_node - 1] - nv
         coupling = -1.0 / grid.edge_h
-        self.tail, self.head = tail, head
-        self.first, self.last = first, last
-        self.coupling = coupling
         # the two ends of every edge, tail ends first: the vertex, the
         # interior row K couples it to, and the coupling -1/h
         self.end_vertex = np.concatenate((tail, head))
@@ -169,18 +169,22 @@ def _dense(index: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 class KPlusDiag:
-    """LU of K + diag(d) by elimination of the edge interiors.
+    """K + diag(d) factored by elimination of the edge interiors.
 
-    One LAPACK dgttrf factors the interior tridiagonal T; one dgttrs gives
-    Z = T^-1 [K_IV, border_I], each edge's response to its tail and its
-    head vertex (and to the border).  The vertex Schur complement
-    S = A_VV - K_VI Z is summed into the grid's prebuilt pattern, in the
-    same order on either path, and factored by LAPACK dgetrf while it has at
-    most _DENSE_ROWS rows (about 2 us at |V| <= 11, where SuperLU takes
-    about 50 us; the two cost the same near |V| = 100), by SuperLU above.
-    A zero interior pivot, a singular S or a nonfinite solution raise
-    LinearSolveFailure.  The reduced unknowns x_R are the vertex values,
-    plus the border multiplier when bordered.
+    The interior tridiagonal T is factored as LDL^T by LAPACK dpttrf, and
+    falls back to the partially pivoted LU of dgttrf only when dpttrf meets
+    a nonpositive pivot (``pivoted`` says which ran).  T is positive
+    definite for every shift d >= 0, so only some indefinite Newton
+    Jacobians pivot.  One substitution gives Z = T^-1 C, C = [K_IV,
+    border_I], each edge's response to its tail and its head vertex (and to
+    the border).  The vertex Schur complement S = A_VV - K_VI Z is summed
+    into the grid's prebuilt pattern, in the same order on either path, and
+    factored by LAPACK dgetrf while it has at most _DENSE_ROWS rows (about
+    2 us at |V| <= 11, where SuperLU takes about 50 us; the two cost the
+    same near |V| = 100), by SuperLU above.  A zero interior pivot, a
+    singular S or a nonfinite solution raise LinearSolveFailure, which
+    carries ``pivoted_interior``.  The reduced unknowns x_R are the vertex
+    values, plus the border multiplier when bordered.
     """
 
     def __init__(self, ops: GridOperators, d: np.ndarray, border: np.ndarray | None):
@@ -189,18 +193,23 @@ class KPlusDiag:
         self.d = d
         diag = ops.t_diag.copy()
         diag[:ops.ni] += d[nv:]
-        *lu, info = lapack.dgttrf(ops.t_off, diag, ops.t_off)
-        if info > 0:
-            raise LinearSolveFailure(f"zero pivot at interior row {info - 1}")
-        self._lu = lu
         self._diag = diag
-        cols = (ops.ends if border is None
+        ld, le, info = lapack.dpttrf(diag, ops.t_off)
+        self.pivoted = info > 0
+        if self.pivoted:
+            *tlu, info = lapack.dgttrf(ops.t_off, diag, ops.t_off)
+            if info > 0:
+                raise LinearSolveFailure(f"zero pivot at interior row {info - 1}",
+                                         pivoted_interior=True)
+            self._t_solve = lambda b: lapack.dgttrs(*tlu, b, overwrite_b=True)[0]
+        else:
+            self._t_solve = lambda b: lapack.dpttrs(ld, le, b, overwrite_b=True)[0]
+        cols = (ops.ends.copy(order="F") if border is None
                 else np.column_stack((ops.ends, np.append(border[nv:], _ZEROS))))
-        z = self._z = lapack.dgttrs(*lu, cols)[0][:ops.ni]
+        z = self._z = self._t_solve(cols)[:ops.ni]
         # -K_VI Z, one row per edge end
         coupled = -ops.end_coupling[:, None] * z[ops.end_row]
-        self._a_vv = ops.kdiag[:nv] + d[:nv]
-        vals = [self._a_vv, coupled[:, 0], coupled[:, 1]]
+        vals = [ops.kdiag[:nv] + d[:nv], coupled[:, 0], coupled[:, 1]]
         self._border = border
         pattern = ops._schur
         if border is not None:
@@ -214,7 +223,8 @@ class KPlusDiag:
             lu, piv, info = lapack.dgetrf(self._s)
             if info > 0:
                 raise LinearSolveFailure(
-                    f"vertex Schur complement: exactly singular (zero pivot in column {info - 1})")
+                    f"vertex Schur complement: exactly singular (zero pivot in column {info - 1})",
+                    pivoted_interior=self.pivoted)
             self._schur_solve = lambda r: lapack.dgetrs(lu, piv, r)[0]
         else:
             # every factorization of this grid fills the same pattern; SuperLU
@@ -224,40 +234,26 @@ class KPlusDiag:
             try:
                 self._schur_solve = spla.splu(schur).solve
             except RuntimeError as exc:
-                raise LinearSolveFailure(f"vertex Schur complement: {exc}") from exc
+                raise LinearSolveFailure(f"vertex Schur complement: {exc}",
+                                         pivoted_interior=self.pivoted) from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (K + diag(d)) x = b (length ndof, or ndof + 1 when bordered).
 
-        Block forward and back substitution, T y = b_I, S x_R = b_R - C^T y,
-        T x_I = b_I - C x_R, with C = [K_IV, border_I]: solving the interior
-        again keeps its rows' residual at that of a direct tridiagonal solve.
-        That second solve disturbs the reduced rows, so one correction
-        S dx_R = (their residual), x_I -= Z dx_R brings them back to the
-        accuracy of a direct LU of the whole matrix.
+        Block elimination with one interior substitution: T y = b_I, then
+        S x_R = b_R - C^T y, then x_I = y - Z x_R, with Z = T^-1 C kept from
+        the factorization.
         """
         ops, z, border = self.ops, self._z, self._border
         nv, n, ni = ops.nv, ops.ndof, ops.ni
-        rhs = np.concatenate((b[nv:n], _ZEROS))
-        y = lapack.dgttrs(*self._lu, rhs)[0][:ni]
+        y = self._t_solve(np.concatenate((b[nv:n], _ZEROS)))[:ni]
         r = b[:nv] - ops.couple(y)
         if border is not None:
             r = np.append(r, b[n] - border[nv:] @ y)
         xr = self._schur_solve(r)
-        rhs[ops.first] -= ops.coupling * xr[ops.tail]
-        rhs[ops.last] -= ops.coupling * xr[ops.head]
+        xi = y - (z[:, 0] * xr[ops.tail_of] + z[:, 1] * xr[ops.head_of])
         if border is not None:
-            rhs[:ni] -= border[nv:] * xr[nv]
-        xi = lapack.dgttrs(*self._lu, rhs, overwrite_b=True)[0][:ni]
-        r = b[:nv] - self._a_vv * xr[:nv] - ops.couple(xi)
-        if border is not None:
-            r -= border[:nv] * xr[nv]
-            r = np.append(r, b[n] - border[:nv] @ xr[:nv] - border[nv:] @ xi)
-        dr = self._schur_solve(r)
-        xr += dr
-        xi -= z[:, 0] * dr[ops.tail_of] + z[:, 1] * dr[ops.head_of]
-        if border is not None:
-            xi -= z[:, 2] * dr[nv]
+            xi -= z[:, 2] * xr[nv]
         x = np.concatenate((xr[:nv], xi, xr[nv:]))
         if not np.isfinite(x).all():
             raise LinearSolveFailure("nonfinite solution")

@@ -44,7 +44,15 @@ class NonpositiveShift(ValueError):
 
 
 class LinearSolveFailure(RuntimeError):
-    """A sparse factorization failed or the linear residual check did not pass."""
+    """A sparse factorization failed or the linear residual check did not pass.
+
+    ``pivoted_interior`` says whether the failed factorization had fallen
+    back to the pivoted LU of its interior tridiagonal.
+    """
+
+    def __init__(self, message: str, pivoted_interior: bool = False):
+        super().__init__(message)
+        self.pivoted_interior = pivoted_interior
 
 
 class IncompatibleRHS(ValueError):

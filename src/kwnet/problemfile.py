@@ -39,6 +39,7 @@ import functools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -203,6 +204,14 @@ def default_cells(lengths: Mapping[str, float]) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    """Whether x decodes from a JSON number that a float holds: a float, or
+    an int (not a bool) within the float range."""
+    if isinstance(x, float):
+        return True
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _vertex_ids(raw) -> list:
     if not isinstance(raw, list) or not raw:
         raise ValueError('"vertices" must be a non-empty list')
@@ -235,12 +244,12 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
         if not isinstance(item, dict):
             raise ValueError(f"edge entries must be objects: {item!r}")
         try:
-            eid, tail, head = item["id"], item["tail"], item["head"]
-            length = float(item["length"])
+            eid, tail, head, length = item["id"], item["tail"], item["head"], item["length"]
         except KeyError as exc:
             raise ValueError(f"edge entry missing {exc.args[0]!r}: {item!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"edge entry {item!r}: length must be a number") from exc
+        if not _is_number(length):
+            raise ValueError(f"edge entry {item!r}: length must be a number")
+        length = float(length)
         if not all(isinstance(x, str) for x in (eid, tail, head)):
             # the solution CSV holds ids as text: verify must find them again
             raise ValueError(f"edge entry {item!r}: id, tail and head must be strings")
@@ -264,7 +273,7 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
     grid = build_grid(graph, cells)
 
     spec_h = data["h"]
-    if isinstance(spec_h, (str, int, float)) and not isinstance(spec_h, bool):
+    if isinstance(spec_h, str) or _is_number(spec_h):
         spec_h = {eid: spec_h for eid in lengths}
     if not isinstance(spec_h, dict):
         raise ValueError('"h" must be an expression, a number, or an edge map')
@@ -283,9 +292,13 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
         coords = grid.node_s[nodes]
         if isinstance(entry, str):
             exprs[eid] = entry
-        elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        elif _is_number(entry):
             node_h[nodes] = float(entry)
         elif isinstance(entry, list):
+            # strings and booleans would pass the float cast below
+            bad = [x for x in entry if not (_is_number(x) or isinstance(x, list))]
+            if bad:
+                raise ValueError(f"edge {eid!r}: h samples must be numbers: {bad[0]!r}")
             try:
                 vals = np.asarray(entry, dtype=float)
             except (TypeError, ValueError) as exc:
@@ -307,10 +320,9 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
 
     c = data.get("c")
     if c is not None:
-        try:
-            c = float(c)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f'"c" must be a number, got {data["c"]!r}') from exc
+        if not _is_number(c):
+            raise ValueError(f'"c" must be a number, got {c!r}')
+        c = float(c)
         if not math.isfinite(c):
             raise ValueError('"c" must be finite')
 

@@ -162,7 +162,8 @@ class UpperSolutionParams:
 
 @dataclass
 class SolveCounts:
-    """Factorizations of K + diag(d) and ridge retries among them.
+    """Factorizations of K + diag(d), ridge retries among them, and those
+    whose interior tridiagonal fell back to pivoted LU (failed ones too).
 
     A solver given one adds its work to it, so a caller can total the work
     of several calls, failed ones included.
@@ -170,11 +171,11 @@ class SolveCounts:
 
     factorizations: int = 0
     ridge_retries: int = 0
+    pivoted_interiors: int = 0
 
     def since(self, start: "SolveCounts") -> dict:
         """The counts added after ``start`` was copied from this object."""
-        return {"factorizations": self.factorizations - start.factorizations,
-                "ridge_retries": self.ridge_retries - start.ridge_retries}
+        return {k: v - getattr(start, k) for k, v in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,13 @@ class _Workspace:
         """Factor K + diag(d), bordered by ``border`` when given; raises
         LinearSolveFailure."""
         self.counts.factorizations += 1
-        return self.grid.operators.factor(d, border)
+        try:
+            lu = self.grid.operators.factor(d, border)
+        except LinearSolveFailure as exc:
+            self.counts.pivoted_interiors += exc.pivoted_interior
+            raise
+        self.counts.pivoted_interiors += lu.pivoted
+        return lu
 
     def riesz(self):
         # H1 Riesz map (K + M)^(-1): turns dual residual vectors into
@@ -734,8 +741,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     reason, "newton_failed" or "left_sandwich".  When the steps reach
     roundoff with the residual above tol and the tail fails too, or when
     MAX_ITER_MONOTONE sweeps do not reach tol, NoConvergence says so.
-    ``counts``, when given, receives this call's factorizations and ridge
-    retries as well.
+    ``counts``, when given, receives this call's SolveCounts as well.
     """
     if not c < 0.0:
         raise ValueError("monotone iteration applies to c < 0")
@@ -935,7 +941,7 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     names the fold c* (its ``c_star``): evidence of c below the threshold,
     never a proof.  Every monotone iteration, and the branch walk, stops at
     residual tol (1 + |c|).  ``counts``, when given, receives this call's
-    factorizations and ridge retries as well.
+    SolveCounts as well.
     """
     if not c < 0.0:
         raise ValueError("solve_negative requires c < 0")
@@ -1210,8 +1216,8 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
 
     ``details`` holds c_star and mu_star, every traced point (``branch``)
     and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
-    ``probes`` (how many points were solved), and the factorizations and
-    ridge retries of the whole call.
+    ``probes`` (how many points were solved), and the SolveCounts of the
+    whole call.
     """
     ih = integrate(h)
     if ih >= 0.0:

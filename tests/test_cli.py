@@ -122,6 +122,20 @@ def test_malformed_problem_files_exit_1_without_a_traceback(tmp_path, capsys, ed
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"edges": [{"id": "e1", "tail": "p", "head": "q", "length": "1.5", "cells": 64}]},
+     "edge entry "),
+    ({"c": True}, '"c" must be a number'),
+    ({"h": {"e1": ["-1"] * 65}}, "edge 'e1': h samples must be numbers"),
+], ids=["string-length", "boolean-c", "string-samples"])
+def test_numbers_given_as_strings_or_booleans_exit_1(tmp_path, capsys, edit, named):
+    prob = write_problem(tmp_path, **edit)
+    assert main(["solve", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + named) and err.count("\n") == 1
+    assert not (tmp_path / "prob.solution.csv").exists()
+
+
 def test_ids_are_strings_so_verify_reads_what_solve_wrote(tmp_path, capsys):
     numeric = write_problem(tmp_path, vertices=[{"id": 1}, {"id": 2}],
                             edges=[{"id": 7, "tail": 1, "head": 2, "length": 1.0, "cells": 16}])

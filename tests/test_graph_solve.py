@@ -156,9 +156,9 @@ def _star(n_edges):
 @pytest.mark.parametrize("bordered", [False, True], ids=["plain", "bordered"])
 @pytest.mark.parametrize("n_edges", [5, 70], ids=["dense", "superlu"])
 def test_filled_schur_complement_matches_dense(n_edges, bordered):
-    # the correction step in solve() hides small errors in S from solution
-    # checks, so compare S itself with A_RR - A_RI A_II^-1 A_IR, where R is
-    # the vertex rows (and the border row) and I the edge interiors
+    # solution checks see small errors in S only through its conditioning,
+    # so compare S itself with A_RR - A_RI A_II^-1 A_IR, where R is the
+    # vertex rows (and the border row) and I the edge interiors
     grid = _star(n_edges)
     ops = grid.operators
     assert ops.dense is (n_edges == 5)
@@ -281,3 +281,86 @@ def test_counts_accumulate_across_calls_and_failures():
         solve_negative(h, c_star * (1.0 - gap), counts=counts)
     assert counts.factorizations > sol.report.details["factorizations"]
     assert counts.ridge_retries > 0
+
+
+def _backward_error_ok(A, x, b, factor=16.0):
+    # ||Ax - b|| <= C eps (|| |A| |x| || + ||b||), all in the max norm
+    resid = float(np.max(np.abs(A @ x - b)))
+    scale = float(np.max(abs(A) @ np.abs(x))) + float(np.max(np.abs(b)))
+    return resid <= factor * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("grid_kind, d_kind, bordered, pivoted", [
+    ("theta", "positive", False, False),
+    ("theta", "indefinite", False, True),
+    ("theta", "zero", True, False),
+    ("theta", "indefinite", True, True),
+    ("star", "positive", False, False),
+    ("star", "indefinite", True, True),
+], ids=["ldlt", "pivoted", "bordered", "bordered-pivoted", "superlu", "superlu-pivoted"])
+def test_interior_paths_are_backward_stable(grid_kind, d_kind, bordered, pivoted):
+    grid = make_theta(cells=9) if grid_kind == "theta" else _star(70)
+    ops = grid.operators
+    assert ops.dense is (grid_kind == "theta")
+    rng = np.random.default_rng(17)
+    n, nv, w = grid.ndof, ops.nv, grid.weights
+    d = {"zero": np.zeros(n), "positive": w * rng.uniform(0.5, 2.0, n)}.get(d_kind)
+    if d is None:
+        # a sign-changing Newton-like shift, and one interior row made
+        # negative outright, so that T is indefinite
+        d = w * rng.uniform(-5.0, 20.0, n)
+        d[nv + 3] = -3.0 * ops.kdiag[nv + 3]
+    A = grid.stiffness + sparse.diags(d)
+    border = w * rng.uniform(0.5, 2.0, n) if bordered else None
+    if bordered:
+        col = sparse.csr_matrix(border[:, None])
+        A = sparse.bmat([[A, col], [col.T, None]])
+    A = A.tocsc()
+    lu = ops.factor(d, border)
+    assert lu.pivoted is pivoted
+    for b in rng.standard_normal((3, A.shape[0])):
+        x = lu.solve(b)
+        assert _backward_error_ok(A, spsolve(A, b), b)  # the bound a sparse LU meets
+        assert _backward_error_ok(A, x, b)
+
+
+def _record_pivoting(monkeypatch):
+    flags = []
+    factor = assembly.GridOperators.factor
+
+    def recorded(self, d, border=None):
+        lu = factor(self, d, border)
+        flags.append(lu.pivoted)
+        return lu
+
+    monkeypatch.setattr(assembly.GridOperators, "factor", recorded)
+    return flags
+
+
+def test_definite_solves_never_pivot(monkeypatch):
+    flags = _record_pivoting(monkeypatch)
+    grid = make_single(cells=48)
+    rhs = sample_function(grid, lambda s: math.cos(3.0 * s))
+    solve_shifted(grid, sample_function(grid, lambda s: 1.0 + s), rhs)
+    flux = GridFunction(grid, rhs.values - float(grid.weights @ rhs.values) / grid.total_length)
+    solve_poisson_meanzero(grid, flux)
+    assert flags == [False, False]
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+    sol = solve_negative(h, build_upper(h).implied_c)
+    assert sol.report.method == "monotone(certified)"
+    assert sol.report.details["pivoted_interiors"] == 0
+    assert len(flags) > 2 and not any(flags)
+
+
+def test_a_failed_pivoted_interior_is_counted():
+    grid, hv = _zero_pivot_problem()
+    ws = _Workspace(grid)
+    # dpttrf meets the zero pivot, dgttrf fails on it too, and the ridge
+    # (positive definite again) solves by LDL^T
+    x = _linsolve(ws, -(grid.weights * hv), np.array([1.0, -2.0, 0.5]))
+    assert x is not None
+    assert (ws.counts.factorizations, ws.counts.ridge_retries, ws.counts.pivoted_interiors) == (2, 1, 1)
+    start = SolveCounts(**vars(ws.counts))
+    ws.factor(-(grid.weights * hv) + 1.0)
+    assert ws.counts.since(start) == {"factorizations": 1, "ridge_retries": 0,
+                                      "pivoted_interiors": 0}

@@ -157,6 +157,15 @@ def test_parse_c_optional():
     (lambda d: d.update(h={"e1": [[0.0] * 11] * 3}), "nested samples"),
     (lambda d: d.update(h={"e1": ["x"] * 33}), "non-numeric samples"),
     (lambda d: d.update(h="((-1.0) ^ pi) * s + 0.2"), "complex h"),
+    # JSON strings and booleans where numbers belong, which float() would take
+    (lambda d: d["edges"][0].update(length="1.5"), "string length"),
+    (lambda d: d["edges"][0].update(length=True), "boolean length"),
+    (lambda d: d.update(c="-0.5"), "string c"),
+    (lambda d: d.update(c=True), "boolean c"),
+    (lambda d: d.update(h={"e1": ["-1", True, "-2"] * 11}), "string and boolean samples"),
+    (lambda d: d.update(h={"e1": [-1.0] * 32 + [False]}), "boolean sample"),
+    (lambda d: d["edges"][0].update(length=10**400), "integer length beyond floats"),
+    (lambda d: d.update(c=-10**400), "integer c beyond floats"),
 ])
 def test_parse_rejects(mutate, tag):
     data = json.loads(json.dumps(BASE))
