@@ -5,6 +5,9 @@ the flux-conservation (Kirchhoff) vertex condition is the natural boundary
 condition of the discrete weak form and needs no special stencil.  The mass
 matrix is lumped (trapezoid weights), which keeps K + M_k an M-matrix and
 gives the discrete maximum principle the monotone iteration relies on.
+K is written straight into its CSR arrays from the grid's node numbering,
+with no COO triplets to sort and sum: each vertex's diagonal is the sum of
+1/h over its incident edges, added in edge order.
 
 Every linear solve has the form K + diag(d) (the Riesz map, the monotone
 sweep, the Newton Jacobian and its ridge, the bordered flux problem) and goes
@@ -55,18 +58,55 @@ def assemble_stiffness(grid: Grid) -> sparse.csr_matrix:
 
     Per-edge tridiagonal blocks with entries +-1/h_j; K is symmetric positive
     semidefinite with constants in its kernel and nonpositive off-diagonal.
+
+    The CSR arrays are written directly, with sorted column indices and no
+    duplicates.  Vertex rows come first: each holds its diagonal and then
+    -1/h_j to the interior node next to it on every incident edge, edges in
+    order.  The diagonal of a vertex is its incident 1/h_j summed in edge
+    order, from the lowest-indexed edge up.  Every interior row holds three
+    entries, -1/h, 2/h, -1/h, except on the last interior node of an edge:
+    the head vertex beside it has a lower index, so there the diagonal comes
+    last, -1/h, -1/h, 2/h.  ``GridOperators`` reads the diagonals from this
+    layout.
     """
-    a, b = grid.cell_tail, grid.cell_head
-    cell = 1.0 / grid.cell_h
-    # entries edge by edge, each edge's (a, a), (b, b), (a, b), (b, a) blocks
-    # in turn: the order fixes how duplicate entries are summed
-    n = np.diff(grid.edge_start) - 1
-    order = np.argsort(np.tile(np.repeat(np.arange(n.size), n), 4), kind="stable")
-    rows = np.concatenate((a, b, a, b))[order]
-    cols = np.concatenate((a, b, b, a))[order]
-    vals = np.concatenate((cell, cell, -cell, -cell))[order]
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(grid.ndof, grid.ndof))
-    mat.sum_duplicates()
+    nv, ndof = len(grid.graph.vertex_ids), grid.ndof
+    cell = 1.0 / grid.edge_h
+    # every edge end, tail then head, edges in order: its vertex, the
+    # interior node next to it, and 1/h
+    ends = grid.end_nodes
+    end_vertex = grid.node_dof[ends]
+    end_inner = grid.node_dof[ends + np.tile([1, -1], len(cell))]
+    end_cell = np.repeat(cell, 2)
+    degree = np.bincount(end_vertex, minlength=nv)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate((degree + 1, np.full(ndof - nv, 3))))))
+    nnz = int(indptr[-1])
+    idx = np.int32 if max(nnz, ndof) <= np.iinfo(np.int32).max else np.int64
+    indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
+
+    # vertex rows: the diagonal, then the ends at the vertex by edge
+    diag = indptr[:nv]
+    indices[diag] = np.arange(nv)
+    data[diag] = np.bincount(end_vertex, weights=end_cell, minlength=nv)
+    off = np.ones(indptr[nv], dtype=bool)
+    off[diag] = False
+    order = np.argsort(end_vertex, kind="stable")
+    indices[:indptr[nv]][off] = end_inner[order]
+    data[:indptr[nv]][off] = -end_cell[order]
+
+    # interior rows: the nodes before and after along the edge
+    node = grid.dof_node[nv:]
+    before, after = grid.node_dof[node - 1], grid.node_dof[node + 1]
+    c = np.repeat(cell, np.diff(grid.edge_start) - 2)
+    cols, vals = indices[indptr[nv]:].reshape(-1, 3), data[indptr[nv]:].reshape(-1, 3)
+    cols[:, 0], cols[:, 1], cols[:, 2] = before, np.arange(nv, ndof), after
+    vals[:, 0], vals[:, 1], vals[:, 2] = -c, c + c, -c
+    # an edge's last interior node: the head vertex sorts before it
+    last = np.flatnonzero(after < nv)
+    b, a = before[last], after[last]
+    cols[last] = np.column_stack((np.minimum(b, a), np.maximum(b, a), cols[last, 1]))
+    vals[last, 1], vals[last, 2] = vals[last, 2], vals[last, 1]
+    mat = sparse.csr_matrix((data, indices, indptr.astype(idx)), shape=(ndof, ndof))
+    mat.has_canonical_format = True
     return mat
 
 
@@ -95,13 +135,21 @@ class GridOperators:
         self.ndof = grid.ndof
         self.nv = nv
         self.ni = grid.ndof - nv
-        self.kdiag = K.diagonal()
-        self.abs_row_sum = np.asarray(abs(K).sum(axis=1)).ravel()
+        # K's diagonals, read off the row layout of assemble_stiffness: a
+        # vertex row starts with its diagonal; an interior row holds three
+        # entries, the diagonal last on the last interior node of an edge
+        start = K.indptr[nv]
+        triples = K.data[start:].reshape(-1, 3)
+        diag_last = K.indices[start + 2::3] == np.arange(nv, grid.ndof)
+        self.kdiag = np.concatenate((K.data[K.indptr[:nv]],
+                                     np.where(diag_last, triples[:, 2], triples[:, 1])))
+        # as scipy sums abs(K) along its rows
+        self.abs_row_sum = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
         # interior tridiagonal of K (rows nv..ndof-1), closed by _PAD
         # decoupled unit rows: scipy's dgttrf wrapper needs n >= 3, and an
         # edge of two cells has a single interior node
         self.t_diag = np.concatenate((self.kdiag[nv:], np.ones(_PAD)))
-        self.t_off = np.concatenate((K.diagonal(1)[nv:], _ZEROS))
+        self.t_off = np.concatenate((np.where(diag_last, 0.0, triples[:, 2]), [0.0]))
         tail_node, head_node = grid.edge_start[:-1], grid.edge_start[1:] - 1
         tail, head = grid.node_dof[tail_node], grid.node_dof[head_node]
         first, last = grid.node_dof[tail_node + 1] - nv, grid.node_dof[head_node - 1] - nv

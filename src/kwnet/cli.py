@@ -1,8 +1,9 @@
 """Command-line front end: solve, threshold, verify.
 
-Exit codes: 0 success, 1 input error (parse/validation/grid mismatch),
-2 not solvable (necessary conditions fail), 3 iteration failure
-(no convergence / no upper solution), 4 verification defects above tolerance.
+Exit codes: 0 success, 1 input error (usage, option values, parsing,
+validation, grid mismatch), 2 not solvable (necessary conditions fail),
+3 iteration failure (no convergence / no upper solution), 4 verification
+defects above tolerance.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def cmd_threshold(args) -> int:
         "probes": est.details.get("probes"),
         "c_star": est.details.get("c_star"),
         "branch_points": est.details.get("branch"),
+        **{key: est.details.get(key)
+           for key in ("factorizations", "ridge_retries", "pivoted_interiors")},
     }
     _write_json(out_path, payload)
     if est.minus_infinity:
@@ -327,8 +330,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_DEFECTS
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its usage errors on exit code 1 (input error)
+    rather than 2, which this CLI gives to problems that are not solvable."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kwnet",
         description="Solve d2u = c - h exp(u) on metric graphs with Kirchhoff "
                     "vertex conditions; estimate the negative-c solvability "
@@ -373,8 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _option_error(args) -> str | None:
+    """What is wrong with the numeric options, if anything: --c must be
+    finite, --tol and --bracket-tol positive and finite."""
+    c = getattr(args, "c", None)
+    if c is not None and not math.isfinite(c):
+        return f"--c must be finite, got {c!r}"
+    for name in ("tol", "bracket_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (0.0 < value < math.inf):
+            return f"--{name.replace('_', '-')} must be positive and finite, got {value!r}"
+    return None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    problem = _option_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

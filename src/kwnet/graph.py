@@ -15,8 +15,10 @@ Trudinger-Moser bound on integral exp(beta f^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -65,23 +67,42 @@ class MetricGraph:
         Vertex identifiers, in construction order.
     edges : tuple of Edge
         Edges with positive lengths; parallel edges allowed, self-loops not.
-    incidence : mapping vertex id -> frozenset of incident edge ids
     total_length : float
         Sum of all edge lengths (the measure of the whole graph).
+    edge_tail, edge_head : read-only integer arrays
+        The index in ``vertex_ids`` of every edge's tail and head.
+    edge_length : read-only float array of the edge lengths
     edge_position : mapping edge id -> index of the edge in ``edges``
+    incidence : mapping vertex id -> frozenset of incident edge ids
     """
 
     vertex_ids: tuple
     edges: tuple
-    incidence: dict = field(repr=False)
-    total_length: float = 0.0
+    total_length: float
+    edge_tail: np.ndarray = field(repr=False, compare=False)
+    edge_head: np.ndarray = field(repr=False, compare=False)
+    edge_length: np.ndarray = field(repr=False, compare=False)
     edge_position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_position", {e.id: j for j, e in enumerate(self.edges)})
+        ids = map(_EDGE_ID, self.edges)
+        object.__setattr__(self, "edge_position", dict(zip(ids, range(len(self.edges)))))
+
+    @cached_property
+    def incidence(self) -> dict:
+        """Built on first use: nothing on the solve path reads it."""
+        out = {v: set() for v in self.vertex_ids}
+        for e in self.edges:
+            out[e.tail].add(e.id)
+            out[e.head].add(e.id)
+        return {v: frozenset(ids) for v, ids in out.items()}
 
     def degree(self, vertex_id) -> int:
         return len(self.incidence[vertex_id])
+
+
+_EDGE_ID = operator.attrgetter("id")
+_EDGE_FIELDS = operator.attrgetter("id", "tail", "head", "length")
 
 
 def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
@@ -92,6 +113,10 @@ def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
     vertices : sequence of vertex identifiers
     edges : sequence of (edge_id, tail, head, length) tuples or Edge objects
 
+    The checks run on arrays over all edges.  The first edge at fault, in
+    edge order, is reported, with the first fault it has in the order below;
+    duplicate edge ids are reported once every edge has passed those checks.
+
     Raises
     ------
     NonpositiveLength, SelfLoop, DanglingEndpoint, DisconnectedGraph
@@ -99,53 +124,60 @@ def build_graph(vertices: Sequence, edges: Sequence) -> MetricGraph:
     if not vertices or not edges:
         raise ValueError("a metric graph needs at least one vertex and one edge")
     vertex_ids = tuple(vertices)
-    vertex_set = set(vertex_ids)
-    if len(vertex_set) != len(vertex_ids):
+    index = dict(zip(vertex_ids, range(len(vertex_ids))))
+    if len(index) != len(vertex_ids):
         raise ValueError("duplicate vertex ids")
 
-    # one pass over the edges: build, check, and collect ids, incidence
-    # and adjacency; duplicate ids are reported after every edge
-    # has passed its own checks
-    built, edge_ids = [], set()
-    incidence = {v: set() for v in vertex_ids}
-    adj = {v: set() for v in vertex_ids}
-    for spec in edges:
-        e = spec if isinstance(spec, Edge) else Edge(*spec)
+    built = tuple(spec if isinstance(spec, Edge) else Edge(*spec) for spec in edges)
+    ids, tails, heads, lengths = zip(*map(_EDGE_FIELDS, built))
+    n = len(built)
+    length = np.array(lengths, dtype=float)
+    tail = np.fromiter(map(index.get, tails, repeat(-1)), dtype=np.intp, count=n)
+    head = np.fromiter(map(index.get, heads, repeat(-1)), dtype=np.intp, count=n)
+    bad = ~(np.isfinite(length) & (length > 0.0))
+    bad |= np.fromiter(map(operator.eq, tails, heads), dtype=bool, count=n)
+    bad |= (tail < 0) | (head < 0)
+    if bad.any():
+        e = built[int(np.argmax(bad))]
         if not math.isfinite(e.length) or e.length <= 0.0:
             raise NonpositiveLength(f"edge {e.id!r} has length {e.length}")
         if e.tail == e.head:
             raise SelfLoop(f"edge {e.id!r} joins {e.tail!r} to itself")
-        for v in (e.tail, e.head):
-            if v not in vertex_set:
-                raise DanglingEndpoint(f"edge {e.id!r} references unknown vertex {v!r}")
-        built.append(e)
-        edge_ids.add(e.id)
-        incidence[e.tail].add(e.id)
-        incidence[e.head].add(e.id)
-        adj[e.tail].add(e.head)
-        adj[e.head].add(e.tail)
-    if len(edge_ids) != len(built):
+        v = e.tail if e.tail not in index else e.head
+        raise DanglingEndpoint(f"edge {e.id!r} references unknown vertex {v!r}")
+    if len(set(ids)) != n:
         raise ValueError("duplicate edge ids")
 
-    # connectivity by breadth-first search over vertices
-    seen = {vertex_ids[0]}
-    frontier = [vertex_ids[0]]
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    if len(seen) != len(vertex_ids):
-        missing = [v for v in vertex_ids if v not in seen]
+    unreached = np.flatnonzero(_components(len(vertex_ids), tail, head))
+    if unreached.size:
+        missing = [vertex_ids[i] for i in unreached]
         raise DisconnectedGraph(f"vertices unreachable from {vertex_ids[0]!r}: {missing}")
 
-    return MetricGraph(
-        vertex_ids=vertex_ids,
-        edges=tuple(built),
-        incidence={v: frozenset(s) for v, s in incidence.items()},
-        total_length=float(sum(e.length for e in built)),
-    )
+    for a in (tail, head, length):
+        a.setflags(write=False)
+    return MetricGraph(vertex_ids=vertex_ids, edges=built, total_length=float(sum(lengths)),
+                       edge_tail=tail, edge_head=head, edge_length=length)
+
+
+def _components(nv: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The smallest vertex index in each vertex's connected component.
+
+    Every round hooks each tree root to the smallest root an edge joins it
+    to and then jumps every vertex to its root, so every tree with an edge
+    out of it merges and O(log |V|) rounds suffice."""
+    label = np.arange(nv)
+    while True:
+        lt, lh = label[tail], label[head]
+        if np.array_equal(lt, lh):
+            return label
+        low = np.minimum(lt, lh)
+        np.minimum.at(label, lt, low)
+        np.minimum.at(label, lh, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 @dataclass(frozen=True)
@@ -159,7 +191,8 @@ class Grid:
     ndof : int
         Total degrees of freedom: |V| + sum_j (n_j - 1).
     edge_dofs : dict edge id -> integer array of the n_j + 1 node DOF indices,
-        ordered tail -> head; first/last entries are the shared vertex DOFs.
+        ordered tail -> head; first/last entries are the shared vertex DOFs
+        (built on first use).
     spacing : dict edge id -> h_j = l_j / n_j
     weights : ndarray
         Trapezoid weight of every DOF (also the lumped mass diagonal).
@@ -172,7 +205,6 @@ class Grid:
     graph: MetricGraph
     cells_per_edge: dict
     ndof: int
-    edge_dofs: dict = field(repr=False)
     spacing: dict = field(repr=False)
     weights: np.ndarray = field(repr=False)
     edge_start: np.ndarray = field(repr=False)  # edge j: nodes edge_start[j] to [j + 1] - 1
@@ -205,6 +237,12 @@ class Grid:
         from .assembly import GridOperators
 
         return GridOperators(self)
+
+    @cached_property
+    def edge_dofs(self) -> dict:
+        bounds = self.edge_start.tolist()
+        return {eid: self.node_dof[a:b]
+                for eid, a, b in zip(self.cells_per_edge, bounds[:-1], bounds[1:])}
 
     @cached_property
     def end_nodes(self) -> np.ndarray:
@@ -245,24 +283,24 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
     spacing; n_j = ceil(l_j / resolution), floored at 2), or a mapping
     edge id -> cell count.
     """
+    ids = list(graph.edge_position)
+    length = graph.edge_length
     if isinstance(resolution, Mapping):
-        cells = {e.id: int(resolution[e.id]) for e in graph.edges}
+        n = np.fromiter(map(int, map(resolution.__getitem__, ids)), dtype=np.intp, count=len(ids))
     elif isinstance(resolution, int) and not isinstance(resolution, bool):
-        cells = {e.id: resolution for e in graph.edges}
+        n = np.full(len(ids), resolution, dtype=np.intp)
     else:
         target = float(resolution)
-        if target <= 0:
+        if not target > 0:
             raise ResolutionTooCoarse("target spacing must be positive")
-        cells = {e.id: max(2, math.ceil(e.length / target)) for e in graph.edges}
-    for eid, n in cells.items():
-        if n < 2:
-            raise ResolutionTooCoarse(f"edge {eid!r}: {n} cells requested, need >= 2")
+        n = np.maximum(2, np.ceil(length / target)).astype(np.intp)
+    cells = dict(zip(ids, n.tolist()))
+    if (n < 2).any():
+        eid = ids[int(np.argmax(n < 2))]
+        raise ResolutionTooCoarse(f"edge {eid!r}: {cells[eid]} cells requested, need >= 2")
 
     nv = len(graph.vertex_ids)
-    vdof = {v: i for i, v in enumerate(graph.vertex_ids)}
-    n = np.array(list(cells.values()))
-    length = np.array([e.length for e in graph.edges])
-    end_dof = np.array([(vdof[e.tail], vdof[e.head]) for e in graph.edges], dtype=np.intp)
+    end_dof = np.column_stack((graph.edge_tail, graph.edge_head))
     edge_h = length / n
     edge_start = np.concatenate(([0], np.cumsum(n + 1)))
     first, last = edge_start[:-1], edge_start[1:] - 1
@@ -298,8 +336,7 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
         graph=graph,
         cells_per_edge=cells,
         ndof=ndof,
-        edge_dofs={e.id: node_dof[first[j]:last[j] + 1] for j, e in enumerate(graph.edges)},
-        spacing=dict(zip(cells, edge_h.tolist())),
+        spacing=dict(zip(ids, edge_h.tolist())),
         **arrays,
     )
 

@@ -41,6 +41,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -53,10 +54,14 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.USub, ast.UAdd)
 _ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 # a float literal: digits with a point and/or an exponent, not part of a name
-# or of a longer number
-_DIGITS = r"\d(?:_?\d)*"
+# or of a longer number.  ASCII classes: a non-ASCII character beside a
+# literal leaves a text that Python does not parse, or a name that is not
+# allowed, so the template fails and the text is evaluated on its own
+_DIGITS = r"\d+(?:_\d+)*"
 _FLOAT = re.compile(rf"(?<![\w.])((?:{_DIGITS}\.(?:{_DIGITS})?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?"
-                    rf"|{_DIGITS}[eE][+-]?{_DIGITS})(?![\w.])")
+                    rf"|{_DIGITS}[eE][+-]?{_DIGITS})(?![\w.])", re.ASCII)
+# the texts are scanned joined by _SEP, each literal replaced by _MARK
+_SEP, _MARK = "\0", "\1"
 
 
 @dataclass(frozen=True)
@@ -156,52 +161,71 @@ def _evaluate(code, text: str, s: np.ndarray, params=None) -> np.ndarray:
 
 def _expression_values(grid: Grid, exprs: dict, out: np.ndarray) -> None:
     """Write the values of the edge expressions ``exprs`` (edge id -> text)
-    at their edges' nodes into ``out`` (one entry per grid node)."""
-    templates = {}
-    for eid, text in exprs.items():
-        pieces = _FLOAT.split(_normalize(text))
-        templates.setdefault(tuple(pieces[0::2]), []).append(
-            (grid.graph.edge_position[eid], text, [float(x) for x in pieces[1::2]]))
-    for template, members in templates.items():
-        names = [f"_{k}" for k in range(len(template) - 1)]
-        src = "".join(t + n for t, n in zip(template, names + [""]))
+    at their edges' nodes into ``out`` (one entry per grid node).
+
+    One regex scan over all the texts, joined, gives every text's template
+    and its literals, which become one float array."""
+    if not exprs:
+        return
+    texts = list(exprs.values())
+    joined = _SEP.join(texts)
+    if _MARK in joined or joined.count(_SEP) != len(texts) - 1:
+        # such a text never parses; this keeps it apart from the others
+        joined = _SEP.join(t.replace(_SEP, "\2").replace(_MARK, "\2") for t in texts)
+    pieces = _FLOAT.split(_normalize(joined))
+    values = np.fromiter(map(float, pieces[1::2]), dtype=float, count=len(pieces) // 2)
+    templates = _MARK.join(pieces[0::2]).split(_SEP)
+    n_lits = np.fromiter(map(str.count, templates, repeat(_MARK)), dtype=np.intp,
+                         count=len(texts))
+    start = np.cumsum(n_lits) - n_lits  # each text's first literal in values
+    edge = np.fromiter(map(grid.graph.edge_position.__getitem__, exprs), dtype=np.intp,
+                       count=len(texts))
+    for members in _groups(templates):
+        template = templates[members[0]]
+        parts = template.split(_MARK)
+        names = [f"_{k}" for k in range(len(parts) - 1)]
+        src = "".join(t + n for t, n in zip(parts, names + [""]))
+        lits = values[start[members, None] + np.arange(len(names))]
         try:
-            if any("_" in t for t in template):  # a name that passes for a parameter
+            if "_" in template:  # a name that passes for a parameter
                 raise ValueError(src)
             code, per_node = _compile(src, src, frozenset(names))
             # edges that agree on the literals that stay Python floats
-            batches = {}
-            for j, _, lits in members:
-                key = tuple(x for x, n in zip(lits, names) if n not in per_node)
-                batches.setdefault(key, []).append((j, lits))
-            for batch in batches.values():
-                edges = [j for j, _ in batch]
-                count = np.diff(grid.edge_start)[edges]
-                lits = np.array([x for _, x in batch]).reshape(len(batch), len(names))
-                params = {n: np.repeat(lits[:, k], count) if n in per_node else float(lits[0, k])
-                          for k, n in enumerate(names)}
+            fixed = lits[:, [n not in per_node for n in names]]
+            for rows in _groups(map(tuple, fixed.tolist())):
+                edges = edge[members[rows]]
                 nodes = grid.edge_nodes(edges)
+                count = np.diff(grid.edge_start)[edges]
+                params = {n: np.repeat(lits[rows, k], count) if n in per_node
+                          else float(lits[rows[0], k]) for k, n in enumerate(names)}
                 out[nodes] = _evaluate(code, src, grid.node_s[nodes], params)
                 if not np.isfinite(out[nodes]).all():
                     raise ValueError(src)
         except ValueError:
             # the template tells neither which edge failed nor why in the
             # words of that edge's text: evaluate edge by edge
-            for j, text, _ in members:
-                nodes = grid.edge_nodes([j])
+            for m in members:
+                nodes = grid.edge_nodes([edge[m]])
                 try:
-                    out[nodes] = compile_expression(text)(grid.node_s[nodes])
+                    out[nodes] = compile_expression(texts[m])(grid.node_s[nodes])
                 except ValueError as exc:
-                    raise ValueError(f"edge {grid.graph.edges[j].id!r}: {exc}") from exc
+                    raise ValueError(f"edge {grid.graph.edges[edge[m]].id!r}: {exc}") from exc
+
+
+def _groups(keys) -> list:
+    """The positions of equal keys, one index array per key, in order of
+    first appearance."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return [np.array(g) for g in groups.values()]
 
 
 def default_cells(lengths: Mapping[str, float]) -> dict:
     """Cells per edge keeping every spacing at or below min(length)/32."""
-    lmin = min(lengths.values())
-    return {
-        eid: max(2, math.ceil(32.0 * length / lmin))
-        for eid, length in lengths.items()
-    }
+    length = np.fromiter(lengths.values(), dtype=float, count=len(lengths))
+    n = np.maximum(2, np.ceil(32.0 * length / length.min()))
+    return dict(zip(lengths, n.astype(int).tolist()))
 
 
 def _is_number(x) -> bool:
@@ -225,6 +249,37 @@ def _vertex_ids(raw) -> list:
     return out
 
 
+def _edge_columns(raw) -> tuple:
+    """The ids, tails, heads and lengths of the edge entries, and the cells
+    of those that give them (edge id -> count), checked in one pass that
+    stops at the first bad entry."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError('"edges" must be a non-empty list')
+    ids, tails, heads, lengths, cells = [], [], [], [], {}
+    for item in raw:
+        if not isinstance(item, dict):
+            raise ValueError(f"edge entries must be objects: {item!r}")
+        try:
+            eid, tail, head, length = item["id"], item["tail"], item["head"], item["length"]
+        except KeyError as exc:
+            raise ValueError(f"edge entry missing {exc.args[0]!r}: {item!r}") from exc
+        if not _is_number(length):
+            raise ValueError(f"edge entry {item!r}: length must be a number")
+        if not (isinstance(eid, str) and isinstance(tail, str) and isinstance(head, str)):
+            # the solution CSV holds ids as text: verify must find them again
+            raise ValueError(f"edge entry {item!r}: id, tail and head must be strings")
+        ids.append(eid)
+        tails.append(tail)
+        heads.append(head)
+        lengths.append(float(length))
+        if "cells" in item:
+            n = item["cells"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"edge {eid!r}: cells must be an integer")
+            cells[eid] = n
+    return ids, tails, heads, lengths, cells
+
+
 def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSpec:
     """Validate a decoded problem dictionary and build graph, grid, and h."""
     if not isinstance(data, dict):
@@ -234,65 +289,40 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
             raise ValueError(f"problem file is missing {key!r}")
 
     vertices = _vertex_ids(data["vertices"])
-    raw_edges = data["edges"]
-    if not isinstance(raw_edges, list) or not raw_edges:
-        raise ValueError('"edges" must be a non-empty list')
-    edges = []
-    lengths = {}
-    file_cells = {}
-    for item in raw_edges:
-        if not isinstance(item, dict):
-            raise ValueError(f"edge entries must be objects: {item!r}")
-        try:
-            eid, tail, head, length = item["id"], item["tail"], item["head"], item["length"]
-        except KeyError as exc:
-            raise ValueError(f"edge entry missing {exc.args[0]!r}: {item!r}") from exc
-        if not _is_number(length):
-            raise ValueError(f"edge entry {item!r}: length must be a number")
-        length = float(length)
-        if not all(isinstance(x, str) for x in (eid, tail, head)):
-            # the solution CSV holds ids as text: verify must find them again
-            raise ValueError(f"edge entry {item!r}: id, tail and head must be strings")
-        edges.append((eid, tail, head, length))
-        lengths[eid] = length
-        if "cells" in item:
-            cells = item["cells"]
-            if not isinstance(cells, int) or isinstance(cells, bool):
-                raise ValueError(f"edge {eid!r}: cells must be an integer")
-            file_cells[eid] = cells
-
-    graph = build_graph(vertices, edges)
+    ids, tails, heads, lengths, file_cells = _edge_columns(data["edges"])
+    graph = build_graph(vertices, list(zip(ids, tails, heads, lengths)))
 
     if cells_override is not None:
         if cells_override < 2:
             raise ValueError("cells override must be at least 2")
-        cells = {eid: cells_override for eid in lengths}
+        cells = dict.fromkeys(ids, cells_override)
     else:
-        cells = default_cells(lengths)
+        cells = default_cells(dict(zip(ids, lengths)))
         cells.update(file_cells)
     grid = build_grid(graph, cells)
 
     spec_h = data["h"]
     if isinstance(spec_h, str) or _is_number(spec_h):
-        spec_h = {eid: spec_h for eid in lengths}
+        spec_h = dict.fromkeys(ids, spec_h)
     if not isinstance(spec_h, dict):
         raise ValueError('"h" must be an expression, a number, or an edge map')
-    missing = sorted(set(lengths) - set(spec_h))
+    missing = sorted(set(ids) - set(spec_h))
     if missing:
         raise ValueError(f'"h" has no entry for edges {missing}')
-    extra = sorted(set(spec_h) - set(lengths))
+    extra = sorted(set(spec_h) - set(ids))
     if extra:
         raise ValueError(f'"h" names unknown edges {extra}')
 
     node_h = np.empty(grid.node_s.size)
     exprs = {}
     for eid, entry in spec_h.items():
+        if isinstance(entry, str):
+            exprs[eid] = entry
+            continue
         j = grid.graph.edge_position[eid]
         nodes = slice(grid.edge_start[j], grid.edge_start[j + 1])
         coords = grid.node_s[nodes]
-        if isinstance(entry, str):
-            exprs[eid] = entry
-        elif _is_number(entry):
+        if _is_number(entry):
             node_h[nodes] = float(entry)
         elif isinstance(entry, list):
             # strings and booleans would pass the float cast below

@@ -1319,7 +1319,10 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
 
 
 def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> Solution:
-    """Dispatch on the sign of c to the matching solver, at residual tol."""
+    """Dispatch on the sign of c to the matching solver, at residual tol;
+    ValueError for a non-finite c."""
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
     if c == 0.0:
         return solve_zero(h, tol=tol)
     if c > 0.0:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from kwnet import (
@@ -93,6 +93,49 @@ def random_tree_grid(n_edges, seed, cells=None):
     if cells is None:
         cells = {e[0]: int(rng.integers(2, 40)) for e in edges}
     return build_grid(graph, cells)
+
+
+def star_grid(n_edges, cells=32):
+    """A hub joined to n_edges leaves, lengths spread over [0.6, 1.4]."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    edges = [(f"e{j}", "o", f"v{j}", 0.6 + 0.8 * ((j * golden) % 1.0)) for j in range(n_edges)]
+    graph = build_graph(["o"] + [f"v{j}" for j in range(n_edges)], edges)
+    return build_grid(graph, cells)
+
+
+# ----------------------------------------------------------------------
+# the stiffness matrix by COO triplets (the oracle of the direct CSR build)
+# ----------------------------------------------------------------------
+
+def coo_stiffness(grid):
+    """K from per-cell COO triplets, edge by edge, summed by scipy's
+    sum_duplicates, which orders a row's duplicates by an unstable sort."""
+    a, b = grid.cell_tail, grid.cell_head
+    cell = 1.0 / grid.cell_h
+    n = np.diff(grid.edge_start) - 1
+    order = np.argsort(np.tile(np.repeat(np.arange(n.size), n), 4), kind="stable")
+    rows = np.concatenate((a, b, a, b))[order]
+    cols = np.concatenate((a, b, b, a))[order]
+    vals = np.concatenate((cell, cell, -cell, -cell))[order]
+    mat = csr_matrix((vals, (rows, cols)), shape=(grid.ndof, grid.ndof))
+    mat.sum_duplicates()
+    return mat
+
+
+def assert_stiffness_matches(K, ref, grid):
+    """K and ref share indptr, indices and data bitwise, except the diagonal
+    of a vertex of degree 9 or more, whose 2d entries are more than the 16
+    that scipy's sort keeps in order: that sum is only equal to within
+    degree * eps relative."""
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    nv = len(grid.graph.vertex_ids)
+    degree = np.bincount(grid.node_dof[grid.end_nodes], minlength=nv)
+    loose = np.zeros(K.nnz, dtype=bool)
+    loose[K.indptr[:nv][degree >= 9]] = True
+    assert np.array_equal(K.data[~loose], ref.data[~loose])
+    rows = np.flatnonzero(degree >= 9)
+    diff = np.abs(K.data[K.indptr[rows]] - ref.data[K.indptr[rows]])
+    assert np.all(diff <= degree[rows] * np.finfo(float).eps * np.abs(ref.data[K.indptr[rows]]))
 
 
 # ----------------------------------------------------------------------

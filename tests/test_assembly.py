@@ -17,9 +17,19 @@ from kwnet import (
     solve_poisson_meanzero,
     solve_shifted,
 )
-from kwnet.assembly import shifted_solver
+from kwnet.assembly import GridOperators, shifted_solver
 from kwnet.errors import GridMismatch, IncompatibleRHS, NonpositiveShift
-from helpers import make_single, make_star3, make_theta, make_triangle
+from helpers import (
+    assert_stiffness_matches,
+    coo_stiffness,
+    make_path3,
+    make_single,
+    make_star3,
+    make_theta,
+    make_triangle,
+    random_tree_grid,
+    star_grid,
+)
 
 
 def test_stiffness_symmetric_kernel_constants():
@@ -143,3 +153,48 @@ def test_residual_sign_for_constants():
     rep = apply_residual(u, h, -1.0)
     interior = rep.residual / grid.weights
     assert np.allclose(interior, -1.0 + 2.0, rtol=0, atol=1e-11)
+
+
+# ----------------------------------------------------------------------
+# K written directly as CSR, against the COO build it replaced
+# ----------------------------------------------------------------------
+
+GRIDS = {
+    "single": lambda: make_single(cells=64),
+    "single-2": lambda: make_single(cells=2),
+    "path3": lambda: make_path3(cells=3),
+    "star3": lambda: make_star3(cells=16),
+    "triangle": lambda: make_triangle(cells=9),
+    "theta": lambda: make_theta(cells=24),
+    "theta-2": lambda: make_theta(cells=2),
+    **{f"tree60-{seed}": (lambda seed=seed: random_tree_grid(60, seed)) for seed in range(4)},
+    "tree300": lambda: random_tree_grid(300, seed=7),
+    "star1000": lambda: star_grid(1000),
+}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_direct_csr_matches_the_coo_oracle(name):
+    grid = GRIDS[name]()
+    K = assemble_stiffness(grid)
+    assert K.has_canonical_format and K.has_sorted_indices
+    assert_stiffness_matches(K, coo_stiffness(grid), grid)
+    # the operators read K's diagonals and row sums off its CSR arrays
+    nv = len(grid.graph.vertex_ids)
+    ops = GridOperators(grid)
+    assert np.array_equal(ops.kdiag, K.diagonal())
+    assert np.array_equal(ops.abs_row_sum, np.asarray(abs(K).sum(axis=1)).ravel())
+    assert np.array_equal(ops.t_diag, np.concatenate((K.diagonal()[nv:], [1.0, 1.0])))
+    assert np.array_equal(ops.t_off, np.concatenate((K.diagonal(1)[nv:], [0.0, 0.0])))
+
+
+def test_vertex_diagonal_is_summed_in_edge_order():
+    grid = random_tree_grid(300, seed=11)
+    nv = len(grid.graph.vertex_ids)
+    degree = np.bincount(grid.node_dof[grid.end_nodes], minlength=nv)
+    assert degree.max() >= 9
+    expect = [0.0] * nv
+    for j, e in enumerate(grid.graph.edges):
+        for v in (e.tail, e.head):
+            expect[grid.vertex_dof(v)] += 1.0 / float(grid.edge_h[j])
+    assert np.array_equal(assemble_stiffness(grid).diagonal()[:nv], expect)

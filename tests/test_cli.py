@@ -588,3 +588,56 @@ def test_consecutive_main_calls_share_no_options(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["c"], payload["tolerance"]) == (-2.0, 1e-4)
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "{prob}", "--c", "nan"], "--c must be finite"),
+    (["solve", "{prob}", "--c", "inf"], "--c must be finite"),
+    (["solve", "{prob}", "--tol", "-1"], "--tol must be positive and finite"),
+    (["solve", "{prob}", "--tol", "nan"], "--tol must be positive and finite"),
+    (["solve", "{prob}", "--tol", "0"], "--tol must be positive and finite"),
+    (["verify", "{prob}", "{csv}", "--c", "inf"], "--c must be finite"),
+    (["verify", "{prob}", "{csv}", "--c=-inf"], "--c must be finite"),
+    (["verify", "{prob}", "{csv}", "--tol", "nan"], "--tol must be positive and finite"),
+    (["verify", "{prob}", "{csv}", "--tol", "inf"], "--tol must be positive and finite"),
+    (["threshold", "{prob}", "--bracket-tol", "-1"], "--bracket-tol must be positive and finite"),
+    (["threshold", "{prob}", "--bracket-tol", "nan"], "--bracket-tol must be positive and finite"),
+])
+def test_unusable_option_values_exit_1(tmp_path, capsys, argv, named):
+    prob = write_problem(tmp_path)
+    assert main(["solve", str(prob)]) == 0
+    csv_path = tmp_path / "prob.solution.csv"
+    before = csv_path.read_bytes()
+    capsys.readouterr()
+    assert main([a.format(prob=prob, csv=csv_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + named) and captured.err.count("\n") == 1
+    assert captured.out == "" and csv_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{prob}", "--c", "abc"],
+    ["solve"],
+    ["verify", "{prob}"],
+    ["threshold", "{prob}", "--bracket-tol", "wide"],
+    ["solve", "{prob}", "--no-such-option"],
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    # 2 means "not solvable" in this CLI, so argparse does not get it
+    prob = write_problem(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([a.format(prob=prob) for a in argv])
+    assert info.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_threshold_json_carries_the_work_counts(tmp_path):
+    from kwnet import estimate_threshold, load_problem
+
+    prob = write_problem(tmp_path, h="cos(pi*s) - 0.1")
+    assert main(["threshold", str(prob), "--cells", "48"]) == 0
+    payload = json.loads((tmp_path / "prob.threshold").read_text())
+    details = estimate_threshold(load_problem(str(prob), cells_override=48).h).details
+    counts = {key: details[key] for key in ("factorizations", "ridge_retries", "pivoted_interiors")}
+    assert {key: payload[key] for key in counts} == counts
+    assert counts["factorizations"] > 0

@@ -28,7 +28,8 @@ from kwnet.errors import (
     SelfLoop,
     SeminormExceedsDelta,
 )
-from helpers import make_single, make_star3, make_theta, make_triangle, random_tree_grid
+from helpers import (assert_stiffness_matches, make_single, make_star3, make_theta,
+                     make_triangle, random_tree_grid)
 
 
 def test_build_graph_validates():
@@ -49,6 +50,31 @@ def test_build_graph_validates():
         build_graph(["a", "a"], [("e", "a", "a", 1.0)])
     with pytest.raises(ValueError):
         build_graph(["a", "b"], [("e", "a", "b", 1.0), ("e", "b", "a", 1.0)])
+
+
+def test_build_graph_reports_the_first_edge_at_fault():
+    # the checks run on arrays: the first faulty edge in edge order, and its
+    # first fault in the documented order, as an edge-by-edge loop finds them
+    good = ("e0", "a", "b", 1.0)
+    with pytest.raises(SelfLoop, match="'e1'"):
+        build_graph(["a", "b"], [good, ("e1", "b", "b", 1.0), ("e2", "a", "zz", -1.0)])
+    with pytest.raises(NonpositiveLength, match="'e1' has length nan"):
+        build_graph(["a", "b"], [good, ("e1", "zz", "zz", math.nan)])
+    with pytest.raises(DanglingEndpoint, match="unknown vertex 'yy'"):
+        build_graph(["a", "b"], [good, ("e1", "yy", "zz", 1.0)])
+    with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
+        build_graph(["a", "b"], [("e0", "a", "b", 1.0), ("e0", "a", "zz", 1.0)])
+
+
+def test_connectivity_on_long_paths_and_split_graphs():
+    rng = np.random.default_rng(5)
+    names = [f"v{k}" for k in rng.permutation(400)]
+    path = [(f"e{k}", names[k], names[k + 1], 1.0) for k in range(399)]
+    assert len(build_graph(names, path).edges) == 399
+    # cut the path: the far part is unreachable from the first vertex
+    with pytest.raises(DisconnectedGraph) as info:
+        build_graph(names, path[:150] + path[151:])
+    assert str(info.value) == f"vertices unreachable from {names[0]!r}: {names[151:]}"
 
 
 def test_parallel_edges_allowed():
@@ -86,7 +112,8 @@ def test_edge_coords_run_tail_to_head():
 
 
 def loop_stiffness_and_weights(grid):
-    """K and the trapezoid weights assembled edge by edge (reference)."""
+    """K and the trapezoid weights assembled edge by edge (reference; scipy
+    sums K's duplicate entries)."""
     from scipy import sparse
 
     rows, cols, vals = [], [], []
@@ -115,8 +142,9 @@ def test_stiffness_and_weights_match_the_edge_loop_bitwise(seed):
     grid = random_tree_grid(60, seed)
     K = assemble_stiffness(grid)
     K_ref, w_ref = loop_stiffness_and_weights(grid)
-    assert np.array_equal(K.indptr, K_ref.indptr) and np.array_equal(K.indices, K_ref.indices)
-    assert np.array_equal(K.data, K_ref.data)
+    # bitwise but for the diagonal of a hub of degree >= 9, which K sums in
+    # edge order and scipy in the order of an unstable sort
+    assert_stiffness_matches(K, K_ref, grid)
     assert np.array_equal(grid.weights, w_ref)
 
 

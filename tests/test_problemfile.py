@@ -173,8 +173,50 @@ def test_parse_rejects(mutate, tag):
     with warnings.catch_warnings():
         # rejected, not cast to float with a ComplexWarning (a RuntimeWarning)
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             parse_problem(data)
+    message = REJECTED[tag]
+    assert str(info.value) == (message(data) if callable(message) else message)
+
+
+def _bad_edge(why):
+    return lambda data: f"edge entry {data['edges'][0]!r}: {why}"
+
+
+REJECTED = {
+    "unknown h edge": '"h" names unknown edges [\'zz\']',
+    "missing h edge": '"h" has no entry for edges [\'e1\']',
+    "non-finite c": '"c" must be finite',
+    "unknown vertex": "edge 'e1' references unknown vertex 'zz'",
+    "negative length": "edge 'e1' has length -2.0",
+    "fractional cells": "edge 'e1': cells must be an integer",
+    "broken expression": "edge 'e1': cannot parse expression 's +* 2': invalid syntax",
+    "wrong sample count": "edge 'e1': h sample array has shape (2,), "
+                          "grid wants a flat list of 33 numbers",
+    "non-finite samples": "edge 'e1': h evaluates to non-finite values",
+    "missing vertices": "problem file is missing 'vertices'",
+    "missing h": "problem file is missing 'h'",
+    "null length": _bad_edge("length must be a number"),
+    "list length": _bad_edge("length must be a number"),
+    "list edge id": _bad_edge("id, tail and head must be strings"),
+    "list tail": _bad_edge("id, tail and head must be strings"),
+    "list head": _bad_edge("id, tail and head must be strings"),
+    "list vertex id": "vertex entries must be string ids or objects with a string id: "
+                      "{'id': ['p']}",
+    "integer ids": "vertex entries must be string ids or objects with a string id: {'id': 1}",
+    "nested samples": "edge 'e1': h sample array has shape (3, 11), "
+                      "grid wants a flat list of 33 numbers",
+    "non-numeric samples": "edge 'e1': h samples must be numbers: 'x'",
+    "complex h": "edge 'e1': expression '((-1.0) ^ pi) * s + 0.2' evaluates to complex "
+                 "values; h must be real",
+    "string length": _bad_edge("length must be a number"),
+    "boolean length": _bad_edge("length must be a number"),
+    "string and boolean samples": "edge 'e1': h samples must be numbers: '-1'",
+    "boolean sample": "edge 'e1': h samples must be numbers: False",
+    "integer length beyond floats": _bad_edge("length must be a number"),
+    **{tag: (lambda data: f'"c" must be a number, got {data["c"]!r}')
+       for tag in ("non-numeric c", "string c", "boolean c", "integer c beyond floats")},
+}
 
 
 @pytest.mark.parametrize("samples, message", [
@@ -306,3 +348,36 @@ def test_bad_literal_on_one_edge_names_that_edge(bad, why):
     assert message.startswith("edge 'e2': ") and why in message
     if why != "non-finite":
         assert repr(bad) in message
+
+
+def test_templated_h_is_the_per_edge_h_bitwise_on_a_thousand_edges():
+    rng = np.random.default_rng(1000)
+    n = 1000
+    data = star_problem([""] * n)
+    for e in data["edges"]:
+        e["cells"] = 32
+    lengths = [e["length"] for e in data["edges"]]
+    b, d = rng.uniform(0.6, 1.4, n).tolist(), rng.uniform(-0.2, 0.2, n).tolist()
+    # every edge gives the hub the same value, -0.4; the literals differ
+    data["h"] = {f"e{j}": f"-0.4 + {b[j]!r}*sin(pi*s/{lengths[j]!r})^4"
+                          f" + {d[j]:.12g}*sin(2*pi*s/{lengths[j]!r})" for j in range(n)}
+    h = parse_problem(data).h
+    for eid, vals in per_edge_reference(data).items():
+        assert np.array_equal(h.edge_values(eid), vals)
+
+
+def test_non_ascii_digits_are_not_literals():
+    # float() reads these digits, Python's parser does not: the text is
+    # rejected as compile_expression rejects it
+    text = "\u0663.\u0665*s - 2"
+    with pytest.raises(ValueError, match="cannot parse"):
+        compile_expression(text)
+    with pytest.raises(ValueError, match="^edge 'e1': cannot parse"):
+        parse_problem(dict(BASE, h=text))
+
+
+@pytest.mark.parametrize("text", ["1.5*s\x00 + 2.0", "1.5*s + \x012.0"])
+def test_control_characters_in_h_do_not_merge_texts(text):
+    data = star_problem(["1.5*s + 2.0", text, "1.5*s + 3.0"])
+    with pytest.raises(ValueError, match="^edge 'e1': "):
+        parse_problem(data)

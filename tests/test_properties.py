@@ -7,6 +7,8 @@ from kwnet import (
     GridFunction,
     apply_residual,
     assemble_stiffness,
+    build_graph,
+    build_grid,
     check_moser,
     check_poincare,
     classify,
@@ -16,7 +18,7 @@ from kwnet import (
 )
 from kwnet.assembly import shifted_solver
 
-from helpers import random_grid, smooth_random
+from helpers import assert_stiffness_matches, coo_stiffness, random_grid, smooth_random
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -110,3 +112,30 @@ def test_classify_matches_sign_conditions(seed, c):
         expected = ih < 0.0
     assert verdict.ok == expected
     assert (verdict.status == "NecessaryOK") == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(["tree", "star", "multigraph"]),
+       n_edges=st.integers(1, 40))
+def test_direct_csr_matches_the_coo_build(seed, kind, n_edges):
+    # hubs of any degree, parallel edges, edges of two cells
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        ends = [(int(rng.integers(j)), j) for j in range(1, n_edges + 1)]
+        nv = n_edges + 1
+    elif kind == "star":
+        ends = [(0, j) for j in range(1, n_edges + 1)]
+        nv = n_edges + 1
+    else:
+        nv = int(rng.integers(2, 5))
+        ends = [(j, j + 1) for j in range(nv - 1)]
+        while len(ends) < max(n_edges, nv - 1):
+            a, b = rng.choice(nv, size=2, replace=False)
+            ends.append((int(a), int(b)))
+    if rng.random() < 0.5:  # either end may be the tail
+        ends = [(b, a) for a, b in ends]
+    edges = [(f"e{j}", f"v{a}", f"v{b}", float(rng.uniform(0.1, 3.0)))
+             for j, (a, b) in enumerate(ends)]
+    graph = build_graph([f"v{j}" for j in range(nv)], edges)
+    grid = build_grid(graph, {e[0]: int(rng.integers(2, 7)) for e in edges})
+    assert_stiffness_matches(assemble_stiffness(grid), coo_stiffness(grid), grid)

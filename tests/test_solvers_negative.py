@@ -408,3 +408,10 @@ def test_dispatch_routes_negative():
     grid = make_single(cells=32)
     sol = solve(constant(grid, -1.0), -2.0)
     assert sol.report.method.startswith("monotone")
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_solve_names_a_nonfinite_c(c):
+    h = constant(make_single(cells=16), -1.0)
+    with pytest.raises(ValueError, match=f"c must be finite, got {c!r}"):
+        solve(h, c)
