@@ -34,6 +34,7 @@ bracket_tol = 1e-5
 est = estimate_threshold(h, bracket_tol=bracket_tol)
 print("threshold bracket:", [est.c_lo, est.c_hi])
 
+# the estimate carries the fold of its own walk: no second walk runs here
 sol = solve_critical(h, est)
 rep = sol.report
 c_final = rep.details["c_final"]

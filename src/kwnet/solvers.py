@@ -32,6 +32,7 @@ by (1 + |c|).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -137,7 +138,8 @@ class ThresholdEstimate:
     ``c_hi`` is certified solvable by monotone iteration; ``c_lo`` lies below
     the computed fold ``details["c_star"]`` of the solution branch, which is
     its evidence of unsolvability.  When h <= 0 everywhere the threshold is
-    minus infinity and the bracket is absent.
+    minus infinity and the bracket is absent.  ``critical`` is (h, the
+    critical Solution at the fold of this bracket), None when hand-made.
     """
 
     minus_infinity: bool
@@ -145,6 +147,7 @@ class ThresholdEstimate:
     c_hi: float | None
     analytic_upper_bound: float | None
     details: dict = field(default_factory=dict)
+    critical: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,12 @@ class SolveCounts:
 
 # ---------------------------------------------------------------------------
 # shared machinery
+
+
+def _check_positive(name: str, value: float) -> None:
+    """ValueError naming ``name`` unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class _Workspace:
@@ -520,6 +529,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
     from a flat seed Newton can drift to the pseudo-root u -> -infinity,
     whose residual vanishes with the constraint far from holding.
     """
+    _check_positive("tol", tol)
     v0 = classify(h, 0.0)
     if not v0.ok:
         raise NotSolvable(f"c = 0 needs sign-changing h with negative integral ({v0.reason})")
@@ -584,6 +594,7 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
     within MAX_ITER_GRADIENT iterations.  A Newton finish is accepted only
     when its root keeps |int h e^u - c |G|| <= tol (1 + c) |G|.
     """
+    _check_positive("tol", tol)
     if not c > 0.0:
         raise ValueError("solve_positive requires c > 0")
     v0 = classify(h, c)
@@ -743,6 +754,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     MAX_ITER_MONOTONE sweeps do not reach tol, NoConvergence says so.
     ``counts``, when given, receives this call's SolveCounts as well.
     """
+    _check_positive("tol", tol)
     if not c < 0.0:
         raise ValueError("monotone iteration applies to c < 0")
     grid = h.grid
@@ -943,6 +955,7 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     residual tol (1 + |c|).  ``counts``, when given, receives this call's
     SolveCounts as well.
     """
+    _check_positive("tol", tol)
     if not c < 0.0:
         raise ValueError("solve_negative requires c < 0")
     v0 = classify(h, c)
@@ -1213,12 +1226,16 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     bracket_tol; monotone iteration certifies c_hi from a branch point just
     below it on the approach side of the fold, a strict upper solution.
     Every solve in the walk and the certificate runs at DEFAULT_TOL.
+    ``critical`` is taken at the fold, before the certificate solves more
+    points.  ValueError when bracket_tol is not positive and finite.
 
     ``details`` holds c_star and mu_star, every traced point (``branch``)
     and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
     ``probes`` (how many points were solved), and the SolveCounts of the
     whole call.
     """
+    if bracket_tol is not None:
+        _check_positive("bracket_tol", bracket_tol)
     ih = integrate(h)
     if ih >= 0.0:
         raise IntegralNotNegative(f"int h = {ih}; threshold analysis needs < 0")
@@ -1233,6 +1250,8 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     walk = _Walk(_Workspace(h.grid, counts), h, params, DEFAULT_TOL, bracket_tol)
     fold = walk.fold()
     c_hi = min(fold.c + 0.5 * bracket_tol, c0)
+    c_lo = c_hi - bracket_tol
+    critical = _critical(walk, c_lo, c_hi)  # before the certificate solves more points
     try:
         psi = walk.upper(c_hi)
         _sandwich(h, c_hi, GridFunction(h.grid, psi.u), tol=DEFAULT_TOL, counts=counts)
@@ -1240,87 +1259,77 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
         raise NoConvergence(f"fold at c* = {fold.c!r}, but c_hi = {c_hi!r} "
                             f"did not solve: {exc}") from exc
 
-    return ThresholdEstimate(
-        minus_infinity=False,
-        c_lo=c_hi - bracket_tol,
-        c_hi=c_hi,
-        analytic_upper_bound=c0,
-        details={
-            "probes": walk.solved(),
-            "c_star": fold.c,
-            "mu_star": fold.mu,
-            "branch": [p.record() for p in walk.points],
-            "refinement": [p.record() for p in walk.refinement],
-            **asdict(counts),
-        },
+    details = {"probes": walk.solved(), "c_star": fold.c, "mu_star": fold.mu,
+               "branch": [p.record() for p in walk.points],
+               "refinement": [p.record() for p in walk.refinement], **asdict(counts)}
+    return ThresholdEstimate(minus_infinity=False, c_lo=c_lo, c_hi=c_hi,
+                             analytic_upper_bound=c0, details=details, critical=(h, critical))
+
+
+def _critical(walk: _Walk, c_lo: float, c_hi: float) -> Solution:
+    """The critical Solution for [c_lo, c_hi] at the walk's fold, from the
+    points solved so far (see solve_critical)."""
+    ws, hv, fold = walk.ws, walk.hv, walk.fold()
+
+    def mass(p):
+        return float(ws.w @ (hv * np.exp(p.u)))
+
+    def record(p):
+        nr = norms(GridFunction(ws.grid, p.u))
+        return {"c": p.c, "h1_norm": math.hypot(nr.l2, nr.h1_seminorm),
+                "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
+                "mass_defect": abs(mass(p) - p.c * ws.total), "residual": p.res}
+
+    first, solved = walk.points[0].dc, walk.points + walk.refinement
+    side = [p for p in solved if p is not fold and p.dc * first > 0.0 and p.c <= c_hi]
+    approach = [record(p) for p in sorted(side, key=lambda p: p.c, reverse=True)] + [record(fold)]
+    c_mid = 0.5 * (c_lo + c_hi)
+    report = SolveReport(
+        method="critical-fold", iterations=sum(p.iters for p in solved), final_residual=fold.res,
+        identity_checks={"mass_defect_at_c_final": approach[-1]["mass_defect"],
+                         "mass_defect_at_midpoint": abs(mass(fold) - c_mid * ws.total)},
+        details={"c_final": fold.c, "c_midpoint": c_mid, "bracket": [c_lo, c_hi],
+                 "approach": approach, "branch_points": len(solved), **asdict(ws.counts)},
     )
+    return Solution(GridFunction(ws.grid, fold.u), report)
 
 
 def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     """The solution at the threshold itself: the fold of the solution branch.
 
-    One walk of the branch from implied_c, at DEFAULT_TOL and with the
-    bracket width as its fold precision, ends at the turning point dc/dmu = 0; that point solves
-    the equation at c_final = c*, its c.  The fold must lie in the bracket
-    [c_lo, c_hi], else NoConvergence names c*.  ``details["approach"]`` is
-    the boundedness record the critical case rests on: H1 norm, 1/2 |du|^2,
-    mass defect and residual of every solved point on the approach side of
-    the fold with c <= c_hi, then of the fold.  It costs no extra solve.
-    BoundBlowup is raised when its H1 norms spread by more than 50x.
+    A walk of the branch from implied_c, at DEFAULT_TOL and with the bracket
+    width as its fold precision, ends at the turning point dc/dmu = 0, which
+    solves the equation at c_final = c*.  For its own h and bracket an
+    estimate carries that fold, and a copy of it is returned with no second
+    walk; a hand-made bracket is walked.  The fold must lie in [c_lo, c_hi],
+    else NoConvergence names c*.  ``details["approach"]`` is the boundedness
+    record of the critical case: H1 norm, 1/2 |du|^2, mass defect and
+    residual of each point solved up to the fold on its approach side with
+    c <= c_hi, then of the fold.  BoundBlowup when those H1 norms spread by
+    more than 50x.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")
-    grid = h.grid
-    ws = _Workspace(grid, SolveCounts(factorizations=1))  # build_upper's flux solve
-    hv, w = h.values, ws.w
     c_lo, c_hi = estimate.c_lo, estimate.c_hi
-    c_mid = 0.5 * (c_lo + c_hi)
-    walk = _Walk(ws, h, build_upper(h), DEFAULT_TOL, c_hi - c_lo)
-    fold = walk.fold()
-    if not c_lo <= fold.c <= c_hi:
-        raise NoConvergence(f"the fold of the solution branch at c* = {fold.c!r} lies "
+    _check_positive("the bracket width c_hi - c_lo", c_hi - c_lo)
+    h0, sol = estimate.critical or (h, None)
+    if sol is None or sol.report.details["bracket"] != [c_lo, c_hi] or not (
+            grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):
+        ws = _Workspace(h.grid, SolveCounts(factorizations=1))  # build_upper's flux solve
+        sol = _critical(_Walk(ws, h, build_upper(h), DEFAULT_TOL, c_hi - c_lo), c_lo, c_hi)
+    c_star = sol.report.details["c_final"]
+    if not c_lo <= c_star <= c_hi:
+        raise NoConvergence(f"the fold of the solution branch at c* = {c_star!r} lies "
                             f"outside the bracket [{c_lo!r}, {c_hi!r}]")
-
-    def mass(p):
-        return float(w @ (hv * np.exp(p.u)))
-
-    def record(p):
-        nr = norms(GridFunction(grid, p.u))
-        return {"c": p.c, "h1_norm": math.hypot(nr.l2, nr.h1_seminorm),
-                "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
-                "mass_defect": abs(mass(p) - p.c * ws.total), "residual": p.res}
-
-    first = walk.points[0].dc
-    side = [p for p in walk.points + walk.refinement
-            if p is not fold and p.dc * first > 0.0 and p.c <= c_hi]
-    approach = [record(p) for p in sorted(side, key=lambda p: p.c, reverse=True)] + [record(fold)]
-    h1s = [r["h1_norm"] for r in approach]
+    h1s = [r["h1_norm"] for r in sol.report.details["approach"]]
     if max(h1s) > 50.0 * max(min(h1s), 1e-30):
         raise BoundBlowup(f"H1 norms along the approach spread by {max(h1s)/min(h1s):.1f}x")
-
-    report = SolveReport(
-        method="critical-fold",
-        iterations=sum(p.iters for p in walk.points + walk.refinement),
-        final_residual=fold.res,
-        identity_checks={
-            "mass_defect_at_c_final": approach[-1]["mass_defect"],
-            "mass_defect_at_midpoint": abs(mass(fold) - c_mid * ws.total),
-        },
-        details={
-            "c_final": fold.c,
-            "c_midpoint": c_mid,
-            "bracket": [c_lo, c_hi],
-            "approach": approach,
-            "branch_points": walk.solved(),
-            **asdict(ws.counts),
-        },
-    )
-    return Solution(GridFunction(grid, fold.u), report)
+    return Solution(GridFunction(h.grid, sol.u.values), copy.deepcopy(sol.report))
 
 
 def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> Solution:
     """Dispatch on the sign of c to the matching solver, at residual tol;
-    ValueError for a non-finite c."""
+    ValueError for a non-finite c or a tol that is not positive and finite."""
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c!r}")
     if c == 0.0:

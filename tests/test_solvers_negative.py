@@ -415,3 +415,20 @@ def test_solve_names_a_nonfinite_c(c):
     h = constant(make_single(cells=16), -1.0)
     with pytest.raises(ValueError, match=f"c must be finite, got {c!r}"):
         solve(h, c)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_every_public_solver_rejects_a_bad_tol(tol):
+    # unchecked, nan would run every descent iteration and report "Converged";
+    # 0 and -1 would stall at c = 0 and break the sandwich at c < 0
+    grid = make_single(cells=32)
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+    lower, upper = constant(grid, -30.0), constant(grid, 30.0)
+    calls = [lambda: solve(h, 0.0, tol=tol), lambda: solve(h, 0.3, tol=tol),
+             lambda: solve(h, -0.01, tol=tol), lambda: solvers.solve_zero(h, tol=tol),
+             lambda: solvers.solve_positive(h, 0.3, tol=tol),
+             lambda: solve_negative(h, -0.01, tol=tol),
+             lambda: monotone_iterate(h, -0.01, lower, upper, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            call()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kwnet import (
+    ThresholdEstimate,
     apply_residual,
     build_upper,
     constant,
@@ -20,6 +21,7 @@ from kwnet import (
     solve_negative,
 )
 from kwnet import solvers
+from kwnet.assembly import GridOperators
 from kwnet.cli import _write_solution_csv, main
 from kwnet.errors import IntegralNotNegative, NoConvergence, NoUpperSolutionFound
 from helpers import make_single, make_star3, make_theta, oracle_fold, random_h_sign_changing
@@ -182,4 +184,112 @@ def test_critical_requires_finite_threshold():
     grid = make_single(cells=16)
     est = estimate_threshold(constant(grid, -1.0))
     with pytest.raises(ValueError):
+        solve_critical(cos_h(cells=16), est)
+
+
+def theta_seed_h(seed):
+    return random_h_sign_changing(make_theta(), np.random.default_rng(seed))
+
+
+# theta seeds 0, 3 and 9: the certificate of c_hi solves points after the fold
+CARRIED = {
+    "edge96": lambda: cos_h(96),
+    "edge768": lambda: cos_h(768),
+    "star3": lambda: random_h_sign_changing(make_star3(), np.random.default_rng(6)),
+    "theta0": lambda: theta_seed_h(0),
+    "theta3": lambda: theta_seed_h(3),
+    "theta9": lambda: theta_seed_h(9),
+}
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    factor = GridOperators.factor
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridOperators, "factor", counted)
+    return calls
+
+
+def by_hand(est, **bracket):
+    return ThresholdEstimate(minus_infinity=False, c_lo=bracket.get("c_lo", est.c_lo),
+                             c_hi=bracket.get("c_hi", est.c_hi), analytic_upper_bound=None)
+
+
+def snapshot(sol):
+    return sol.u.values.tobytes(), json.dumps(sol.report.to_dict())
+
+
+@pytest.mark.parametrize("name", list(CARRIED))
+def test_critical_from_the_estimate_is_its_own_fold(monkeypatch, name):
+    h = CARRIED[name]()
+    est = estimate_threshold(h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a carried fold needs no factorization")
+
+    with monkeypatch.context() as m:
+        m.setattr(GridOperators, "factor", refuse)
+        carried = solve_critical(h, est)
+    walked = solve_critical(h, by_hand(est))
+    # bitwise: u, c_final, approach, branch_points, iterations, counts and
+    # identity checks (json writes every float by its shortest exact repr)
+    assert snapshot(carried) == snapshot(walked)
+    rep = carried.report
+    assert rep.details["bracket"] == [est.c_lo, est.c_hi]
+    assert rep.details["c_final"] == est.details["c_star"]
+    if name.startswith("theta"):
+        # the record is the fold's, not the certificate's longer walk
+        assert est.details["probes"] > rep.details["branch_points"]
+
+
+def test_critical_walks_for_another_h_or_bracket(monkeypatch):
+    h = cos_h()
+    est = estimate_threshold(h)
+    carried = solve_critical(h, est)
+    calls = count_factorizations(monkeypatch)
+    # equal values on a compatible grid built anew: the carried fold
+    again = solve_critical(cos_h(), est)
+    assert not calls and snapshot(again) == snapshot(carried)
+    # 2 h on the same grid has the same fold, with u shifted by -ln 2
+    doubled = solve_critical(h.with_values(2.0 * h.values), est)
+    assert calls
+    assert np.allclose(doubled.u.values, carried.u.values - math.log(2.0), atol=1e-6)
+    # a bracket widened by replace walks with its own width as fold precision
+    width = est.c_hi - est.c_lo
+    calls.clear()
+    wider = solve_critical(h, replace(est, c_hi=est.c_hi + width))
+    assert calls
+    assert wider.report.details["bracket"] == [est.c_lo, est.c_hi + width]
+    assert snapshot(wider) == snapshot(solve_critical(h, by_hand(est, c_hi=est.c_hi + width)))
+
+
+def test_critical_reports_are_independent_copies():
+    h = cos_h()
+    est = estimate_threshold(h)
+    first = solve_critical(h, est)
+    before = snapshot(first)
+    first.report.iterations = -1
+    first.report.details["approach"][0]["c"] = 0.0
+    first.report.details["bracket"].append(0.0)
+    first.report.identity_checks.clear()
+    second = solve_critical(h, est)
+    assert snapshot(second) == before
+    assert second.report is not first.report
+
+
+@pytest.mark.parametrize("bracket_tol", [0.0, -1e-5, math.nan, math.inf])
+def test_threshold_rejects_a_bad_bracket_tol(bracket_tol):
+    with pytest.raises(ValueError, match="bracket_tol"):
+        estimate_threshold(cos_h(cells=16), bracket_tol=bracket_tol)
+
+
+@pytest.mark.parametrize("c_lo, c_hi", [(-0.04, -0.05), (-0.05, -0.05), (math.nan, -0.05),
+                                        (-0.05, math.nan), (-math.inf, -0.05)])
+def test_critical_rejects_a_bad_bracket(c_lo, c_hi):
+    est = ThresholdEstimate(minus_infinity=False, c_lo=c_lo, c_hi=c_hi, analytic_upper_bound=None)
+    with pytest.raises(ValueError, match="bracket"):
         solve_critical(cos_h(cells=16), est)
