@@ -311,6 +311,23 @@ class KPlusDiag:
         """(K + diag(d)) x, for a posteriori residual checks."""
         return self.ops.K @ x + self.d * x
 
+    @cached_property
+    def _row_norm(self) -> float:
+        """|| |K + diag(d)| ||_inf, formed on the first checked solve."""
+        return float(np.max(self.ops.abs_row_sum + np.abs(self.d)))
+
+    def solve_checked(self, b: np.ndarray) -> np.ndarray:
+        """solve(b) (unbordered only), verified a posteriori: the residual
+        must stay within 10 LINEAR_RTOL of max(|b|, || |A| || |x|), since
+        backward-stable roundoff scales with |A| |x|, not just |b|; raises
+        LinearSolveFailure."""
+        x = self.solve(b)
+        scale = max(float(np.max(np.abs(b))), self._row_norm * float(np.max(np.abs(x))), 1e-300)
+        resid = float(np.max(np.abs(self.matvec(x) - b)))
+        if resid > LINEAR_RTOL * scale * 10.0:
+            raise LinearSolveFailure(f"shifted solve residual {resid} vs scale {scale}")
+        return x
+
     def negative_eigenvalues(self) -> int:
         """How many eigenvalues of K + diag(d) are negative (unbordered only).
 
@@ -341,44 +358,20 @@ def _check_function(grid: Grid, f: GridFunction, name: str) -> None:
         raise GridMismatch(f"{name} lives on a different grid")
 
 
-def shifted_solver(grid: Grid, k: GridFunction):
-    """Factorize K + M_k (k > 0 pointwise) and return a solve closure.
-
-    The closure maps a DOF vector b to the solution of (K + M_k) u = b.
-    Factorizing once is what makes the monotone iteration cheap: the shift k
-    is frozen while the right-hand side changes every sweep.
-    """
-    _check_function(grid, k, "k")
-    kmin = float(np.min(k.values))
-    if kmin <= 0.0:
-        raise NonpositiveShift(f"min k = {kmin}; need k > 0 for an invertible M-matrix")
-    d = grid.weights * k.values
-    ops = grid.operators
-    lu = ops.factor(d)
-    row_norm = float(np.max(ops.abs_row_sum + np.abs(d)))
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        u = lu.solve(b)
-        # backward-stable roundoff scales with |A| |u|, not just |b|
-        scale = max(float(np.max(np.abs(b))), row_norm * float(np.max(np.abs(u))), 1e-300)
-        resid = float(np.max(np.abs(lu.matvec(u) - b)))
-        if resid > LINEAR_RTOL * scale * 10.0:
-            raise LinearSolveFailure(f"shifted solve residual {resid} vs scale {scale}")
-        return u
-
-    return solve
-
-
 def solve_shifted(grid: Grid, k: GridFunction, rhs: GridFunction) -> GridFunction:
     """Solve (K + M_k) u = -M rhs, the weak form of d2u - k u = rhs.
 
     Requires min k > 0.  Inherits a discrete maximum principle: rhs <= 0
-    everywhere implies u >= 0 everywhere.
+    everywhere implies u >= 0 everywhere.  The solve is checked a posteriori
+    (``KPlusDiag.solve_checked``).
     """
     _check_function(grid, rhs, "rhs")
-    solve = shifted_solver(grid, k)
-    u = solve(-(grid.weights * rhs.values))
-    return GridFunction(grid, u)
+    _check_function(grid, k, "k")
+    kmin = float(np.min(k.values))
+    if kmin <= 0.0:
+        raise NonpositiveShift(f"min k = {kmin}; need k > 0 for an invertible M-matrix")
+    lu = grid.operators.factor(grid.weights * k.values)
+    return GridFunction(grid, lu.solve_checked(-(grid.weights * rhs.values)))
 
 
 def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
@@ -419,9 +412,6 @@ class ResidualReport:
 
     weak_residual_norm: float
     residual: np.ndarray
-
-    def __iter__(self):  # allow tuple-style unpacking
-        return iter((self.weak_residual_norm, self.residual))
 
 
 def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:

@@ -73,7 +73,6 @@ class MetricGraph:
         The index in ``vertex_ids`` of every edge's tail and head.
     edge_length : read-only float array of the edge lengths
     edge_position : mapping edge id -> index of the edge in ``edges``
-    incidence : mapping vertex id -> frozenset of incident edge ids
     """
 
     vertex_ids: tuple
@@ -87,18 +86,6 @@ class MetricGraph:
     def __post_init__(self):
         ids = map(_EDGE_ID, self.edges)
         object.__setattr__(self, "edge_position", dict(zip(ids, range(len(self.edges)))))
-
-    @cached_property
-    def incidence(self) -> dict:
-        """Built on first use: nothing on the solve path reads it."""
-        out = {v: set() for v in self.vertex_ids}
-        for e in self.edges:
-            out[e.tail].add(e.id)
-            out[e.head].add(e.id)
-        return {v: frozenset(ids) for v, ids in out.items()}
-
-    def degree(self, vertex_id) -> int:
-        return len(self.incidence[vertex_id])
 
 
 _EDGE_ID = operator.attrgetter("id")
@@ -364,9 +351,6 @@ class GridFunction:
     def edge_values(self, edge_id) -> np.ndarray:
         """Trace on one edge, ordered tail -> head."""
         return self.values[self.grid.edge_dofs[edge_id]]
-
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
 
 def constant(grid: Grid, value: float) -> GridFunction:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import residual_vector, shifted_solver, solve_poisson_meanzero
+from .assembly import residual_vector, solve_poisson_meanzero
 from .errors import (
     BoundBlowup,
     FeasibilityFailure,
@@ -192,14 +192,40 @@ def _check_positive(name: str, value: float) -> None:
 
 
 class _Workspace:
-    """The grid's operators and the work counts of one solve."""
+    """The discrete problem K u + c w - w h e^u = 0 of one solve: grid, K,
+    weights w, the values of h, |G| and the work counts.  It forms the
+    residual, the Jacobian shift and the mass.  Every factorization of the
+    solve, monotone sweeps included, is counted in ``factor``, failed ones
+    too; only the flux solve inside build_upper(_hneg) is counted by hand,
+    in ``upper``."""
 
-    def __init__(self, grid: Grid, counts: SolveCounts | None = None):
-        self.grid = grid
+    def __init__(self, h: GridFunction, counts: SolveCounts | None = None):
+        self.h = h
+        self.grid = grid = h.grid
+        self.hv = h.values
         self.K = grid.stiffness
         self.w = grid.weights
+        self.wh = self.w * self.hv
         self.total = grid.total_length
         self.counts = SolveCounts() if counts is None else counts
+
+    def residual(self, u: np.ndarray, c: float) -> np.ndarray:
+        """r = K u + c w - w h e^u; nonfinite exactly where e^u overflows."""
+        return residual_vector(self.grid, u, self.hv, c)
+
+    def jacobian_shift(self, u: np.ndarray) -> np.ndarray:
+        """-w h e^u: the residual's Jacobian at u is K + diag(this)."""
+        return -(self.wh * np.exp(u))
+
+    def mass(self, u: np.ndarray) -> float:
+        """int h e^u, with e^u saturating at e^700 instead of overflowing."""
+        return _safe_exp_integral(self.w, self.hv, u)
+
+    def upper(self, build, *args):
+        """build(h, *args) for build_upper or build_upper_hneg, counting the
+        factorization of the flux solve inside it."""
+        self.counts.factorizations += 1
+        return build(self.h, *args)
 
     def factor(self, d: np.ndarray, border: np.ndarray | None = None):
         """Factor K + diag(d), bordered by ``border`` when given; raises
@@ -212,11 +238,6 @@ class _Workspace:
             raise
         self.counts.pivoted_interiors += lu.pivoted
         return lu
-
-    def riesz(self):
-        # H1 Riesz map (K + M)^(-1): turns dual residual vectors into
-        # gradient directions whose quality does not degrade with the mesh.
-        return self.factor(self.w)
 
     def weak_norm(self, r: np.ndarray) -> float:
         return float(np.max(np.abs(r) / self.w))
@@ -381,12 +402,12 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100)
     raise RuntimeError(f"Brent's method did not converge in {maxiter} steps (x = {xcur!r})")
 
 
-def _bump_scale(w, hv, wb, target: float) -> float:
+def _bump_scale(ws: _Workspace, wb, target: float) -> float:
     """The scale l > 0 at which int h e^(l wb) reaches ``target`` (above
     int h); raises FeasibilityFailure when doubling l never gets there."""
 
     def scan(ell):
-        return _safe_exp_integral(w, hv, ell * wb) - target
+        return ws.mass(ell * wb) - target
 
     hi = 1.0
     for _ in range(80):
@@ -398,10 +419,10 @@ def _bump_scale(w, hv, wb, target: float) -> float:
     return _brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
 
 
-def _project_zero(ws: _Workspace, hv: np.ndarray, v: np.ndarray, wb: np.ndarray):
+def _project_zero(ws: _Workspace, v: np.ndarray, wb: np.ndarray):
     """Return to {int v = 0, int h e^v = 0}: scalar Newton along the bump
     direction, then a mean shift.  None when no correction exists."""
-    w = ws.w
+    w, hv = ws.w, ws.hv
     alpha = 0.0
     cur = v
     for _ in range(100):
@@ -444,8 +465,8 @@ def _armijo(value, project, x, val, d, slope):
     return None
 
 
-def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float,
-             method: str, *, value, project, step, lift):
+def _descend(ws: _Workspace, c: float, x: np.ndarray, tol: float, method: str, *,
+             value, project, step, lift):
     """Projected gradient descent on ``value`` from the feasible x, finished
     by damped Newton on the full residual at c; returns the last x, its
     solution u and the report of the descent.
@@ -466,13 +487,15 @@ def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float
     "saddle".  NoConvergence when the descent stalls or runs out of its
     MAX_ITER_GRADIENT iterations first.
     """
-    riesz = ws.riesz()
+    # the H1 Riesz map (K + M)^(-1) turns dual residual vectors into gradient
+    # directions whose quality does not degrade with the mesh
+    riesz = ws.factor(ws.w)
     val = value(x)
     rejected = []
 
     def finish(u, it):
         # the accepted finish from u as (x, u, value), else None
-        root = _damped_newton(ws, hv, c, u, tol=tol)
+        root = _damped_newton(ws, c, u, tol=tol)
         xr = None if root is None else lift(root)
         vr = None if xr is None else value(xr)
         if root is None:
@@ -481,7 +504,7 @@ def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float
             reason = "constraint"
         elif vr > val + 1e-13 * (1.0 + abs(val)):
             reason = "higher_value"
-        elif ws.factor(-(ws.w * hv * np.exp(root))).negative_eigenvalues() > 1:
+        elif ws.factor(ws.jacobian_shift(root)).negative_eigenvalues() > 1:
             reason = "saddle"
         else:
             return xr, root, vr
@@ -504,7 +527,7 @@ def _descend(ws: _Workspace, hv: np.ndarray, c: float, x: np.ndarray, tol: float
             done = finish(u, it)
             if done is not None:
                 x, u, val = done
-                wn = ws.weak_norm(residual_vector(ws.grid, u, hv, c))
+                wn = ws.weak_norm(ws.residual(u, c))
                 break
         if stalled:
             break
@@ -534,14 +557,13 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
     if not v0.ok:
         raise NotSolvable(f"c = 0 needs sign-changing h with negative integral ({v0.reason})")
     grid = h.grid
-    ws = _Workspace(grid)
+    ws = _Workspace(h)
     w, K = ws.w, ws.K
-    hv = h.values
     ih = v0.integral_h
 
     wb = _bump(grid, h).values
-    ell0 = _bump_scale(w, hv, wb, 0.0)
-    v = _project_zero(ws, hv, ell0 * wb, wb)
+    ell0 = _bump_scale(ws, wb, 0.0)
+    v = _project_zero(ws, ell0 * wb, wb)
     if v is None:
         raise FeasibilityFailure("could not project the scaled bump onto the constraint set")
 
@@ -549,14 +571,14 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
         return 0.5 * float(x @ (K @ x))
 
     def project(x):
-        return _project_zero(ws, hv, x, wb)
+        return _project_zero(ws, x, wb)
 
     def step(x, riesz):
         g = K @ x
-        q = w * hv * np.exp(x)
+        q = ws.wh * np.exp(x)
         lam = float(g @ (q / w)) / float(q @ (q / w))  # least squares, inverse-mass norm
         u = x + math.log(lam) if lam > 0.0 else None
-        wn = math.inf if u is None else ws.weak_norm(residual_vector(grid, u, hv, 0.0))
+        wn = math.inf if u is None else ws.weak_norm(ws.residual(u, 0.0))
         # Reduced gradient in the Riesz metric: pick the multiplier that makes
         # the step tangent to {int h e^v = 0}, so the wb-projection afterwards
         # only has to absorb the second-order constraint drift.
@@ -571,13 +593,13 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
     def lift(u):
         x = u - (w @ u) / ws.total
         ev = np.exp(x)
-        return x if abs(float(w @ (hv * ev))) <= tol * float(w @ (np.abs(hv) * ev)) else None
+        return x if abs(float(w @ (ws.hv * ev))) <= tol * float(w @ (np.abs(ws.hv) * ev)) else None
 
-    v, u, report = _descend(ws, hv, 0.0, v, tol, "constrained-gradient(zero)",
+    v, u, report = _descend(ws, 0.0, v, tol, "constrained-gradient(zero)",
                             value=energy, project=project, step=step, lift=lift)
     report.multiplier = math.exp(float(w @ (u - v)) / ws.total)
     report.identity_checks = {
-        "mass_defect": abs(float(w @ (hv * np.exp(u)))),
+        "mass_defect": abs(ws.mass(u)),
         "energy_defect": abs(exp_weighted_energy(GridFunction(grid, u)) + ih),
         "multiplier_energy": exp_weighted_energy(GridFunction(grid, v)) / (-ih),
     }
@@ -601,9 +623,8 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
     if not v0.ok:
         raise NotSolvable(f"c > 0 needs max h > 0 ({v0.reason})")
     grid = h.grid
-    ws = _Workspace(grid)
+    ws = _Workspace(h)
     w, K = ws.w, ws.K
-    hv = h.values
     target = c * ws.total
     ctol = tol * (1.0 + abs(c))
     ih = v0.integral_h
@@ -612,10 +633,10 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
         u = np.full(grid.ndof, math.log(target / ih))
     else:
         wb = _bump(grid, h).values
-        u = _bump_scale(w, hv, wb, target) * wb
+        u = _bump_scale(ws, wb, target) * wb
 
     def project(x):
-        cur = _safe_exp_integral(w, hv, x)
+        cur = ws.mass(x)
         if not (cur > 0.0) or not math.isfinite(cur):
             return None
         return x + (math.log(target) - math.log(cur))
@@ -628,17 +649,17 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
         return 0.5 * float(x @ (K @ x)) + c * float(w @ x)
 
     def step(x, riesz):
-        r = residual_vector(grid, x, hv, c)
+        r = ws.residual(x, c)
         d = riesz.solve(r)
         return x, ws.weak_norm(r), d, float(r @ d)
 
     def lift(x):
-        return x if abs(float(w @ (hv * np.exp(x))) - target) <= ctol * ws.total else None
+        return x if abs(ws.mass(x) - target) <= ctol * ws.total else None
 
-    u, _, report = _descend(ws, hv, c, u, ctol, "constrained-gradient(positive)",
+    u, _, report = _descend(ws, c, u, ctol, "constrained-gradient(positive)",
                             value=value, project=project, step=step, lift=lift)
     report.multiplier = 1.0
-    report.identity_checks = {"mass_defect": abs(float(w @ (hv * np.exp(u))) - target)}
+    report.identity_checks = {"mass_defect": abs(ws.mass(u) - target)}
     report.details.update(integral_h=ih, target_mass=target)
     return Solution(GridFunction(grid, u), report)
 
@@ -746,13 +767,14 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     descend, -h e^(u_n) is the least such k where h < 0; where h >= 0 the
     floor only keeps k positive.  The smaller k is, the faster the sweeps
     contract (monotone_history records the slack of both inequalities each
-    sweep).  Once the steps are small a
-    damped-Newton tail may finish the solve if it stays inside the sandwich;
-    each refused tail is listed in ``details["rejected_tails"]`` with its
-    reason, "newton_failed" or "left_sandwich".  When the steps reach
-    roundoff with the residual above tol and the tail fails too, or when
-    MAX_ITER_MONOTONE sweeps do not reach tol, NoConvergence says so.
-    ``counts``, when given, receives this call's SolveCounts as well.
+    sweep; each sweep's solve is checked a posteriori).  Once the steps
+    are small a damped-Newton tail may finish the solve if it stays inside
+    the sandwich; each refused tail is listed in ``details["rejected_tails"]``
+    with its reason, "newton_failed" or "left_sandwich".  When the steps
+    reach roundoff with the residual above tol and the tail fails too, or
+    when MAX_ITER_MONOTONE sweeps do not reach tol, NoConvergence says so.
+    The SolveCounts in ``details`` count every factorization of the call,
+    sweeps included; ``counts``, when given, receives them as well.
     """
     _check_positive("tol", tol)
     if not c < 0.0:
@@ -761,18 +783,18 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     for f, name in ((u_minus, "u_minus"), (u_plus, "u_plus")):
         if not grids_compatible(grid, f.grid):
             raise GridMismatch(f"{name} lives on a different grid")
-    ws = _Workspace(grid, counts)
+    ws = _Workspace(h, counts)
     start = replace(ws.counts)
-    hv, w = h.values, ws.w
+    hv, w = ws.hv, ws.w
 
     gap = float(np.min(u_plus.values - u_minus.values))
     if gap < -1e-12:
         raise OrderingViolated(f"u_minus exceeds u_plus by {-gap:.3e}")
     pair_tol = 1e-9 * (1.0 + abs(c))
-    upper_defect = float(np.min(residual_vector(grid, u_plus.values, hv, c) / w))
+    upper_defect = float(np.min(ws.residual(u_plus.values, c) / w))
     if upper_defect < -pair_tol:
         raise OrderingViolated(f"u_plus is not a discrete upper solution (defect {upper_defect:.3e})")
-    lower_defect = float(np.max(residual_vector(grid, u_minus.values, hv, c) / w))
+    lower_defect = float(np.max(ws.residual(u_minus.values, c) / w))
     if lower_defect > pair_tol:
         raise OrderingViolated(f"u_minus is not a discrete lower solution (defect {lower_defect:.3e})")
 
@@ -780,10 +802,9 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
 
     def shift(v: np.ndarray):
         k = k_scale * np.exp(v)
-        ws.counts.factorizations += 1
-        return k, shifted_solver(grid, GridFunction(grid, k))
+        return k, ws.factor(w * k)
 
-    k, sweep = shift(u_plus.values)
+    k, lu = shift(u_plus.values)
 
     # An exact upper/lower pair keeps the sweeps ordered to machine precision;
     # a pair admitted with a small defect can leak that defect into the
@@ -793,7 +814,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     pair_leak = max(0.0, -upper_defect, lower_defect)
     order_slack = 1e-12
     if pair_leak > 0.0:
-        order_slack += 20.0 * pair_leak * float(np.max(sweep(w)))
+        order_slack += 20.0 * pair_leak * float(np.max(lu.solve_checked(w)))
 
     u = u_plus.values.copy()
     lo = u_minus.values
@@ -806,11 +827,11 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     rejected_tails = []
     for n in range(1, MAX_ITER_MONOTONE + 1):
         if n > 1 and (n - 1) % SHIFT_REFRESH == 0:
-            sweep = None  # free the old factors before computing the new ones
-            k, sweep = shift(u)
+            lu = None  # free the old factors before computing the new ones
+            k, lu = shift(u)
             refreshes += 1
         rhs = c - hv * np.exp(u) - k * u
-        unew = sweep(-(w * rhs))
+        unew = lu.solve_checked(-(w * rhs))
         step = float(np.max(np.abs(unew - u)))
         down_slack = float(np.min(u - unew))
         low_slack = float(np.min(unew - lo))
@@ -821,19 +842,19 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
             )
         u = unew
         if step <= tol:
-            wn = ws.weak_norm(residual_vector(grid, u, hv, c))
+            wn = ws.weak_norm(ws.residual(u, c))
             if wn <= ctol:
                 break
         if step <= tail_at or step <= tol:
             # the sweeps are in their linear tail; accept a Newton finish only
             # if it stays inside the certified sandwich [u_minus, u_n]
-            upol = _damped_newton(ws, hv, c, u, tol=ctol, max_iter=50)
+            upol = _damped_newton(ws, c, u, tol=ctol, max_iter=50)
             slack = max(10.0 * step, 1e-8 * (1.0 + abs(c)))
             if (upol is not None and float(np.min(upol - lo)) >= -slack
                     and float(np.max(upol - u)) <= slack):
                 # _damped_newton returns only iterates with residual <= ctol
                 u, used_tail = upol, True
-                wn = ws.weak_norm(residual_vector(grid, u, hv, c))
+                wn = ws.weak_norm(ws.residual(u, c))
                 break
             reason = "newton_failed" if upol is None else "left_sandwich"
             rejected_tails.append({"sweep": n, "reason": reason})
@@ -846,7 +867,7 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     else:
         raise NoConvergence(f"monotone iteration exhausted {MAX_ITER_MONOTONE} sweeps")
 
-    mass = float(w @ (hv * np.exp(u)))
+    mass = ws.mass(u)
     report = SolveReport(
         method="monotone",
         iterations=len(history),
@@ -863,8 +884,8 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     return Solution(GridFunction(grid, u), report)
 
 
-def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
-                   tol: float, max_iter: int = 60):
+def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, tol: float,
+                   max_iter: int = 60):
     """Damped Newton on the full residual; returns DOF values or None.
 
     Keeps iterating past tol while convergence is still fast, so accepted
@@ -874,7 +895,7 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
     w = ws.w
     best_u, best_wn = None, math.inf
     prev_wn = math.inf
-    r = residual_vector(ws.grid, u, hv, c)  # nonfinite exactly where e^u overflows
+    r = ws.residual(u, c)  # nonfinite exactly where e^u overflows
     for _ in range(max_iter):
         if not np.all(np.isfinite(r)):
             break
@@ -884,7 +905,7 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
         if wn <= tol and wn > 0.3 * prev_wn:
             break  # under tolerance and no longer improving quickly
         prev_wn = wn
-        d = _linsolve(ws, -(w * hv * np.exp(u)), -r)
+        d = _linsolve(ws, ws.jacobian_shift(u), -r)
         if d is None:
             break
         merit = float(r @ (r / w))
@@ -892,7 +913,7 @@ def _damped_newton(ws: _Workspace, hv: np.ndarray, c: float, seed: np.ndarray,
         moved = False
         while alpha >= 1e-10:
             ut = u + alpha * d
-            rt = residual_vector(ws.grid, ut, hv, c)
+            rt = ws.residual(ut, c)
             if np.all(np.isfinite(rt)):
                 with np.errstate(over="ignore"):
                     mt = float(rt @ (rt / w))
@@ -912,7 +933,8 @@ def _linsolve(ws: _Workspace, d: np.ndarray, rhs: np.ndarray):
     try:
         lu = ws.factor(d)
         x = lu.solve(rhs)
-        if _solve_ok(lu, x, rhs):
+        res = float(np.max(np.abs(lu.matvec(x) - rhs)))
+        if res <= 1e-8 * (float(np.max(np.abs(rhs))) + 1e-300):
             return x
     except LinearSolveFailure:
         pass
@@ -927,18 +949,12 @@ def _linsolve(ws: _Workspace, d: np.ndarray, rhs: np.ndarray):
     return None
 
 
-def _solve_ok(lu, x, b) -> bool:
-    res = float(np.max(np.abs(lu.matvec(x) - b)))
-    return res <= 1e-8 * (float(np.max(np.abs(b))) + 1e-300)
-
-
-def _sandwich(h: GridFunction, c: float, up: GridFunction, *, tol: float,
-              counts: SolveCounts) -> Solution:
+def _sandwich(ws: _Workspace, c: float, up: GridFunction, tol: float) -> Solution:
     """Monotone iteration at c from the upper solution ``up``, above a
     constant lower solution with a -c/2 margin that sits below ``up``."""
-    base = build_lower(h, c, margin=0.5 * (-c))
+    base = build_lower(ws.h, c, margin=0.5 * (-c))
     a_const = max(-float(np.min(base.values)), 1.0 - float(np.min(up.values)))
-    return monotone_iterate(h, c, constant(h.grid, -a_const), up, tol=tol, counts=counts)
+    return monotone_iterate(ws.h, c, constant(ws.grid, -a_const), up, tol=tol, counts=ws.counts)
 
 
 def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
@@ -961,25 +977,24 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     v0 = classify(h, c)
     if not v0.ok:
         raise NotSolvable(f"c < 0 needs int h < 0 ({v0.reason})")
-    ws = _Workspace(h.grid, counts)
+    ws = _Workspace(h, counts)
     start = replace(ws.counts)
-    ws.counts.factorizations += 1  # the flux solve inside build_upper(_hneg)
     details = {}
     if v0.max_h <= 0.0:
-        method, up = "monotone(h<=0)", build_upper_hneg(h, c)
+        method, up = "monotone(h<=0)", ws.upper(build_upper_hneg, c)
     else:
-        params = build_upper(h)
+        params = ws.upper(build_upper)
         c0 = details["implied_c"] = params.implied_c
         if c >= c0:
             method, up = "monotone(certified)", params.u_plus()
         else:
             # below the certified range: walk the branch from implied_c to a
             # point psi just below c
-            walk = _Walk(ws, h, params, tol, 1e-4 * abs(c0), aimed=True)
+            walk = _Walk(ws, params, tol, 1e-4 * abs(c0), aimed=True)
             psi = walk.upper(c)
             method, up = "monotone(continuation)", GridFunction(h.grid, psi.u)
             details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
-    sol = _sandwich(h, c, up, tol=tol, counts=ws.counts)
+    sol = _sandwich(ws, c, up, tol)
     sol.report.method = method
     sol.report.details.update(details, **ws.counts.since(start))
     return sol
@@ -1001,8 +1016,8 @@ class _BranchPoint(NamedTuple):
         return {"mu": self.mu, "c": self.c, "dc_dmu": self.dc, "newton_iters": self.iters}
 
 
-def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float,
-                  tol: float, curvature: bool = False):
+def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float, tol: float,
+                  curvature: bool = False):
     """Newton on F(u, c) = 0, w.u = |G| mu from the tangent predictor at
     ``start``; the point at ``mu``, or None when Newton fails.
 
@@ -1021,18 +1036,19 @@ def _branch_point(ws: _Workspace, hv: np.ndarray, start: _BranchPoint, mu: float
     c = start.c + (mu - start.mu) * start.dc
     bound = 0.5 * abs(mu - start.mu) * float(np.max(np.abs(start.du)))
     for it in range(9):  # at most 8 Newton steps
-        r = residual_vector(ws.grid, u, hv, c)
+        r = ws.residual(u, c)
         wn = ws.weak_norm(r)
         if not math.isfinite(wn):
             return None
         try:
-            lu = ws.factor(-(w * hv * np.exp(u)), border=w)
+            shift = ws.jacobian_shift(u)
+            lu = ws.factor(shift, border=w)
             if wn <= tol * (1.0 + abs(c)):
                 t = lu.solve(np.append(np.zeros(n), ws.total))
                 ddc = 0.0
                 if curvature:
                     # differentiate F = 0 and w.u = |G| mu twice along the branch
-                    ddc = float(lu.solve(np.append(w * hv * np.exp(u) * t[:n] ** 2, 0.0))[n])
+                    ddc = float(lu.solve(np.append(-shift * t[:n] ** 2, 0.0))[n])
                 return _BranchPoint(mu, u, c, t[:n], float(t[n]), ddc, it, wn)
             if it == 8:
                 return None
@@ -1060,18 +1076,17 @@ class _Walk:
     when ``aimed``, the step that ``down_to`` aims at its c.
     """
 
-    def __init__(self, ws: _Workspace, h: GridFunction, params: UpperSolutionParams,
-                 tol: float, bracket_tol: float, aimed: bool = False):
+    def __init__(self, ws: _Workspace, params: UpperSolutionParams, tol: float,
+                 bracket_tol: float, aimed: bool = False):
         c = params.implied_c
-        u = _sandwich(h, c, params.u_plus(), tol=tol, counts=ws.counts).u.values
+        u = _sandwich(ws, c, params.u_plus(), tol).u.values
         self.ws = ws
-        self.hv = h.values
         self.tol = tol
         self.bracket_tol = bracket_tol
         mu = float(ws.w @ u) / ws.total
         # (u, c) solves F = 0 to tol already; this call adds its tangent
-        p = _branch_point(ws, self.hv, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0.0, 0, 0.0),
-                          mu, tol, curvature=True)
+        p = _branch_point(ws, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0.0, 0, 0.0), mu,
+                          tol, curvature=True)
         if p is None:
             raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
         self.points = [p]
@@ -1122,7 +1137,7 @@ class _Walk:
                 step = min(step, 2.0 * (p.c - aim)
                            / (g + math.sqrt(max(g * g - 4.0 * a * (p.c - aim), 0.0))))
             # only an aimed step models c(mu) with d2c/dmu2
-            q = _branch_point(self.ws, self.hv, p, p.mu + self.sign * step, self.tol,
+            q = _branch_point(self.ws, p, p.mu + self.sign * step, self.tol,
                               curvature=c > -math.inf)
             if q is None:
                 self.step = 0.5 * step
@@ -1152,7 +1167,7 @@ class _Walk:
             mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
             near = min(a, b, key=lambda x: abs(x.mu - mu_s))
             for _ in range(8):
-                s = _branch_point(self.ws, self.hv, near, mu_s, tol)
+                s = _branch_point(self.ws, near, mu_s, tol)
                 if s is not None:
                     break
                 mu_s = 0.5 * (near.mu + mu_s)
@@ -1183,17 +1198,20 @@ class _Walk:
         max norm, so monotone iteration from the point starts in its Newton
         tail.  Walks on until a point lies below c, then a bracketing secant
         on c_p = c - eps closes in.  Raises NoUpperSolutionFound, naming the
-        fold c*, when c lies below it.
+        fold c*, when no point reaches c: when c lies below the fold, or
+        above it by less than the residual of the points there.
         """
         first = self.points[0].dc
         reach = 1e-3 * (1.0 + abs(c))
         self.down_to(c, reach)
         solved = self.points + self.refinement
         if not any(p.c + p.res <= c for p in solved):
-            c_star = self.fold().c
-            raise NoUpperSolutionFound(
-                f"c = {c} lies below the fold of the solution branch at c* = {c_star!r} "
-                f"(certified range starts at {self.points[0].c})", c_star=c_star)
+            fold = self.fold()
+            where = (f"lies below the fold of the solution branch at c* = {fold.c!r} "
+                     f"(certified range starts at {self.points[0].c})" if c < fold.c else
+                     f"lies {c - fold.c:.1e} above the fold at c* = {fold.c!r}, but no branch "
+                     f"point reaches it: the fold point solves only to residual {fold.res:.1e}")
+            raise NoUpperSolutionFound(f"c = {c} {where}", c_star=fold.c)
         a = min((p for p in solved if p.dc * first > 0.0 and p.c + p.res > c),
                 key=lambda p: p.c, default=self.points[0])
         eps = 0.5 * reach * abs(a.dc) / float(np.max(np.abs(a.du)))
@@ -1227,7 +1245,9 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     below it on the approach side of the fold, a strict upper solution.
     Every solve in the walk and the certificate runs at DEFAULT_TOL.
     ``critical`` is taken at the fold, before the certificate solves more
-    points.  ValueError when bracket_tol is not positive and finite.
+    points.  ValueError when bracket_tol is not positive and finite;
+    NoConvergence when c_hi does not solve, naming bracket_tol when it is
+    finer than the walk resolves the fold.
 
     ``details`` holds c_star and mu_star, every traced point (``branch``)
     and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
@@ -1243,25 +1263,29 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
         return ThresholdEstimate(minus_infinity=True, c_lo=None, c_hi=None,
                                  analytic_upper_bound=None)
 
-    counts = SolveCounts(factorizations=1)  # the flux solve inside build_upper
-    params = build_upper(h)
+    ws = _Workspace(h)
+    params = ws.upper(build_upper)
     c0 = params.implied_c
     bracket_tol = 1e-4 * abs(c0) if bracket_tol is None else bracket_tol
-    walk = _Walk(_Workspace(h.grid, counts), h, params, DEFAULT_TOL, bracket_tol)
+    walk = _Walk(ws, params, DEFAULT_TOL, bracket_tol)
     fold = walk.fold()
     c_hi = min(fold.c + 0.5 * bracket_tol, c0)
     c_lo = c_hi - bracket_tol
     critical = _critical(walk, c_lo, c_hi)  # before the certificate solves more points
     try:
         psi = walk.upper(c_hi)
-        _sandwich(h, c_hi, GridFunction(h.grid, psi.u), tol=DEFAULT_TOL, counts=counts)
-    except (NoUpperSolutionFound, NoConvergence) as exc:
+        _sandwich(ws, c_hi, GridFunction(h.grid, psi.u), DEFAULT_TOL)
+    except NoUpperSolutionFound as exc:
+        # c_hi lies above the fold, but closer than the walk resolves c there
+        raise NoConvergence(f"bracket_tol = {bracket_tol!r} is finer than the walk resolves "
+                            f"the fold, so c_hi is not certified: {exc}") from exc
+    except NoConvergence as exc:
         raise NoConvergence(f"fold at c* = {fold.c!r}, but c_hi = {c_hi!r} "
                             f"did not solve: {exc}") from exc
 
     details = {"probes": walk.solved(), "c_star": fold.c, "mu_star": fold.mu,
                "branch": [p.record() for p in walk.points],
-               "refinement": [p.record() for p in walk.refinement], **asdict(counts)}
+               "refinement": [p.record() for p in walk.refinement], **asdict(ws.counts)}
     return ThresholdEstimate(minus_infinity=False, c_lo=c_lo, c_hi=c_hi,
                              analytic_upper_bound=c0, details=details, critical=(h, critical))
 
@@ -1269,16 +1293,13 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
 def _critical(walk: _Walk, c_lo: float, c_hi: float) -> Solution:
     """The critical Solution for [c_lo, c_hi] at the walk's fold, from the
     points solved so far (see solve_critical)."""
-    ws, hv, fold = walk.ws, walk.hv, walk.fold()
-
-    def mass(p):
-        return float(ws.w @ (hv * np.exp(p.u)))
+    ws, fold = walk.ws, walk.fold()
 
     def record(p):
         nr = norms(GridFunction(ws.grid, p.u))
         return {"c": p.c, "h1_norm": math.hypot(nr.l2, nr.h1_seminorm),
                 "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
-                "mass_defect": abs(mass(p) - p.c * ws.total), "residual": p.res}
+                "mass_defect": abs(ws.mass(p.u) - p.c * ws.total), "residual": p.res}
 
     first, solved = walk.points[0].dc, walk.points + walk.refinement
     side = [p for p in solved if p is not fold and p.dc * first > 0.0 and p.c <= c_hi]
@@ -1287,7 +1308,7 @@ def _critical(walk: _Walk, c_lo: float, c_hi: float) -> Solution:
     report = SolveReport(
         method="critical-fold", iterations=sum(p.iters for p in solved), final_residual=fold.res,
         identity_checks={"mass_defect_at_c_final": approach[-1]["mass_defect"],
-                         "mass_defect_at_midpoint": abs(mass(fold) - c_mid * ws.total)},
+                         "mass_defect_at_midpoint": abs(ws.mass(fold.u) - c_mid * ws.total)},
         details={"c_final": fold.c, "c_midpoint": c_mid, "bracket": [c_lo, c_hi],
                  "approach": approach, "branch_points": len(solved), **asdict(ws.counts)},
     )
@@ -1315,8 +1336,8 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     h0, sol = estimate.critical or (h, None)
     if sol is None or sol.report.details["bracket"] != [c_lo, c_hi] or not (
             grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):
-        ws = _Workspace(h.grid, SolveCounts(factorizations=1))  # build_upper's flux solve
-        sol = _critical(_Walk(ws, h, build_upper(h), DEFAULT_TOL, c_hi - c_lo), c_lo, c_hi)
+        ws = _Workspace(h)
+        sol = _critical(_Walk(ws, ws.upper(build_upper), DEFAULT_TOL, c_hi - c_lo), c_lo, c_hi)
     c_star = sol.report.details["c_final"]
     if not c_lo <= c_star <= c_hi:
         raise NoConvergence(f"the fold of the solution branch at c* = {c_star!r} lies "

@@ -17,8 +17,8 @@ from kwnet import (
     solve_poisson_meanzero,
     solve_shifted,
 )
-from kwnet.assembly import GridOperators, shifted_solver
-from kwnet.errors import GridMismatch, IncompatibleRHS, NonpositiveShift
+from kwnet.assembly import GridOperators
+from kwnet.errors import GridMismatch, IncompatibleRHS, LinearSolveFailure, NonpositiveShift
 from helpers import (
     assert_stiffness_matches,
     coo_stiffness,
@@ -79,33 +79,42 @@ def test_solve_shifted_manufactured():
     assert np.max(np.abs(u.values - exact.values)) < 2e-4  # O(h^2)
 
 
-def test_shifted_solver_rejects_nonpositive_shift():
+def test_shifted_solve_rejects_nonpositive_shift():
     grid = make_single(cells=8)
     with pytest.raises(NonpositiveShift):
-        shifted_solver(grid, constant(grid, 0.0))
+        solve_shifted(grid, constant(grid, 0.0), constant(grid, 1.0))
 
 
-def test_shifted_solver_factorizes_once():
+def test_shifted_factor_solves_many_right_hand_sides():
+    # one factorization of K + M_k serves every sweep of a shift
     grid = make_star3(cells=8)
-    k = constant(grid, 2.0)
-    solve = shifted_solver(grid, k)
+    lu = grid.operators.factor(grid.weights * 2.0)
     b = np.zeros(grid.ndof)
     b[0] = 1.0
-    u1 = solve(b)
-    u2 = solve(2.0 * b)
+    u1 = lu.solve_checked(b)
+    u2 = lu.solve_checked(2.0 * b)
     assert np.allclose(2.0 * u1, u2, rtol=1e-12, atol=1e-14)
 
 
-def test_shifted_solver_inverse_positive():
-    # nonnegative data -> nonnegative solution (discrete maximum principle)
+def test_shifted_solve_inverse_positive():
+    # nonpositive rhs -> nonnegative solution (discrete maximum principle)
     grid = make_triangle(cells=20)
     rng = np.random.default_rng(7)
     k = GridFunction(grid, 0.5 + rng.uniform(0.0, 2.0, grid.ndof))
-    solve = shifted_solver(grid, k)
     for _ in range(5):
-        b = rng.uniform(0.0, 1.0, grid.ndof) * grid.weights
-        u = solve(b)
-        assert float(np.min(u)) >= -1e-13
+        u = solve_shifted(grid, k, GridFunction(grid, -rng.uniform(0.0, 1.0, grid.ndof)))
+        assert float(np.min(u.values)) >= -1e-13
+
+
+def test_checked_solve_refuses_a_large_residual(monkeypatch):
+    grid = make_single(cells=8)
+    lu = grid.operators.factor(grid.weights)
+    b = grid.weights.copy()
+    x = lu.solve_checked(b)
+    x[3] += 1e-6  # a wrong solution, far above roundoff
+    monkeypatch.setattr(lu, "solve", lambda b: x)
+    with pytest.raises(LinearSolveFailure, match="residual"):
+        lu.solve_checked(b)
 
 
 def test_poisson_meanzero_roundtrip():
@@ -134,8 +143,7 @@ def test_apply_residual_zero_at_manufactured_root():
     hv = (c + (K @ u.values) / grid.weights) * np.exp(-u.values)
     rep = apply_residual(u, GridFunction(grid, hv), c)
     assert rep.weak_residual_norm < 1e-12
-    wn, r = rep  # tuple-style unpacking stays supported
-    assert wn == rep.weak_residual_norm and r.shape == (grid.ndof,)
+    assert rep.residual.shape == (grid.ndof,)
 
 
 def test_apply_residual_grid_mismatch():

@@ -12,15 +12,19 @@ from scipy.sparse.linalg import spsolve
 from kwnet import (
     GridFunction,
     SolveCounts,
+    ThresholdEstimate,
     build_graph,
     build_grid,
     build_upper,
     estimate_threshold,
+    monotone_iterate,
     sample_function,
+    solve_critical,
     solve_negative,
     solve_poisson_meanzero,
     solve_positive,
     solve_shifted,
+    solve_zero,
 )
 from kwnet import assembly
 from kwnet.assembly import LINEAR_RTOL
@@ -29,6 +33,7 @@ from kwnet.solvers import _damped_newton, _linsolve, _Workspace
 from helpers import (
     make_single,
     make_theta,
+    ordered_pair,
     random_grid,
     random_h_positive_somewhere,
     random_tree_grid,
@@ -211,17 +216,16 @@ def _zero_pivot_problem():
     # two cells on the unit edge: the one interior node has K_ii = 2/h = 4 and
     # weight h = 0.5, so h e^u = 8 there makes K_ii - w h e^u exactly zero
     grid = make_single(cells=2)
-    hv = np.array([1.0, 1.0, 8.0])
-    return grid, hv
+    return grid, GridFunction(grid, [1.0, 1.0, 8.0])
 
 
 def test_zero_interior_pivot_is_a_failure():
-    grid, hv = _zero_pivot_problem()
-    d = -(grid.weights * hv)
+    grid, h = _zero_pivot_problem()
+    d = -(grid.weights * h.values)
     with pytest.raises(LinearSolveFailure, match="zero pivot"):
         grid.operators.factor(d)
     # the full matrix is regular, and the ridge solves it
-    ws = _Workspace(grid)
+    ws = _Workspace(h)
     b = np.array([1.0, -2.0, 0.5])
     x = _linsolve(ws, d, b)
     assert x is not None and np.all(np.isfinite(x))
@@ -230,9 +234,9 @@ def test_zero_interior_pivot_is_a_failure():
 
 
 def test_damped_newton_takes_the_ridge_at_a_zero_pivot():
-    grid, hv = _zero_pivot_problem()
-    ws = _Workspace(grid)
-    _damped_newton(ws, hv, -1.0, np.zeros(grid.ndof), tol=1e-10, max_iter=1)
+    grid, h = _zero_pivot_problem()
+    ws = _Workspace(h)
+    _damped_newton(ws, -1.0, np.zeros(grid.ndof), tol=1e-10, max_iter=1)
     assert ws.counts.ridge_retries >= 1
 
 
@@ -353,14 +357,83 @@ def test_definite_solves_never_pivot(monkeypatch):
 
 
 def test_a_failed_pivoted_interior_is_counted():
-    grid, hv = _zero_pivot_problem()
-    ws = _Workspace(grid)
+    grid, h = _zero_pivot_problem()
+    ws = _Workspace(h)
     # dpttrf meets the zero pivot, dgttrf fails on it too, and the ridge
     # (positive definite again) solves by LDL^T
-    x = _linsolve(ws, -(grid.weights * hv), np.array([1.0, -2.0, 0.5]))
+    x = _linsolve(ws, ws.jacobian_shift(np.zeros(grid.ndof)), np.array([1.0, -2.0, 0.5]))
     assert x is not None
     assert (ws.counts.factorizations, ws.counts.ridge_retries, ws.counts.pivoted_interiors) == (2, 1, 1)
     start = SolveCounts(**vars(ws.counts))
-    ws.factor(-(grid.weights * hv) + 1.0)
+    ws.factor(ws.jacobian_shift(np.zeros(grid.ndof)) + 1.0)
     assert ws.counts.since(start) == {"factorizations": 1, "ridge_retries": 0,
                                       "pivoted_interiors": 0}
+
+
+def _record_factorizations(monkeypatch):
+    """Every call of GridOperators.factor as whether its interior pivoted,
+    the calls that raise included."""
+    made = []
+    factor = assembly.GridOperators.factor
+
+    def recorded(self, d, border=None):
+        try:
+            lu = factor(self, d, border)
+        except LinearSolveFailure as exc:
+            made.append(exc.pivoted_interior)
+            raise
+        made.append(lu.pivoted)
+        return lu
+
+    monkeypatch.setattr(assembly.GridOperators, "factor", recorded)
+    return made
+
+
+
+def _cos_edge(cells=96, shift=0.1):
+    return sample_function(make_single(cells=cells), lambda s: math.cos(math.pi * s) - shift)
+
+
+def _critical(h):
+    # a bracket made by hand around the default estimate's c* is walked
+    fold = -0.04977952371251541
+    est = ThresholdEstimate(minus_infinity=False, c_lo=fold - 2e-6, c_hi=fold + 2e-6,
+                            analytic_upper_bound=None)
+    return lambda: solve_critical(h, est)
+
+
+def _monotone(h):
+    c = 0.5 * build_upper(h).implied_c
+    lo, up = ordered_pair(h, c)  # its flux solve is made outside the call
+    return lambda: monotone_iterate(h, c, lo, up)
+
+
+def _negative(scale):
+    def route(h):
+        c = scale * build_upper(h).implied_c
+        return lambda: solve_negative(h, c)
+    return route
+
+
+# each route: h -> the call whose report is checked
+COUNTED = {
+    "zero": lambda h: lambda: solve_zero(h),
+    # at c = 15 a Newton Jacobian of the finish pivots in its interior
+    "positive": lambda h: lambda: solve_positive(h, 15.0),
+    "certified": _negative(0.5),
+    "continuation": _negative(1.5),
+    "h<=0": lambda h: lambda: solve_negative(GridFunction(h.grid, h.values - 1.0), -0.3),
+    "monotone": _monotone,
+    "threshold": lambda h: lambda: estimate_threshold(h),
+    "critical": _critical,
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTED))
+def test_counts_are_every_factorization_made(monkeypatch, name):
+    call = COUNTED[name](_cos_edge())
+    made = _record_factorizations(monkeypatch)
+    result = call()
+    details = getattr(result, "report", result).details
+    assert details["factorizations"] == len(made) > 0
+    assert details["pivoted_interiors"] == sum(made) >= (name == "positive")

@@ -204,10 +204,10 @@ def test_monotone_records_rejected_tails(monkeypatch, reason):
     newton = solvers._damped_newton
     calls = []
 
-    def first_tail_rejected(ws, hv, c, seed, tol, max_iter=60):
+    def first_tail_rejected(ws, c, seed, tol, max_iter=60):
         calls.append(tol)
         if len(calls) > 1:
-            return newton(ws, hv, c, seed, tol=tol, max_iter=max_iter)
+            return newton(ws, c, seed, tol=tol, max_iter=max_iter)
         return None if reason == "newton_failed" else seed + 1.0  # above u_n
 
     monkeypatch.setattr(solvers, "_damped_newton", first_tail_rejected)

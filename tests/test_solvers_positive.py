@@ -6,7 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from kwnet import apply_residual, constant, integrate, sample_function, solve, solve_positive
+from kwnet import (
+    GridFunction,
+    apply_residual,
+    constant,
+    integrate,
+    sample_function,
+    solve,
+    solve_positive,
+)
 from kwnet import solvers
 from kwnet.errors import NotSolvable
 from kwnet.problemfile import parse_problem
@@ -26,7 +34,7 @@ def test_sign_changing_h_converges():
     sol = solve_positive(h, c)
     assert sol.report.final_residual <= 1e-8 * (1 + c)
     assert sol.report.multiplier == 1.0
-    mass = integrate(h.with_values(h.values * np.exp(sol.u.values)))
+    mass = integrate(GridFunction(h.grid, h.values * np.exp(sol.u.values)))
     assert mass == pytest.approx(c * grid.total_length, abs=1e-7)
 
 
@@ -229,7 +237,7 @@ def test_saddle_finish_is_refused(monkeypatch):
     newton = solvers._damped_newton
     # h scaled by a few ulps: the refusal must not rest on one roundoff path
     for k in (-32, -9, 0, 23):
-        h = h0.with_values(h0.values * (1.0 + k * 1.1e-16))
+        h = GridFunction(h0.grid, h0.values * (1.0 + k * 1.1e-16))
         roots = []
 
         def recorded(*args, **kwargs):
@@ -240,9 +248,9 @@ def test_saddle_finish_is_refused(monkeypatch):
         sol = solve_positive(h, 1.7)
         assert [row["reason"] for row in sol.report.details["rejected_tails"]] == ["saddle"]
         assert sol.report.final_residual <= 1e-8 * 2.7
-        ws = solvers._Workspace(h.grid)
+        ws = solvers._Workspace(h)
         saddle = roots[0]
-        assert ws.factor(-(ws.w * h.values * np.exp(saddle))).negative_eigenvalues() == 2
+        assert ws.factor(ws.jacobian_shift(saddle)).negative_eigenvalues() == 2
         saddle_value = 0.5 * float(saddle @ (ws.K @ saddle)) + 1.7 * float(ws.w @ saddle)
         assert saddle_value > sol.report.functional_value + 1.0
         # pure descent stalls at the roundoff floor of the constrained value,

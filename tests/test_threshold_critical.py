@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kwnet import (
+    GridFunction,
     ThresholdEstimate,
     apply_residual,
     build_upper,
@@ -255,7 +256,7 @@ def test_critical_walks_for_another_h_or_bracket(monkeypatch):
     again = solve_critical(cos_h(), est)
     assert not calls and snapshot(again) == snapshot(carried)
     # 2 h on the same grid has the same fold, with u shifted by -ln 2
-    doubled = solve_critical(h.with_values(2.0 * h.values), est)
+    doubled = solve_critical(GridFunction(h.grid, 2.0 * h.values), est)
     assert calls
     assert np.allclose(doubled.u.values, carried.u.values - math.log(2.0), atol=1e-6)
     # a bracket widened by replace walks with its own width as fold precision
@@ -293,3 +294,15 @@ def test_critical_rejects_a_bad_bracket(c_lo, c_hi):
     est = ThresholdEstimate(minus_infinity=False, c_lo=c_lo, c_hi=c_hi, analytic_upper_bound=None)
     with pytest.raises(ValueError, match="bracket"):
         solve_critical(cos_h(cells=16), est)
+
+
+def test_a_too_fine_bracket_tol_is_named_as_the_cause():
+    # the fold point of this edge solves only to residual 1.0e-10, so no
+    # branch point certifies a c_hi 5e-13 above it
+    with pytest.raises(NoConvergence) as info:
+        estimate_threshold(cos_h(), bracket_tol=1e-12)
+    message = str(info.value)
+    assert message.startswith("bracket_tol = 1e-12 is finer than the walk resolves the fold")
+    assert re.search(r"lies 5\.0e-13 above the fold at c\* = -0\.0497795237\d*, .* "
+                     r"residual 1\.0e-10$", message)
+    assert "below the fold" not in message
