@@ -308,18 +308,28 @@ class KPlusDiag:
         return x
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """(K + diag(d)) x, for a posteriori residual checks."""
-        return self.ops.K @ x + self.d * x
+        """A x for the factored matrix A, K + diag(d) or its bordered form,
+        for a posteriori residual checks."""
+        border = self._border
+        if border is None:
+            return self.ops.K @ x + self.d * x
+        y = x[:self.ops.ndof]
+        return np.append(self.ops.K @ y + self.d * y + border * x[-1], border @ y)
 
     @cached_property
     def _row_norm(self) -> float:
-        """|| |K + diag(d)| ||_inf, formed on the first checked solve."""
-        return float(np.max(self.ops.abs_row_sum + np.abs(self.d)))
+        """|| |A| ||_inf, formed on the first checked solve; the border adds
+        |border| to every row and a row of its own."""
+        rows = self.ops.abs_row_sum + np.abs(self.d)
+        if self._border is None:
+            return float(np.max(rows))
+        edge = np.abs(self._border)
+        return max(float(np.max(rows + edge)), float(np.sum(edge)))
 
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
-        """solve(b) (unbordered only), verified a posteriori: the residual
-        must stay within 10 LINEAR_RTOL of max(|b|, || |A| || |x|), since
-        backward-stable roundoff scales with |A| |x|, not just |b|; raises
+        """solve(b), verified a posteriori: the residual must stay within
+        10 LINEAR_RTOL of max(|b|, || |A| || |x|), since backward-stable
+        roundoff scales with |A| |x|, not just |b|; raises
         LinearSolveFailure."""
         x = self.solve(b)
         scale = max(float(np.max(np.abs(b))), self._row_norm * float(np.max(np.abs(x))), 1e-300)
@@ -379,7 +389,8 @@ def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
 
     The right-hand side must be compatible (integrate(rhs) ~ 0).  The mean
     constraint is imposed by bordering K with the weight vector — one extra
-    symmetric row/column, no pinned DOF.
+    symmetric row/column, no pinned DOF.  The solve is checked a posteriori
+    (``KPlusDiag.solve_checked``).
     """
     _check_function(grid, rhs, "rhs")
     total = grid.total_length
@@ -390,18 +401,10 @@ def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
     if abs(ir) > 1e-8 * l1 + 1e-14 * total:
         raise IncompatibleRHS(f"integrate(rhs) = {ir!r} but a pure-flux problem needs 0")
 
-    ops = grid.operators
     w = grid.weights
     n = grid.ndof
-    b = np.concatenate([-(w * rhs.values), [0.0]])
-    sol = ops.factor(np.zeros(n), border=w).solve(b)
-    resid = max(float(np.max(np.abs(grid.stiffness @ sol[:n] + w * sol[n] - b[:n]))),
-                abs(float(w @ sol[:n])))
-    row_norm = max(float(np.max(ops.abs_row_sum + w)), float(np.sum(w)))
-    scale = max(float(np.max(np.abs(b))), row_norm * float(np.max(np.abs(sol))), 1.0)
-    if resid > LINEAR_RTOL * scale * 100.0:
-        raise LinearSolveFailure(f"bordered solve residual {resid} vs scale {scale}")
-    m = sol[:n]
+    b = np.append(-(w * rhs.values), 0.0)
+    m = grid.operators.factor(np.zeros(n), border=w).solve_checked(b)[:n]
     m = m - (w @ m) / total  # strip the roundoff-level mean
     return GridFunction(grid, m)
 

@@ -17,6 +17,7 @@ from kwnet import (
     solve_poisson_meanzero,
     solve_shifted,
 )
+from kwnet import assembly
 from kwnet.assembly import GridOperators
 from kwnet.errors import GridMismatch, IncompatibleRHS, LinearSolveFailure, NonpositiveShift
 from helpers import (
@@ -206,3 +207,33 @@ def test_vertex_diagonal_is_summed_in_edge_order():
         for v in (e.tail, e.head):
             expect[grid.vertex_dof(v)] += 1.0 / float(grid.edge_h[j])
     assert np.array_equal(assemble_stiffness(grid).diagonal()[:nv], expect)
+
+
+def test_checked_bordered_solve_checks_every_row(monkeypatch):
+    # [[K, w], [w^T, 0]]: matvec is the bordered product, and a wrong x is
+    # refused whether it breaks the K rows or only the border row
+    grid = make_star3(cells=8)
+    w, n = grid.weights, grid.ndof
+    lu = grid.operators.factor(np.zeros(n), border=w)
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal(n)
+    b = np.append(raw - w * (w @ raw) / (w @ w), 0.0)
+    x = lu.solve_checked(b)
+    dense = np.block([[grid.stiffness.toarray(), w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    assert np.allclose(lu.matvec(x), dense @ x, rtol=0.0, atol=1e-13)
+    # a constant added to u leaves K u alone and moves only w.u
+    for wrong in (x + np.append(np.full(n, 1e-6), 0.0), x + np.append(np.zeros(n), 1e-6)):
+        monkeypatch.setattr(lu, "solve", lambda b, wrong=wrong: wrong)
+        with pytest.raises(LinearSolveFailure, match="residual"):
+            lu.solve_checked(b)
+
+
+def test_poisson_meanzero_refuses_a_wrong_bordered_solve(monkeypatch):
+    grid = make_star3(cells=16)
+    raw = np.random.default_rng(3).standard_normal(grid.ndof)
+    f = GridFunction(grid, raw - (grid.weights @ raw) / grid.total_length)
+    solve_poisson_meanzero(grid, f)
+    solve = assembly.KPlusDiag.solve
+    monkeypatch.setattr(assembly.KPlusDiag, "solve", lambda self, b: solve(self, b) + 1e-6)
+    with pytest.raises(LinearSolveFailure, match="residual"):
+        solve_poisson_meanzero(grid, f)

@@ -646,5 +646,7 @@ def test_threshold_json_carries_the_work_counts(tmp_path):
 def test_threshold_with_a_too_fine_bracket_tol_exits_3(tmp_path, capsys):
     # the problem of CI's console-script step
     prob = write_problem(tmp_path, h="cos(pi*s) - 0.5")
-    assert main(["threshold", str(prob), "--cells", "32", "--bracket-tol", "1e-12"]) == 3
-    assert "bracket_tol = 1e-12 is finer than the walk resolves the fold" in capsys.readouterr().err
+    for width in ("1e-12", "1e-11"):
+        assert main(["threshold", str(prob), "--cells", "32", "--bracket-tol", width]) == 3
+        assert (f"bracket_tol = {width} is finer than the walk resolves the fold"
+                in capsys.readouterr().err)

@@ -432,3 +432,36 @@ def test_every_public_solver_rejects_a_bad_tol(tol):
     for call in calls:
         with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
             call()
+
+
+def test_refuse_sandwich_keeps_only_roots_inside_it():
+    lo, u, slack = np.zeros(5), np.ones(5), 1e-3
+    inside = np.array([0.5, -slack, 1.0 + slack, 0.0, 1.0])
+    assert solvers._refuse_sandwich(inside, lo, u, slack) is None
+    for k, off in ((1, -2e-3), (2, 1.0 + 2e-3)):
+        root = inside.copy()
+        root[k] = off
+        assert solvers._refuse_sandwich(root, lo, u, slack) == "left_sandwich"
+
+
+def test_newton_finish_records_each_refusal(monkeypatch):
+    h = cos_h(cells=16)
+    ws = solvers._Workspace(h)
+    seed = np.zeros(h.grid.ndof)
+    calls = []
+
+    def newton(ws_, c, seed_, tol, max_iter=60):
+        calls.append((c, tol, max_iter))
+        return None if len(calls) == 1 else seed_ + 1.0
+
+    monkeypatch.setattr(solvers, "_damped_newton", newton)
+    rejected = []
+    assert solvers._newton_finish(ws, -1.0, seed, 1e-8, lambda r: None, rejected,
+                                  max_iter=50, sweep=3) is None
+    assert solvers._newton_finish(ws, -1.0, seed, 1e-8, lambda r: "left_sandwich",
+                                  rejected, sweep=4) is None
+    root = solvers._newton_finish(ws, -1.0, seed, 1e-8, lambda r: None, rejected, sweep=5)
+    assert np.array_equal(root, seed + 1.0)
+    assert rejected == [{"sweep": 3, "reason": "newton_failed"},
+                        {"sweep": 4, "reason": "left_sandwich"}]
+    assert calls == [(-1.0, 1e-8, 50), (-1.0, 1e-8, 60), (-1.0, 1e-8, 60)]

@@ -260,3 +260,30 @@ def test_saddle_finish_is_refused(monkeypatch):
         monkeypatch.setattr(solvers, "_damped_newton", lambda *args, **kwargs: None)
         pure = solve_positive(h, 1.7, tol=1e-5)
         assert sol.report.functional_value <= pure.report.functional_value + 1e-12 * 27.0
+
+
+def test_refuse_minimum_names_each_reason():
+    # the c >= 0 refusal on a converged root: kept as it is, then refused for
+    # each reason in turn, the first failing test naming it
+    grid = make_single(cells=32)
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) + 0.05)
+    root = solve_positive(h, 0.8).u.values
+    ws = solvers._Workspace(h)
+
+    def value(x):
+        return 0.5 * float(x @ (ws.K @ x)) + 0.8 * float(ws.w @ x)
+
+    def keep(x):
+        return x
+
+    val = value(root)
+    assert solvers._refuse_minimum(ws, root, keep, value, val) is None
+    assert solvers._refuse_minimum(ws, root, lambda x: None, value, val - 1.0) == "constraint"
+    assert solvers._refuse_minimum(ws, root, keep, value, val - 1e-6) == "higher_value"
+    # roundoff above the current value is no reason
+    assert solvers._refuse_minimum(ws, root, keep, value, val - 1e-14) is None
+    # e^10 times h > 0 makes K - diag(w h e^u) negative on many modes
+    high = root + 10.0
+    assert ws.factor(ws.jacobian_shift(high)).negative_eigenvalues() > 1
+    assert solvers._refuse_minimum(ws, high, keep, lambda x: 0.0, 0.0) == "saddle"
+    assert solvers._refuse_minimum(ws, high, keep, value, val) == "higher_value"

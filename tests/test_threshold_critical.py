@@ -296,13 +296,33 @@ def test_critical_rejects_a_bad_bracket(c_lo, c_hi):
         solve_critical(cos_h(cells=16), est)
 
 
+def _cos_half_h(cells=32):
+    # the problem of CI's console-script step
+    return sample_function(make_single(cells=cells), lambda s: math.cos(math.pi * s) - 0.5)
+
+
 def test_a_too_fine_bracket_tol_is_named_as_the_cause():
-    # the fold point of this edge solves only to residual 1.0e-10, so no
-    # branch point certifies a c_hi 5e-13 above it
-    with pytest.raises(NoConvergence) as info:
-        estimate_threshold(cos_h(), bracket_tol=1e-12)
-    message = str(info.value)
-    assert message.startswith("bracket_tol = 1e-12 is finer than the walk resolves the fold")
-    assert re.search(r"lies 5\.0e-13 above the fold at c\* = -0\.0497795237\d*, .* "
-                     r"residual 1\.0e-10$", message)
-    assert "below the fold" not in message
+    # the fold point of the 96-cell edge solves only to residual 1.0e-10 and
+    # that of the 32-cell one to 6.0e-12, so no branch point certifies a
+    # c_hi = c* + bracket_tol / 2 closer to the fold than that
+    for h, bracket_tol, gap, c_star, residual in (
+            (cos_h(), 1e-12, "5.0e-13", "-0.0497795237", "1.0e-10"),
+            (cos_h(), 1e-10, "5.0e-11", "-0.0497795237", "1.0e-10"),
+            (_cos_half_h(), 1e-11, "5.0e-12", "-1.58765309683", "6.0e-12")):
+        with pytest.raises(NoConvergence) as info:
+            estimate_threshold(h, bracket_tol=bracket_tol)
+        message = str(info.value)
+        assert message.startswith(f"bracket_tol = {bracket_tol!r} is finer than the walk "
+                                  "resolves the fold")
+        assert re.search(rf"lies {re.escape(gap)} above the fold at c\* = {re.escape(c_star)}\d*, "
+                         rf".* residual {re.escape(residual)}$", message)
+        assert "below the fold" not in message
+
+
+def test_the_finest_resolved_bracket_tol_still_certifies():
+    # one decade above the widths refused above: c_hi - c* exceeds the fold
+    # point's residual, and c_hi is certified
+    for h, bracket_tol in ((cos_h(), 1e-9), (_cos_half_h(), 1e-10)):
+        est = estimate_threshold(h, bracket_tol=bracket_tol)
+        assert est.c_hi - est.c_lo == pytest.approx(bracket_tol, rel=1e-3)
+        assert est.c_lo < est.details["c_star"] < est.c_hi
