@@ -339,105 +339,59 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
     return GridFunction(grid, out)
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4), step for step as
-    scipy.optimize.brentq takes it, so the root is bitwise the same.
-    ValueError when f(a) and f(b) have one sign or f is NaN; RuntimeError
-    after ``maxiter`` steps."""
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # an infinite or NaN step in C: bisect
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps (x = {xcur!r})")
-
-
-def _bump_scale(ws: _Workspace, wb, target: float) -> float:
-    """The scale l > 0 at which int h e^(l wb) reaches ``target`` (above
-    int h); raises FeasibilityFailure when doubling l never gets there."""
-
-    def scan(ell):
-        return ws.mass(ell * wb) - target
-
-    hi = 1.0
-    for _ in range(80):
-        if scan(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise FeasibilityFailure(f"bump scaling never made int h e^(l w) exceed {target:.6g}")
-    return _brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
-
-
-def _project_zero(ws: _Workspace, v: np.ndarray, wb: np.ndarray):
-    """Return to {int v = 0, int h e^v = 0}: scalar Newton along the bump
-    direction, then a mean shift.  None when no correction exists."""
-    w, hv = ws.w, ws.hv
-    alpha = 0.0
-    cur = v
-    for _ in range(100):
+def _along_bump(ws: _Workspace, v, wb: np.ndarray, target: float = 0.0, alpha: float = 0.0):
+    """Scalar Newton in a for int h e^(v + a wb) = target from a = alpha:
+    (a, v + a wb) once |int h e^x - target| <= 1e-14 int |h| e^x; None when
+    e^x overflows, the slope is not positive, a moves by more than 500 or
+    100 + alpha steps do not settle.  As _bump makes wb > 0 only where h > 0,
+    the left side is increasing and convex in a, so from above target the
+    steps fall monotonically onto the root and never pass it; far above it,
+    where e^a dominates, they fall by about 1 each."""
+    w, hv, a = ws.w, ws.hv, alpha
+    cur = v + a * wb if a else v
+    for _ in range(100 + int(alpha)):
         with np.errstate(over="ignore"):
             ev = np.exp(cur)
         if not np.all(np.isfinite(ev)):
             return None
-        g = float(w @ (hv * ev))
+        g = float(w @ (hv * ev)) - target
         scale = float(w @ (np.abs(hv) * ev)) + 1e-300
         if abs(g) <= 1e-14 * scale:
-            return cur - (w @ cur) / ws.total
+            return a, cur
         d = float(w @ (hv * wb * ev))
         if not (d > 0.0) or not math.isfinite(d):
             return None
-        step = max(-50.0, min(50.0, -g / d))
-        alpha += step
-        if abs(alpha) > 500.0:
+        a += max(-50.0, min(50.0, -g / d))
+        if abs(a - alpha) > 500.0:
             return None
-        cur = v + alpha * wb
+        cur = v + a * wb
     return None
+
+
+def _bump_scale(ws: _Workspace, wb, target: float) -> float:
+    """The scale l > 0 at which int h e^(l wb) reaches ``target`` (above
+    int h): l doubles from 1 until the mass passes target, then Newton
+    along the bump comes down onto the root.  FeasibilityFailure when
+    neither gets there."""
+    hi = 1.0
+    for _ in range(80):
+        if ws.mass(hi * wb) > target:
+            break
+        hi *= 2.0
+    else:
+        raise FeasibilityFailure(f"bump scaling never made int h e^(l w) exceed {target:.6g}")
+    found = _along_bump(ws, 0.0, wb, target, alpha=min(hi, 700.0))  # wb <= 1: e^x is finite
+    if found is None:
+        raise FeasibilityFailure(f"Newton along the bump found no l <= {hi:g} with "
+                                 f"int h e^(l w) = {target:.6g}")
+    return found[0]
+
+
+def _project_zero(ws: _Workspace, v: np.ndarray, wb: np.ndarray):
+    """Return to {int v = 0, int h e^v = 0}: Newton along the bump
+    direction, then a mean shift.  None when no correction exists."""
+    found = _along_bump(ws, v, wb)
+    return None if found is None else found[1] - (ws.w @ found[1]) / ws.total
 
 
 def _armijo(value, project, x, val, d, slope):
@@ -537,9 +491,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
 
     wb = _bump(grid, h).values
     ell0 = _bump_scale(ws, wb, 0.0)
-    v = _project_zero(ws, ell0 * wb, wb)
-    if v is None:
-        raise FeasibilityFailure("could not project the scaled bump onto the constraint set")
+    v = _project_zero(ws, ell0 * wb, wb)  # on the constraint already: only the mean shift
 
     def energy(x):
         return 0.5 * float(x @ (K @ x))
@@ -1348,11 +1300,12 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     solves the equation at c_final = c*.  For its own h and bracket an
     estimate carries that fold, and a copy of it is returned with no second
     walk; a hand-made bracket is walked.  The fold must lie in [c_lo, c_hi],
-    else NoConvergence names c*.  ``details["approach"]`` is the boundedness
-    record of the critical case: H1 norm, 1/2 |du|^2, mass defect and
-    residual of each point solved up to the fold on its approach side with
-    c <= c_hi, then of the fold.  BoundBlowup when those H1 norms spread by
-    more than 50x.
+    else NoConvergence names c*, and the bracket width when c* misses by no
+    more than the fold point's residual.  ``details["approach"]`` is the
+    boundedness record of the critical case: H1 norm, 1/2 |du|^2, mass
+    defect and residual of each point solved up to the fold on its approach
+    side with c <= c_hi, then of the fold.  BoundBlowup when those H1 norms
+    spread by more than 50x.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")
@@ -1363,8 +1316,13 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
             grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):
         ws = _Workspace(h)
         sol = _critical(_Walk(ws, ws.upper(build_upper), DEFAULT_TOL, c_hi - c_lo), c_lo, c_hi)
-    c_star = sol.report.details["c_final"]
-    if not c_lo <= c_star <= c_hi:
+    c_star, res = sol.report.details["c_final"], sol.report.final_residual
+    miss = max(c_lo - c_star, c_star - c_hi)
+    if 0.0 < miss <= res:  # as in _Walk.upper: the walk places c no closer than res
+        raise NoConvergence(f"the bracket width c_hi - c_lo = {c_hi - c_lo!r} is finer than the "
+                            f"walk resolves the fold: c* = {c_star!r} lies {miss:.1e} outside "
+                            f"[{c_lo!r}, {c_hi!r}], within the fold point's residual {res:.1e}")
+    if miss > 0.0:
         raise NoConvergence(f"the fold of the solution branch at c* = {c_star!r} lies "
                             f"outside the bracket [{c_lo!r}, {c_hi!r}]")
     h1s = [r["h1_norm"] for r in sol.report.details["approach"]]

@@ -22,6 +22,7 @@ from .graph import GridFunction, exp_weighted_energy, grids_compatible, integrat
 from .solvers import Solution, SolveReport
 
 _FUNCTIONALS = ("zero", "positive", "critical")
+ORACLE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,12 @@ def manufacture(u_star: GridFunction, c: float, *,
 
 
 def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *,
-                  tol: float = 1e-8, max_iter: int = 100) -> Solution:
+                  tol: float = 1e-8) -> Solution:
     """Damped Newton on the full residual, blind to the variational structure.
 
     Levenberg ridge fallback when the Jacobian solve is unusable, Armijo
     backtracking on the inverse-mass residual norm, Diverged when no
-    acceptable step exists.
+    acceptable step exists or ORACLE_MAX_ITER steps do not converge.
     """
     grid = h.grid
     if seed is None:
@@ -200,7 +201,7 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
 
     r = residual(u)
     wn = weak_norm(r)
-    for it in range(1, max_iter + 1):
+    for it in range(1, ORACLE_MAX_ITER + 1):
         if wn <= ctol:
             break
         with np.errstate(over="ignore"):
@@ -246,7 +247,7 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
         if not moved:
             raise Diverged(f"line search failed at iteration {it} (residual {wn:.3e})")
     else:
-        raise Diverged(f"no convergence in {max_iter} iterations (residual {wn:.3e})")
+        raise Diverged(f"no convergence in {ORACLE_MAX_ITER} iterations (residual {wn:.3e})")
 
     mass = float(w @ (hv * np.exp(u)))
     report = SolveReport(

@@ -181,6 +181,31 @@ def test_critical_names_the_fold_outside_the_bracket():
     assert abs(named - est.details["c_star"]) <= 1e-3 * width
 
 
+def test_a_too_narrow_hand_made_bracket_is_named_as_the_cause():
+    # the walked fold of the 96-cell edge solves only to residual 1.0e-10, so
+    # it cannot land inside a bracket around c* much narrower than that
+    h = cos_h()
+    est = estimate_threshold(h)
+    c_star = est.details["c_star"]
+    for width in (1e-11, 1e-12):
+        with pytest.raises(NoConvergence) as info:
+            solve_critical(h, by_hand(est, c_lo=c_star - width / 2, c_hi=c_star + width / 2))
+        message = str(info.value)
+        assert message.startswith("the bracket width c_hi - c_lo = 1.0000")
+        assert "is finer than the walk resolves the fold" in message
+        assert message.endswith("within the fold point's residual 1.0e-10")
+    for width in (1e-9, 1e-10):
+        bracket = by_hand(est, c_lo=c_star - width / 2, c_hi=c_star + width / 2)
+        c_final = solve_critical(h, bracket).report.details["c_final"]
+        assert bracket.c_lo <= c_final <= bracket.c_hi
+    # a bracket that misses the fold by more than its residual is blamed itself
+    for width in (1e-9, 1e-11):
+        shifted = by_hand(est, c_lo=c_star - width / 2 + 1e-6, c_hi=c_star + width / 2 + 1e-6)
+        with pytest.raises(NoConvergence, match=r"c\* = \S+ lies outside the bracket") as info:
+            solve_critical(h, shifted)
+        assert "width" not in str(info.value)
+
+
 def test_critical_requires_finite_threshold():
     grid = make_single(cells=16)
     est = estimate_threshold(constant(grid, -1.0))
