@@ -3,18 +3,18 @@
 The sign of c decides the machinery:
 
 * c = 0: minimize the Dirichlet energy over the constraint set
-  {int v = 0, int h e^v = 0}.  A feasible start is a scaled smooth bump
-  concentrated where h is most positive; the Lagrange multiplier of the
-  constraint gives the additive shift that turns the minimizer into a
-  solution.
+  {int v = 0, int h e^v = 0}; the Lagrange multiplier of the constraint
+  gives the additive shift that turns the minimizer into a solution.
 * c > 0: minimize 1/2 int |du|^2 + c int u over {int h e^u = c |G|}; the
   projection onto the constraint is an explicit constant shift and the
   multiplier is 1 at the minimizer.
 
-  Both run one projected-gradient descent in the H1 Riesz metric.  Damped
-  Newton on the full equation finishes it whenever the residual has fallen
-  tenfold; its root is kept only when it satisfies the constraint, lowers
-  the value and is a minimum, not a saddle.
+  Both start from the positive part of h on the edge where h is largest,
+  scaled onto the constraint, and run one projected-gradient descent in
+  the H1 Riesz metric.  Damped Newton on the full equation finishes it
+  whenever the residual has fallen tenfold; its root is kept only when it
+  satisfies the constraint, lowers the value and is a minimum, not a
+  saddle.
 * c < 0: monotone iteration squeezed between a constant lower solution and an
   upper solution.  For c >= implied_c that is the constructed u+ = a m + b,
   m the solution of a compatible flux problem driven by h minus its mean;
@@ -117,12 +117,8 @@ class SolveReport:
             "multiplier": self.multiplier,
             "functional_value": self.functional_value,
             "identity_checks": dict(self.identity_checks),
-            "details": {k: v for k, v in self.details.items() if _jsonable(v)},
+            "details": dict(self.details),
         }
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, tuple, dict, type(None)))
 
 
 @dataclass(frozen=True)
@@ -276,66 +272,22 @@ def classify(h: GridFunction, c: float) -> SolvabilityVerdict:
     return verdict(NECESSARY_OK, "none")
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
 def _bump(grid: Grid, h: GridFunction) -> GridFunction:
-    """Smooth cutoff profile concentrated where h is most positive.
-
-    Supported strictly inside one edge: the edge attaining the maximum of h
-    (lowest-indexed edge on ties), on the node run where h > max(h)/2, capped
-    at half the edge; value 1 on the middle half of that interval with cubic
-    smoothstep ramps to 0.
+    """Start direction of the c >= 0 solvers: the positive part of h on the
+    interior nodes of the edge attaining the maximum of h (lowest-indexed
+    edge on ties), scaled by that maximum, and 0 everywhere else.  So
+    wb > 0 only where h > 0, and wb <= 1.
     """
     maxima = np.maximum.reduceat(h.values[grid.node_dof], grid.edge_start[:-1])
     best = int(np.argmax(maxima))
-    best_eid, best_max = grid.graph.edges[best].id, float(maxima[best])
+    best_max = float(maxima[best])
     if best_max <= 0.0:
         raise FeasibilityFailure("h has no positive part to concentrate a bump on")
-
-    dofs = grid.edge_dofs[best_eid]
-    vals = h.values[dofs]
-    n = grid.cells_per_edge[best_eid]
-    hj = grid.spacing[best_eid]
-    length = grid.graph.edges[best].length
-
-    mask = vals > best_max / 2.0
-    peak = int(np.argmax(vals))
-    i0 = peak
-    while i0 - 1 >= 0 and mask[i0 - 1]:
-        i0 -= 1
-    i1 = peak
-    while i1 + 1 <= n and mask[i1 + 1]:
-        i1 += 1
-    i0, i1 = max(i0, 1), min(i1, n - 1)
-    if i0 > i1:
-        # peak sits on a vertex with no interior node above half-max;
-        # fall back to the best interior node
-        j = 1 + int(np.argmax(vals[1:n]))
-        if vals[j] <= 0.0:
-            raise FeasibilityFailure("no interior node with h > 0 on the bump edge")
-        i0 = i1 = j
-
-    s_lo, s_hi = i0 * hj, i1 * hj
-    if s_hi - s_lo > length / 2.0:
-        mid = 0.5 * (s_lo + s_hi)
-        s_lo, s_hi = mid - length / 4.0, mid + length / 4.0
-
-    s = grid.edge_coords(best_eid)
-    profile = np.zeros(n + 1)
-    if i1 - i0 < 2:
-        # no node strictly inside (s_lo, s_hi): a smoothstep profile would be
-        # identically zero on the grid, so pin a single-node bump instead
-        profile[i0 if vals[i0] >= vals[i1] else i1] = 1.0
-    else:
-        ramp = (s_hi - s_lo) / 4.0
-        profile = np.minimum(_smoothstep((s - s_lo) / ramp), _smoothstep((s_hi - s) / ramp))
-        profile[(s <= s_lo) | (s >= s_hi)] = 0.0
-
+    interior = grid.node_dof[grid.edge_start[best] + 1:grid.edge_start[best + 1] - 1]
     out = np.zeros(grid.ndof)
-    out[dofs] = profile
+    out[interior] = np.maximum(h.values[interior], 0.0) / best_max
+    if not np.any(out > 0.0):
+        raise FeasibilityFailure("no interior node with h > 0 on the bump edge")
     return GridFunction(grid, out)
 
 

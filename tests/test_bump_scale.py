@@ -1,4 +1,5 @@
-"""The scaled bump that starts the c >= 0 solvers: solvers._bump_scale finds
+"""The scaled bump that starts the c >= 0 solvers: solvers._bump is the
+positive part of h on the edge where h is largest, solvers._bump_scale finds
 l with int h e^(l wb) = target by Newton along the bump, and importing kwnet
 loads no scipy.optimize."""
 
@@ -23,23 +24,57 @@ GRAPHS = [make_single, make_path3, make_star3, make_triangle, make_theta]
 
 
 @st.composite
+def signed_h(draw, min_cells=2):
+    """A random h on one of the small graphs, positive or not, with the
+    interiors of some edges pushed to h <= 0 so that h > 0 can sit on
+    vertices only."""
+    grid = draw(st.sampled_from(GRAPHS))(cells=draw(st.integers(min_cells, 40)))
+    unit = st.floats(-1.0, 1.0)
+    values = np.array(draw(st.lists(unit, min_size=grid.ndof, max_size=grid.ndof)))
+    values -= draw(st.floats(0.0, 0.9))
+    for dofs in grid.edge_dofs.values():
+        if draw(st.booleans()):
+            values[dofs[1:-1]] = -np.abs(values[dofs[1:-1]])
+    return GridFunction(grid, values)
+
+
+@st.composite
 def bump_problems(draw):
     """(workspace, bump, c): a random sign-changing h with int h < 0 on a
     small graph, the bump _bump puts on it and a c > 0."""
-    grid = draw(st.sampled_from(GRAPHS))(cells=draw(st.integers(4, 40)))
-    unit = st.floats(-1.0, 1.0)
-    values = np.array(draw(st.lists(unit, min_size=grid.ndof, max_size=grid.ndof)))
-    h = GridFunction(grid, values - draw(st.floats(0.0, 0.9)))
+    h = draw(signed_h(min_cells=4))
     ws = _Workspace(h)
     assume(float(np.max(h.values)) > 0.0 and float(ws.w @ h.values) < 0.0)
     try:
-        wb = _bump(grid, h).values
+        wb = _bump(h.grid, h).values
     except FeasibilityFailure:  # h > 0 only on vertices of the best edge
         assume(False)
     # h >= 1e-6 on the bump keeps l below about 30; from about 45 on, the
     # roundoff of e^(l wb) alone can exceed the 1e-14 mass test
     assume(float(np.max(h.values[wb > 0.0])) >= 1e-6)
     return ws, wb, draw(st.floats(0.01, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=signed_h())
+def test_bump_is_the_positive_part_of_h_on_its_best_edge(h):
+    # the best edge is the first, in edge order, on whose nodes h is largest
+    grid = h.grid
+    tops = [float(np.max(h.values[dofs])) for dofs in grid.edge_dofs.values()]
+    best = list(grid.edge_dofs)[tops.index(max(tops))]
+    interior = grid.edge_dofs[best][1:-1]
+    positive = interior[h.values[interior] > 0.0]
+    if positive.size == 0:
+        with pytest.raises(FeasibilityFailure):
+            _bump(grid, h)
+        return
+    wb = _bump(grid, h).values
+    assert np.flatnonzero(wb > 0.0).tolist() == sorted(positive.tolist())
+    rest = np.ones(grid.ndof, dtype=bool)
+    rest[positive] = False
+    assert np.all(wb[rest] == 0.0)  # every vertex and every other edge
+    assert float(np.max(wb)) <= 1.0
+    assert np.array_equal(wb[positive], h.values[positive] / max(tops))
 
 
 def doubling(ws, wb, target):

@@ -1,5 +1,6 @@
 """The K + diag(d) primitive: interior tridiagonal plus vertex Schur complement."""
 
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from kwnet.errors import LinearSolveFailure
 from kwnet.solvers import _damped_newton, _linsolve, _Workspace
 from helpers import (
     make_single,
+    make_star3,
     make_theta,
     ordered_pair,
     random_grid,
@@ -370,6 +372,28 @@ def test_a_failed_pivoted_interior_is_counted():
                                       "pivoted_interiors": 0}
 
 
+def test_newton_from_an_overflowing_seed_returns_none():
+    # e^800 overflows: the first residual is not finite, and nothing is factored
+    h = sample_function(make_star3(cells=16), lambda s: math.cos(math.pi * s) + 0.3)
+    ws = _Workspace(h)
+    assert _damped_newton(ws, 0.5, np.full(h.grid.ndof, 800.0), 1e-8) is None
+    assert ws.counts.factorizations == 0
+
+
+def test_linsolve_gives_up_after_twelve_ridges(monkeypatch):
+    grid, h = _zero_pivot_problem()
+    ws = _Workspace(h)
+    calls = []
+
+    def failing(d, border=None):
+        calls.append(d)
+        raise LinearSolveFailure("every factorization fails")
+
+    monkeypatch.setattr(ws, "factor", failing)
+    assert _linsolve(ws, ws.jacobian_shift(np.zeros(grid.ndof)), np.ones(grid.ndof)) is None
+    assert len(calls) == 13 and ws.counts.ridge_retries == 12
+
+
 def _record_factorizations(monkeypatch):
     """Every call of GridOperators.factor as whether its interior pivoted,
     the calls that raise included."""
@@ -418,8 +442,8 @@ def _negative(scale):
 # each route: h -> the call whose report is checked
 COUNTED = {
     "zero": lambda h: lambda: solve_zero(h),
-    # at c = 15 a Newton Jacobian of the finish pivots in its interior
-    "positive": lambda h: lambda: solve_positive(h, 15.0),
+    # at c = 20 a Newton Jacobian of the finish pivots in its interior
+    "positive": lambda h: lambda: solve_positive(h, 20.0),
     "certified": _negative(0.5),
     "continuation": _negative(1.5),
     "h<=0": lambda h: lambda: solve_negative(GridFunction(h.grid, h.values - 1.0), -0.3),
@@ -427,6 +451,15 @@ COUNTED = {
     "threshold": lambda h: lambda: estimate_threshold(h),
     "critical": _critical,
 }
+
+
+@pytest.mark.parametrize("name", ["zero", "positive", "certified", "continuation", "h<=0",
+                                  "critical"])
+def test_every_detail_reaches_the_json_report(name):
+    # to_dict passes every detail on: one that json cannot write fails
+    # json.dumps loudly instead of leaving the report
+    report = COUNTED[name](_cos_edge())().report
+    assert json.loads(json.dumps(report.to_dict()))["details"].keys() == report.details.keys()
 
 
 @pytest.mark.parametrize("name", list(COUNTED))

@@ -121,6 +121,20 @@ def test_build_upper_scale_for_known_profile():
     assert params.implied_c == pytest.approx(-exact_a / 4.0, rel=1e-4)
 
 
+def test_build_upper_on_constant_h_takes_m_zero():
+    # h = -1: the flux problem has m = 0, so a = 1, b = 0 and u+ = 0, and
+    # implied_c = mean h + sup|h| rho with rho = min(|G|, 1) / 2 = 1/2
+    h = constant(make_star3(cells=16), -1.0)
+    params = build_upper(h)
+    assert not np.any(params.m.values)
+    assert (params.a, params.b) == (1.0, 0.0)
+    assert params.implied_c == pytest.approx(-0.5, rel=1e-14)
+    up = params.u_plus()
+    assert not np.any(up.values)
+    defect = apply_residual(up, h, params.implied_c).residual / h.grid.weights
+    assert float(np.min(defect)) >= -1e-12
+
+
 def test_build_upper_needs_negative_integral():
     grid = make_single(cells=32)
     h = sample_function(grid, lambda s: math.cos(math.pi * s) + 0.5)
