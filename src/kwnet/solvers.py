@@ -275,19 +275,19 @@ def classify(h: GridFunction, c: float) -> SolvabilityVerdict:
 def _bump(grid: Grid, h: GridFunction) -> GridFunction:
     """Start direction of the c >= 0 solvers: the positive part of h on the
     interior nodes of the edge attaining the maximum of h (lowest-indexed
-    edge on ties), scaled by that maximum, and 0 everywhere else.  So
-    wb > 0 only where h > 0, and wb <= 1.
+    edge on ties), divided by its largest value there, and 0 everywhere
+    else.  So wb > 0 only where h > 0, and max wb = 1.
     """
     maxima = np.maximum.reduceat(h.values[grid.node_dof], grid.edge_start[:-1])
     best = int(np.argmax(maxima))
-    best_max = float(maxima[best])
-    if best_max <= 0.0:
+    if maxima[best] <= 0.0:
         raise FeasibilityFailure("h has no positive part to concentrate a bump on")
     interior = grid.node_dof[grid.edge_start[best] + 1:grid.edge_start[best + 1] - 1]
-    out = np.zeros(grid.ndof)
-    out[interior] = np.maximum(h.values[interior], 0.0) / best_max
-    if not np.any(out > 0.0):
+    top = float(np.max(h.values[interior], initial=0.0))
+    if top <= 0.0:
         raise FeasibilityFailure("no interior node with h > 0 on the bump edge")
+    out = np.zeros(grid.ndof)
+    out[interior] = np.maximum(h.values[interior], 0.0) / top
     return GridFunction(grid, out)
 
 

@@ -16,7 +16,8 @@ from scipy.optimize import brentq
 
 from kwnet import GridFunction
 from kwnet.errors import FeasibilityFailure
-from kwnet.solvers import _along_bump, _bump, _bump_scale, _Workspace
+from kwnet.solvers import (_along_bump, _bump, _bump_scale, _Workspace, solve_positive,
+                           solve_zero)
 from helpers import make_path3, make_single, make_star3, make_theta, make_triangle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,8 +50,9 @@ def bump_problems(draw):
         wb = _bump(h.grid, h).values
     except FeasibilityFailure:  # h > 0 only on vertices of the best edge
         assume(False)
-    # h >= 1e-6 on the bump keeps l below about 30; from about 45 on, the
-    # roundoff of e^(l wb) alone can exceed the 1e-14 mass test
+    # wb = 1 where h is largest on the bump, so h >= 1e-6 there keeps l below
+    # about 30 (and hi below 700, where _bump_scale starts Newton); from
+    # about 45 on, the roundoff of e^(l wb) alone can exceed the 1e-14 mass test
     assume(float(np.max(h.values[wb > 0.0])) >= 1e-6)
     return ws, wb, draw(st.floats(0.01, 5.0))
 
@@ -73,8 +75,28 @@ def test_bump_is_the_positive_part_of_h_on_its_best_edge(h):
     rest = np.ones(grid.ndof, dtype=bool)
     rest[positive] = False
     assert np.all(wb[rest] == 0.0)  # every vertex and every other edge
-    assert float(np.max(wb)) <= 1.0
-    assert np.array_equal(wb[positive], h.values[positive] / max(tops))
+    assert float(np.max(wb)) == 1.0
+    assert np.array_equal(wb[positive], h.values[positive] / np.max(h.values[positive]))
+
+
+def test_a_vertex_maximum_leaves_the_bump_at_one():
+    # h = 1 on the tail vertex, 6.5e-4 on the first interior node and < 0
+    # beyond: wb is divided by the interior's largest h, not the vertex's,
+    # so l stays near 11 instead of passing the 700 where Newton starts
+    grid = make_single(cells=40)
+    dofs = grid.edge_dofs["e1"]
+    values = np.empty(grid.ndof)
+    values[dofs] = 2.0 * np.exp(-27.7 * grid.edge_coords("e1")) - 1.0
+    h = GridFunction(grid, values)
+    ws = _Workspace(h)
+    assert values[dofs[0]] == 1.0 and 0.0 < values[dofs[1]] < 1e-3
+    assert np.all(values[dofs[2:]] < 0.0) and ws.w @ values < 0.0
+    wb = _bump(grid, h).values
+    assert np.flatnonzero(wb).tolist() == [dofs[1]] and wb[dofs[1]] == 1.0
+    for target in (0.0, 0.5 * ws.total):
+        assert 10.0 < _bump_scale(ws, wb, target) < 12.0
+    assert solve_zero(h).report.status == "Converged"
+    assert solve_positive(h, 0.5).report.status == "Converged"
 
 
 def doubling(ws, wb, target):
