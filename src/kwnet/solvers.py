@@ -18,12 +18,15 @@ The sign of c decides the machinery:
 * c < 0: monotone iteration squeezed between a constant lower solution and an
   upper solution.  For c >= implied_c that is the constructed u+ = a m + b,
   m the solution of a compatible flux problem driven by h minus its mean;
-  the shift of the sweeps is refreshed from the iterate every few sweeps and
-  a damped-Newton tail at the solve's own tolerance finishes inside the
-  sandwich.  Below implied_c one walk of the solution branch, in (u, c) with
-  the mean of u as parameter, supplies the rest: a point on it at c_psi < c
-  is a strict upper solution at c, and its fold is both the solvability
-  threshold and the solution of the critical case c = c*.
+  the shift of the sweeps is refreshed from the iterate every few sweeps.  A
+  damped-Newton tail at the solve's own tolerance is tried right after the
+  first sweep, and after a failure again once the step is at most
+  1e-3 (1 + |c|) and has fallen tenfold since the last try; its root is kept
+  only between u- and the latest sweep.  Below implied_c one walk of the
+  solution branch, in (u, c) with the mean of u as parameter, supplies the
+  rest: a point on it at c_psi < c is a strict upper solution at c, and its
+  fold is both the solvability threshold and the solution of the critical
+  case c = c*.
 
 All iterations report residuals in the pointwise-defect scale of
 ``apply_residual`` (max |r_i| / weight_i), with convergence thresholds scaled
@@ -64,6 +67,7 @@ from .graph import (
 )
 
 DEFAULT_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
 MAX_ITER_GRADIENT = 5000
 MAX_ITER_MONOTONE = 500
 SHIFT_REFRESH = 5
@@ -293,12 +297,13 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
 
 def _along_bump(ws: _Workspace, v, wb: np.ndarray, target: float = 0.0, alpha: float = 0.0):
     """Scalar Newton in a for int h e^(v + a wb) = target from a = alpha:
-    (a, v + a wb) once |int h e^x - target| <= 1e-14 int |h| e^x; None when
-    e^x overflows, the slope is not positive, a moves by more than 500 or
-    100 + alpha steps do not settle.  As _bump makes wb > 0 only where h > 0,
-    the left side is increasing and convex in a, so from above target the
-    steps fall monotonically onto the root and never pass it; far above it,
-    where e^a dominates, they fall by about 1 each."""
+    (a, x = v + a wb) once |int h e^x - target| <= max(1e-14, 2 eps max|x|)
+    int |h| e^x, the second term the roundoff of e^x (one ulp of x moves e^x
+    by eps |x|); None when e^x overflows, the slope is not positive, a moves
+    by more than 500 or 100 + alpha steps do not settle.  As _bump makes
+    wb > 0 only where h > 0, the left side is increasing and convex in a, so
+    from above target the steps fall monotonically onto the root and never
+    pass it; far above it, where e^a dominates, they fall by about 1 each."""
     w, hv, a = ws.w, ws.hv, alpha
     cur = v + a * wb if a else v
     for _ in range(100 + int(alpha)):
@@ -308,7 +313,7 @@ def _along_bump(ws: _Workspace, v, wb: np.ndarray, target: float = 0.0, alpha: f
             return None
         g = float(w @ (hv * ev)) - target
         scale = float(w @ (np.abs(hv) * ev)) + 1e-300
-        if abs(g) <= 1e-14 * scale:
+        if abs(g) <= max(1e-14, 2.0 * EPS * float(np.max(np.abs(cur)))) * scale:
             return a, cur
         d = float(w @ (hv * wb * ev))
         if not (d > 0.0) or not math.isfinite(d):
@@ -644,14 +649,17 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     descend, -h e^(u_n) is the least such k where h < 0; where h >= 0 the
     floor only keeps k positive.  The smaller k is, the faster the sweeps
     contract (monotone_history records the slack of both inequalities each
-    sweep; each sweep's solve is checked a posteriori).  Once the steps
-    are small a damped-Newton tail may finish the solve if
-    ``_refuse_sandwich`` keeps its root; each refused tail is listed in
-    ``details["rejected_tails"]`` with its reason, "newton_failed" or
-    "left_sandwich".  When the steps reach roundoff with the residual above
-    tol and the tail fails too, or when MAX_ITER_MONOTONE sweeps do not
-    reach tol, NoConvergence says so.  The SolveCounts in ``details`` count
-    every factorization of the call, sweeps included.
+    sweep; each sweep's solve is checked a posteriori).  A damped-Newton
+    tail from the latest sweep may finish the solve: it is tried right after
+    the first sweep, and after a failed or refused try again once the step
+    is at most 1e-3 (1 + |c|) and has fallen tenfold since that try.
+    ``_refuse_sandwich`` keeps its root only inside [u-, u_n], up to the
+    ordering test's roundoff allowance plus 1e-8 (1 + |c|).  Each refused
+    tail is listed in ``details["rejected_tails"]`` with its reason,
+    "newton_failed" or "left_sandwich".  When the steps reach roundoff with
+    the residual above tol and the tail fails too, or when MAX_ITER_MONOTONE
+    sweeps do not reach tol, NoConvergence says so.  The SolveCounts in
+    ``details`` count every factorization of the call, sweeps included.
     """
     _check_positive("tol", tol)
     if not c < 0.0:
@@ -702,7 +710,10 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
     history = []
     ctol = tol * (1.0 + abs(c))
     wn = math.inf
-    tail_at = 1e-3 * (1.0 + abs(c))
+    # a Newton root must lie between u- and the latest sweep up to roundoff
+    slack = order_slack + 1e-8 * (1.0 + abs(c))
+    linear = 1e-3 * (1.0 + abs(c))  # a step this small: the sweeps contract linearly
+    tail_at = math.inf  # the first Newton finish comes right after the first sweep
     used_tail = False
     refreshes = 0
     rejected_tails = []
@@ -727,8 +738,8 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
             if wn <= ctol:
                 break
         if step <= tail_at or step <= tol:
-            # the sweeps are in their linear tail: try a Newton finish
-            slack = max(10.0 * step, 1e-8 * (1.0 + abs(c)))
+            # after the first sweep, then in the sweeps' linear tail: try a
+            # Newton finish
             root = _newton_finish(ws, c, u, ctol, lambda r: _refuse_sandwich(r, lo, u, slack),
                                   rejected_tails, max_iter=50, sweep=n)
             if root is not None:
@@ -741,7 +752,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
                     f"but residual {wn:.3e} > {ctol:.3e}, and the Newton tail failed "
                     f"({rejected_tails[-1]['reason']})"
                 )
-            tail_at = step / 10.0
+            tail_at = min(linear, step / 10.0)
     else:
         raise NoConvergence(f"monotone iteration exhausted {MAX_ITER_MONOTONE} sweeps")
 
@@ -798,7 +809,10 @@ def _refuse_minimum(ws: _Workspace, root: np.ndarray, lift, value, val: float):
 def _refuse_sandwich(root: np.ndarray, lo: np.ndarray, u: np.ndarray, slack: float):
     """"left_sandwich" unless the Newton root of a c < 0 monotone tail stays
     inside the certified sandwich, lo - slack <= root <= u + slack with u
-    the latest sweep; else None."""
+    the latest sweep; else None.  The monotone iteration passes the
+    roundoff allowance of its ordering test plus 1e-8 (1 + |c|) as slack,
+    whatever the size of the last step: the sweeps descend onto the
+    solution they converge to, so it lies in [lo, u] after every sweep."""
     inside = float(np.min(root - lo)) >= -slack and float(np.max(root - u)) <= slack
     return None if inside else "left_sandwich"
 
@@ -808,7 +822,11 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, tol: float,
     """Damped Newton on the full residual; returns DOF values or None.
 
     Keeps iterating past tol while convergence is still fast, so accepted
-    results sit near the numerical floor rather than just under tol.
+    results sit near the numerical floor rather than just under tol.  Above
+    tol the step halves from 1 down to 1e-10 until it lowers the merit
+    r^T M^(-1) r enough; under tol only the full step is tried, and when it
+    does not lower the merit the residual has reached its floor, and the best
+    u so far is returned.
     """
     u = np.asarray(seed, dtype=float).copy()
     w = ws.w
@@ -829,8 +847,9 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, tol: float,
             break
         merit = float(r @ (r / w))
         alpha = 1.0
+        floor = 1.0 if wn <= tol else 1e-10
         moved = False
-        while alpha >= 1e-10:
+        while alpha >= floor:
             ut = u + alpha * d
             rt = ws.residual(ut, c)
             if np.all(np.isfinite(rt)):

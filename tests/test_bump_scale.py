@@ -150,6 +150,24 @@ def test_a_single_node_bump_has_the_closed_form_scale():
         assert ell == pytest.approx(math.log1p((target - ih) / ws.w[j]), rel=1e-14)
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e-280])
+def test_a_tiny_positive_part_is_scaled_past_the_roundoff_of_e_x(tiny):
+    # h = tiny at one interior node and -1 elsewhere: l = 464.6 (648.8), where
+    # one ulp of l moves e^l by eps l, more than a 1e-14 mass test allows
+    grid = make_single(cells=40)
+    values = -np.ones(grid.ndof)
+    j = grid.edge_dofs["e1"][20]
+    values[j] = tiny
+    ws = _Workspace(GridFunction(grid, values))
+    wb = _bump(grid, ws.h).values
+    target = 0.5 * ws.total
+    ell = _bump_scale(ws, wb, target)
+    # int h e^(l wb) = int h + w_j h_j (e^l - 1)
+    ih = float(ws.w @ values)
+    assert ell == pytest.approx(math.log1p((target - ih) / (ws.w[j] * tiny)), rel=1e-14)
+    assert ell > 400.0
+
+
 def test_import_leaves_scipy_optimize_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -166,6 +166,29 @@ def test_sample_function_shares_vertex_values():
         assert f.edge_values(eid)[0] == pytest.approx(1.0)
 
 
+def test_sample_function_matches_numpy_scalar_evaluation_bitwise():
+    # callables run on Python floats; the profiles of the benchmark, tests
+    # and demos give the same values as on numpy float64 scalars
+    k0, k1, f1, f2, eps = 0.83, 0.27, 0.61, 0.33, -0.031
+    profiles = [
+        lambda s: k0 + k1 * math.sin(3.0 * s) ** 2,
+        lambda s: f1 * math.cos(2.0 * math.pi * s) + f2 * s,
+        lambda s: math.cos(math.pi * s) - 0.1 + eps * math.sin(math.pi * s),
+        lambda s: 0.3 * math.sin(2.0 * math.pi * s) - 1.0,
+        lambda s: 1.0 + s * s,
+        lambda s: 0.5 - 2.0 * math.sin(math.pi * s / 1.3),
+        lambda s: np.cos(np.pi * s) - 0.1,
+        lambda s: np.sin(2 * np.pi * s),
+    ]
+    for grid in (make_single(cells=10000), make_star3(cells=300)):
+        for f in profiles:
+            scalars = [float(f(s)) for s in grid.node_s]  # numpy float64 arguments
+            expected = np.asarray(scalars)[grid.dof_node]
+            assert np.array_equal(sample_function(grid, f).values, expected)
+            by_edge = sample_function(grid, {e.id: f for e in grid.graph.edges})
+            assert np.array_equal(by_edge.values, expected)
+
+
 def test_sample_function_rejects_discontinuity():
     grid = make_star3(cells=8)
     profiles = {"e1": lambda s: s, "e2": lambda s: s + 1.0, "e3": lambda s: s}

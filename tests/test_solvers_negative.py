@@ -235,6 +235,84 @@ def test_monotone_records_rejected_tails(monkeypatch, reason):
 
 
 @pytest.mark.parametrize("cells", [96, 1536])
+def test_newton_finishes_right_after_the_first_sweep(monkeypatch, cells):
+    h = cos_h(cells=cells)
+    c = 0.3 * build_upper(h).implied_c
+    sol = solve_negative(h, c)
+    details = sol.report.details
+    assert sol.report.iterations == 1 and details["newton_tail"] is True
+    assert details["rejected_tails"] == []
+    # the sweeps alone, until a step is at most tol (72 of them)
+    monkeypatch.setattr(solvers, "_damped_newton", lambda *args, **kwargs: None)
+    sweeps = solve_negative(h, c)
+    assert sweeps.report.details["newton_tail"] is False and sweeps.report.iterations <= 80
+    assert np.max(np.abs(sol.u.values - sweeps.u.values)) <= 1e-7
+
+
+def test_a_first_sweep_root_above_the_sweep_is_refused(monkeypatch):
+    # the allowance above u_1 is the ordering test's 1e-12 plus
+    # 1e-8 (1 + |c|), not ten times the first step (about 1 here)
+    h = cos_h(cells=96)
+    c = 0.3 * build_upper(h).implied_c
+    lo, up = ordered_pair(h, c)
+    newton = solvers._damped_newton
+    calls = []
+
+    def first_root_above(ws, c_, seed, tol, max_iter=60):
+        calls.append(seed)
+        if len(calls) > 1:
+            return newton(ws, c_, seed, tol=tol, max_iter=max_iter)
+        return seed + 2e-8 * (1.0 + abs(c))
+
+    monkeypatch.setattr(solvers, "_damped_newton", first_root_above)
+    sol = monotone_iterate(h, c, lo, up)
+    details = sol.report.details
+    assert details["rejected_tails"] == [{"sweep": 1, "reason": "left_sandwich"}]
+    assert details["newton_tail"] is True and details["tail_attempts"] == 2
+    assert sol.report.final_residual <= 1e-8 * (1.0 + abs(c))
+
+
+def test_a_finish_under_tol_tries_only_the_full_step(monkeypatch):
+    # at a solution under tol, a full step that does not lower the merit
+    # ends the finish with the best u: one residual for the seed and one for
+    # that step, no halvings
+    h = cos_h(cells=96)
+    c = 0.3 * build_upper(h).implied_c
+    u = solve_negative(h, c).u.values
+    ws = solvers._Workspace(h)
+    tol = 1e-8 * (1.0 + abs(c))
+    assert ws.weak_norm(ws.residual(u, c)) <= tol
+    linsolve = solvers._linsolve
+    # an uphill step: the negated Newton step doubles the residual
+    monkeypatch.setattr(solvers, "_linsolve", lambda ws_, d, rhs: -linsolve(ws_, d, rhs))
+    residual = ws.residual
+    calls = []
+    monkeypatch.setattr(ws, "residual", lambda v, c_: calls.append(c_) or residual(v, c_))
+    assert np.array_equal(solvers._damped_newton(ws, c, u, tol), u)
+    assert len(calls) == 2
+
+
+def test_the_first_sweep_finish_adds_at_most_one_tail_where_the_sweeps_fail(monkeypatch):
+    # ROADMAP item 1: at 12288 cells the sweeps reach roundoff above tol and
+    # every Newton tail fails; the tail after the first sweep adds one try
+    # to the six of the tenfold schedule, and the error stays the same
+    h = cos_h(cells=12288)
+    c = 0.5 * build_upper(h).implied_c
+    finish = solvers._newton_finish
+    calls = []
+    monkeypatch.setattr(solvers, "_newton_finish",
+                        lambda *args, **kwargs: calls.append(kwargs) or finish(*args, **kwargs))
+    try:
+        sol = solve_negative(h, c)
+    except NoConvergence as exc:
+        assert str(exc).startswith("monotone sweeps at roundoff after ")
+        assert str(exc).endswith("and the Newton tail failed (newton_failed)")
+    else:
+        assert sol.report.final_residual <= 1e-8 * (1.0 + abs(c))
+    assert calls[0]["sweep"] == 1 and len(calls) <= 7
+
+
+@pytest.mark.parametrize("cells", [96, 1536])
 def test_least_shift_sweeps_at_most_40(cells):
     h = cos_h(cells=cells)
     c = 0.3 * build_upper(h).implied_c

@@ -182,7 +182,7 @@ def test_critical_names_the_fold_outside_the_bracket():
 
 
 def test_a_too_narrow_hand_made_bracket_is_named_as_the_cause():
-    # the walked fold of the 96-cell edge solves only to residual 1.0e-10, so
+    # the walked fold of the 96-cell edge solves only to residual 1.1e-10, so
     # it cannot land inside a bracket around c* much narrower than that
     h = cos_h()
     est = estimate_threshold(h)
@@ -193,7 +193,7 @@ def test_a_too_narrow_hand_made_bracket_is_named_as_the_cause():
         message = str(info.value)
         assert message.startswith("the bracket width c_hi - c_lo = 1.0000")
         assert "is finer than the walk resolves the fold" in message
-        assert message.endswith("within the fold point's residual 1.0e-10")
+        assert message.endswith("within the fold point's residual 1.1e-10")
     for width in (1e-9, 1e-10):
         bracket = by_hand(est, c_lo=c_star - width / 2, c_hi=c_star + width / 2)
         c_final = solve_critical(h, bracket).report.details["c_final"]
@@ -327,12 +327,12 @@ def _cos_half_h(cells=32):
 
 
 def test_a_too_fine_bracket_tol_is_named_as_the_cause():
-    # the fold point of the 96-cell edge solves only to residual 1.0e-10 and
+    # the fold point of the 96-cell edge solves only to residual 1.1e-10 and
     # that of the 32-cell one to 6.0e-12, so no branch point certifies a
     # c_hi = c* + bracket_tol / 2 closer to the fold than that
     for h, bracket_tol, gap, c_star, residual in (
-            (cos_h(), 1e-12, "5.0e-13", "-0.0497795237", "1.0e-10"),
-            (cos_h(), 1e-10, "5.0e-11", "-0.0497795237", "1.0e-10"),
+            (cos_h(), 1e-12, "5.0e-13", "-0.0497795237", "1.1e-10"),
+            (cos_h(), 1e-10, "5.0e-11", "-0.0497795237", "1.1e-10"),
             (_cos_half_h(), 1e-11, "5.0e-12", "-1.58765309683", "6.0e-12")):
         with pytest.raises(NoConvergence) as info:
             estimate_threshold(h, bracket_tol=bracket_tol)
