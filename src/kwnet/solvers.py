@@ -1015,8 +1015,8 @@ class _Walk:
     steps, never beyond twice the distance to the fold that a linear model
     of dc/dmu predicts, and halves after one that failed.  ``points`` holds
     the traced points in order (past the fold, the last two straddle it) and
-    ``refinement`` the other solved points: those of the bracketing secants
-    and of refused steps.  The first step is 0.1 |implied_c / (dc/dmu)|, or,
+    ``refinement`` the points of the fold secant and the approach point
+    ``upper`` may add.  The first step is 0.1 |implied_c / (dc/dmu)|, or,
     when ``aimed``, the step that ``down_to`` aims at its c.
     """
 
@@ -1044,55 +1044,32 @@ class _Walk:
     def solved(self) -> int:
         return len(self.points) + len(self.refinement)
 
-    def down_to(self, c: float, reach: float = 0.0) -> None:
-        """Step on until the last point lies below c or, first, the last two
-        straddle the fold, which is then refined.  A quadratic model of c(mu)
-        aims each step no lower than c - reach |dc/dmu| / 2 max|du/dmu|; a
-        step that lands more than as far again below that aim is refused and
-        taken again, shorter, from the same point."""
-        over = None  # a refused point below the aim, for the next model
+    def down_to(self, c: float) -> None:
+        """Step on until the last two points straddle the fold, which is then
+        refined, or the last point lies below c.  A quadratic model of c(mu),
+        with d2c/dmu2 at the last point, aims each step no lower than
+        c - reach |dc/dmu| / 2 max|du/dmu|, reach = 1e-3 (1 + |c|)."""
+        reach = 1e-3 * (1.0 + abs(c))
         for _ in range(200):
             p = self.points[-1]
-            if p.c + p.res <= c:
-                return
             if len(self.points) > 1 and p.dc * self.points[-2].dc <= 0.0:
                 if self.fold_point is None:
-                    # near the fold c ~ c* + (dc/dmu)^2 / (2 c''), c'' by the
-                    # last secant: refine until that puts c* within 1e-3
-                    # bracket_tol of the last point
-                    self.fold_point = self._secant(
-                        self.points[-2], p, lambda q: q.dc, lambda s, b: 0.5 * s.dc ** 2
-                        * abs(s.mu - b.mu) <= 1e-3 * self.bracket_tol * abs(s.dc - b.dc),
-                        self.tol)
+                    self.fold_point = self._secant(self.points[-2], p)
+                return
+            if p.c + p.res <= c:
                 return
             step = self.step
             aim = c - 0.5 * reach * abs(p.dc) / float(np.max(np.abs(p.du)))
-            aimed = p.c > aim > -math.inf
-            if aimed:
-                # where c reaches aim by a quadratic a x^2 - |dc/dmu| x + c_p:
-                # a through the c of a refused step past the aim, else from
-                # d2c/dmu2 at p
-                g = abs(p.dc)
-                if over is not None:
-                    x = abs(over.mu - p.mu)
-                    a = (over.c - p.c + g * x) / (x * x)
-                else:
-                    a = 0.5 * p.ddc
-                step = min(step, 2.0 * (p.c - aim)
-                           / (g + math.sqrt(max(g * g - 4.0 * a * (p.c - aim), 0.0))))
+            if p.c > aim > -math.inf:  # never for the fold search, c = -inf
+                # where c reaches aim by 0.5 c'' x^2 - |dc/dmu| x + c_p
+                g, gap = abs(p.dc), p.c - aim
+                step = min(step, 2.0 * gap / (g + math.sqrt(max(g * g - 2.0 * p.ddc * gap, 0.0))))
             # only an aimed step models c(mu) with d2c/dmu2
             q = _branch_point(self.ws, p, p.mu + self.sign * step, self.tol,
                               curvature=c > -math.inf)
             if q is None:
                 self.step = 0.5 * step
                 continue
-            if aimed and q.c < 2.0 * aim - c < aim:
-                # too far below the aim: keep q for the secant and step again
-                # from p, with the model through the c of q
-                self.refinement.append(q)
-                over = q
-                continue
-            over = None
             self.points.append(q)
             self.step = 2.0 * step if q.iters <= 2 else step
             if abs(q.dc) < abs(p.dc):
@@ -1100,18 +1077,19 @@ class _Walk:
         raise NoConvergence(f"the branch walk met neither c = {c} nor the fold in 200 steps "
                             f"(last point c = {p.c}, mu = {p.mu})")
 
-    def _secant(self, a: _BranchPoint, b: _BranchPoint, f, done, tol: float) -> _BranchPoint:
-        """Bracketing secant (Illinois) on f(point) = 0 between solved points
-        a and b where f changes sign, the corrector at ``tol``; returns the
-        first point for which done(point, previous point) holds.  Where the
-        corrector fails at the secant point, the point moves halfway to the
-        nearer end, up to 8 times."""
-        fa, fb = f(a), f(b)
+    def _secant(self, a: _BranchPoint, b: _BranchPoint) -> _BranchPoint:
+        """Bracketing secant (Illinois) on dc/dmu = 0 between solved points a
+        and b that straddle the fold.  Near the fold c ~ c* + (dc/dmu)^2 /
+        (2 c''), c'' by the last secant: returns the first point for which
+        that puts c* within 1e-3 bracket_tol of it.  Where the corrector fails
+        at the secant point, the point moves halfway to the nearer end, up to
+        8 times."""
+        fa, fb = a.dc, b.dc
         for _ in range(30):
             mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
             near = min(a, b, key=lambda x: abs(x.mu - mu_s))
             for _ in range(8):
-                s = _branch_point(self.ws, near, mu_s, tol)
+                s = _branch_point(self.ws, near, mu_s, self.tol)
                 if s is not None:
                     break
                 mu_s = 0.5 * (near.mu + mu_s)
@@ -1119,14 +1097,13 @@ class _Walk:
                 raise NoConvergence(f"the branch corrector failed next to the secant point "
                                     f"mu = {mu_s}")
             self.refinement.append(s)
-            if done(s, b):
+            if 0.5 * s.dc ** 2 * abs(s.mu - b.mu) <= 1e-3 * self.bracket_tol * abs(s.dc - b.dc):
                 return s
-            fs = f(s)
-            if fs * fb < 0.0:
+            if s.dc * fb < 0.0:
                 a, fa = b, fb
             else:  # Illinois: halve the weight of the end that stays
                 fa *= 0.5
-            b, fb = s, fs
+            b, fb = s, s.dc
         raise NoConvergence(f"the secant on the branch did not settle (c = {b.c})")
 
     def fold(self) -> _BranchPoint:
@@ -1135,50 +1112,41 @@ class _Walk:
         return self.fold_point
 
     def upper(self, c: float) -> _BranchPoint:
-        """A solved point on the approach side of the fold with c_p in
-        (c - 2 eps, c - residual]: an upper solution at c, and
-        close to the solution there.  eps is half the gap in c over which the
-        tangent of the closest point above c moves u by 1e-3 (1 + |c|) in the
-        max norm, so monotone iteration from the point starts in its Newton
-        tail.  Walks on until a point lies below c, then a bracketing secant
-        on c_p = c - eps closes in.  Raises NoUpperSolutionFound, naming the
-        fold c*, when no point reaches c (c lies below the fold, or above it
-        by less than the residual of the points there), and when the fold is
-        known and c lies above it by at most the fold point's residual, closer
-        than the corrector resolves c.
+        """The solved point with the largest c_p <= c - residual on the
+        approach side of the fold: a solution at c_p < c, so an upper
+        solution at c.  Walks on until a point lies below c or the walk steps
+        past the fold, which is then refined.  When only the fold point lies
+        below c, and it lies past the fold, one more point is solved on the
+        approach side: Newton from a point past the fold heads for the
+        solution past it, which the sandwich refuses.
+        Raises NoUpperSolutionFound, naming the fold c*, when no point
+        reaches c (c lies below the fold, or above it by less than the
+        residual of the points there), and when the fold is known and c lies
+        above it by at most the fold point's residual, closer than the
+        corrector resolves c.
         """
-        first = self.points[0].dc
-        reach = 1e-3 * (1.0 + abs(c))
-        self.down_to(c, reach)
+        self.down_to(c)
+        first, fold = self.points[0].dc, self.fold_point
         solved = self.points + self.refinement
-        fold = self.fold_point
-        if (fold is not None and c - fold.c <= fold.res) or not any(
-                p.c + p.res <= c for p in solved):
+        below = [p for p in solved if p.dc * first > 0.0 and p.c + p.res <= c]
+        a = min((p for p in solved if p.dc * first > 0.0), key=lambda p: p.c,
+                default=self.points[0])
+        if not below and fold is not None and a.c > c > fold.c + fold.res:
+            # half way from c* to c by c - c* ~ (mu - mu*)^2 through a, the
+            # approach point closest to the fold
+            q = _branch_point(self.ws, fold, fold.mu + (a.mu - fold.mu) * math.sqrt(
+                0.5 * (c - fold.c) / (a.c - fold.c)), self.tol)
+            if q is not None:
+                self.refinement.append(q)
+                below = [q] if q.dc * first > 0.0 and q.c + q.res <= c else []
+        if (fold is not None and c - fold.c <= fold.res) or not below:
             fold = self.fold()
             where = (f"lies below the fold of the solution branch at c* = {fold.c!r} "
                      f"(certified range starts at {self.points[0].c})" if c < fold.c else
                      f"lies {c - fold.c:.1e} above the fold at c* = {fold.c!r}, closer than the "
                      f"walk resolves c: the fold point solves only to residual {fold.res:.1e}")
             raise NoUpperSolutionFound(f"c = {c} {where}", c_star=fold.c)
-        a = min((p for p in solved if p.dc * first > 0.0 and p.c + p.res > c),
-                key=lambda p: p.c, default=self.points[0])
-        eps = 0.5 * reach * abs(a.dc) / float(np.max(np.abs(a.du)))
-
-        def done(p, _=None):
-            return p.dc * first > 0.0 and c - 2.0 * eps < p.c and p.c + p.res <= c
-
-        if not any(map(done, solved)):
-            self.down_to(c - eps)  # a point below c - eps, unless the fold comes first
-            solved = self.points + self.refinement
-            eps = min(eps, 0.5 * (c - min(p.c for p in solved)))
-        hits = [p for p in solved if done(p)]
-        if hits:
-            return max(hits, key=lambda p: p.c)
-        a = min((p for p in solved if p.dc * first > 0.0 and p.c > c - eps), key=lambda p: p.c)
-        b = max((p for p in solved if p.c < c - eps), key=lambda p: p.c)
-        # the corrector's residual must stay well inside the gap eps
-        tol = min(self.tol, 0.25 * eps / (1.0 + abs(c)))
-        return self._secant(a, b, lambda p: p.c - (c - eps), done, tol)
+        return max(below, key=lambda p: p.c)
 
 
 def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> ThresholdEstimate:
@@ -1189,11 +1157,12 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     mean mu of u as its parameter, in the direction where c falls.  Its
     turning point (dc/dmu = 0) is the threshold c*: no solution exists below
     it.  The bracket is c_hi = c* + bracket_tol / 2 and c_lo = c_hi -
-    bracket_tol; monotone iteration certifies c_hi from a branch point just
-    below it on the approach side of the fold, a strict upper solution.
+    bracket_tol; monotone iteration certifies c_hi from the closest point
+    below it on the approach side of the fold that the walk to the fold has
+    solved, a strict upper solution (see _Walk.upper for the one exception).
     Every solve in the walk and the certificate runs at DEFAULT_TOL.
-    ``critical`` is taken at the fold, before the certificate solves more
-    points.  ValueError when bracket_tol is not positive and finite;
+    ``critical`` is taken at the fold, with the counts of the walk alone.
+    ValueError when bracket_tol is not positive and finite;
     NoConvergence when c_hi does not solve, naming bracket_tol when it is
     finer than the walk resolves the fold.
 
@@ -1219,7 +1188,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     fold = walk.fold()
     c_hi = min(fold.c + 0.5 * bracket_tol, c0)
     c_lo = c_hi - bracket_tol
-    critical = _critical(walk, c_lo, c_hi)  # before the certificate solves more points
+    critical = _critical(walk, c_lo, c_hi)  # before the certificate's sweeps add to the counts
     try:
         psi = walk.upper(c_hi)
         _sandwich(ws, c_hi, GridFunction(h.grid, psi.u), DEFAULT_TOL)

@@ -51,8 +51,7 @@ def bump_problems(draw):
     except FeasibilityFailure:  # h > 0 only on vertices of the best edge
         assume(False)
     # wb = 1 where h is largest on the bump, so h >= 1e-6 there keeps l below
-    # about 30 (and hi below 700, where _bump_scale starts Newton); from
-    # about 45 on, the roundoff of e^(l wb) alone can exceed the 1e-14 mass test
+    # about 30 (and hi below 700, where _bump_scale starts Newton)
     assume(float(np.max(h.values[wb > 0.0])) >= 1e-6)
     return ws, wb, draw(st.floats(0.01, 5.0))
 
@@ -122,7 +121,8 @@ def test_newton_along_the_bump_finds_brents_root_from_above(problem):
         assert abs(ell - brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)) <= 1e-13 * (1.0 + ell)
         ev = np.exp(ell * wb)
         scale = float(ws.w @ (np.abs(ws.hv) * ev))
-        assert abs(scan(ell)) <= 1e-14 * scale
+        # _along_bump's stop: max|x| = l, as max wb = 1
+        assert abs(scan(ell)) <= max(1e-14, 2.0 * np.finfo(float).eps * ell) * scale
         # the iterates, read off the exponents Newton takes: l wb peaks at l
         peak = int(np.argmax(wb))
         seen = []

@@ -65,6 +65,23 @@ def test_solve_not_solvable_writes_report(tmp_path, capsys):
     assert not (tmp_path / "prob.solution.csv").exists()
 
 
+def test_solve_failure_writes_a_report_and_no_solution(tmp_path, capsys):
+    # c = -3 lies far below the fold of the solution branch at c* = -1.588
+    prob = write_problem(tmp_path, h="cos(pi*s) - 0.5", edges=[
+        {"id": "e1", "tail": "p", "head": "q", "length": 1.0, "cells": 32}])
+    assert main(["solve", str(prob), "--c", "-3"]) == 3
+    assert capsys.readouterr().err.startswith("solve failed: NoUpperSolutionFound: ")
+    assert not (tmp_path / "prob.solution.csv").exists()
+    report = json.loads((tmp_path / "prob.report").read_text())
+    assert report["status"] == "Failed" and report["error"] == "NoUpperSolutionFound"
+    head = "c = -3.0 lies below the fold of the solution branch at c* = "
+    assert report["message"].startswith(head)
+    c_star = float(report["message"][len(head):].split()[0])
+    assert main(["threshold", str(prob)]) == 0
+    bracket = json.loads((tmp_path / "prob.threshold").read_text())
+    assert bracket["c_lo"] <= c_star <= bracket["c_hi"]
+
+
 def test_solve_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

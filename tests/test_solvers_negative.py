@@ -312,13 +312,27 @@ def test_the_first_sweep_finish_adds_at_most_one_tail_where_the_sweeps_fail(monk
     assert calls[0]["sweep"] == 1 and len(calls) <= 7
 
 
+def sweeps_only(monkeypatch, h, c):
+    """solve_negative with every Newton finish switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_damped_newton", lambda *args, **kwargs: None)
+        sol = solve_negative(h, c)
+    assert sol.report.details["newton_tail"] is False
+    assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
+    return sol
+
+
 @pytest.mark.parametrize("cells", [96, 1536])
-def test_least_shift_sweeps_at_most_40(cells):
+def test_least_shift_sweeps_at_most_40(monkeypatch, cells):
     h = cos_h(cells=cells)
     c = 0.3 * build_upper(h).implied_c
     sol = solve_negative(h, c)
     assert sol.report.iterations <= 40
     assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
+    # the sweeps alone reach their linear tail, a step of at most
+    # 1e-3 (1 + |c|), within 40 sweeps (31; 88 without the shift refresh)
+    steps = [r["step"] for r in sweeps_only(monkeypatch, h, c).report.monotone_history]
+    assert sum(step > 1e-3 * (1 + abs(c)) for step in steps) <= 40
 
 
 @pytest.mark.parametrize("case", ["certified-0.3", "certified-0.9", "hneg-star3", "theta"])
@@ -362,21 +376,39 @@ def test_theta_pair_ordering_guards():
         monotone_iterate(h, c, lo, constant(h.grid, 10.0))
 
 
-def test_refreshed_shift_cuts_sweeps_at_768_cells():
+def test_refreshed_shift_cuts_sweeps_at_768_cells(monkeypatch):
     h = cos_h(cells=768)
     c = 0.3 * build_upper(h).implied_c
     sol = solve_negative(h, c)
     assert sol.report.iterations <= 100
     assert sol.report.final_residual <= 1e-8 * (1 + abs(c))
+    # the sweeps alone: 72, against 369 with the shift of u+ kept throughout
+    sweeps = sweeps_only(monkeypatch, h, c).report
+    assert sweeps.iterations <= 100 and sweeps.details["shift_refreshes"] > 0
 
 
 @pytest.mark.parametrize("frac", [0.3, 0.5])
-def test_newton_tail_finishes_at_1536_cells(frac):
+def test_newton_tail_finishes_at_1536_cells(monkeypatch, frac):
     h = cos_h(cells=1536)
     c = frac * build_upper(h).implied_c
     sol = solve_negative(h, c)
     assert sol.report.details["newton_tail"] is True
     assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
+    # with the finish after the first sweep switched off, the tail from the
+    # sweeps' linear tail finishes (at sweep 32, resp. 30), to the same u
+    newton = solvers._damped_newton
+    calls = []
+
+    def all_but_the_first(*args, **kwargs):
+        calls.append(1)
+        return None if len(calls) == 1 else newton(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_damped_newton", all_but_the_first)
+    later = solve_negative(h, c)
+    details = later.report.details
+    assert details["newton_tail"] is True and later.report.iterations <= 40
+    assert details["rejected_tails"] == [{"sweep": 1, "reason": "newton_failed"}]
+    assert np.max(np.abs(later.u.values - sol.u.values)) <= 1e-7
 
 
 def test_roundoff_sweeps_never_report_an_ordering_violation():
@@ -443,6 +475,19 @@ def half_way_to_fold(h):
     est = estimate_threshold(h)
     c0 = est.analytic_upper_bound
     return c0 + 0.5 * (est.details["c_star"] - c0)
+
+
+def test_an_aimed_step_that_lands_below_c_is_kept():
+    # the first aimed step lands further below its aim than the aim lies
+    # below c: the walk keeps it as the upper solution and solves nothing
+    # else (a walk that refuses such a step solves 4 points here)
+    h = random_h_sign_changing(make_star3(cells=32), np.random.default_rng(0))
+    c = half_way_to_fold(h)
+    sol = solve_negative(h, c)
+    details = sol.report.details
+    assert sol.report.method == "monotone(continuation)"
+    assert details["branch_points"] == 2 and details["c_psi"] < c
+    assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
 
 
 @pytest.mark.parametrize("cells", [768, 1536, 3072])

@@ -16,7 +16,7 @@ from kwnet import (
     solve_positive,
 )
 from kwnet import solvers
-from kwnet.errors import NotSolvable
+from kwnet.errors import NoConvergence, NotSolvable
 from kwnet.problemfile import parse_problem
 from helpers import make_path3, make_single, make_theta, random_h_positive_somewhere
 
@@ -218,6 +218,19 @@ def test_finish_details_survive_to_dict():
     details = solve_positive(h, 0.8).report.to_dict()["details"]
     assert details["tail_attempts"] >= 1
     assert details["rejected_tails"] == []
+
+
+def test_descent_without_newton_stalls_below_its_roundoff(monkeypatch):
+    # with every Newton finish switched off, the projected gradient alone
+    # converges at tol 1e-8 (24 iterations) but at 1e-12 stops where no
+    # step lowers the value any more (66 iterations)
+    h = sample_function(make_single(cells=48), lambda s: math.cos(math.pi * s) - 0.1)
+    monkeypatch.setattr(solvers, "_damped_newton", lambda *args, **kwargs: None)
+    assert solve_positive(h, 0.5, tol=1e-8).report.final_residual <= 1e-8 * 1.5
+    with pytest.raises(NoConvergence, match=r"^projected gradient stalled at residual ") as info:
+        solve_positive(h, 0.5, tol=1e-12)
+    # the stall exit, not the end of the iteration budget
+    assert int(str(info.value).rsplit("after ", 1)[1].split()[0]) < solvers.MAX_ITER_GRADIENT
 
 
 def test_saddle_finish_is_refused(monkeypatch):

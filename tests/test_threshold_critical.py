@@ -25,7 +25,8 @@ from kwnet import solvers
 from kwnet.assembly import GridOperators
 from kwnet.cli import _write_solution_csv, main
 from kwnet.errors import IntegralNotNegative, NoConvergence, NoUpperSolutionFound
-from helpers import make_single, make_star3, make_theta, oracle_fold, random_h_sign_changing
+from helpers import (make_path3, make_single, make_star3, make_theta, oracle_fold,
+                     random_h_sign_changing)
 
 
 def cos_h(cells=96):
@@ -44,6 +45,22 @@ def test_threshold_rejects_nonnegative_integral():
     grid = make_single(cells=32)
     with pytest.raises(IntegralNotNegative):
         estimate_threshold(constant(grid, 1.0))
+
+
+def test_a_fold_point_past_the_fold_does_not_certify_c_hi():
+    # path3, seed 1: the fold secant stops just past the fold and no point on
+    # the approach side lies below c_hi.  Newton from the fold point heads
+    # for the solution past the fold, which the sandwich refuses, so the
+    # certificate solves one point on the approach side between c* and c_hi
+    h = random_h_sign_changing(make_path3(cells=32), np.random.default_rng(1))
+    est = estimate_threshold(h)
+    c_star, first = est.details["c_star"], est.details["branch"][0]["dc_dmu"]
+    fold = next(p for p in est.details["refinement"] if p["c"] == c_star)
+    assert fold["dc_dmu"] * first < 0.0
+    psi = est.details["refinement"][-1]
+    assert psi["dc_dmu"] * first > 0.0 and c_star < psi["c"] < est.c_hi
+    # that one point is the certificate's own: the walk to the fold has one less
+    assert est.details["probes"] == solve_critical(h, est).report.details["branch_points"] + 1
 
 
 def test_threshold_bracket_properties():
@@ -267,9 +284,8 @@ def test_critical_from_the_estimate_is_its_own_fold(monkeypatch, name):
     rep = carried.report
     assert rep.details["bracket"] == [est.c_lo, est.c_hi]
     assert rep.details["c_final"] == est.details["c_star"]
-    if name.startswith("theta"):
-        # the record is the fold's, not the certificate's longer walk
-        assert est.details["probes"] > rep.details["branch_points"]
+    # the certificate of c_hi takes a point the walk to the fold has solved
+    assert est.details["probes"] == rep.details["branch_points"]
 
 
 def test_critical_walks_for_another_h_or_bracket(monkeypatch):
