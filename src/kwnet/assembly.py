@@ -77,10 +77,14 @@ def assemble_stiffness(grid: Grid) -> sparse.csr_matrix:
     end_vertex = grid.node_dof[ends]
     end_inner = grid.node_dof[ends + np.tile([1, -1], len(cell))]
     end_cell = np.repeat(cell, 2)
-    degree = np.bincount(end_vertex, minlength=nv)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate((degree + 1, np.full(ndof - nv, 3))))))
-    nnz = int(indptr[-1])
+    # a vertex row holds its diagonal and one entry per edge end there, an
+    # interior row three entries
+    nnz = nv + len(ends) + 3 * (ndof - nv)
     idx = np.int32 if max(nnz, ndof) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(ndof + 1, dtype=idx)
+    indptr[0] = 0
+    indptr[1:nv + 1] = np.cumsum(np.bincount(end_vertex, minlength=nv) + 1)
+    indptr[nv + 1:] = np.arange(indptr[nv] + 3, nnz + 1, 3, dtype=idx)
     indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
 
     # vertex rows: the diagonal, then the ends at the vertex by edge
@@ -93,19 +97,23 @@ def assemble_stiffness(grid: Grid) -> sparse.csr_matrix:
     indices[:indptr[nv]][off] = end_inner[order]
     data[:indptr[nv]][off] = -end_cell[order]
 
-    # interior rows: the nodes before and after along the edge
+    # interior rows: the nodes before and after along the edge, written
+    # straight into the CSR arrays
     node = grid.dof_node[nv:]
-    before, after = grid.node_dof[node - 1], grid.node_dof[node + 1]
-    c = np.repeat(cell, np.diff(grid.edge_start) - 2)
     cols, vals = indices[indptr[nv]:].reshape(-1, 3), data[indptr[nv]:].reshape(-1, 3)
-    cols[:, 0], cols[:, 1], cols[:, 2] = before, np.arange(nv, ndof), after
-    vals[:, 0], vals[:, 1], vals[:, 2] = -c, c + c, -c
+    cols[:, 0] = grid.node_dof[node - 1]
+    cols[:, 1] = np.arange(nv, ndof, dtype=idx)
+    cols[:, 2] = grid.node_dof[node + 1]
+    c = np.repeat(cell, np.diff(grid.edge_start) - 2)
+    np.negative(c, out=vals[:, 0])
+    np.add(c, c, out=vals[:, 1])
+    np.negative(c, out=vals[:, 2])
     # an edge's last interior node: the head vertex sorts before it
-    last = np.flatnonzero(after < nv)
-    b, a = before[last], after[last]
+    last = np.flatnonzero(cols[:, 2] < nv)
+    b, a = cols[last, 0], cols[last, 2]
     cols[last] = np.column_stack((np.minimum(b, a), np.maximum(b, a), cols[last, 1]))
     vals[last, 1], vals[last, 2] = vals[last, 2], vals[last, 1]
-    mat = sparse.csr_matrix((data, indices, indptr.astype(idx)), shape=(ndof, ndof))
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
     mat.has_canonical_format = True
     return mat
 
@@ -137,18 +145,21 @@ class GridOperators:
         self.ni = grid.ndof - nv
         # K's diagonals, read off the row layout of assemble_stiffness: a
         # vertex row starts with its diagonal; an interior row holds three
-        # entries, the diagonal last on the last interior node of an edge
+        # entries, the diagonal last on the last interior node of an edge.
+        # The diagonal is stored with the _PAD unit rows that close the
+        # interior tridiagonal T (see below), so from nv on it is T's
         start = K.indptr[nv]
         triples = K.data[start:].reshape(-1, 3)
         diag_last = K.indices[start + 2::3] == np.arange(nv, grid.ndof)
-        self.kdiag = np.concatenate((K.data[K.indptr[:nv]],
-                                     np.where(diag_last, triples[:, 2], triples[:, 1])))
+        self._kdiag_pad = np.concatenate((K.data[K.indptr[:nv]],
+                                          np.where(diag_last, triples[:, 2], triples[:, 1]),
+                                          np.ones(_PAD)))
+        self.kdiag = self._kdiag_pad[:grid.ndof]
         # as scipy sums abs(K) along its rows
         self.abs_row_sum = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
         # interior tridiagonal of K (rows nv..ndof-1), closed by _PAD
         # decoupled unit rows: scipy's dgttrf wrapper needs n >= 3, and an
         # edge of two cells has a single interior node
-        self.t_diag = np.concatenate((self.kdiag[nv:], np.ones(_PAD)))
         self.t_off = np.concatenate((np.where(diag_last, 0.0, triples[:, 2]), [0.0]))
         tail_node, head_node = grid.edge_start[:-1], grid.edge_start[1:] - 1
         tail, head = grid.node_dof[tail_node], grid.node_dof[head_node]
@@ -239,21 +250,23 @@ class KPlusDiag:
         nv = ops.nv
         self.ops = ops
         self.d = d
-        diag = ops.t_diag.copy()
-        diag[:ops.ni] += d[nv:]
-        self._diag = diag
-        ld, le, info = lapack.dpttrf(diag, ops.t_off)
+        ld, le, info = lapack.dpttrf(self._interior_diag(), ops.t_off, overwrite_d=True)
         self.pivoted = info > 0
         if self.pivoted:
-            *tlu, info = lapack.dgttrf(ops.t_off, diag, ops.t_off)
+            # dpttrf has overwritten the diagonal it stopped in
+            *tlu, info = lapack.dgttrf(ops.t_off, self._interior_diag(), ops.t_off,
+                                       overwrite_d=True)
             if info > 0:
                 raise LinearSolveFailure(f"zero pivot at interior row {info - 1}",
                                          pivoted_interior=True)
             self._t_solve = lambda b: lapack.dgttrs(*tlu, b, overwrite_b=True)[0]
         else:
             self._t_solve = lambda b: lapack.dpttrs(ld, le, b, overwrite_b=True)[0]
-        cols = (ops.ends.copy(order="F") if border is None
-                else np.column_stack((ops.ends, np.append(border[nv:], _ZEROS))))
+        if border is None:
+            cols = ops.ends.copy(order="F")
+        else:
+            cols = np.zeros((ops.ni + _PAD, 3), order="F")
+            cols[:, :2], cols[:ops.ni, 2] = ops.ends, border[nv:]
         z = self._z = self._t_solve(cols)[:ops.ni]
         # -K_VI Z, one row per edge end
         coupled = -ops.end_coupling[:, None] * z[ops.end_row]
@@ -285,46 +298,73 @@ class KPlusDiag:
                 raise LinearSolveFailure(f"vertex Schur complement: {exc}",
                                          pivoted_interior=self.pivoted) from exc
 
+    def _interior_diag(self) -> np.ndarray:
+        """A new array holding T's diagonal: K's interior diagonal plus d,
+        closed by _PAD ones."""
+        ops = self.ops
+        diag = ops._kdiag_pad[ops.nv:].copy()
+        diag[:ops.ni] += self.d[ops.nv:]
+        return diag
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (K + diag(d)) x = b (length ndof, or ndof + 1 when bordered).
 
         Block elimination with one interior substitution: T y = b_I, then
         S x_R = b_R - C^T y, then x_I = y - Z x_R, with Z = T^-1 C kept from
-        the factorization.
+        the factorization.  x is formed in one array: the interior rows of b,
+        padded for T, are substituted in place and then updated to x_I.
         """
         ops, z, border = self.ops, self._z, self._border
         nv, n, ni = ops.nv, ops.ndof, ops.ni
-        y = self._t_solve(np.concatenate((b[nv:n], _ZEROS)))[:ni]
-        r = b[:nv] - ops.couple(y)
+        x = np.concatenate((b[:n], _ZEROS))
+        y = self._t_solve(x[nv:])[:ni]
+        r = x[:nv] - ops.couple(y)
         if border is not None:
             r = np.append(r, b[n] - border[nv:] @ y)
         xr = self._schur_solve(r)
-        xi = y - (z[:, 0] * xr[ops.tail_of] + z[:, 1] * xr[ops.head_of])
+        # y - (Z_tail x_tail + Z_head x_head), in that order
+        zx = xr[ops.tail_of]
+        zx *= z[:, 0]
+        head = xr[ops.head_of]
+        head *= z[:, 1]
+        zx += head
+        y -= zx
+        x[:nv] = xr[:nv]
         if border is not None:
-            xi -= z[:, 2] * xr[nv]
-        x = np.concatenate((xr[:nv], xi, xr[nv:]))
+            y -= z[:, 2] * xr[nv]
+            x[n] = xr[nv]
+        x = x[:len(b)]
         if not np.isfinite(x).all():
             raise LinearSolveFailure("nonfinite solution")
         return x
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x for the factored matrix A, K + diag(d) or its bordered form,
-        for a posteriori residual checks."""
+        for a posteriori residual checks.  The sums are formed in the output
+        array, in the order K x + d x + border x_last."""
         border = self._border
         if border is None:
-            return self.ops.K @ x + self.d * x
+            ax = self.ops.K @ x
+            ax += self.d * x
+            return ax
         y = x[:self.ops.ndof]
-        return np.append(self.ops.K @ y + self.d * y + border * x[-1], border @ y)
+        ax = np.append(self.ops.K @ y, border @ y)
+        ay = ax[:-1]
+        ay += self.d * y
+        ay += border * x[-1]
+        return ax
 
     @cached_property
     def _row_norm(self) -> float:
         """|| |A| ||_inf, formed on the first checked solve; the border adds
         |border| to every row and a row of its own."""
-        rows = self.ops.abs_row_sum + np.abs(self.d)
+        rows = np.abs(self.d)
+        rows += self.ops.abs_row_sum
         if self._border is None:
             return float(np.max(rows))
         edge = np.abs(self._border)
-        return max(float(np.max(rows + edge)), float(np.sum(edge)))
+        rows += edge
+        return max(float(np.max(rows)), float(np.sum(edge)))
 
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         """solve(b), verified a posteriori: the residual must stay within
@@ -333,7 +373,9 @@ class KPlusDiag:
         LinearSolveFailure."""
         x = self.solve(b)
         scale = max(float(np.max(np.abs(b))), self._row_norm * float(np.max(np.abs(x))), 1e-300)
-        resid = float(np.max(np.abs(self.matvec(x) - b)))
+        r = self.matvec(x)
+        r -= b
+        resid = float(np.max(np.abs(r, out=r)))
         if resid > LINEAR_RTOL * scale * 10.0:
             raise LinearSolveFailure(f"shifted solve residual {resid} vs scale {scale}")
         return x
@@ -348,7 +390,7 @@ class KPlusDiag:
         2 x 2 blocks.
         """
         ops = self.ops
-        interior = eigvalsh_tridiagonal(self._diag, ops.t_off, select="v",
+        interior = eigvalsh_tridiagonal(self._interior_diag(), ops.t_off, select="v",
                                         select_range=(-np.inf, 0.0))
         s = (self._s.copy() if ops.dense
              else _dense(ops._cols * ops.nv + ops._rows, self._vals, ops.nv))
@@ -403,9 +445,11 @@ def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
 
     w = grid.weights
     n = grid.ndof
-    b = np.append(-(w * rhs.values), 0.0)
-    m = grid.operators.factor(np.zeros(n), border=w).solve_checked(b)[:n]
-    m = m - (w @ m) / total  # strip the roundoff-level mean
+    b = np.append(w * rhs.values, 0.0)
+    np.negative(b[:n], out=b[:n])
+    # the zero shift as a read-only view of one zero, not n stored zeros
+    m = grid.operators.factor(np.broadcast_to(0.0, n), border=w).solve_checked(b)[:n]
+    m -= (w @ m) / total  # strip the roundoff-level mean
     return GridFunction(grid, m)
 
 
@@ -421,7 +465,14 @@ def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.nd
     """r = K u + c M 1 - M (h * exp(u)) on raw DOF vectors; nonfinite
     exactly where exp(u) overflows."""
     with np.errstate(over="ignore"):
-        return grid.stiffness @ u + c * grid.weights - grid.weights * (h * np.exp(u))
+        # K u + c w - w (h e^u), each sum formed in r and each product in he
+        r = grid.stiffness @ u
+        r += c * grid.weights
+        he = np.exp(u)
+        he *= h
+        he *= grid.weights
+        r -= he
+    return r
 
 
 def apply_residual(u: GridFunction, h: GridFunction, c: float) -> ResidualReport:

@@ -54,7 +54,8 @@ class Edge:
     length: float
 
     def __post_init__(self):
-        object.__setattr__(self, "length", float(self.length))
+        if type(self.length) is not float:
+            object.__setattr__(self, "length", float(self.length))
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,11 @@ def _components(nv: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
             label = jumped
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform per-edge grid over a MetricGraph.
@@ -185,8 +191,11 @@ class Grid:
         Trapezoid weight of every DOF (also the lumped mass diagonal).
 
     The read-only arrays below number the nodes of all edges, each tail to
-    head, edges in order, and the cells between consecutive nodes likewise.
-    ``edge_dofs`` and ``edge_coords`` are views of ``node_dof`` and ``node_s``.
+    head, edges in order.  The cells between consecutive nodes are numbered
+    likewise; their arrays ``cell_tail``, ``cell_head`` (the DOF at each end)
+    and ``cell_h`` (the spacing) are built on first use, since only the norms
+    and the verification read them.  ``edge_dofs`` and ``edge_coords`` are
+    views of ``node_dof`` and ``node_s``.
     """
 
     graph: MetricGraph
@@ -200,9 +209,6 @@ class Grid:
     node_s: np.ndarray = field(repr=False)  # arclength from the edge's tail
     node_edge: np.ndarray = field(repr=False)
     dof_node: np.ndarray = field(repr=False)  # a vertex: its first edge end
-    cell_tail: np.ndarray = field(repr=False)  # DOF at each cell's tail end
-    cell_head: np.ndarray = field(repr=False)
-    cell_h: np.ndarray = field(repr=False)
 
     @property
     def total_length(self) -> float:
@@ -230,6 +236,21 @@ class Grid:
         bounds = self.edge_start.tolist()
         return {eid: self.node_dof[a:b]
                 for eid, a, b in zip(self.cells_per_edge, bounds[:-1], bounds[1:])}
+
+    @cached_property
+    def cell_tail(self) -> np.ndarray:
+        """The DOF at each cell's tail end: every node but an edge's last."""
+        return _read_only(np.delete(self.node_dof, self.edge_start[1:] - 1))
+
+    @cached_property
+    def cell_head(self) -> np.ndarray:
+        """The DOF at each cell's head end: every node but an edge's first."""
+        return _read_only(np.delete(self.node_dof, self.edge_start[:-1]))
+
+    @cached_property
+    def cell_h(self) -> np.ndarray:
+        """The spacing of every cell."""
+        return _read_only(np.repeat(self.edge_h, np.diff(self.edge_start) - 1))
 
     @cached_property
     def end_nodes(self) -> np.ndarray:
@@ -300,9 +321,9 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
     node_dof = nv - 1 + node - 2 * node_edge
     node_dof[first], node_dof[last] = end_dof.T
     ndof = nv + int(np.sum(n - 1))
-    not_first, not_last = np.ones(node.size, bool), np.ones(node.size, bool)
-    not_first[first], not_last[last] = False, False
-    dof_node = np.concatenate((np.full(nv, node.size), node[not_first & not_last]))
+    interior = np.ones(node.size, bool)
+    interior[first], interior[last] = False, False
+    dof_node = np.concatenate((np.full(nv, node.size), node[interior]))
     # the nodes at edge ends increase, so each vertex's smallest is its first
     np.minimum.at(dof_node, end_dof.ravel(), np.column_stack((first, last)).ravel())
 
@@ -313,9 +334,7 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
     np.add.at(weights, np.tile(end_dof, 2).ravel(),
               np.column_stack((edge_h, edge_h, -edge_h / 2.0, -edge_h / 2.0)).ravel())
     arrays = dict(weights=weights, edge_start=edge_start, edge_h=edge_h, node_dof=node_dof,
-                  node_s=node_s, node_edge=node_edge, dof_node=dof_node,
-                  cell_tail=node_dof[not_last], cell_head=node_dof[not_first],
-                  cell_h=np.repeat(edge_h, n))
+                  node_s=node_s, node_edge=node_edge, dof_node=dof_node)
     for a in arrays.values():
         a.setflags(write=False)
 

@@ -1,9 +1,11 @@
 """Stiffness/mass assembly, linear solves, residual evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.sparse.linalg import eigsh
 
 from kwnet import (
@@ -11,6 +13,9 @@ from kwnet import (
     apply_residual,
     assemble_mass,
     assemble_stiffness,
+    build_graph,
+    build_grid,
+    build_upper,
     constant,
     integrate,
     sample_function,
@@ -193,7 +198,6 @@ def test_direct_csr_matches_the_coo_oracle(name):
     ops = GridOperators(grid)
     assert np.array_equal(ops.kdiag, K.diagonal())
     assert np.array_equal(ops.abs_row_sum, np.asarray(abs(K).sum(axis=1)).ravel())
-    assert np.array_equal(ops.t_diag, np.concatenate((K.diagonal()[nv:], [1.0, 1.0])))
     assert np.array_equal(ops.t_off, np.concatenate((K.diagonal(1)[nv:], [0.0, 0.0])))
 
 
@@ -237,3 +241,134 @@ def test_poisson_meanzero_refuses_a_wrong_bordered_solve(monkeypatch):
     monkeypatch.setattr(assembly.KPlusDiag, "solve", lambda self, b: solve(self, b) + 1e-6)
     with pytest.raises(LinearSolveFailure, match="residual"):
         solve_poisson_meanzero(grid, f)
+
+
+# ----------------------------------------------------------------------
+# per-DOF arrays: the cell arrays on first use, in-place arithmetic, and the
+# memory the linear primitives take on a 1e5-cell edge
+# ----------------------------------------------------------------------
+
+CELL_ARRAYS = ("cell_tail", "cell_head", "cell_h")
+
+
+@pytest.fixture(scope="module")
+def fine_edge():
+    """A 1e5-cell edge with the inputs of the three linear primitives."""
+    grid = build_grid(build_graph(["p", "q"], [("e1", "p", "q", 1.0)]), 100_000)
+    s = grid.node_s
+    k = sample_function(grid, {"e1": 1.0 + 0.3 * np.sin(3.0 * s) ** 2})
+    rhs = sample_function(grid, {"e1": 0.7 * np.cos(2.0 * np.pi * s) + 0.3 * s})
+    flux = GridFunction(grid, rhs.values - (grid.weights @ rhs.values) / grid.total_length)
+    h = sample_function(grid, {"e1": np.cos(np.pi * s) - 0.1})
+    return grid, k, rhs, flux, h
+
+
+@pytest.mark.parametrize("name", ["single-2", "theta", "tree60-0", "star1000"])
+def test_cell_arrays_are_built_on_first_use(name):
+    grid = GRIDS[name]()
+    assert not set(CELL_ARRAYS) & set(vars(grid))
+    # every node but an edge's last is a cell's tail, but its first a head
+    first, last = grid.edge_start[:-1], grid.edge_start[1:] - 1
+    not_first, not_last = np.ones(grid.node_dof.size, bool), np.ones(grid.node_dof.size, bool)
+    not_first[first], not_last[last] = False, False
+    cells = np.array(list(grid.cells_per_edge.values()))
+    expect = (grid.node_dof[not_last], grid.node_dof[not_first], np.repeat(grid.edge_h, cells))
+    for attr, ref in zip(CELL_ARRAYS, expect):
+        got = getattr(grid, attr)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable and getattr(grid, attr) is got
+
+
+def test_a_shifted_solve_builds_no_cell_arrays(fine_edge):
+    grid, k, rhs, _, _ = fine_edge
+    solve_shifted(grid, k, rhs)
+    assert not set(CELL_ARRAYS) & set(vars(grid))
+
+
+# the most memory each primitive may allocate at once on the 1e5-cell edge,
+# in DOF vectors of 8 ndof bytes, its result included, once K and the
+# operators exist: half a vector above the 9.1, 10.0 and 12.0 measured with
+# every sum and product formed in one array (with a new array for each
+# operation they take 10.1, 12.0 and 14.0)
+PEAK_VECTORS = {"solve_shifted": 9.5, "solve_poisson_meanzero": 10.5, "build_upper": 12.5}
+
+
+def test_linear_primitives_keep_a_memory_budget(fine_edge):
+    grid, k, rhs, flux, h = fine_edge
+    calls = {"solve_shifted": lambda: solve_shifted(grid, k, rhs),
+             "solve_poisson_meanzero": lambda: solve_poisson_meanzero(grid, flux),
+             "build_upper": lambda: build_upper(h)}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            call()  # K, the operators and the Schur pattern are kept
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / (8.0 * grid.ndof)
+    finally:
+        tracemalloc.stop()
+    assert all(peaks[name] <= bound for name, bound in PEAK_VECTORS.items()), peaks
+
+
+def _t_solver(t_diag, t_off):
+    """Solves with T from dpttrf, or from dgttrf where it meets a nonpositive
+    pivot, each on its own copy of the diagonal."""
+    ld, le, info = lapack.dpttrf(t_diag, t_off)
+    if info == 0:
+        return lambda b: lapack.dpttrs(ld, le, b)[0]
+    *tlu, info = lapack.dgttrf(t_off, t_diag, t_off)
+    assert info == 0
+    return lambda b: lapack.dgttrs(*tlu, b)[0]
+
+
+@pytest.mark.parametrize("name", ["single-2", "theta", "tree60-0", "star1000"])
+def test_in_place_arithmetic_matches_the_expressions(name):
+    # each sum and product is formed in one output array, in the order of
+    # the expressions below, so the results agree bit for bit
+    grid = GRIDS[name]()
+    K, w, n, ops = grid.stiffness, grid.weights, grid.ndof, grid.operators
+    nv, ni = ops.nv, ops.ni
+    rng = np.random.default_rng(17)
+    u, h = rng.standard_normal(n), rng.standard_normal(n)
+    assert np.array_equal(assembly.residual_vector(grid, u, h, -0.3),
+                          K @ u + -0.3 * w - w * (h * np.exp(u)))
+    # a positive shift, and half of K's diagonal taken off it, which dpttrf
+    # cannot factor on a long edge: the fallback runs on a rebuilt diagonal
+    shifts = [w * rng.uniform(0.5, 2.0, n), w - 0.5 * ops.kdiag]
+    t_off = np.concatenate((K.diagonal(1)[nv:], [0.0, 0.0]))
+    for d, pivoted in zip(shifts, (False, ni > 1)):
+        t_solve = _t_solver(np.concatenate((K.diagonal()[nv:] + d[nv:], [1.0, 1.0])), t_off)
+        for border in (None, w):
+            lu = ops.factor(d, border)
+            assert lu.pivoted is pivoted
+            m = n + (border is not None)
+            x, b = rng.standard_normal(m), rng.standard_normal(m)
+            if border is None:
+                ax = K @ x + d * x
+            else:
+                y = x[:n]
+                ax = np.append(K @ y + d * y + border * x[-1], border @ y)
+            assert np.array_equal(lu.matvec(x), ax)
+            # T y = b_I, S x_R = b_R - C^T y, x_I = y - Z x_R
+            cols = np.zeros((ni + 2, 2 if border is None else 3), order="F")
+            cols[:, :2] = ops.ends
+            if border is not None:
+                cols[:ni, 2] = border[nv:]
+            z = t_solve(cols)[:ni]
+            assert np.array_equal(lu._z, z)
+            y = t_solve(np.concatenate((b[nv:n], [0.0, 0.0])))[:ni]
+            r = b[:nv] - ops.couple(y)
+            if border is not None:
+                r = np.append(r, b[n] - border[nv:] @ y)
+            xr = lu._schur_solve(r)
+            xi = y - (z[:, 0] * xr[ops.tail_of] + z[:, 1] * xr[ops.head_of])
+            if border is not None:
+                xi -= z[:, 2] * xr[nv]
+            assert np.array_equal(lu.solve(b), np.concatenate((xr[:nv], xi, xr[nv:])))
+            assert np.array_equal(lu.solve_checked(b), lu.solve(b))
+            if border is None and n <= 2000:
+                # the inertia count reads the diagonal again
+                eig = np.linalg.eigvalsh(K.toarray() + np.diag(d))
+                assert lu.negative_eigenvalues() == int(np.sum(eig < 0.0))

@@ -28,6 +28,7 @@ from kwnet.errors import (
     SelfLoop,
     SeminormExceedsDelta,
 )
+from kwnet.graph import Edge
 from helpers import (assert_stiffness_matches, make_single, make_star3, make_theta,
                      make_triangle, random_tree_grid)
 
@@ -64,6 +65,13 @@ def test_build_graph_reports_the_first_edge_at_fault():
         build_graph(["a", "b"], [good, ("e1", "yy", "zz", 1.0)])
     with pytest.raises(DanglingEndpoint, match="unknown vertex 'zz'"):
         build_graph(["a", "b"], [("e0", "a", "b", 1.0), ("e0", "a", "zz", 1.0)])
+
+
+def test_edge_lengths_are_stored_as_python_floats():
+    # a float is kept as given; ints and numpy scalars are converted
+    for length in (2, np.int64(3), np.float64(1.5), 1.25):
+        edge = Edge("e", "a", "b", length)
+        assert type(edge.length) is float and edge.length == float(length)
 
 
 def test_connectivity_on_long_paths_and_split_graphs():
