@@ -23,7 +23,7 @@ import numpy as np
 from .graph import GridFunction, integrate
 from .assembly import apply_residual
 from .problemfile import ProblemSpec, load_problem
-from .solvers import classify, estimate_threshold, solve
+from .solvers import DEFAULT_TOL, classify, estimate_threshold, solve
 from .verify import identity_report
 
 EXIT_OK = 0
@@ -283,8 +283,7 @@ def cmd_verify(args) -> int:
     worst = int(np.argmax(scaled))
     node = grid.dof_node[worst]
     j = grid.node_edge[node]
-    worst_loc = {"edge_id": spec.graph.edges[j].id,
-                 "s": float((node - grid.edge_start[j]) * grid.edge_h[j])}
+    worst_loc = {"edge_id": spec.graph.edges[j].id, "s": float(grid.node_s[node])}
 
     tol = args.tol
     total = grid.total_length
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve a problem file and write CSV + report")
     ps.add_argument("problem", help="problem file (JSON)")
     ps.add_argument("--c", type=float, default=None, help="override c from the file")
-    ps.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
+    ps.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
     ps.add_argument("--cells", type=int, default=None,
                     help="cells per edge, overriding the file and defaults")
     ps.add_argument("--out", default=None,

@@ -15,6 +15,7 @@ Trudinger-Moser bound on integral exp(beta f^2).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -287,15 +288,19 @@ def grids_compatible(a: Grid, b: Grid) -> bool:
 def build_grid(graph: MetricGraph, resolution) -> Grid:
     """Build a grid with n_j >= 2 cells on every edge.
 
-    ``resolution`` may be an int (cells on every edge), a float (target
-    spacing; n_j = ceil(l_j / resolution), floored at 2), or a mapping
-    edge id -> cell count.
+    ``resolution`` may be an integer, numpy's included (cells on every
+    edge), a float (target spacing; n_j = ceil(l_j / resolution), floored at
+    2), or a mapping edge id -> cell count.  A bool is none of these:
+    ValueError.
     """
     ids = list(graph.edge_position)
     length = graph.edge_length
+    if isinstance(resolution, (bool, np.bool_)):
+        raise ValueError(f"resolution must be a cell count, a spacing or a mapping, "
+                         f"not {resolution!r}")
     if isinstance(resolution, Mapping):
         n = np.fromiter(map(int, map(resolution.__getitem__, ids)), dtype=np.intp, count=len(ids))
-    elif isinstance(resolution, int) and not isinstance(resolution, bool):
+    elif isinstance(resolution, numbers.Integral):  # numpy's integers too
         n = np.full(len(ids), resolution, dtype=np.intp)
     else:
         target = float(resolution)

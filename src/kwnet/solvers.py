@@ -29,8 +29,8 @@ The sign of c decides the machinery:
   case c = c*.
 
 All iterations report residuals in the pointwise-defect scale of
-``apply_residual`` (max |r_i| / weight_i), with convergence thresholds scaled
-by (1 + |c|).
+``apply_residual`` (max |r_i| / weight_i), and all stop on the one bound
+of their solve, ``_Workspace.ctol(c)`` = tol (1 + |c|).
 """
 
 from __future__ import annotations
@@ -193,14 +193,17 @@ def _check_positive(name: str, value: float) -> None:
 
 class _Workspace:
     """The discrete problem K u + c w - w h e^u = 0 of one solve: grid, K,
-    weights w, the values of h, |G| and the work counts.  It forms the
-    residual, the Jacobian shift and the mass.  Every factorization of the
-    solve, monotone sweeps included, is counted in ``factor``, failed ones
-    too; only the flux solve inside build_upper(_hneg) is counted by hand,
-    in ``upper``."""
+    weights w, the values of h, |G|, its tol (ValueError, before the grid is
+    touched, unless positive and finite) and the work counts.  It forms the
+    residual, the Jacobian shift, the mass and ``ctol``, the stopping bound
+    of every residual test.  Every factorization of the solve, monotone
+    sweeps included, is counted in ``factor``, failed ones too; only the
+    flux solve inside build_upper(_hneg) is counted by hand, in ``upper``."""
 
-    def __init__(self, h: GridFunction, counts: SolveCounts | None = None):
-        self.h = h
+    def __init__(self, h: GridFunction, tol: float = DEFAULT_TOL,
+                 counts: SolveCounts | None = None):
+        _check_positive("tol", tol)
+        self.h, self.tol = h, tol
         self.grid = grid = h.grid
         self.hv = h.values
         self.K = grid.stiffness
@@ -208,6 +211,10 @@ class _Workspace:
         self.wh = self.w * self.hv
         self.total = grid.total_length
         self.counts = SolveCounts() if counts is None else counts
+
+    def ctol(self, c: float) -> float:
+        """The bound on the weak residual at c that ends the solve."""
+        return self.tol * (1.0 + abs(c))
 
     def residual(self, u: np.ndarray, c: float) -> np.ndarray:
         """r = K u + c w - w h e^u; nonfinite exactly where e^u overflows."""
@@ -371,7 +378,7 @@ def _armijo(value, project, x, val, d, slope):
     return None
 
 
-def _descend(ws: _Workspace, c: float, x: np.ndarray, tol: float, method: str, *,
+def _descend(ws: _Workspace, c: float, x: np.ndarray, method: str, *,
              value, project, step, lift):
     """Projected gradient descent on ``value`` from the feasible x, finished
     by damped Newton on the full residual at c; returns the last x, its
@@ -381,7 +388,7 @@ def _descend(ws: _Workspace, c: float, x: np.ndarray, tol: float, method: str, *
     none), the weak residual of u, a descent direction d and the slope
     <gradient, d>; riesz is the factored H1 Riesz map (K + M);
     ``project`` is as in _armijo.  The descent stops when that residual is
-    at most tol.  A Newton finish from u, aimed at tol, is tried whenever the
+    at most ws.ctol(c).  A Newton finish from u is tried whenever the
     residual has fallen tenfold since the start or the last try, and when
     the descent stalls; ``_refuse_minimum`` decides whether its root is kept.
     ``details["rejected_tails"]`` lists each refused finish with its
@@ -392,6 +399,7 @@ def _descend(ws: _Workspace, c: float, x: np.ndarray, tol: float, method: str, *
     # the H1 Riesz map (K + M)^(-1) turns dual residual vectors into gradient
     # directions whose quality does not degrade with the mesh
     riesz = ws.factor(ws.w)
+    tol = ws.ctol(c)
     val = value(x)
     rejected = []
     wn, it, attempts = math.inf, 0, 0
@@ -407,7 +415,7 @@ def _descend(ws: _Workspace, c: float, x: np.ndarray, tol: float, method: str, *
         stalled = trial is None or np.array_equal(trial[0], x)
         if wn < 0.1 * tried_at or (stalled and u is not None):
             tried_at, attempts = wn, attempts + 1
-            root = _newton_finish(ws, c, u, tol, lambda r: _refuse_minimum(ws, r, lift, value, val),
+            root = _newton_finish(ws, c, u, lambda r: _refuse_minimum(ws, r, lift, value, val),
                                   rejected, iteration=it)
             if root is not None:
                 u, x = root, lift(root)
@@ -437,12 +445,11 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
     from a flat seed Newton can drift to the pseudo-root u -> -infinity,
     whose residual vanishes with the constraint far from holding.
     """
-    _check_positive("tol", tol)
+    ws = _Workspace(h, tol)
     v0 = classify(h, 0.0)
     if not v0.ok:
         raise NotSolvable(f"c = 0 needs sign-changing h with negative integral ({v0.reason})")
     grid = h.grid
-    ws = _Workspace(h)
     w, K = ws.w, ws.K
     ih = v0.integral_h
 
@@ -478,7 +485,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
         ev = np.exp(x)
         return x if abs(float(w @ (ws.hv * ev))) <= tol * float(w @ (np.abs(ws.hv) * ev)) else None
 
-    v, u, report = _descend(ws, 0.0, v, tol, "constrained-gradient(zero)",
+    v, u, report = _descend(ws, 0.0, v, "constrained-gradient(zero)",
                             value=energy, project=project, step=step, lift=lift)
     report.multiplier = math.exp(float(w @ (u - v)) / ws.total)
     report.identity_checks = {
@@ -499,17 +506,15 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
     within MAX_ITER_GRADIENT iterations.  A Newton finish is accepted only
     when its root keeps |int h e^u - c |G|| <= tol (1 + c) |G|.
     """
-    _check_positive("tol", tol)
+    ws = _Workspace(h, tol)
     if not c > 0.0:
         raise ValueError("solve_positive requires c > 0")
     v0 = classify(h, c)
     if not v0.ok:
         raise NotSolvable(f"c > 0 needs max h > 0 ({v0.reason})")
     grid = h.grid
-    ws = _Workspace(h)
     w, K = ws.w, ws.K
     target = c * ws.total
-    ctol = tol * (1.0 + abs(c))
     ih = v0.integral_h
 
     if ih >= target:
@@ -537,9 +542,9 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
         return x, ws.weak_norm(r), d, float(r @ d)
 
     def lift(x):
-        return x if abs(ws.mass(x) - target) <= ctol * ws.total else None
+        return x if abs(ws.mass(x) - target) <= ws.ctol(c) * ws.total else None
 
-    u, _, report = _descend(ws, c, u, ctol, "constrained-gradient(positive)",
+    u, _, report = _descend(ws, c, u, "constrained-gradient(positive)",
                             value=value, project=project, step=step, lift=lift)
     report.multiplier = 1.0
     report.identity_checks = {"mass_defect": abs(ws.mass(u) - target)}
@@ -568,10 +573,10 @@ def build_lower(h: GridFunction, c: float, margin: float) -> GridFunction:
 def _mean_flux_problem(h: GridFunction) -> GridFunction:
     """m with d2m = mean(h) - h weakly; the compatible counterpart of h."""
     grid = h.grid
-    hbar = integrate(h) / grid.total_length
-    rv = hbar - h.values
-    rv = rv - (grid.weights @ rv) / grid.total_length  # strip roundoff mean
-    return solve_poisson_meanzero(grid, GridFunction(grid, rv))
+    rv = integrate(h) / grid.total_length - h.values
+    rv -= (grid.weights @ rv) / grid.total_length  # strip roundoff mean
+    f, rv = GridFunction(grid, rv), None  # f holds a copy: free rv before the solve
+    return solve_poisson_meanzero(grid, f)
 
 
 def build_upper(h: GridFunction) -> UpperSolutionParams:
@@ -661,17 +666,16 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     sweeps do not reach tol, NoConvergence says so.  The SolveCounts in
     ``details`` count every factorization of the call, sweeps included.
     """
-    _check_positive("tol", tol)
+    ws = _Workspace(h, tol)
     if not c < 0.0:
         raise ValueError("monotone iteration applies to c < 0")
     for f, name in ((u_minus, "u_minus"), (u_plus, "u_plus")):
         if not grids_compatible(h.grid, f.grid):
             raise GridMismatch(f"{name} lives on a different grid")
-    return _monotone(_Workspace(h), c, u_minus, u_plus, tol)
+    return _monotone(ws, c, u_minus, u_plus)
 
 
-def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunction,
-              tol: float) -> Solution:
+def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunction) -> Solution:
     """monotone_iterate on the checked inputs, its factorizations counted in
     ``ws``; the counts in ``details`` are all of ``ws``'s so far."""
     grid, hv, w = ws.grid, ws.hv, ws.w
@@ -708,7 +712,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
     u = u_plus.values.copy()
     lo = u_minus.values
     history = []
-    ctol = tol * (1.0 + abs(c))
+    tol, ctol = ws.tol, ws.ctol(c)
     wn = math.inf
     # a Newton root must lie between u- and the latest sweep up to roundoff
     slack = order_slack + 1e-8 * (1.0 + abs(c))
@@ -740,7 +744,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
         if step <= tail_at or step <= tol:
             # after the first sweep, then in the sweeps' linear tail: try a
             # Newton finish
-            root = _newton_finish(ws, c, u, ctol, lambda r: _refuse_sandwich(r, lo, u, slack),
+            root = _newton_finish(ws, c, u, lambda r: _refuse_sandwich(r, lo, u, slack),
                                   rejected_tails, max_iter=50, sweep=n)
             if root is not None:
                 u, used_tail = root, True
@@ -772,16 +776,16 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
     return Solution(GridFunction(grid, u), report)
 
 
-def _newton_finish(ws: _Workspace, c: float, seed: np.ndarray, tol: float, refuse,
-                   rejected: list, max_iter: int = 60, **where):
-    """The root of damped Newton from ``seed`` at residual tol, or None.
+def _newton_finish(ws: _Workspace, c: float, seed: np.ndarray, refuse, rejected: list,
+                   max_iter: int = 60, **where):
+    """The root of damped Newton from ``seed`` at residual ws.ctol(c), or None.
 
     Every Newton finish of every solver goes through here.  A root is kept
     unless ``refuse(root)`` names the reason it is not; a failed or refused
     finish is appended to ``rejected`` as {**where, "reason": ...}, the
     reason "newton_failed" or the refusal's.
     """
-    root = _damped_newton(ws, c, seed, tol=tol, max_iter=max_iter)
+    root = _damped_newton(ws, c, seed, max_iter=max_iter)
     reason = "newton_failed" if root is None else refuse(root)
     if reason is None:
         return root
@@ -817,19 +821,18 @@ def _refuse_sandwich(root: np.ndarray, lo: np.ndarray, u: np.ndarray, slack: flo
     return None if inside else "left_sandwich"
 
 
-def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, tol: float,
-                   max_iter: int = 60):
+def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, max_iter: int = 60):
     """Damped Newton on the full residual; returns DOF values or None.
 
-    Keeps iterating past tol while convergence is still fast, so accepted
-    results sit near the numerical floor rather than just under tol.  Above
-    tol the step halves from 1 down to 1e-10 until it lowers the merit
-    r^T M^(-1) r enough; under tol only the full step is tried, and when it
-    does not lower the merit the residual has reached its floor, and the best
-    u so far is returned.
+    Keeps iterating past tol = ws.ctol(c) while convergence is still fast,
+    so accepted results sit near the numerical floor rather than just under
+    tol.  Above tol the step halves from 1 down to 1e-10 until it lowers the
+    merit r^T M^(-1) r enough; under tol only the full step is tried, and
+    when it does not lower the merit the residual has reached its floor, and
+    the best u so far is returned.
     """
     u = np.asarray(seed, dtype=float).copy()
-    w = ws.w
+    w, tol = ws.w, ws.ctol(c)
     best_u, best_wn = None, math.inf
     prev_wn = math.inf
     r = ws.residual(u, c)  # nonfinite exactly where e^u overflows
@@ -893,12 +896,12 @@ def _linsolve(ws: _Workspace, d: np.ndarray, rhs: np.ndarray):
     return None
 
 
-def _sandwich(ws: _Workspace, c: float, up: GridFunction, tol: float) -> Solution:
+def _sandwich(ws: _Workspace, c: float, up: GridFunction) -> Solution:
     """Monotone iteration at c from the upper solution ``up``, above a
     constant lower solution with a -c/2 margin that sits below ``up``."""
     base = build_lower(ws.h, c, margin=0.5 * (-c))
     a_const = max(-float(np.min(base.values)), 1.0 - float(np.min(up.values)))
-    return _monotone(ws, c, constant(ws.grid, -a_const), up, tol)
+    return _monotone(ws, c, constant(ws.grid, -a_const), up)
 
 
 def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
@@ -915,13 +918,12 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     residual tol (1 + |c|).  ``counts``, when given, receives this call's
     SolveCounts as well.
     """
-    _check_positive("tol", tol)
+    ws = _Workspace(h, tol, counts)
     if not c < 0.0:
         raise ValueError("solve_negative requires c < 0")
     v0 = classify(h, c)
     if not v0.ok:
         raise NotSolvable(f"c < 0 needs int h < 0 ({v0.reason})")
-    ws = _Workspace(h, counts)
     start = replace(ws.counts)
     details = {}
     if v0.max_h <= 0.0:
@@ -934,11 +936,11 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
         else:
             # below the certified range: walk the branch from implied_c to a
             # point psi just below c
-            walk = _Walk(ws, params, tol, 1e-4 * abs(c0), aimed=True)
+            walk = _Walk(ws, params)
             psi = walk.upper(c)
             method, up = "monotone(continuation)", GridFunction(h.grid, psi.u)
             details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
-    sol = _sandwich(ws, c, up, tol)
+    sol = _sandwich(ws, c, up)
     sol.report.method = method
     sol.report.details.update(details, **ws.counts.since(start))
     return sol
@@ -960,8 +962,7 @@ class _BranchPoint(NamedTuple):
         return {"mu": self.mu, "c": self.c, "dc_dmu": self.dc, "newton_iters": self.iters}
 
 
-def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float, tol: float,
-                  curvature: bool = False):
+def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float, curvature: bool = False):
     """Newton on F(u, c) = 0, w.u = |G| mu from the tangent predictor at
     ``start``; the point at ``mu``, or None when Newton fails.
 
@@ -987,7 +988,7 @@ def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float, tol: float,
         try:
             shift = ws.jacobian_shift(u)
             lu = ws.factor(shift, border=w)
-            if wn <= tol * (1.0 + abs(c)):
+            if wn <= ws.ctol(c):
                 t = lu.solve(np.append(np.zeros(n), ws.total))
                 ddc = 0.0
                 if curvature:
@@ -1016,30 +1017,28 @@ class _Walk:
     of dc/dmu predicts, and halves after one that failed.  ``points`` holds
     the traced points in order (past the fold, the last two straddle it) and
     ``refinement`` the points of the fold secant and the approach point
-    ``upper`` may add.  The first step is 0.1 |implied_c / (dc/dmu)|, or,
-    when ``aimed``, the step that ``down_to`` aims at its c.
+    ``upper`` may add.  The first step is the one ``down_to`` aims at c when
+    ``upper`` walks first, and 0.1 |implied_c / (dc/dmu)| when ``fold`` does.
+    ``bracket_tol`` (by default 1e-4 |implied_c|) sets the fold's precision.
     """
 
-    def __init__(self, ws: _Workspace, params: UpperSolutionParams, tol: float,
-                 bracket_tol: float, aimed: bool = False):
+    def __init__(self, ws: _Workspace, params: UpperSolutionParams,
+                 bracket_tol: float | None = None):
         c = params.implied_c
-        u = _sandwich(ws, c, params.u_plus(), tol).u.values
+        u = _sandwich(ws, c, params.u_plus()).u.values
         self.ws = ws
-        self.tol = tol
-        self.bracket_tol = bracket_tol
+        self.bracket_tol = 1e-4 * abs(c) if bracket_tol is None else bracket_tol
         mu = float(ws.w @ u) / ws.total
         # (u, c) solves F = 0 to tol already; this call adds its tangent
         p = _branch_point(ws, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0.0, 0, 0.0), mu,
-                          tol, curvature=True)
+                          curvature=True)
         if p is None:
             raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
         self.points = [p]
         self.refinement = []
         self.fold_point = None
         self.sign = -math.copysign(1.0, p.dc)  # mu moves where c falls
-        self.step = 0.1 * abs(c / p.dc) if p.dc != 0.0 else 0.1
-        if aimed and p.dc != 0.0:
-            self.step = math.inf  # down_to caps it by the aimed step
+        self.step = None  # set by the first step of down_to
 
     def solved(self) -> int:
         return len(self.points) + len(self.refinement)
@@ -1059,14 +1058,15 @@ class _Walk:
             if p.c + p.res <= c:
                 return
             step = self.step
+            if step is None:  # the first step; at a finite c the aim below caps it
+                step = (math.inf if c > -math.inf else 0.1 * abs(p.c / p.dc)) if p.dc else 0.1
             aim = c - 0.5 * reach * abs(p.dc) / float(np.max(np.abs(p.du)))
             if p.c > aim > -math.inf:  # never for the fold search, c = -inf
                 # where c reaches aim by 0.5 c'' x^2 - |dc/dmu| x + c_p
                 g, gap = abs(p.dc), p.c - aim
                 step = min(step, 2.0 * gap / (g + math.sqrt(max(g * g - 2.0 * p.ddc * gap, 0.0))))
             # only an aimed step models c(mu) with d2c/dmu2
-            q = _branch_point(self.ws, p, p.mu + self.sign * step, self.tol,
-                              curvature=c > -math.inf)
+            q = _branch_point(self.ws, p, p.mu + self.sign * step, curvature=c > -math.inf)
             if q is None:
                 self.step = 0.5 * step
                 continue
@@ -1089,7 +1089,7 @@ class _Walk:
             mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
             near = min(a, b, key=lambda x: abs(x.mu - mu_s))
             for _ in range(8):
-                s = _branch_point(self.ws, near, mu_s, self.tol)
+                s = _branch_point(self.ws, near, mu_s)
                 if s is not None:
                     break
                 mu_s = 0.5 * (near.mu + mu_s)
@@ -1135,7 +1135,7 @@ class _Walk:
             # half way from c* to c by c - c* ~ (mu - mu*)^2 through a, the
             # approach point closest to the fold
             q = _branch_point(self.ws, fold, fold.mu + (a.mu - fold.mu) * math.sqrt(
-                0.5 * (c - fold.c) / (a.c - fold.c)), self.tol)
+                0.5 * (c - fold.c) / (a.c - fold.c)))
             if q is not None:
                 self.refinement.append(q)
                 below = [q] if q.dc * first > 0.0 and q.c + q.res <= c else []
@@ -1160,7 +1160,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     bracket_tol; monotone iteration certifies c_hi from the closest point
     below it on the approach side of the fold that the walk to the fold has
     solved, a strict upper solution (see _Walk.upper for the one exception).
-    Every solve in the walk and the certificate runs at DEFAULT_TOL.
+    Every solve in the walk and the certificate runs at the default tol.
     ``critical`` is taken at the fold, with the counts of the walk alone.
     ValueError when bracket_tol is not positive and finite;
     NoConvergence when c_hi does not solve, naming bracket_tol when it is
@@ -1183,15 +1183,15 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     ws = _Workspace(h)
     params = ws.upper(build_upper)
     c0 = params.implied_c
-    bracket_tol = 1e-4 * abs(c0) if bracket_tol is None else bracket_tol
-    walk = _Walk(ws, params, DEFAULT_TOL, bracket_tol)
+    walk = _Walk(ws, params, bracket_tol)
+    bracket_tol = walk.bracket_tol
     fold = walk.fold()
     c_hi = min(fold.c + 0.5 * bracket_tol, c0)
     c_lo = c_hi - bracket_tol
     critical = _critical(walk, c_lo, c_hi)  # before the certificate's sweeps add to the counts
     try:
         psi = walk.upper(c_hi)
-        _sandwich(ws, c_hi, GridFunction(h.grid, psi.u), DEFAULT_TOL)
+        _sandwich(ws, c_hi, GridFunction(h.grid, psi.u))
     except NoUpperSolutionFound as exc:
         # c_hi lies above the fold, but closer than the walk resolves c there
         raise NoConvergence(f"bracket_tol = {bracket_tol!r} is finer than the walk resolves "
@@ -1235,8 +1235,8 @@ def _critical(walk: _Walk, c_lo: float, c_hi: float) -> Solution:
 def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     """The solution at the threshold itself: the fold of the solution branch.
 
-    A walk of the branch from implied_c, at DEFAULT_TOL and with the bracket
-    width as its fold precision, ends at the turning point dc/dmu = 0, which
+    A walk of the branch from implied_c, at the default tol and with the
+    bracket width as its fold precision, ends at the turning point dc/dmu = 0, which
     solves the equation at c_final = c*.  For its own h and bracket an
     estimate carries that fold, and a copy of it is returned with no second
     walk; a hand-made bracket is walked.  The fold must lie in [c_lo, c_hi],
@@ -1255,7 +1255,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     if sol is None or sol.report.details["bracket"] != [c_lo, c_hi] or not (
             grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):
         ws = _Workspace(h)
-        sol = _critical(_Walk(ws, ws.upper(build_upper), DEFAULT_TOL, c_hi - c_lo), c_lo, c_hi)
+        sol = _critical(_Walk(ws, ws.upper(build_upper), c_hi - c_lo), c_lo, c_hi)
     c_star, res = sol.report.details["c_final"], sol.report.final_residual
     miss = max(c_lo - c_star, c_star - c_hi)
     if 0.0 < miss <= res:  # as in _Walk.upper: the walk places c no closer than res

@@ -290,7 +290,7 @@ def test_a_shifted_solve_builds_no_cell_arrays(fine_edge):
 # operators exist: half a vector above the 9.1, 10.0 and 12.0 measured with
 # every sum and product formed in one array (with a new array for each
 # operation they take 10.1, 12.0 and 14.0)
-PEAK_VECTORS = {"solve_shifted": 9.5, "solve_poisson_meanzero": 10.5, "build_upper": 12.5}
+PEAK_VECTORS = {"solve_shifted": 9.5, "solve_poisson_meanzero": 10.5, "build_upper": 11.5}
 
 
 def test_linear_primitives_keep_a_memory_budget(fine_edge):

@@ -153,6 +153,35 @@ def test_numbers_given_as_strings_or_booleans_exit_1(tmp_path, capsys, edit, nam
     assert not (tmp_path / "prob.solution.csv").exists()
 
 
+PROBLEM_FAULTS = [
+    ("empty-vertices", {"vertices": []}, [], '"vertices" must be a non-empty list'),
+    ("edges-not-a-list", {"edges": {"id": "e1"}}, [], '"edges" must be a non-empty list'),
+    ("edge-not-an-object", {"edges": ["e1"]}, [], "edge entries must be objects: 'e1'"),
+    ("edge-without-length", {"edges": [{"id": "e1", "tail": "p", "head": "q"}]}, [],
+     "edge entry missing 'length'"),
+    ("not-an-object", None, [], "problem file must decode to a JSON object"),
+    ("one-cell-override", {}, ["--cells", "1"], "cells override must be at least 2"),
+    ("h-as-a-list", {"h": [1.0, 2.0]}, [], '"h" must be an expression, a number, or an edge map'),
+    ("ragged-h-samples", {"h": {"e1": [[1.0, 2.0], [3.0]]}}, [],
+     "edge 'e1': h samples must be numbers"),
+    ("h-entry-true", {"h": {"e1": True}}, [],
+     "edge 'e1': h must be an expression, number, or array"),
+    ("underscore-name", {"h": "_0 + s"}, [], "edge 'e1': unknown name '_0'"),
+]
+
+
+@pytest.mark.parametrize("name, edit, argv, named", PROBLEM_FAULTS,
+                         ids=[f[0] for f in PROBLEM_FAULTS])
+def test_problem_file_rejections_name_the_fault(tmp_path, capsys, name, edit, argv, named):
+    prob = write_problem(tmp_path, **(edit or {}))
+    if edit is None:
+        prob.write_text(json.dumps([json.loads(prob.read_text())]))
+    assert main(["solve", str(prob), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + named) and err.count("\n") == 1
+    assert not (tmp_path / "prob.solution.csv").exists()
+
+
 def test_ids_are_strings_so_verify_reads_what_solve_wrote(tmp_path, capsys):
     numeric = write_problem(tmp_path, vertices=[{"id": 1}, {"id": 2}],
                             edges=[{"id": 7, "tail": 1, "head": 2, "length": 1.0, "cells": 16}])
@@ -581,6 +610,23 @@ def test_verify_locates_worst_residual_on_a_star(tmp_path, capsys):
     assert worst_at(grid.vertex_dof("o")) == {"edge_id": "e0", "s": 0.0}
     # a leaf: the head of its only edge, at n h
     assert worst_at(grid.vertex_dof("v3")) == {"edge_id": "e3", "s": 8 * grid.spacing["e3"]}
+
+
+def test_verify_locates_a_head_vertex_at_the_edge_length(tmp_path, capsys):
+    # 10 * (0.9 / 10) rounds to 0.8999999999999999: the report gives the s
+    # of the solution CSV, which is the edge length
+    prob = write_problem(tmp_path, edges=[
+        {"id": "e1", "tail": "p", "head": "q", "length": 0.9, "cells": 10}], c=-1)
+    spec = parse_problem(json.loads(prob.read_text()))
+    u = np.zeros(spec.grid.ndof)
+    u[spec.grid.vertex_dof("q")] = 10.0
+    path = tmp_path / "u.csv"
+    lines = _csv_lines(spec, GridFunction(spec.grid, u))
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(prob), str(path)]) == 4
+    location = json.loads(capsys.readouterr().out)["worst_residual"]["location"]
+    assert location == {"edge_id": "e1", "s": 0.9}
+    assert float(lines[-1].split(",")[1]) == 0.9  # the head's row of the CSV
 
 
 def test_consecutive_main_calls_share_no_options(tmp_path, capsys):

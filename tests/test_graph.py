@@ -114,6 +114,28 @@ def test_grid_resolution_forms():
         build_grid(g, -0.1)
 
 
+def test_numpy_integers_are_cell_counts_and_bools_are_rejected():
+    g = make_single(cells=4).graph
+    for count in (np.int64(32), np.int32(32), np.uint8(32)):
+        assert build_grid(g, count).cells_per_edge == {"e1": 32}
+    assert build_grid(g, np.float64(0.25)).cells_per_edge == {"e1": 4}
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="resolution must be a cell count"):
+            build_grid(g, flag)
+
+
+def test_construction_rejections_name_the_fault():
+    with pytest.raises(ValueError, match="at least one vertex and one edge"):
+        build_graph([], [])
+    grid = make_star3(cells=8)
+    with pytest.raises(ResolutionTooCoarse, match="edge 'e2': 1 cells requested, need >= 2"):
+        build_grid(grid.graph, {"e1": 8, "e2": 1, "e3": 8})
+    with pytest.raises(ValueError, match=f"expected {grid.ndof} values, got shape \\(3,\\)"):
+        GridFunction(grid, [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="no profile for edge 'e2'"):
+        sample_function(grid, {"e1": lambda s: s, "e3": lambda s: s})
+
+
 def test_edge_coords_run_tail_to_head():
     grid = make_single(cells=4, length=2.0)
     assert np.allclose(grid.edge_coords("e1"), [0.0, 0.5, 1.0, 1.5, 2.0])

@@ -237,8 +237,8 @@ def test_zero_interior_pivot_is_a_failure():
 
 def test_damped_newton_takes_the_ridge_at_a_zero_pivot():
     grid, h = _zero_pivot_problem()
-    ws = _Workspace(h)
-    _damped_newton(ws, -1.0, np.zeros(grid.ndof), tol=1e-10, max_iter=1)
+    ws = _Workspace(h, tol=5e-11)
+    _damped_newton(ws, -1.0, np.zeros(grid.ndof), max_iter=1)
     assert ws.counts.ridge_retries >= 1
 
 
@@ -376,7 +376,7 @@ def test_newton_from_an_overflowing_seed_returns_none():
     # e^800 overflows: the first residual is not finite, and nothing is factored
     h = sample_function(make_star3(cells=16), lambda s: math.cos(math.pi * s) + 0.3)
     ws = _Workspace(h)
-    assert _damped_newton(ws, 0.5, np.full(h.grid.ndof, 800.0), 1e-8) is None
+    assert _damped_newton(ws, 0.5, np.full(h.grid.ndof, 800.0)) is None
     assert ws.counts.factorizations == 0
 
 

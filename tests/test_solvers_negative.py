@@ -218,10 +218,10 @@ def test_monotone_records_rejected_tails(monkeypatch, reason):
     newton = solvers._damped_newton
     calls = []
 
-    def first_tail_rejected(ws, c, seed, tol, max_iter=60):
-        calls.append(tol)
+    def first_tail_rejected(ws, c, seed, max_iter=60):
+        calls.append(ws.ctol(c))
         if len(calls) > 1:
-            return newton(ws, c, seed, tol=tol, max_iter=max_iter)
+            return newton(ws, c, seed, max_iter=max_iter)
         return None if reason == "newton_failed" else seed + 1.0  # above u_n
 
     monkeypatch.setattr(solvers, "_damped_newton", first_tail_rejected)
@@ -258,10 +258,10 @@ def test_a_first_sweep_root_above_the_sweep_is_refused(monkeypatch):
     newton = solvers._damped_newton
     calls = []
 
-    def first_root_above(ws, c_, seed, tol, max_iter=60):
+    def first_root_above(ws, c_, seed, max_iter=60):
         calls.append(seed)
         if len(calls) > 1:
-            return newton(ws, c_, seed, tol=tol, max_iter=max_iter)
+            return newton(ws, c_, seed, max_iter=max_iter)
         return seed + 2e-8 * (1.0 + abs(c))
 
     monkeypatch.setattr(solvers, "_damped_newton", first_root_above)
@@ -288,7 +288,7 @@ def test_a_finish_under_tol_tries_only_the_full_step(monkeypatch):
     residual = ws.residual
     calls = []
     monkeypatch.setattr(ws, "residual", lambda v, c_: calls.append(c_) or residual(v, c_))
-    assert np.array_equal(solvers._damped_newton(ws, c, u, tol), u)
+    assert np.array_equal(solvers._damped_newton(ws, c, u), u)
     assert len(calls) == 2
 
 
@@ -571,6 +571,46 @@ def test_every_public_solver_rejects_a_bad_tol(tol):
             call()
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_a_bad_tol_is_the_first_error(tol):
+    # each solver builds its workspace first, and the workspace checks tol
+    # before it reads h: c of the wrong sign, h that is not solvable, a
+    # mismatched pair and a missing h come second
+    grid = make_single(cells=16)
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+    other = constant(make_single(cells=8), -30.0)
+    calls = [lambda: solvers.solve_zero(constant(grid, 1.0), tol=tol),
+             lambda: solvers.solve_positive(h, -1.0, tol=tol),
+             lambda: solvers.solve_positive(constant(grid, -1.0), 0.5, tol=tol),
+             lambda: solve_negative(h, 0.5, tol=tol),
+             lambda: solve_negative(constant(grid, 1.0), -1.0, tol=tol),
+             lambda: monotone_iterate(h, 0.5, other, other, tol=tol),
+             lambda: solvers._Workspace(None, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            call()
+
+
+def test_the_continuation_route_reads_the_tol_of_its_solve():
+    # the branch corrector, the monotone sweeps and their Newton finishes all
+    # stop on the workspace's bound: at tol 1e-2 the walk and the sandwich
+    # take fewer factorizations than at the default tol (15 against 17)
+    h = sample_function(make_single(cells=32), lambda s: math.cos(math.pi * s) - 0.5)
+    strict = solve_negative(h, -1.0)
+    loose = solve_negative(h, -1.0, tol=1e-2)
+    for sol in (strict, loose):
+        assert sol.report.method == "monotone(continuation)"
+    assert loose.report.details["factorizations"] < strict.report.details["factorizations"]
+    assert loose.report.final_residual <= 1e-2 * 2.0
+    # two Newton steps from a perturbed solution leave a residual of 3.7e-3:
+    # a finish keeps that root at tol 1e-2 and refuses it at the default
+    seed = strict.u.values + 0.05 * np.sin(np.arange(h.grid.ndof))
+    for tol, kept in ((1e-2, True), (solvers.DEFAULT_TOL, False)):
+        ws, rejected = solvers._Workspace(h, tol=tol), []
+        root = solvers._newton_finish(ws, -1.0, seed, lambda r: None, rejected, max_iter=2)
+        assert (root is not None) == kept and len(rejected) == (not kept)
+
+
 def test_refuse_sandwich_keeps_only_roots_inside_it():
     lo, u, slack = np.zeros(5), np.ones(5), 1e-3
     inside = np.array([0.5, -slack, 1.0 + slack, 0.0, 1.0])
@@ -583,21 +623,21 @@ def test_refuse_sandwich_keeps_only_roots_inside_it():
 
 def test_newton_finish_records_each_refusal(monkeypatch):
     h = cos_h(cells=16)
-    ws = solvers._Workspace(h)
+    ws = solvers._Workspace(h, tol=5e-9)
     seed = np.zeros(h.grid.ndof)
     calls = []
 
-    def newton(ws_, c, seed_, tol, max_iter=60):
-        calls.append((c, tol, max_iter))
+    def newton(ws_, c, seed_, max_iter=60):
+        calls.append((c, ws_.ctol(c), max_iter))
         return None if len(calls) == 1 else seed_ + 1.0
 
     monkeypatch.setattr(solvers, "_damped_newton", newton)
     rejected = []
-    assert solvers._newton_finish(ws, -1.0, seed, 1e-8, lambda r: None, rejected,
+    assert solvers._newton_finish(ws, -1.0, seed, lambda r: None, rejected,
                                   max_iter=50, sweep=3) is None
-    assert solvers._newton_finish(ws, -1.0, seed, 1e-8, lambda r: "left_sandwich",
+    assert solvers._newton_finish(ws, -1.0, seed, lambda r: "left_sandwich",
                                   rejected, sweep=4) is None
-    root = solvers._newton_finish(ws, -1.0, seed, 1e-8, lambda r: None, rejected, sweep=5)
+    root = solvers._newton_finish(ws, -1.0, seed, lambda r: None, rejected, sweep=5)
     assert np.array_equal(root, seed + 1.0)
     assert rejected == [{"sweep": 3, "reason": "newton_failed"},
                         {"sweep": 4, "reason": "left_sandwich"}]

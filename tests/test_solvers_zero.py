@@ -108,15 +108,15 @@ def test_pseudo_root_finish_is_refused(monkeypatch):
     # ends there must be refused on the constraint
     grid, h = cos_instance(cells=256)
     newton = solvers._damped_newton
-    flat = newton(solvers._Workspace(h), 0.0, np.zeros(grid.ndof), tol=1e-8)
+    flat = newton(solvers._Workspace(h), 0.0, np.zeros(grid.ndof))
     assert flat is not None and integrate(GridFunction(grid, flat)) / grid.total_length < -10.0
     calls = []
 
-    def first_finish_flat(ws, c, seed, tol, max_iter=60):
-        calls.append(tol)
+    def first_finish_flat(ws, c, seed, max_iter=60):
+        calls.append(ws.ctol(c))
         if len(calls) == 1:
             return flat.copy()
-        return newton(ws, c, seed, tol=tol, max_iter=max_iter)
+        return newton(ws, c, seed, max_iter=max_iter)
 
     monkeypatch.setattr(solvers, "_damped_newton", first_finish_flat)
     sol = solve_zero(h)
