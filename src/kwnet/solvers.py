@@ -250,6 +250,14 @@ class _Workspace:
     def weak_norm(self, r: np.ndarray) -> float:
         return float(np.max(np.abs(r) / self.w))
 
+    def floor(self, u: np.ndarray, c: float) -> float:
+        """The rounding bound of the weak residual at (u, c): row i sums k =
+        nnz_i + 2 terms, so its computed value is off by at most k eps times
+        the sum of their absolute values (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 3), here divided by w_i."""
+        terms = abs(self.K) @ np.abs(u) + self.w * (abs(c) + np.abs(self.hv) * np.exp(u))
+        return float(np.max((np.diff(self.K.indptr) + 2) * EPS * terms / self.w))
+
 
 def classify(h: GridFunction, c: float) -> SolvabilityVerdict:
     """Check the necessary solvability conditions for the regime of c.
@@ -947,56 +955,64 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
 
 
 class _BranchPoint(NamedTuple):
-    """A solution (u, c) of the branch at mean mu, with its tangent."""
+    """A solution (u, c) of the branch at mean mu, with its first and second
+    derivatives in mu."""
 
     mu: float
     u: np.ndarray
     c: float
     du: np.ndarray  # du/dmu
+    ddu: np.ndarray  # d2u/dmu2
     dc: float  # dc/dmu
     ddc: float  # d2c/dmu2
     iters: int  # Newton steps the corrector took
-    res: float  # weak residual at c
+    res: float  # weak residual at c; at the fold point, at least its rounding bound
 
     def record(self) -> dict:
         return {"mu": self.mu, "c": self.c, "dc_dmu": self.dc, "newton_iters": self.iters}
 
 
-def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float, curvature: bool = False):
-    """Newton on F(u, c) = 0, w.u = |G| mu from the tangent predictor at
-    ``start``; the point at ``mu``, or None when Newton fails.
+def _past(p: _BranchPoint, q: _BranchPoint) -> bool:
+    """Whether q, a step on from p where c falls, lies past a fold: dc/dmu
+    changed sign, or c rose by more than the residuals, which it never does
+    on the approach side."""
+    return p.dc * q.dc <= 0.0 or q.c > p.c + p.res + q.res
+
+
+def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float):
+    """Newton on F(u, c) = 0, w.u = |G| mu from the Taylor predictor at
+    ``start``, second order in u; the point at ``mu``, or None when Newton
+    fails.
 
     The Jacobian [[K - diag(w h e^u), w], [w^T, 0]] stays nonsingular through
     the fold: there the null vector of K - diag(w h e^u) is positive (the
     matrix is a Z-matrix), so w is not orthogonal to it.  Its last
-    factorization also gives the tangent, from the right-hand side (0, |G|),
-    and with ``curvature`` d2c/dmu2, from (w h e^u (du/dmu)^2, 0); else it
-    is left at 0.
-    Newton counts as failed when its first step moves u by more than half
-    the predictor's move or a later step does not halve the one before:
-    either means the predictor was too far off to stay on this branch.
+    factorization (at the predictor when that needs no Newton step, else at
+    the iterate before the last step) also gives the first derivatives in
+    mu, from the right-hand side (0, |G|), and the second, from
+    (w h e^u (du/dmu)^2, 0).  Newton counts as failed when its first step
+    moves u by more than half the tangent's move or a later step does not
+    halve the one before: either means the predictor was too far off to
+    stay on this branch.
     """
-    n, w = ws.grid.ndof, ws.w
-    u = start.u + (mu - start.mu) * start.du
-    c = start.c + (mu - start.mu) * start.dc
-    bound = 0.5 * abs(mu - start.mu) * float(np.max(np.abs(start.du)))
+    n, w, dm = ws.grid.ndof, ws.w, mu - start.mu
+    u = start.u + dm * (start.du + 0.5 * dm * start.ddu)
+    c = start.c + dm * start.dc
+    bound = 0.5 * abs(dm) * float(np.max(np.abs(start.du)))
     for it in range(9):  # at most 8 Newton steps
         r = ws.residual(u, c)
         wn = ws.weak_norm(r)
         if not math.isfinite(wn):
             return None
+        if it and wn <= ws.ctol(c):
+            break  # the factors of the last step serve the point
+        if it == 8:
+            return None
         try:
             shift = ws.jacobian_shift(u)
             lu = ws.factor(shift, border=w)
             if wn <= ws.ctol(c):
-                t = lu.solve(np.append(np.zeros(n), ws.total))
-                ddc = 0.0
-                if curvature:
-                    # differentiate F = 0 and w.u = |G| mu twice along the branch
-                    ddc = float(lu.solve(np.append(-shift * t[:n] ** 2, 0.0))[n])
-                return _BranchPoint(mu, u, c, t[:n], float(t[n]), ddc, it, wn)
-            if it == 8:
-                return None
+                break
             x = lu.solve(np.append(-r, ws.total * mu - float(w @ u)))
         except LinearSolveFailure:
             return None
@@ -1005,21 +1021,46 @@ def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float, curvature: boo
             return None
         bound = 0.5 * move
         u, c = u + x[:n], c + float(x[n])
+    t = lu.solve(np.append(np.zeros(n), ws.total))
+    # differentiate F = 0 and w.u = |G| mu twice along the branch
+    tt = lu.solve(np.append(-shift * t[:n] ** 2, 0.0))
+    return _BranchPoint(mu, u, c, t[:n], tt[:n], float(t[n]), float(tt[n]), it, wn)
+
+
+def _polished(ws: _Workspace, p: _BranchPoint) -> _BranchPoint:
+    """p after one more Newton step on its own Jacobian, which takes it to
+    its roundoff floor.  Below the rounding bound of the residual the
+    residual no longer bounds the error in c, so ``res`` is at least that."""
+    n, w = ws.grid.ndof, ws.w
+    lu = ws.factor(ws.jacobian_shift(p.u), border=w)
+    x = lu.solve(np.append(-ws.residual(p.u, p.c), ws.total * p.mu - float(w @ p.u)))
+    u, c = p.u + x[:n], p.c + float(x[n])
+    return p._replace(u=u, c=c, res=max(ws.weak_norm(ws.residual(u, c)), ws.floor(u, c)))
+
+
+def _half_way(p: _BranchPoint, c: float) -> float:
+    """|dc/dmu| where the quadratic model of c at p, which has a fold (d2c/dmu2
+    > 0), lies half way in c from that fold to c: the model is (dc/dmu)^2 /
+    2 d2c/dmu2 above its fold.  0 when c lies below the fold."""
+    return math.sqrt(max(0.0, p.ddc * (c - p.c) + 0.5 * p.dc ** 2))
 
 
 class _Walk:
     """The solution branch from the certified solution at implied_c, followed
     where c falls, with mu = mean u as parameter; every point comes from the
-    corrector ``_branch_point``.
+    corrector ``_branch_point``, with dc/dmu and d2c/dmu2.
 
     The step in mu doubles after a corrector that took at most two Newton
-    steps, never beyond twice the distance to the fold that a linear model
-    of dc/dmu predicts, and halves after one that failed.  ``points`` holds
-    the traced points in order (past the fold, the last two straddle it) and
-    ``refinement`` the points of the fold secant and the approach point
-    ``upper`` may add.  The first step is the one ``down_to`` aims at c when
-    ``upper`` walks first, and 0.1 |implied_c / (dc/dmu)| when ``fold`` does.
-    ``bracket_tol`` (by default 1e-4 |implied_c|) sets the fold's precision.
+    steps and halves after one that failed; the quadratic model of c(mu) at
+    the last point caps it (see down_to).  ``points`` holds the traced
+    points in order (past the fold, the last two straddle it) and
+    ``refinement`` the points that ``_refine``, a Newton search, solves
+    between them, and those ``upper`` adds.  The first step is the one
+    ``down_to`` aims at c when ``upper`` walks first, and |implied_c /
+    (dc/dmu)|, the step over which the tangent doubles c, when ``fold``
+    does.  ``bracket_tol`` (by default 1e-4 |implied_c|) sets the fold's
+    precision; the points depend on it only through the test that ends the
+    fold search.
     """
 
     def __init__(self, ws: _Workspace, params: UpperSolutionParams,
@@ -1029,9 +1070,9 @@ class _Walk:
         self.ws = ws
         self.bracket_tol = 1e-4 * abs(c) if bracket_tol is None else bracket_tol
         mu = float(ws.w @ u) / ws.total
-        # (u, c) solves F = 0 to tol already; this call adds its tangent
-        p = _branch_point(ws, _BranchPoint(mu, u, c, np.zeros_like(u), 0.0, 0.0, 0, 0.0), mu,
-                          curvature=True)
+        # (u, c) solves F = 0 to tol already; this call adds its derivatives
+        zero = np.zeros_like(u)
+        p = _branch_point(ws, _BranchPoint(mu, u, c, zero, zero, 0.0, 0.0, 0, 0.0), mu)
         if p is None:
             raise NoConvergence(f"the branch corrector failed at the certified c = {c}")
         self.points = [p]
@@ -1044,81 +1085,124 @@ class _Walk:
         return len(self.points) + len(self.refinement)
 
     def down_to(self, c: float) -> None:
-        """Step on until the last two points straddle the fold, which is then
-        refined, or the last point lies below c.  A quadratic model of c(mu),
-        with d2c/dmu2 at the last point, aims each step no lower than
-        c - reach |dc/dmu| / 2 max|du/dmu|, reach = 1e-3 (1 + |c|)."""
+        """Step on until the last point lies below c, or past the fold
+        (``_past``) and ``_refine`` searches between the last two.  The
+        quadratic model c_p - |dc/dmu| x + d2c/dmu2 x^2 / 2 of the last point
+        caps each step a quarter past the model's fold, at x = 1.25 |dc/dmu| /
+        (d2c/dmu2), and at a finite c where the model reaches c - reach
+        |dc/dmu| / 2 max|du/dmu| (reach = 1e-3 (1 + |c|)) before its fold."""
         reach = 1e-3 * (1.0 + abs(c))
         for _ in range(200):
             p = self.points[-1]
-            if len(self.points) > 1 and p.dc * self.points[-2].dc <= 0.0:
+            if len(self.points) > 1 and _past(self.points[-2], p):
                 if self.fold_point is None:
-                    self.fold_point = self._secant(self.points[-2], p)
+                    self._refine(c)
                 return
             if p.c + p.res <= c:
                 return
             step = self.step
             if step is None:  # the first step; at a finite c the aim below caps it
-                step = (math.inf if c > -math.inf else 0.1 * abs(p.c / p.dc)) if p.dc else 0.1
-            aim = c - 0.5 * reach * abs(p.dc) / float(np.max(np.abs(p.du)))
-            if p.c > aim > -math.inf:  # never for the fold search, c = -inf
-                # where c reaches aim by 0.5 c'' x^2 - |dc/dmu| x + c_p
-                g, gap = abs(p.dc), p.c - aim
-                step = min(step, 2.0 * gap / (g + math.sqrt(max(g * g - 2.0 * p.ddc * gap, 0.0))))
-            # only an aimed step models c(mu) with d2c/dmu2
-            q = _branch_point(self.ws, p, p.mu + self.sign * step, curvature=c > -math.inf)
+                step = (math.inf if c > -math.inf else abs(p.c / p.dc)) if p.dc else 0.1
+            g, ddc = abs(p.dc), p.ddc
+            if ddc > 0.0:
+                step = min(step, 1.25 * g / ddc)
+            gap = p.c - c + 0.5 * reach * g / float(np.max(np.abs(p.du)))
+            if 0.0 < gap < math.inf and g * g > 2.0 * ddc * gap:
+                step = min(step, 2.0 * gap / (g + math.sqrt(g * g - 2.0 * ddc * gap)))
+            q = _branch_point(self.ws, p, p.mu + self.sign * step)
             if q is None:
                 self.step = 0.5 * step
                 continue
             self.points.append(q)
             self.step = 2.0 * step if q.iters <= 2 else step
-            if abs(q.dc) < abs(p.dc):
-                self.step = min(self.step, 2.0 * abs(q.dc * (q.mu - p.mu) / (p.dc - q.dc)))
         raise NoConvergence(f"the branch walk met neither c = {c} nor the fold in 200 steps "
                             f"(last point c = {p.c}, mu = {p.mu})")
 
-    def _secant(self, a: _BranchPoint, b: _BranchPoint) -> _BranchPoint:
-        """Bracketing secant (Illinois) on dc/dmu = 0 between solved points a
-        and b that straddle the fold.  Near the fold c ~ c* + (dc/dmu)^2 /
-        (2 c''), c'' by the last secant: returns the first point for which
-        that puts c* within 1e-3 bracket_tol of it.  Where the corrector fails
-        at the secant point, the point moves halfway to the nearer end, up to
-        8 times."""
-        fa, fb = a.dc, b.dc
+    def _refine(self, c: float) -> None:
+        """Safeguarded Newton on dc/dmu (Keller's turning-point search) between
+        a, the last solved point before the fold, and b, the first past it,
+        until an approach-side point lies below c, or is the fold point: 0.5
+        (dc/dmu)^2 / d2c/dmu2 <= 1e-3 bracket_tol, the distance in c from
+        its quadratic model's fold.  The fold point is then polished.
+
+        Newton runs from the latest point s, with the third derivative that
+        the pair gives, and aims at the approach-side point half way in c
+        from the fold of the model at s to c (``_half_way``: at the fold when
+        c = -inf); from s past the fold at least half as far before the fold
+        as s lies past it, so that the search ends on the approach side.
+        Its point is taken when it lies strictly inside the pair, else the
+        Illinois step is.  The walk's own b is trusted only when its slope
+        model predicts dc/dmu at a (else the walk may have stepped over
+        several turns of c): until the search has a point past the fold of
+        its own, Newton runs from a only, and every point is predicted from
+        a.  Where the corrector fails at the new point, the point moves
+        halfway to the end it is predicted from, up to 8 times."""
+        tol, first = 1e-3 * self.bracket_tol, self.points[0].dc
+        solved = self.points + self.refinement
+        ordered = sorted(solved, key=lambda p: self.sign * p.mu)
+        k = 1
+        while not _past(ordered[k - 1], ordered[k]):
+            k += 1
+        a, b = ordered[k - 1], ordered[k]
+        s, fa, fb = solved[-1], a.dc, b.dc
+        # the linear model of dc/dmu at b predicts dc/dmu at a to within half
+        # the change it predicts: no turn of c(mu) it does not see lies between
+        dm = a.mu - b.mu
+        trust_b = abs(a.dc - b.dc - dm * b.ddc) <= 0.5 * abs(dm * b.ddc)
         for _ in range(30):
-            mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
-            near = min(a, b, key=lambda x: abs(x.mu - mu_s))
+            if a.c + a.res <= c:
+                return
+            if 0.5 * a.dc ** 2 <= tol * abs(a.ddc):
+                fold = _polished(self.ws, a)
+                for points in (self.points, self.refinement):
+                    points[:] = [fold if p is a else p for p in points]
+                self.fold_point = fold
+                return
+            mu_s = math.nan
+            if s.ddc > 0.0 and (s is a or trust_b):
+                aim = _half_way(s, c)
+                if s.dc * first <= 0.0:
+                    aim = max(aim, 0.5 * abs(s.dc))
+                # dc/dmu + d2c/dmu2 x + d3c/dmu3 x^2 / 2 reaches the aim
+                q = math.copysign(aim, first) - s.dc
+                d3 = (b.ddc - a.ddc) / (b.mu - a.mu) if trust_b else 0.0
+                disc = s.ddc ** 2 + 2.0 * d3 * q
+                mu_s = s.mu + (2.0 * q / (s.ddc + math.sqrt(disc)) if disc > 0.0 else q / s.ddc)
+            if not min(a.mu, b.mu) < mu_s < max(a.mu, b.mu):
+                mu_s = (a.mu * fb - b.mu * fa) / (fb - fa)
+            near = b if trust_b and abs(b.mu - mu_s) < abs(a.mu - mu_s) else a
             for _ in range(8):
                 s = _branch_point(self.ws, near, mu_s)
                 if s is not None:
                     break
                 mu_s = 0.5 * (near.mu + mu_s)
             else:
-                raise NoConvergence(f"the branch corrector failed next to the secant point "
-                                    f"mu = {mu_s}")
+                raise NoConvergence(f"the branch corrector failed next to the fold's Newton "
+                                    f"point mu = {mu_s}")
             self.refinement.append(s)
-            if 0.5 * s.dc ** 2 * abs(s.mu - b.mu) <= 1e-3 * self.bracket_tol * abs(s.dc - b.dc):
-                return s
-            if s.dc * fb < 0.0:
-                a, fa = b, fb
-            else:  # Illinois: halve the weight of the end that stays
-                fa *= 0.5
-            b, fb = s, s.dc
-        raise NoConvergence(f"the secant on the branch did not settle (c = {b.c})")
+            if not _past(a, s):  # Illinois: halve the weight of the end that stays
+                a, fa, fb = s, s.dc, 0.5 * fb
+            else:
+                b, fb, fa, trust_b = s, s.dc, 0.5 * fa, True
+        raise NoConvergence(f"the fold's Newton on the branch did not settle (c = {s.c})")
 
     def fold(self) -> _BranchPoint:
-        """The secant point on dc/dmu = 0 that stands for the fold c*."""
+        """The fold point: the approach-side point of the Newton search that
+        stands for the fold c*."""
         self.down_to(-math.inf)
         return self.fold_point
 
     def upper(self, c: float) -> _BranchPoint:
         """The solved point with the largest c_p <= c - residual on the
         approach side of the fold: a solution at c_p < c, so an upper
-        solution at c.  Walks on until a point lies below c or the walk steps
-        past the fold, which is then refined.  When only the fold point lies
-        below c, and it lies past the fold, one more point is solved on the
-        approach side: Newton from a point past the fold heads for the
-        solution past it, which the sandwich refuses.
+        solution at c.  Walks on until a point lies below c, or the walk
+        steps past the fold and the search between the straddling points
+        finds one (or the fold point, when c lies below or at the fold).
+        When that point lies closer to the fold than half way to the
+        solution at c, by its quadratic model, one Newton step of the model
+        solves the point half way in c from the fold to c: the monotone
+        iteration from a point near the fold can take hundreds of sweeps,
+        because its Newton tail heads for the solution past the fold.
         Raises NoUpperSolutionFound, naming the fold c*, when no point
         reaches c (c lies below the fold, or above it by less than the
         residual of the points there), and when the fold is known and c lies
@@ -1127,18 +1211,8 @@ class _Walk:
         """
         self.down_to(c)
         first, fold = self.points[0].dc, self.fold_point
-        solved = self.points + self.refinement
-        below = [p for p in solved if p.dc * first > 0.0 and p.c + p.res <= c]
-        a = min((p for p in solved if p.dc * first > 0.0), key=lambda p: p.c,
-                default=self.points[0])
-        if not below and fold is not None and a.c > c > fold.c + fold.res:
-            # half way from c* to c by c - c* ~ (mu - mu*)^2 through a, the
-            # approach point closest to the fold
-            q = _branch_point(self.ws, fold, fold.mu + (a.mu - fold.mu) * math.sqrt(
-                0.5 * (c - fold.c) / (a.c - fold.c)))
-            if q is not None:
-                self.refinement.append(q)
-                below = [q] if q.dc * first > 0.0 and q.c + q.res <= c else []
+        below = [p for p in self.points + self.refinement
+                 if p.dc * first > 0.0 and p.c + p.res <= c]
         if (fold is not None and c - fold.c <= fold.res) or not below:
             fold = self.fold()
             where = (f"lies below the fold of the solution branch at c* = {fold.c!r} "
@@ -1146,7 +1220,15 @@ class _Walk:
                      f"lies {c - fold.c:.1e} above the fold at c* = {fold.c!r}, closer than the "
                      f"walk resolves c: the fold point solves only to residual {fold.res:.1e}")
             raise NoUpperSolutionFound(f"c = {c} {where}", c_star=fold.c)
-        return max(below, key=lambda p: p.c)
+        p = max(below, key=lambda p: p.c)
+        if 3.0 * p.dc ** 2 < 2.0 * p.ddc * (c - p.c):  # nearer the fold than half way to c
+            q = _branch_point(self.ws, p, p.mu - (p.dc - math.copysign(_half_way(p, c), first))
+                              / p.ddc)
+            if q is not None:
+                self.refinement.append(q)
+                if q.dc * first > 0.0 and q.c + q.res <= c:
+                    return q
+        return p
 
 
 def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> ThresholdEstimate:
@@ -1157,19 +1239,23 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     mean mu of u as its parameter, in the direction where c falls.  Its
     turning point (dc/dmu = 0) is the threshold c*: no solution exists below
     it.  The bracket is c_hi = c* + bracket_tol / 2 and c_lo = c_hi -
-    bracket_tol; monotone iteration certifies c_hi from the closest point
-    below it on the approach side of the fold that the walk to the fold has
-    solved, a strict upper solution (see _Walk.upper for the one exception).
-    Every solve in the walk and the certificate runs at the default tol.
-    ``critical`` is taken at the fold, with the counts of the walk alone.
+    bracket_tol; monotone iteration certifies c_hi from a point of the walk
+    below it on the approach side of the fold, a strict upper solution.  The
+    search for the fold ends on that side, at the fold point whose c is c*,
+    and the walk then solves the point half way in c from c* to c_hi (see
+    _Walk.upper): the fold point itself lies below c_hi, unless bracket_tol
+    is finer than the walk resolves c there, but too close to the fold for
+    the monotone iteration.  Every solve in the walk and the certificate
+    runs at the default tol.  ``critical`` is taken at the fold, with the
+    counts of the walk alone, that point included.
     ValueError when bracket_tol is not positive and finite;
     NoConvergence when c_hi does not solve, naming bracket_tol when it is
     finer than the walk resolves the fold.
 
     ``details`` holds c_star and mu_star, every traced point (``branch``)
-    and secant point (``refinement``) as {mu, c, dc_dmu, newton_iters},
-    ``probes`` (how many points were solved), and the SolveCounts of the
-    whole call.
+    and point of the fold search (``refinement``) as {mu, c, dc_dmu,
+    newton_iters}, ``probes`` (how many points were solved), and the
+    SolveCounts of the whole call.
     """
     if bracket_tol is not None:
         _check_positive("bracket_tol", bracket_tol)
@@ -1209,8 +1295,13 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
 
 def _critical(walk: _Walk, c_lo: float, c_hi: float) -> Solution:
     """The critical Solution for [c_lo, c_hi] at the walk's fold, from the
-    points solved so far (see solve_critical)."""
+    points solved so far (see solve_critical).  When c_hi lies above the
+    fold by more than the fold point's residual, the walk first solves the
+    point that certifies c_hi, so that every walk of one bracket solves the
+    same points."""
     ws, fold = walk.ws, walk.fold()
+    if c_hi - fold.c > fold.res:
+        walk.upper(c_hi)
 
     def record(p):
         nr = norms(GridFunction(ws.grid, p.u))
@@ -1236,16 +1327,17 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     """The solution at the threshold itself: the fold of the solution branch.
 
     A walk of the branch from implied_c, at the default tol and with the
-    bracket width as its fold precision, ends at the turning point dc/dmu = 0, which
-    solves the equation at c_final = c*.  For its own h and bracket an
-    estimate carries that fold, and a copy of it is returned with no second
-    walk; a hand-made bracket is walked.  The fold must lie in [c_lo, c_hi],
-    else NoConvergence names c*, and the bracket width when c* misses by no
-    more than the fold point's residual.  ``details["approach"]`` is the
-    boundedness record of the critical case: H1 norm, 1/2 |du|^2, mass
-    defect and residual of each point solved up to the fold on its approach
-    side with c <= c_hi, then of the fold.  BoundBlowup when those H1 norms
-    spread by more than 50x.
+    bracket width as its fold precision, ends by a Newton search on dc/dmu =
+    0 at the fold point, which solves the equation at c_final = c*.  For its
+    own h and bracket an estimate carries that fold, and a copy of it is
+    returned with no second walk; a hand-made bracket is walked.  The fold
+    must lie in [c_lo, c_hi], else NoConvergence names c*, and the bracket
+    width when c* misses by no more than the fold point's residual.
+    ``details["approach"]`` is the boundedness record of the critical case:
+    H1 norm, 1/2 |du|^2, mass defect and residual of each point the walk
+    solves on the approach side with c <= c_hi (the one that certifies c_hi
+    among them), then of the fold.  BoundBlowup when those H1 norms spread
+    by more than 50x.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")

@@ -272,7 +272,7 @@ def test_reports_count_factorizations():
 
 
 def test_counts_accumulate_across_calls_and_failures():
-    grid = make_single(cells=24)
+    grid = make_single(cells=48)
     h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
     c_certified = build_upper(h).implied_c
     counts = SolveCounts()

@@ -31,6 +31,7 @@ from kwnet.errors import (
     OrderingViolated,
 )
 from helpers import (
+    make_path3,
     make_single,
     make_star3,
     make_theta,
@@ -507,12 +508,13 @@ def test_continuation_converges_on_star3_at_384_cells():
     assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
 
 
-@pytest.mark.parametrize("make, seed", [(make_star3, 12), (make_theta, 11), (make_single, 1)])
-def test_branch_secant_moves_closer_where_the_corrector_fails(make, seed):
-    # where dc/dmu changes fast, a secant point on dc/dmu = 0 can lie too far
-    # from both solved ends for the corrector: in estimate_threshold's fold
-    # search (the first two) or in solve_negative's walk (the third); the
-    # secant must come closer instead of giving up
+@pytest.mark.parametrize("make, seed", [(make_single, 297), (make_star3, 21), (make_path3, 556)])
+def test_fold_newton_backs_off_where_the_corrector_fails(make, seed):
+    # where dc/dmu changes fast, a Newton point of the search between the
+    # straddling points can lie too far from the end it is predicted from
+    # for the corrector: in estimate_threshold's fold search (the first two)
+    # or in solve_negative's walk (the third); the search must come closer
+    # instead of giving up
     h = random_h_sign_changing(make(cells=48), np.random.default_rng(seed))
     est = estimate_threshold(h)
     sol = solve_negative(h, est.c_hi)

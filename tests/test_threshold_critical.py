@@ -47,20 +47,21 @@ def test_threshold_rejects_nonnegative_integral():
         estimate_threshold(constant(grid, 1.0))
 
 
-def test_a_fold_point_past_the_fold_does_not_certify_c_hi():
-    # path3, seed 1: the fold secant stops just past the fold and no point on
-    # the approach side lies below c_hi.  Newton from the fold point heads
-    # for the solution past the fold, which the sandwich refuses, so the
-    # certificate solves one point on the approach side between c* and c_hi
+def test_the_fold_search_ends_on_the_approach_side_and_certifies_c_hi():
+    # path3, seed 1: the Newton points of the fold search land past the fold
+    # and before it in turn, and the search ends before it, at the fold
+    # point.  That point lies too close to the fold to be a safe upper
+    # solution at c_hi, so one more is solved, half way in c from c* to c_hi
     h = random_h_sign_changing(make_path3(cells=32), np.random.default_rng(1))
     est = estimate_threshold(h)
     c_star, first = est.details["c_star"], est.details["branch"][0]["dc_dmu"]
-    fold = next(p for p in est.details["refinement"] if p["c"] == c_star)
-    assert fold["dc_dmu"] * first < 0.0
-    psi = est.details["refinement"][-1]
-    assert psi["dc_dmu"] * first > 0.0 and c_star < psi["c"] < est.c_hi
-    # that one point is the certificate's own: the walk to the fold has one less
-    assert est.details["probes"] == solve_critical(h, est).report.details["branch_points"] + 1
+    *_, past, fold, psi = est.details["refinement"]
+    assert past["dc_dmu"] * first < 0.0
+    assert fold["c"] == c_star and fold["dc_dmu"] * first > 0.0
+    assert psi["dc_dmu"] * first > 0.0
+    assert c_star + 0.25 * (est.c_hi - c_star) < psi["c"] < est.c_hi
+    # the critical walk of the same bracket solves that point as well
+    assert est.details["probes"] == solve_critical(h, est).report.details["branch_points"]
 
 
 def test_threshold_bracket_properties():
@@ -114,6 +115,16 @@ def test_threshold_refinement_sweep():
     oracle_lo, oracle_hi = -0.04978393114880529, -0.04978391022897212
     est = ests[768]
     assert est.c_lo <= oracle_lo and oracle_hi <= est.c_hi
+
+
+def test_the_fold_search_on_the_96_cell_edge_is_cheap_and_exact():
+    # Newton on dc/dmu = 0 with the curvature of the branch: an Illinois
+    # secant on dc/dmu = 0 takes 44 factorizations to place this fold at
+    # c* = -0.0497795237125169, to 1e-3 bracket_tol
+    h = cos_h()
+    est = estimate_threshold(h)
+    assert est.details["factorizations"] < 44
+    assert abs(est.details["c_star"] + 0.0497795237125169) <= 2e-3 * (est.c_hi - est.c_lo)
 
 
 def test_threshold_matches_oracle_fold():
@@ -199,25 +210,27 @@ def test_critical_names_the_fold_outside_the_bracket():
 
 
 def test_a_too_narrow_hand_made_bracket_is_named_as_the_cause():
-    # the walked fold of the 96-cell edge solves only to residual 1.1e-10, so
-    # it cannot land inside a bracket around c* much narrower than that
+    # walked to a width of 1e-9 or less, the fold of the 96-cell edge ends at
+    # one point, which resolves c only to 4.2e-12, the rounding bound of its
+    # residual: a bracket around it holds it however narrow, one that misses
+    # it by less than that is named as too narrow, one that misses it by
+    # more is blamed itself
     h = cos_h()
     est = estimate_threshold(h)
-    c_star = est.details["c_star"]
+    c_fold = estimate_threshold(h, bracket_tol=1e-9).details["c_star"]
+    for width in (1e-9, 1e-10, 1e-11, 1e-12):
+        bracket = by_hand(est, c_lo=c_fold - width / 2, c_hi=c_fold + width / 2)
+        assert solve_critical(h, bracket).report.details["c_final"] == c_fold
     for width in (1e-11, 1e-12):
         with pytest.raises(NoConvergence) as info:
-            solve_critical(h, by_hand(est, c_lo=c_star - width / 2, c_hi=c_star + width / 2))
+            solve_critical(h, by_hand(est, c_lo=c_fold + 2e-12, c_hi=c_fold + 2e-12 + width))
         message = str(info.value)
-        assert message.startswith("the bracket width c_hi - c_lo = 1.0000")
+        named = float(re.match(r"the bracket width c_hi - c_lo = (\S+) ", message).group(1))
+        assert named == pytest.approx(width, rel=1e-3)
         assert "is finer than the walk resolves the fold" in message
-        assert message.endswith("within the fold point's residual 1.1e-10")
-    for width in (1e-9, 1e-10):
-        bracket = by_hand(est, c_lo=c_star - width / 2, c_hi=c_star + width / 2)
-        c_final = solve_critical(h, bracket).report.details["c_final"]
-        assert bracket.c_lo <= c_final <= bracket.c_hi
-    # a bracket that misses the fold by more than its residual is blamed itself
+        assert message.endswith("within the fold point's residual 4.2e-12")
     for width in (1e-9, 1e-11):
-        shifted = by_hand(est, c_lo=c_star - width / 2 + 1e-6, c_hi=c_star + width / 2 + 1e-6)
+        shifted = by_hand(est, c_lo=c_fold - width / 2 + 1e-6, c_hi=c_fold + width / 2 + 1e-6)
         with pytest.raises(NoConvergence, match=r"c\* = \S+ lies outside the bracket") as info:
             solve_critical(h, shifted)
         assert "width" not in str(info.value)
@@ -343,13 +356,14 @@ def _cos_half_h(cells=32):
 
 
 def test_a_too_fine_bracket_tol_is_named_as_the_cause():
-    # the fold point of the 96-cell edge solves only to residual 1.1e-10 and
-    # that of the 32-cell one to 6.0e-12, so no branch point certifies a
-    # c_hi = c* + bracket_tol / 2 closer to the fold than that
+    # the fold point of the 96-cell edge resolves c only to 4.2e-12 and that
+    # of the 32-cell one to 1.1e-11, the rounding bounds of their residuals,
+    # so no branch point certifies a c_hi = c* + bracket_tol / 2 closer to
+    # the fold than that
     for h, bracket_tol, gap, c_star, residual in (
-            (cos_h(), 1e-12, "5.0e-13", "-0.0497795237", "1.1e-10"),
-            (cos_h(), 1e-10, "5.0e-11", "-0.0497795237", "1.1e-10"),
-            (_cos_half_h(), 1e-11, "5.0e-12", "-1.58765309683", "6.0e-12")):
+            (cos_h(), 1e-12, "5.0e-13", "-0.0497795237", "4.2e-12"),
+            (_cos_half_h(), 1e-12, "5.0e-13", "-1.58765309683", "1.1e-11"),
+            (_cos_half_h(), 1e-11, "5.0e-12", "-1.58765309683", "1.1e-11")):
         with pytest.raises(NoConvergence) as info:
             estimate_threshold(h, bracket_tol=bracket_tol)
         message = str(info.value)
@@ -361,8 +375,8 @@ def test_a_too_fine_bracket_tol_is_named_as_the_cause():
 
 
 def test_the_finest_resolved_bracket_tol_still_certifies():
-    # one decade above the widths refused above: c_hi - c* exceeds the fold
-    # point's residual, and c_hi is certified
+    # above the widths refused above: c_hi - c* exceeds the fold point's
+    # residual, and c_hi is certified
     for h, bracket_tol in ((cos_h(), 1e-9), (_cos_half_h(), 1e-10)):
         est = estimate_threshold(h, bracket_tol=bracket_tol)
         assert est.c_hi - est.c_lo == pytest.approx(bracket_tol, rel=1e-3)
