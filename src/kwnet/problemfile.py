@@ -98,8 +98,9 @@ def _compile(src: str, text: str, params: frozenset = frozenset()) -> tuple:
     s, pi, e and the names in ``params`` (ValueError naming ``text``), and
     find the parameters that may hold one value per node: those with only
     + - * / and signs between them and the nearest subexpression in s, or
-    the root.  Under ^ or in a function of constants numpy would take other
-    paths for an array than for a Python float (x^0.5 is a sqrt).
+    the root.  Under ^, in a function of constants or in a quotient of
+    constants numpy would take other paths for an array than for a Python
+    float (x^0.5 is a sqrt; pi/0.0 is inf, not a ZeroDivisionError).
 
     A pure function of its strings, so memoized: problems that repeat a
     template (every parse of the same file) compile it once.  A ValueError
@@ -114,7 +115,8 @@ def _compile(src: str, text: str, params: frozenset = frozenset()) -> tuple:
         if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
             (left_s, left), (right_s, right) = check(node.left), check(node.right)
             in_s, pending = left_s or right_s, left | right
-            if not isinstance(node.op, _ARITHMETIC):
+            if not isinstance(node.op, _ARITHMETIC) or (isinstance(node.op, ast.Div)
+                                                        and not in_s):
                 return in_s, set()
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
             in_s, pending = check(node.operand)

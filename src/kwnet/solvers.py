@@ -20,13 +20,12 @@ The sign of c decides the machinery:
   m the solution of a compatible flux problem driven by h minus its mean;
   the shift of the sweeps is refreshed from the iterate every few sweeps.  A
   damped-Newton tail at the solve's own tolerance is tried right after the
-  first sweep, and after a failure again once the step is at most
-  1e-3 (1 + |c|) and has fallen tenfold since the last try; its root is kept
-  only between u- and the latest sweep.  Below implied_c one walk of the
-  solution branch, in (u, c) with the mean of u as parameter, supplies the
-  rest: a point on it at c_psi < c is a strict upper solution at c, and its
-  fold is both the solvability threshold and the solution of the critical
-  case c = c*.
+  first sweep, and once more if the sweeps then stall at roundoff above
+  that tolerance; its root is kept only between u- and the latest sweep.
+  Below implied_c one walk of the solution branch, in (u, c) with the mean
+  of u as parameter, supplies the rest: a point on it at c_psi < c is a
+  strict upper solution at c, and its fold is both the solvability
+  threshold and the solution of the critical case c = c*.
 
 All iterations report residuals in the pointwise-defect scale of
 ``apply_residual`` (max |r_i| / weight_i), and all stop on the one bound
@@ -359,13 +358,6 @@ def _bump_scale(ws: _Workspace, wb, target: float) -> float:
     return found[0]
 
 
-def _project_zero(ws: _Workspace, v: np.ndarray, wb: np.ndarray):
-    """Return to {int v = 0, int h e^v = 0}: Newton along the bump
-    direction, then a mean shift.  None when no correction exists."""
-    found = _along_bump(ws, v, wb)
-    return None if found is None else found[1] - (ws.w @ found[1]) / ws.total
-
-
 def _armijo(value, project, x, val, d, slope):
     """Backtracking line search from x along -d, where slope = <gradient, d>.
 
@@ -401,8 +393,8 @@ def _descend(ws: _Workspace, c: float, x: np.ndarray, method: str, *,
     the descent stalls; ``_refuse_minimum`` decides whether its root is kept.
     ``details["rejected_tails"]`` lists each refused finish with its
     iteration and reason: "newton_failed", "constraint", "higher_value" or
-    "saddle".  NoConvergence when the descent stalls or runs out of its
-    MAX_ITER_GRADIENT iterations first.
+    "saddle".  NoConvergence when the descent stalls, and with its own
+    message when it runs out of its MAX_ITER_GRADIENT iterations first.
     """
     # the H1 Riesz map (K + M)^(-1) turns dual residual vectors into gradient
     # directions whose quality does not degrade with the mesh
@@ -433,6 +425,9 @@ def _descend(ws: _Workspace, c: float, x: np.ndarray, method: str, *,
         if stalled:
             break
         x, val = trial
+    else:
+        raise NoConvergence(f"projected gradient used all {MAX_ITER_GRADIENT} iterations "
+                            f"at residual {wn:.3e} (tol {tol:.1e})")
     if wn > tol:
         raise NoConvergence(f"projected gradient stalled at residual {wn:.3e} "
                             f"(tol {tol:.1e}) after {it} iterations")
@@ -463,13 +458,17 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
 
     wb = _bump(grid, h).values
     ell0 = _bump_scale(ws, wb, 0.0)
-    v = _project_zero(ws, ell0 * wb, wb)  # on the constraint already: only the mean shift
+    v = ell0 * wb
+    v = v - (w @ v) / ws.total  # on the constraint already: only the mean shift
 
     def energy(x):
         return 0.5 * float(x @ (K @ x))
 
     def project(x):
-        return _project_zero(ws, x, wb)
+        # back to {int v = 0, int h e^v = 0}: Newton along the bump, then a
+        # mean shift; None when no correction exists
+        found = _along_bump(ws, x, wb)
+        return None if found is None else found[1] - (w @ found[1]) / ws.total
 
     def step(x, riesz):
         g = K @ x
@@ -664,8 +663,9 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     contract (monotone_history records the slack of both inequalities each
     sweep; each sweep's solve is checked a posteriori).  A damped-Newton
     tail from the latest sweep may finish the solve: it is tried right after
-    the first sweep, and after a failed or refused try again once the step
-    is at most 1e-3 (1 + |c|) and has fallen tenfold since that try.
+    the first sweep, and after a failed or refused try the sweeps go on
+    alone; only when their step reaches tol with the residual still above
+    tol (1 + |c|) is it tried once more, so a call tries at most two.
     ``_refuse_sandwich`` keeps its root only inside [u-, u_n], up to the
     ordering test's roundoff allowance plus 1e-8 (1 + |c|).  Each refused
     tail is listed in ``details["rejected_tails"]`` with its reason,
@@ -724,16 +724,12 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
     wn = math.inf
     # a Newton root must lie between u- and the latest sweep up to roundoff
     slack = order_slack + 1e-8 * (1.0 + abs(c))
-    linear = 1e-3 * (1.0 + abs(c))  # a step this small: the sweeps contract linearly
-    tail_at = math.inf  # the first Newton finish comes right after the first sweep
     used_tail = False
-    refreshes = 0
     rejected_tails = []
     for n in range(1, MAX_ITER_MONOTONE + 1):
         if n > 1 and (n - 1) % SHIFT_REFRESH == 0:
             lu = None  # free the old factors before computing the new ones
             k, lu = shift(u)
-            refreshes += 1
         rhs = c - hv * np.exp(u) - k * u
         unew = lu.solve_checked(-(w * rhs))
         step = float(np.max(np.abs(unew - u)))
@@ -749,11 +745,11 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
             wn = ws.weak_norm(ws.residual(u, c))
             if wn <= ctol:
                 break
-        if step <= tail_at or step <= tol:
-            # after the first sweep, then in the sweeps' linear tail: try a
+        if n == 1 or step <= tol:
+            # right after the first sweep, and once more at roundoff: try a
             # Newton finish
             root = _newton_finish(ws, c, u, lambda r: _refuse_sandwich(r, lo, u, slack),
-                                  rejected_tails, max_iter=50, sweep=n)
+                                  rejected_tails, sweep=n)
             if root is not None:
                 u, used_tail = root, True
                 wn = ws.weak_norm(ws.residual(u, c))
@@ -764,7 +760,6 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
                     f"but residual {wn:.3e} > {ctol:.3e}, and the Newton tail failed "
                     f"({rejected_tails[-1]['reason']})"
                 )
-            tail_at = min(linear, step / 10.0)
     else:
         raise NoConvergence(f"monotone iteration exhausted {MAX_ITER_MONOTONE} sweeps")
 
@@ -777,7 +772,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
         identity_checks={"mass_defect": abs(mass - c * ws.total)},
         monotone_history=history,
         details={"upper_defect": upper_defect, "lower_defect": lower_defect,
-                 "newton_tail": used_tail, "shift_refreshes": refreshes,
+                 "newton_tail": used_tail, "shift_refreshes": (len(history) - 1) // SHIFT_REFRESH,
                  "tail_attempts": len(rejected_tails) + used_tail,
                  "rejected_tails": rejected_tails, **asdict(ws.counts)},
     )

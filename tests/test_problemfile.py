@@ -335,6 +335,17 @@ def test_complex_h_is_rejected_on_both_paths():
         compile_expression(text)(np.linspace(0.0, 1.0, 5))
 
 
+def test_a_zero_constant_divisor_is_rejected_on_both_paths():
+    # once a Hypothesis find of the property above: pi / 0.0 raised for the
+    # edge's own Python floats, but the template held the literal in an
+    # array, where it gave inf, and s / inf = 0 left h finite
+    text = "((s / (pi / (0.000000))))*s"
+    for texts in ([text] * 4, [text]):
+        with pytest.raises(ValueError, match="float division by zero") as info:
+            parse_problem(star_problem(texts))
+        assert str(info.value).startswith(f"edge 'e0': cannot evaluate expression {text!r}")
+
+
 @pytest.mark.parametrize("bad, why", [
     ("1.5*s + 1/0.0", "cannot evaluate"),
     ("1.5*s + 2.5.5", "cannot parse"),

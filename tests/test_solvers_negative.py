@@ -22,6 +22,7 @@ from kwnet import (
 )
 from kwnet import solvers
 from kwnet.errors import (
+    GridMismatch,
     HNotNonpositive,
     IntegralNotNegative,
     MarginTooLarge,
@@ -149,6 +150,8 @@ def test_build_upper_hneg_guards():
         build_upper_hneg(cos_h(cells=32), -1.0)
     with pytest.raises(ValueError):
         build_upper_hneg(constant(grid, -1.0), 1.0)
+    with pytest.raises(IntegralNotNegative, match="h <= 0 with int h = 0"):
+        build_upper_hneg(constant(grid, 0.0), -1.0)
     up = build_upper_hneg(constant(grid, -1.0), -10.0)
     # h <= 0 makes any constant above ln(-c / -mean h) an upper solution;
     # the constructed one is strictly inside the admissible region
@@ -191,6 +194,23 @@ def test_monotone_rejects_fake_upper():
         monotone_iterate(h, c, lo, fake_up)
 
 
+def test_monotone_rejects_a_lower_solution_on_another_grid():
+    h = cos_h(cells=32)
+    c = 0.3 * build_upper(h).implied_c
+    lo, up = ordered_pair(h, c)
+    with pytest.raises(GridMismatch, match="^u_minus lives on a different grid$"):
+        monotone_iterate(h, c, constant(make_single(cells=16), float(lo.values[0])), up)
+
+
+def test_monotone_rejects_an_upper_solution_as_the_lower():
+    # u+ is a strict upper solution: as u- its defect is positive
+    h = cos_h(cells=96)
+    c = 0.3 * build_upper(h).implied_c
+    _, up = ordered_pair(h, c)
+    with pytest.raises(OrderingViolated, match="^u_minus is not a discrete lower solution"):
+        monotone_iterate(h, c, up, up)
+
+
 def test_monotone_requires_negative_c():
     grid = make_single(cells=16)
     h = constant(grid, -1.0)
@@ -213,9 +233,12 @@ def test_monotone_report_counts_refreshes_and_tails():
 
 @pytest.mark.parametrize("reason", ["newton_failed", "left_sandwich"])
 def test_monotone_records_rejected_tails(monkeypatch, reason):
+    # a refused first tail is the only one: the sweeps alone then finish the
+    # solve (72 of them), with no second try before roundoff
     h = cos_h(cells=96)
     c = 0.3 * build_upper(h).implied_c
     lo, up = ordered_pair(h, c)
+    first = monotone_iterate(h, c, lo, up)
     newton = solvers._damped_newton
     calls = []
 
@@ -228,11 +251,13 @@ def test_monotone_records_rejected_tails(monkeypatch, reason):
     monkeypatch.setattr(solvers, "_damped_newton", first_tail_rejected)
     sol = monotone_iterate(h, c, lo, up)
     details = sol.report.to_dict()["details"]
-    assert details["newton_tail"] is True
-    assert details["tail_attempts"] == len(calls) == 2
-    assert [row["reason"] for row in details["rejected_tails"]] == [reason]
-    assert 1 <= details["rejected_tails"][0]["sweep"] < sol.report.iterations
-    assert calls == [1e-8 * (1.0 + abs(c))] * 2  # the tail aims at the solve's own tol
+    assert details["newton_tail"] is False
+    assert details["tail_attempts"] == len(calls) == 1
+    assert details["rejected_tails"] == [{"sweep": 1, "reason": reason}]
+    assert calls == [1e-8 * (1.0 + abs(c))]  # the tail aims at the solve's own tol
+    assert sol.report.monotone_history[-1]["step"] <= 1e-8  # the sweeps reached tol
+    assert sol.report.final_residual <= 1e-8 * (1.0 + abs(c))
+    assert np.max(np.abs(sol.u.values - first.u.values)) <= 1e-7
 
 
 @pytest.mark.parametrize("cells", [96, 1536])
@@ -252,7 +277,8 @@ def test_newton_finishes_right_after_the_first_sweep(monkeypatch, cells):
 
 def test_a_first_sweep_root_above_the_sweep_is_refused(monkeypatch):
     # the allowance above u_1 is the ordering test's 1e-12 plus
-    # 1e-8 (1 + |c|), not ten times the first step (about 1 here)
+    # 1e-8 (1 + |c|), not ten times the first step (about 1 here); after the
+    # refusal the sweeps finish alone
     h = cos_h(cells=96)
     c = 0.3 * build_upper(h).implied_c
     lo, up = ordered_pair(h, c)
@@ -269,7 +295,7 @@ def test_a_first_sweep_root_above_the_sweep_is_refused(monkeypatch):
     sol = monotone_iterate(h, c, lo, up)
     details = sol.report.details
     assert details["rejected_tails"] == [{"sweep": 1, "reason": "left_sandwich"}]
-    assert details["newton_tail"] is True and details["tail_attempts"] == 2
+    assert details["newton_tail"] is False and details["tail_attempts"] == len(calls) == 1
     assert sol.report.final_residual <= 1e-8 * (1.0 + abs(c))
 
 
@@ -295,8 +321,8 @@ def test_a_finish_under_tol_tries_only_the_full_step(monkeypatch):
 
 def test_the_first_sweep_finish_adds_at_most_one_tail_where_the_sweeps_fail(monkeypatch):
     # ROADMAP item 1: at 12288 cells the sweeps reach roundoff above tol and
-    # every Newton tail fails; the tail after the first sweep adds one try
-    # to the six of the tenfold schedule, and the error stays the same
+    # every Newton tail fails; the tail after the first sweep and the one at
+    # the roundoff sweep are the only two, and the error names the last
     h = cos_h(cells=12288)
     c = 0.5 * build_upper(h).implied_c
     finish = solvers._newton_finish
@@ -306,11 +332,13 @@ def test_the_first_sweep_finish_adds_at_most_one_tail_where_the_sweeps_fail(monk
     try:
         sol = solve_negative(h, c)
     except NoConvergence as exc:
-        assert str(exc).startswith("monotone sweeps at roundoff after ")
-        assert str(exc).endswith("and the Newton tail failed (newton_failed)")
+        message = str(exc)
+        assert message.startswith("monotone sweeps at roundoff after ")
+        assert message.endswith("and the Newton tail failed (newton_failed)")
+        assert calls == [{"sweep": 1}, {"sweep": int(message.split()[5])}]
     else:
         assert sol.report.final_residual <= 1e-8 * (1.0 + abs(c))
-    assert calls[0]["sweep"] == 1 and len(calls) <= 7
+        assert calls[0] == {"sweep": 1} and len(calls) <= 2
 
 
 def sweeps_only(monkeypatch, h, c):
@@ -395,8 +423,8 @@ def test_newton_tail_finishes_at_1536_cells(monkeypatch, frac):
     sol = solve_negative(h, c)
     assert sol.report.details["newton_tail"] is True
     assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
-    # with the finish after the first sweep switched off, the tail from the
-    # sweeps' linear tail finishes (at sweep 32, resp. 30), to the same u
+    # with the finish after the first sweep switched off, no later tail is
+    # tried: the sweeps alone finish (at sweep 72, resp. 73), to the same u
     newton = solvers._damped_newton
     calls = []
 
@@ -407,8 +435,10 @@ def test_newton_tail_finishes_at_1536_cells(monkeypatch, frac):
     monkeypatch.setattr(solvers, "_damped_newton", all_but_the_first)
     later = solve_negative(h, c)
     details = later.report.details
-    assert details["newton_tail"] is True and later.report.iterations <= 40
+    assert details["newton_tail"] is False and len(calls) == details["tail_attempts"] == 1
     assert details["rejected_tails"] == [{"sweep": 1, "reason": "newton_failed"}]
+    assert later.report.iterations <= 80
+    assert apply_residual(later.u, h, c).weak_residual_norm <= 1e-8 * (1 + abs(c))
     assert np.max(np.abs(later.u.values - sol.u.values)) <= 1e-7
 
 
@@ -426,6 +456,12 @@ def test_roundoff_sweeps_never_report_an_ordering_violation():
 # ----------------------------------------------------------------------
 # the three routes of solve_negative
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_solve_negative_requires_negative_c(c):
+    with pytest.raises(ValueError, match=r"^solve_negative requires c < 0$"):
+        solve_negative(cos_h(cells=32), c)
+
 
 def test_route_h_nonpositive():
     grid = make_star3(cells=32)

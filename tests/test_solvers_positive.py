@@ -233,6 +233,17 @@ def test_descent_without_newton_stalls_below_its_roundoff(monkeypatch):
     assert int(str(info.value).rsplit("after ", 1)[1].split()[0]) < solvers.MAX_ITER_GRADIENT
 
 
+def test_descent_out_of_iterations_is_not_a_stall(monkeypatch):
+    # three iterations leave the descent far from converged (residual 4.7)
+    # but still moving: the budget exit names the budget
+    h = sample_function(make_single(cells=48), lambda s: math.cos(math.pi * s) - 0.1)
+    monkeypatch.setattr(solvers, "_damped_newton", lambda *args, **kwargs: None)
+    monkeypatch.setattr(solvers, "MAX_ITER_GRADIENT", 3)
+    with pytest.raises(NoConvergence, match=r"^projected gradient used all 3 iterations "
+                                            r"at residual 4\.721e\+00 \(tol 1\.5e-08\)$"):
+        solve_positive(h, 0.5)
+
+
 def test_saddle_finish_is_refused(monkeypatch):
     # on this theta graph the first Newton finish converges to a saddle of
     # the value, below the current iterate but far above the minimum: its
