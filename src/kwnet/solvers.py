@@ -69,6 +69,7 @@ DEFAULT_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
 MAX_ITER_GRADIENT = 5000
 MAX_ITER_MONOTONE = 500
+MAX_ITER_NEWTON = 60
 SHIFT_REFRESH = 5
 # floor of the monotone shift, relative to max(-h): keeps k > 0 where h >= 0
 SHIFT_FLOOR = 1e-2
@@ -314,13 +315,12 @@ def _along_bump(ws: _Workspace, v, wb: np.ndarray, target: float = 0.0, alpha: f
     (a, x = v + a wb) once |int h e^x - target| <= max(1e-14, 2 eps max|x|)
     int |h| e^x, the second term the roundoff of e^x (one ulp of x moves e^x
     by eps |x|); None when e^x overflows, the slope is not positive, a moves
-    by more than 500 or 100 + alpha steps do not settle.  As _bump makes
-    wb > 0 only where h > 0, the left side is increasing and convex in a, so
-    from above target the steps fall monotonically onto the root and never
-    pass it; far above it, where e^a dominates, they fall by about 1 each."""
+    by more than 500 or 100 steps do not settle.  As _bump makes wb > 0 only
+    where h > 0, the left side is increasing and convex in a, so from above
+    target the steps fall monotonically onto the root and never pass it."""
     w, hv, a = ws.w, ws.hv, alpha
     cur = v + a * wb if a else v
-    for _ in range(100 + int(alpha)):
+    for _ in range(100):
         with np.errstate(over="ignore"):
             ev = np.exp(cur)
         if not np.all(np.isfinite(ev)):
@@ -341,17 +341,14 @@ def _along_bump(ws: _Workspace, v, wb: np.ndarray, target: float = 0.0, alpha: f
 
 def _bump_scale(ws: _Workspace, wb, target: float) -> float:
     """The scale l > 0 at which int h e^(l wb) reaches ``target`` (above
-    int h): l doubles from 1 until the mass passes target, then Newton
-    along the bump comes down onto the root.  FeasibilityFailure when
-    neither gets there."""
-    hi = 1.0
-    for _ in range(80):
-        if ws.mass(hi * wb) > target:
-            break
-        hi *= 2.0
-    else:
-        raise FeasibilityFailure(f"bump scaling never made int h e^(l w) exceed {target:.6g}")
-    found = _along_bump(ws, 0.0, wb, target, alpha=min(hi, 700.0))  # wb <= 1: e^x is finite
+    int h), by Newton along the bump from l_hi = log1p((target - int h) /
+    (w_j h_j)), j where wb = 1.  As wb <= 1 and h > 0 wherever wb > 0, the
+    mass at l is at least int h + w_j h_j (e^l - 1): l_hi lies at or above
+    the root, at most ln(number of bump nodes) above it, and is the root when
+    wb is one node's hat.  FeasibilityFailure when Newton does not get there."""
+    j = int(np.argmax(wb))
+    hi = min(math.log1p((target - float(ws.w @ ws.hv)) / ws.wh[j]), 700.0)  # e^(l wb) finite
+    found = _along_bump(ws, 0.0, wb, target, alpha=hi)
     if found is None:
         raise FeasibilityFailure(f"Newton along the bump found no l <= {hi:g} with "
                                  f"int h e^(l w) = {target:.6g}")
@@ -717,7 +714,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
     if pair_leak > 0.0:
         order_slack += 20.0 * pair_leak * float(np.max(lu.solve_checked(w)))
 
-    u = u_plus.values.copy()
+    u = u_plus.values
     lo = u_minus.values
     history = []
     tol, ctol = ws.tol, ws.ctol(c)
@@ -779,8 +776,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
     return Solution(GridFunction(grid, u), report)
 
 
-def _newton_finish(ws: _Workspace, c: float, seed: np.ndarray, refuse, rejected: list,
-                   max_iter: int = 60, **where):
+def _newton_finish(ws: _Workspace, c: float, seed: np.ndarray, refuse, rejected: list, **where):
     """The root of damped Newton from ``seed`` at residual ws.ctol(c), or None.
 
     Every Newton finish of every solver goes through here.  A root is kept
@@ -788,7 +784,7 @@ def _newton_finish(ws: _Workspace, c: float, seed: np.ndarray, refuse, rejected:
     finish is appended to ``rejected`` as {**where, "reason": ...}, the
     reason "newton_failed" or the refusal's.
     """
-    root = _damped_newton(ws, c, seed, max_iter=max_iter)
+    root = _damped_newton(ws, c, seed)
     reason = "newton_failed" if root is None else refuse(root)
     if reason is None:
         return root
@@ -824,8 +820,9 @@ def _refuse_sandwich(root: np.ndarray, lo: np.ndarray, u: np.ndarray, slack: flo
     return None if inside else "left_sandwich"
 
 
-def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, max_iter: int = 60):
-    """Damped Newton on the full residual; returns DOF values or None.
+def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray):
+    """Damped Newton on the full residual, at most MAX_ITER_NEWTON steps;
+    returns DOF values or None.
 
     Keeps iterating past tol = ws.ctol(c) while convergence is still fast,
     so accepted results sit near the numerical floor rather than just under
@@ -834,17 +831,17 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray, max_iter: int = 6
     when it does not lower the merit the residual has reached its floor, and
     the best u so far is returned.
     """
-    u = np.asarray(seed, dtype=float).copy()
+    u = np.asarray(seed, dtype=float)
     w, tol = ws.w, ws.ctol(c)
     best_u, best_wn = None, math.inf
     prev_wn = math.inf
     r = ws.residual(u, c)  # nonfinite exactly where e^u overflows
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER_NEWTON):
         if not np.all(np.isfinite(r)):
             break
         wn = ws.weak_norm(r)
         if wn < best_wn:
-            best_wn, best_u = wn, u.copy()
+            best_wn, best_u = wn, u
         if wn <= tol and wn > 0.3 * prev_wn:
             break  # under tolerance and no longer improving quickly
         prev_wn = wn

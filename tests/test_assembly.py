@@ -91,6 +91,12 @@ def test_shifted_solve_rejects_nonpositive_shift():
         solve_shifted(grid, constant(grid, 0.0), constant(grid, 1.0))
 
 
+def test_shifted_solve_rejects_a_shift_on_another_grid():
+    grid = make_single(cells=8)
+    with pytest.raises(GridMismatch, match="^k lives on a different grid$"):
+        solve_shifted(grid, constant(make_single(cells=9), 1.0), constant(grid, 1.0))
+
+
 def test_shifted_factor_solves_many_right_hand_sides():
     # one factorization of K + M_k serves every sweep of a shift
     grid = make_star3(cells=8)

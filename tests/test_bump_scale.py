@@ -1,7 +1,7 @@
 """The scaled bump that starts the c >= 0 solvers: solvers._bump is the
 positive part of h on the edge where h is largest, solvers._bump_scale finds
-l with int h e^(l wb) = target by Newton along the bump, and importing kwnet
-loads no scipy.optimize."""
+l with int h e^(l wb) = target by Newton along the bump from its closed-form
+upper end, and importing kwnet loads no scipy.optimize."""
 
 import math
 import os
@@ -50,8 +50,8 @@ def bump_problems(draw):
         wb = _bump(h.grid, h).values
     except FeasibilityFailure:  # h > 0 only on vertices of the best edge
         assume(False)
-    # wb = 1 where h is largest on the bump, so h >= 1e-6 there keeps l below
-    # about 30 (and hi below 700, where _bump_scale starts Newton)
+    # wb = 1 where h is largest on the bump, so h >= 1e-6 there keeps l and
+    # the start l_hi of _bump_scale below about 30, far under its cap of 700
     assume(float(np.max(h.values[wb > 0.0])) >= 1e-6)
     return ws, wb, draw(st.floats(0.01, 5.0))
 
@@ -99,8 +99,9 @@ def test_a_vertex_maximum_leaves_the_bump_at_one():
 
 
 def doubling(ws, wb, target):
-    """The scan l -> int h e^(l wb) - target and the bracket end hi that
-    _bump_scale doubles to."""
+    """The scan l -> int h e^(l wb) - target and the end hi of its bracket
+    found by doubling l from 1: Brent's reference bracket, and a start
+    farther above the root than _bump_scale's."""
 
     def scan(ell):
         return ws.mass(ell * wb) - target
@@ -115,57 +116,59 @@ def doubling(ws, wb, target):
 @given(problem=bump_problems())
 def test_newton_along_the_bump_finds_brents_root_from_above(problem):
     ws, wb, c = problem
+    peak = int(np.argmax(wb))  # wb[peak] = 1
     for target in (0.0, c * ws.total):
         scan, hi = doubling(ws, wb, target)
-        ell = _bump_scale(ws, wb, target)
-        assert abs(ell - brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)) <= 1e-13 * (1.0 + ell)
-        ev = np.exp(ell * wb)
-        scale = float(ws.w @ (np.abs(ws.hv) * ev))
-        # _along_bump's stop: max|x| = l, as max wb = 1
-        assert abs(scan(ell)) <= max(1e-14, 2.0 * np.finfo(float).eps * ell) * scale
+        root = brentq(scan, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
         # the iterates, read off the exponents Newton takes: l wb peaks at l
-        peak = int(np.argmax(wb))
         seen = []
         exp = np.exp
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "exp", lambda x: seen.append(x[peak] / wb[peak]) or exp(x))
-            assert _along_bump(ws, 0.0, wb, target, alpha=hi)[0] == ell
-        assert seen[0] == hi
-        assert min(seen) >= ell - 1e-13 * (1.0 + ell)
+            ell = _bump_scale(ws, wb, target)
+        assert abs(ell - root) <= 1e-13 * (1.0 + ell)
+        ev = np.exp(ell * wb)
+        scale = float(ws.w @ (np.abs(ws.hv) * ev))
+        # _along_bump's stop: max|x| = l, as max wb = 1
+        assert abs(scan(ell)) <= max(1e-14, 2.0 * np.finfo(float).eps * ell) * scale
+        # Newton starts at the closed-form upper end and never passes the root
+        ih = float(ws.w @ ws.hv)
+        assert seen[0] == math.log1p((target - ih) / (ws.w[peak] * ws.hv[peak]))
+        assert min(seen) >= root - 1e-13 * (1.0 + ell)
+        # from the doubling's farther end it lands on the same root
+        assert abs(_along_bump(ws, 0.0, wb, target, alpha=hi)[0] - ell) <= 1e-13 * (1.0 + ell)
+
+
+def single_node_scales(hj):
+    """(l, its closed form) for h = hj at interior node 5, 13 or 20 of a
+    40-cell edge and -1 elsewhere, at four targets: wb is that node's hat, so
+    int h e^(l wb) = int h + w_j h_j (e^l - 1) and
+    l = log1p((target - int h) / (w_j h_j)), the start of Newton."""
+    grid = make_single(cells=40)
+    for node in (5, 13, 20):
+        values = -np.ones(grid.ndof)
+        j = grid.edge_dofs["e1"][node]
+        values[j] = hj
+        ws = _Workspace(GridFunction(grid, values))
+        wb = _bump(grid, ws.h).values
+        assert np.flatnonzero(wb).tolist() == [j] and wb[j] == 1.0
+        ih = float(ws.w @ values)
+        for target in (0.0, 0.5 * ws.total, 3.0 * ws.total, 1e11):
+            yield _bump_scale(ws, wb, target), math.log1p((target - ih) / (ws.w[j] * hj))
 
 
 def test_a_single_node_bump_has_the_closed_form_scale():
-    # h = 1 at one interior node and -1 elsewhere: wb is that node's hat,
-    # so int h e^(l wb) = int h + w_j (e^l - 1) and l = log1p((target - int h) / w_j)
-    grid = make_single(cells=40)
-    values = -np.ones(grid.ndof)
-    j = grid.edge_dofs["e1"][13]
-    values[j] = 1.0
-    ws = _Workspace(GridFunction(grid, values))
-    wb = _bump(grid, ws.h).values
-    assert np.flatnonzero(wb).tolist() == [j] and wb[j] == 1.0
-    ih = float(ws.w @ values)
-    for target in (0.0, 0.5 * ws.total, 3.0 * ws.total, 1e11):
-        ell = _bump_scale(ws, wb, target)
-        assert ell == pytest.approx(math.log1p((target - ih) / ws.w[j]), rel=1e-14)
+    for hj in (1.0, 0.3):
+        for ell, closed in single_node_scales(hj):
+            assert ell == closed
 
 
 @pytest.mark.parametrize("tiny", [1e-200, 1e-280])
 def test_a_tiny_positive_part_is_scaled_past_the_roundoff_of_e_x(tiny):
-    # h = tiny at one interior node and -1 elsewhere: l = 464.6 (648.8), where
-    # one ulp of l moves e^l by eps l, more than a 1e-14 mass test allows
-    grid = make_single(cells=40)
-    values = -np.ones(grid.ndof)
-    j = grid.edge_dofs["e1"][20]
-    values[j] = tiny
-    ws = _Workspace(GridFunction(grid, values))
-    wb = _bump(grid, ws.h).values
-    target = 0.5 * ws.total
-    ell = _bump_scale(ws, wb, target)
-    # int h e^(l wb) = int h + w_j h_j (e^l - 1)
-    ih = float(ws.w @ values)
-    assert ell == pytest.approx(math.log1p((target - ih) / (ws.w[j] * tiny)), rel=1e-14)
-    assert ell > 400.0
+    # l = 464-490 (648-674), where one ulp of l moves e^l by eps l, more
+    # than a 1e-14 mass test allows
+    for ell, closed in single_node_scales(tiny):
+        assert ell == closed and ell > 400.0
 
 
 def test_import_leaves_scipy_optimize_out():

@@ -112,11 +112,11 @@ def test_pseudo_root_finish_is_refused(monkeypatch):
     assert flat is not None and integrate(GridFunction(grid, flat)) / grid.total_length < -10.0
     calls = []
 
-    def first_finish_flat(ws, c, seed, max_iter=60):
+    def first_finish_flat(ws, c, seed):
         calls.append(ws.ctol(c))
         if len(calls) == 1:
             return flat.copy()
-        return newton(ws, c, seed, max_iter=max_iter)
+        return newton(ws, c, seed)
 
     monkeypatch.setattr(solvers, "_damped_newton", first_finish_flat)
     sol = solve_zero(h)

@@ -19,6 +19,7 @@ from kwnet import (
     sample_function,
     solve_zero,
 )
+from kwnet import verify
 from kwnet.errors import Diverged, GridMismatch, KirchhoffDefect, ResolutionTooCoarse
 from helpers import make_single, make_star3, make_triangle, smooth_random
 
@@ -92,6 +93,8 @@ def test_fd_gradient_check_guards(rng):
     other = constant(make_single(cells=17), 0.0)
     with pytest.raises(GridMismatch):
         fd_gradient_check("zero", u, other, 1e-6)
+    with pytest.raises(GridMismatch, match="^u and h live on different grids$"):
+        fd_gradient_check("critical", u, u, 1e-6, h=other, c=1.0)
 
 
 def test_manufacture_exact_root():
@@ -167,9 +170,18 @@ def test_oracle_newton_diverges_when_unsolvable():
         oracle_newton(constant(grid, 1.0), -1.0)
 
 
+def test_oracle_newton_names_its_iteration_budget(monkeypatch):
+    # u = 0 is not the root ln 2, so the one step allowed ends the loop
+    monkeypatch.setattr(verify, "ORACLE_MAX_ITER", 1)
+    with pytest.raises(Diverged, match=r"^no convergence in 1 iterations \(residual "):
+        oracle_newton(constant(make_single(cells=16), -1.0), -2.0)
+
+
 def test_oracle_newton_custom_seed():
     grid = make_single(cells=48)
     h = constant(grid, -1.0)
     seed = constant(grid, 5.0)
     sol = oracle_newton(h, -2.0, seed=seed, tol=1e-12)
     assert np.max(np.abs(sol.u.values - math.log(2.0))) <= 1e-10
+    with pytest.raises(GridMismatch, match="^seed lives on a different grid$"):
+        oracle_newton(h, -2.0, seed=constant(make_single(cells=49), 5.0))
