@@ -464,6 +464,11 @@ class ResidualReport:
 def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
     """r = K u + c M 1 - M (h * exp(u)) on raw DOF vectors; nonfinite
     exactly where exp(u) overflows."""
+    return _residual_terms(grid, u, h, c)[0]
+
+
+def _residual_terms(grid: Grid, u: np.ndarray, h: np.ndarray, c: float):
+    """(residual_vector, w h e^u): the residual and the product it subtracts."""
     with np.errstate(over="ignore"):
         # K u + c w - w (h e^u), each sum formed in r and each product in he
         r = grid.stiffness @ u
@@ -472,7 +477,7 @@ def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.nd
         he *= h
         he *= grid.weights
         r -= he
-    return r
+    return r, he
 
 
 def apply_residual(u: GridFunction, h: GridFunction, c: float) -> ResidualReport:

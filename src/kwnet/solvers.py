@@ -34,14 +34,13 @@ of their solve, ``_Workspace.ctol(c)`` = tol (1 + |c|).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import residual_vector, solve_poisson_meanzero
+from .assembly import _residual_terms, residual_vector, solve_poisson_meanzero
 from .errors import (
     BoundBlowup,
     FeasibilityFailure,
@@ -139,7 +138,7 @@ class ThresholdEstimate:
     the computed fold ``details["c_star"]`` of the solution branch, which is
     its evidence of unsolvability.  When h <= 0 everywhere the threshold is
     minus infinity and the bracket is absent.  ``critical`` is (h, the
-    critical Solution at the fold of this bracket), None when hand-made.
+    ``_Fold`` of this bracket) for solve_critical, None when hand-made.
     """
 
     minus_infinity: bool
@@ -221,8 +220,13 @@ class _Workspace:
         return residual_vector(self.grid, u, self.hv, c)
 
     def jacobian_shift(self, u: np.ndarray) -> np.ndarray:
-        """-w h e^u: the residual's Jacobian at u is K + diag(this)."""
-        return -(self.wh * np.exp(u))
+        """-w (h e^u), as the residual rounds it: the Jacobian is K + diag(this)."""
+        return -(self.w * (self.hv * np.exp(u)))
+
+    def linearize(self, u: np.ndarray, c: float):
+        """(residual(u, c), jacobian_shift(u)) from one e^u."""
+        r, he = _residual_terms(self.grid, u, self.hv, c)
+        return r, np.negative(he, out=he)
 
     def mass(self, u: np.ndarray) -> float:
         """int h e^u, with e^u saturating at e^700 instead of overflowing."""
@@ -680,9 +684,12 @@ def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
     return _monotone(ws, c, u_minus, u_plus)
 
 
-def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunction) -> Solution:
+def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunction,
+              seed: np.ndarray | None = None) -> Solution:
     """monotone_iterate on the checked inputs, its factorizations counted in
-    ``ws``; the counts in ``details`` are all of ``ws``'s so far."""
+    ``ws``; the counts in ``details`` are all of ``ws``'s so far.  Given a
+    ``seed``, the first tail starts there, and from the first sweep only
+    when that finish fails."""
     grid, hv, w = ws.grid, ws.hv, ws.w
 
     gap = float(np.min(u_plus.values - u_minus.values))
@@ -743,10 +750,13 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
             if wn <= ctol:
                 break
         if n == 1 or step <= tol:
-            # right after the first sweep, and once more at roundoff: try a
-            # Newton finish
-            root = _newton_finish(ws, c, u, lambda r: _refuse_sandwich(r, lo, u, slack),
-                                  rejected_tails, sweep=n)
+            # right after the first sweep (from the seed, then from the sweep),
+            # and once more at roundoff: try a Newton finish
+            for start in (seed, u) if n == 1 and seed is not None else (u,):
+                root = _newton_finish(ws, c, start, lambda r: _refuse_sandwich(r, lo, u, slack),
+                                      rejected_tails, sweep=n)
+                if root is not None:
+                    break
             if root is not None:
                 u, used_tail = root, True
                 wn = ws.weak_norm(ws.residual(u, c))
@@ -829,41 +839,41 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray):
     tol.  Above tol the step halves from 1 down to 1e-10 until it lowers the
     merit r^T M^(-1) r enough; under tol only the full step is tried, and
     when it does not lower the merit the residual has reached its floor, and
-    the best u so far is returned.
+    the best u so far, the last step's included, is returned.  Each trial
+    point is linearized once, for its residual and for the next step.
     """
     u = np.asarray(seed, dtype=float)
     w, tol = ws.w, ws.ctol(c)
     best_u, best_wn = None, math.inf
     prev_wn = math.inf
-    r = ws.residual(u, c)  # nonfinite exactly where e^u overflows
-    for _ in range(MAX_ITER_NEWTON):
+    r, shift = ws.linearize(u, c)  # nonfinite exactly where e^u overflows
+    for it in range(MAX_ITER_NEWTON + 1):
         if not np.all(np.isfinite(r)):
             break
         wn = ws.weak_norm(r)
         if wn < best_wn:
             best_wn, best_u = wn, u
-        if wn <= tol and wn > 0.3 * prev_wn:
-            break  # under tolerance and no longer improving quickly
+        if (wn <= tol and wn > 0.3 * prev_wn) or it == MAX_ITER_NEWTON:
+            break  # under tolerance and no longer improving quickly, or out of steps
         prev_wn = wn
-        d = _linsolve(ws, ws.jacobian_shift(u), -r)
+        d = _linsolve(ws, shift, -r)
         if d is None:
             break
         merit = float(r @ (r / w))
+        r = shift = None  # only the trial point's linearization stays live
         alpha = 1.0
         floor = 1.0 if wn <= tol else 1e-10
-        moved = False
         while alpha >= floor:
             ut = u + alpha * d
-            rt = ws.residual(ut, c)
+            rt, st = ws.linearize(ut, c)
             if np.all(np.isfinite(rt)):
                 with np.errstate(over="ignore"):
                     mt = float(rt @ (rt / w))
                 if math.isfinite(mt) and mt <= (1.0 - 2.0 * ARMIJO_DECREASE * alpha) * merit:
-                    u, r = ut, rt
-                    moved = True
+                    u, r, shift = ut, rt, st
                     break
             alpha *= 0.5
-        if not moved:
+        if r is None:
             break
     return best_u if best_wn <= tol else None
 
@@ -896,12 +906,12 @@ def _linsolve(ws: _Workspace, d: np.ndarray, rhs: np.ndarray):
     return None
 
 
-def _sandwich(ws: _Workspace, c: float, up: GridFunction) -> Solution:
-    """Monotone iteration at c from the upper solution ``up``, above a
+def _sandwich(ws: _Workspace, c: float, up: GridFunction, seed=None) -> Solution:
+    """_monotone at c from the upper solution ``up`` and ``seed``, above a
     constant lower solution with a -c/2 margin that sits below ``up``."""
     base = build_lower(ws.h, c, margin=0.5 * (-c))
     a_const = max(-float(np.min(base.values)), 1.0 - float(np.min(up.values)))
-    return _monotone(ws, c, constant(ws.grid, -a_const), up)
+    return _monotone(ws, c, constant(ws.grid, -a_const), up, seed)
 
 
 def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
@@ -912,11 +922,11 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     the scaled-flux upper solution certifies c >= implied_c directly.  Below
     that the solution branch is walked from implied_c to a point psi at some
     c_psi just below c, a strict upper solution at c (details ``c_psi`` and
-    ``branch_points``).  When the branch folds above c, NoUpperSolutionFound
-    names the fold c* (its ``c_star``): evidence of c below the threshold,
-    never a proof.  Every monotone iteration, and the branch walk, stops at
-    residual tol (1 + |c|).  ``counts``, when given, receives this call's
-    SolveCounts as well.
+    ``branch_points``), and the first Newton tail starts from psi.toward(c).
+    When the branch folds above c, NoUpperSolutionFound names the fold c*
+    (its ``c_star``): evidence of c below the threshold, never a proof.
+    Every monotone iteration, and the branch walk, stops at residual tol (1
+    + |c|).  ``counts``, when given, receives this call's SolveCounts too.
     """
     ws = _Workspace(h, tol, counts)
     if not c < 0.0:
@@ -925,7 +935,7 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     if not v0.ok:
         raise NotSolvable(f"c < 0 needs int h < 0 ({v0.reason})")
     start = replace(ws.counts)
-    details = {}
+    details, seed = {}, None
     if v0.max_h <= 0.0:
         method, up = "monotone(h<=0)", ws.upper(build_upper_hneg, c)
     else:
@@ -939,8 +949,9 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
             walk = _Walk(ws, params)
             psi = walk.upper(c)
             method, up = "monotone(continuation)", GridFunction(h.grid, psi.u)
+            seed = psi.toward(c)
             details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
-    sol = _sandwich(ws, c, up)
+    sol = _sandwich(ws, c, up, seed)
     sol.report.method = method
     sol.report.details.update(details, **ws.counts.since(start))
     return sol
@@ -962,6 +973,16 @@ class _BranchPoint(NamedTuple):
 
     def record(self) -> dict:
         return {"mu": self.mu, "c": self.c, "dc_dmu": self.dc, "newton_iters": self.iters}
+
+    def toward(self, c: float):
+        """Keller's predictor solved for c: u + x (du/dmu + x d2u/dmu2 / 2) at
+        the x nearest 0 where c_p + x dc/dmu + x^2 d2c/dmu2 / 2 = c; None when
+        that has no real root."""
+        disc = self.dc ** 2 + 2.0 * self.ddc * (c - self.c)
+        if not disc > 0.0:
+            return None
+        x = 2.0 * (c - self.c) / (self.dc + math.copysign(math.sqrt(disc), self.dc))
+        return self.u + x * (self.du + 0.5 * x * self.ddu)
 
 
 def _past(p: _BranchPoint, q: _BranchPoint) -> bool:
@@ -991,8 +1012,9 @@ def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float):
     u = start.u + dm * (start.du + 0.5 * dm * start.ddu)
     c = start.c + dm * start.dc
     bound = 0.5 * abs(dm) * float(np.max(np.abs(start.du)))
+    b = np.empty(n + 1)  # every bordered right-hand side
     for it in range(9):  # at most 8 Newton steps
-        r = ws.residual(u, c)
+        r, jac = ws.linearize(u, c)  # jac: the Jacobian shift at u
         wn = ws.weak_norm(r)
         if not math.isfinite(wn):
             return None
@@ -1001,11 +1023,11 @@ def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float):
         if it == 8:
             return None
         try:
-            shift = ws.jacobian_shift(u)
-            lu = ws.factor(shift, border=w)
+            shift, lu = jac, ws.factor(jac, border=w)
             if wn <= ws.ctol(c):
                 break
-            x = lu.solve(np.append(-r, ws.total * mu - float(w @ u)))
+            b[:n], b[n] = -r, ws.total * mu - float(w @ u)
+            x = lu.solve(b)
         except LinearSolveFailure:
             return None
         move = float(np.max(np.abs(x[:n])))
@@ -1013,9 +1035,11 @@ def _branch_point(ws: _Workspace, start: _BranchPoint, mu: float):
             return None
         bound = 0.5 * move
         u, c = u + x[:n], c + float(x[n])
-    t = lu.solve(np.append(np.zeros(n), ws.total))
+    b[:n], b[n] = 0.0, ws.total
+    t = lu.solve(b)
     # differentiate F = 0 and w.u = |G| mu twice along the branch
-    tt = lu.solve(np.append(-shift * t[:n] ** 2, 0.0))
+    b[:n], b[n] = -shift * t[:n] ** 2, 0.0
+    tt = lu.solve(b)
     return _BranchPoint(mu, u, c, t[:n], tt[:n], float(t[n]), float(tt[n]), it, wn)
 
 
@@ -1024,8 +1048,8 @@ def _polished(ws: _Workspace, p: _BranchPoint) -> _BranchPoint:
     its roundoff floor.  Below the rounding bound of the residual the
     residual no longer bounds the error in c, so ``res`` is at least that."""
     n, w = ws.grid.ndof, ws.w
-    lu = ws.factor(ws.jacobian_shift(p.u), border=w)
-    x = lu.solve(np.append(-ws.residual(p.u, p.c), ws.total * p.mu - float(w @ p.u)))
+    r, shift = ws.linearize(p.u, p.c)
+    x = ws.factor(shift, border=w).solve(np.append(-r, ws.total * p.mu - float(w @ p.u)))
     u, c = p.u + x[:n], p.c + float(x[n])
     return p._replace(u=u, c=c, res=max(ws.weak_norm(ws.residual(u, c)), ws.floor(u, c)))
 
@@ -1237,9 +1261,9 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     and the walk then solves the point half way in c from c* to c_hi (see
     _Walk.upper): the fold point itself lies below c_hi, unless bracket_tol
     is finer than the walk resolves c there, but too close to the fold for
-    the monotone iteration.  Every solve in the walk and the certificate
-    runs at the default tol.  ``critical`` is taken at the fold, with the
-    counts of the walk alone, that point included.
+    the monotone iteration, whose first Newton tail starts from that point's
+    model at c_hi (``_BranchPoint.toward``).  Every solve in the walk and
+    the certificate runs at the default tol.  ``critical`` is the ``_Fold``.
     ValueError when bracket_tol is not positive and finite;
     NoConvergence when c_hi does not solve, naming bracket_tol when it is
     finer than the walk resolves the fold.
@@ -1269,7 +1293,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     critical = _critical(walk, c_lo, c_hi)  # before the certificate's sweeps add to the counts
     try:
         psi = walk.upper(c_hi)
-        _sandwich(ws, c_hi, GridFunction(h.grid, psi.u))
+        _sandwich(ws, c_hi, GridFunction(h.grid, psi.u), psi.toward(c_hi))
     except NoUpperSolutionFound as exc:
         # c_hi lies above the fold, but closer than the walk resolves c there
         raise NoConvergence(f"bracket_tol = {bracket_tol!r} is finer than the walk resolves "
@@ -1285,34 +1309,23 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
                              analytic_upper_bound=c0, details=details, critical=(h, critical))
 
 
-def _critical(walk: _Walk, c_lo: float, c_hi: float) -> Solution:
-    """The critical Solution for [c_lo, c_hi] at the walk's fold, from the
-    points solved so far (see solve_critical).  When c_hi lies above the
-    fold by more than the fold point's residual, the walk first solves the
-    point that certifies c_hi, so that every walk of one bracket solves the
-    same points."""
-    ws, fold = walk.ws, walk.fold()
+# what solve_critical needs of the walk of a bracket: approach holds (c, u, res), the fold last
+_Fold = NamedTuple("_Fold", [("bracket", tuple), ("approach", list), ("iterations", int),
+                             ("points", int), ("counts", dict)])
+
+
+def _critical(walk: _Walk, c_lo: float, c_hi: float) -> _Fold:
+    """The walk's fold for [c_lo, c_hi] (see solve_critical), once the walk
+    has solved the point that certifies c_hi when c_hi lies above the fold
+    by more than its residual: every walk of a bracket solves those points."""
+    fold = walk.fold()
     if c_hi - fold.c > fold.res:
         walk.upper(c_hi)
-
-    def record(p):
-        nr = norms(GridFunction(ws.grid, p.u))
-        return {"c": p.c, "h1_norm": math.hypot(nr.l2, nr.h1_seminorm),
-                "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
-                "mass_defect": abs(ws.mass(p.u) - p.c * ws.total), "residual": p.res}
-
     first, solved = walk.points[0].dc, walk.points + walk.refinement
     side = [p for p in solved if p is not fold and p.dc * first > 0.0 and p.c <= c_hi]
-    approach = [record(p) for p in sorted(side, key=lambda p: p.c, reverse=True)] + [record(fold)]
-    c_mid = 0.5 * (c_lo + c_hi)
-    report = SolveReport(
-        method="critical-fold", iterations=sum(p.iters for p in solved), final_residual=fold.res,
-        identity_checks={"mass_defect_at_c_final": approach[-1]["mass_defect"],
-                         "mass_defect_at_midpoint": abs(ws.mass(fold.u) - c_mid * ws.total)},
-        details={"c_final": fold.c, "c_midpoint": c_mid, "bracket": [c_lo, c_hi],
-                 "approach": approach, "branch_points": len(solved), **asdict(ws.counts)},
-    )
-    return Solution(GridFunction(ws.grid, fold.u), report)
+    approach = [(p.c, p.u, p.res) for p in sorted(side, key=lambda p: p.c, reverse=True) + [fold]]
+    return _Fold((c_lo, c_hi), approach, sum(p.iters for p in solved), len(solved),
+                 asdict(walk.ws.counts))
 
 
 def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
@@ -1321,10 +1334,10 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     A walk of the branch from implied_c, at the default tol and with the
     bracket width as its fold precision, ends by a Newton search on dc/dmu =
     0 at the fold point, which solves the equation at c_final = c*.  For its
-    own h and bracket an estimate carries that fold, and a copy of it is
-    returned with no second walk; a hand-made bracket is walked.  The fold
-    must lie in [c_lo, c_hi], else NoConvergence names c*, and the bracket
-    width when c* misses by no more than the fold point's residual.
+    own h and bracket an estimate carries that fold and its approach, built
+    into the Solution with no second walk; a hand-made bracket is walked.
+    The fold must lie in [c_lo, c_hi], else NoConvergence names c*, and the
+    bracket width when c* misses by no more than the fold point's residual.
     ``details["approach"]`` is the boundedness record of the critical case:
     H1 norm, 1/2 |du|^2, mass defect and residual of each point the walk
     solves on the approach side with c <= c_hi (the one that certifies c_hi
@@ -1335,12 +1348,12 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
         raise ValueError("threshold is minus infinity; there is no critical c")
     c_lo, c_hi = estimate.c_lo, estimate.c_hi
     _check_positive("the bracket width c_hi - c_lo", c_hi - c_lo)
-    h0, sol = estimate.critical or (h, None)
-    if sol is None or sol.report.details["bracket"] != [c_lo, c_hi] or not (
+    h0, fold = estimate.critical or (h, None)
+    if fold is None or fold.bracket != (c_lo, c_hi) or not (
             grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):
         ws = _Workspace(h)
-        sol = _critical(_Walk(ws, ws.upper(build_upper), c_hi - c_lo), c_lo, c_hi)
-    c_star, res = sol.report.details["c_final"], sol.report.final_residual
+        fold = _critical(_Walk(ws, ws.upper(build_upper), c_hi - c_lo), c_lo, c_hi)
+    c_star, u, res = fold.approach[-1]
     miss = max(c_lo - c_star, c_star - c_hi)
     if 0.0 < miss <= res:  # as in _Walk.upper: the walk places c no closer than res
         raise NoConvergence(f"the bracket width c_hi - c_lo = {c_hi - c_lo!r} is finer than the "
@@ -1349,10 +1362,27 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     if miss > 0.0:
         raise NoConvergence(f"the fold of the solution branch at c* = {c_star!r} lies "
                             f"outside the bracket [{c_lo!r}, {c_hi!r}]")
-    h1s = [r["h1_norm"] for r in sol.report.details["approach"]]
+    ws = _Workspace(h)
+
+    def record(c_p, u_p, res_p):
+        nr = norms(GridFunction(ws.grid, u_p))
+        return {"c": c_p, "h1_norm": math.hypot(nr.l2, nr.h1_seminorm),
+                "dirichlet_half": 0.5 * nr.h1_seminorm ** 2,
+                "mass_defect": abs(ws.mass(u_p) - c_p * ws.total), "residual": res_p}
+
+    approach = [record(*p) for p in fold.approach]
+    h1s = [r["h1_norm"] for r in approach]
     if max(h1s) > 50.0 * max(min(h1s), 1e-30):
         raise BoundBlowup(f"H1 norms along the approach spread by {max(h1s)/min(h1s):.1f}x")
-    return Solution(GridFunction(h.grid, sol.u.values), copy.deepcopy(sol.report))
+    c_mid = 0.5 * (c_lo + c_hi)
+    report = SolveReport(
+        method="critical-fold", iterations=fold.iterations, final_residual=res,
+        identity_checks={"mass_defect_at_c_final": approach[-1]["mass_defect"],
+                         "mass_defect_at_midpoint": abs(ws.mass(u) - c_mid * ws.total)},
+        details={"c_final": c_star, "c_midpoint": c_mid, "bracket": [c_lo, c_hi],
+                 "approach": approach, "branch_points": fold.points, **fold.counts},
+    )
+    return Solution(GridFunction(h.grid, u), report)
 
 
 def solve(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> Solution:

@@ -201,9 +201,11 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
 
     r = residual(u)
     wn = weak_norm(r)
-    for it in range(1, ORACLE_MAX_ITER + 1):
+    for it in range(1, ORACLE_MAX_ITER + 2):
         if wn <= ctol:
             break
+        if it > ORACLE_MAX_ITER:  # the iterate of the last step was tested above
+            raise Diverged(f"no convergence in {ORACLE_MAX_ITER} iterations (residual {wn:.3e})")
         with np.errstate(over="ignore"):
             eu = np.exp(u)
         jac = (K - sparse.diags(w * hv * eu)).tocsc()
@@ -246,8 +248,6 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
             alpha *= 0.5
         if not moved:
             raise Diverged(f"line search failed at iteration {it} (residual {wn:.3e})")
-    else:
-        raise Diverged(f"no convergence in {ORACLE_MAX_ITER} iterations (residual {wn:.3e})")
 
     mass = float(w @ (hv * np.exp(u)))
     report = SolveReport(

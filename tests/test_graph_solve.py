@@ -273,7 +273,7 @@ def test_reports_count_factorizations():
 
 
 def test_counts_accumulate_across_calls_and_failures():
-    grid = make_single(cells=48)
+    grid = make_single(cells=96)
     h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
     c_certified = build_upper(h).implied_c
     counts = SolveCounts()
@@ -282,7 +282,8 @@ def test_counts_accumulate_across_calls_and_failures():
     with pytest.raises(RuntimeError):
         solve_negative(h, 4.0 * c_certified, counts=counts)  # far below the fold
     # just above the fold the Newton tail's Jacobian is nearly singular, and
-    # some of its solves take the ridge
+    # on the 96-cell edge one of its solves takes the ridge even from the
+    # branch's model at c (at 48 cells that start needs none)
     c_star = estimate_threshold(h).details["c_star"]
     for gap in (1.5e-7, 2e-7, 3e-7, 4e-7):
         solve_negative(h, c_star * (1.0 - gap), counts=counts)

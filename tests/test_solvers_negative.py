@@ -312,8 +312,8 @@ def test_a_first_sweep_root_above_the_sweep_is_refused(monkeypatch):
 
 def test_a_finish_under_tol_tries_only_the_full_step(monkeypatch):
     # at a solution under tol, a full step that does not lower the merit
-    # ends the finish with the best u: one residual for the seed and one for
-    # that step, no halvings
+    # ends the finish with the best u: one linearization for the seed and
+    # one for that step, no halvings
     h = cos_h(cells=96)
     c = 0.3 * build_upper(h).implied_c
     u = solve_negative(h, c).u.values
@@ -323,11 +323,36 @@ def test_a_finish_under_tol_tries_only_the_full_step(monkeypatch):
     linsolve = solvers._linsolve
     # an uphill step: the negated Newton step doubles the residual
     monkeypatch.setattr(solvers, "_linsolve", lambda ws_, d, rhs: -linsolve(ws_, d, rhs))
-    residual = ws.residual
+    linearize = ws.linearize
     calls = []
-    monkeypatch.setattr(ws, "residual", lambda v, c_: calls.append(c_) or residual(v, c_))
+    monkeypatch.setattr(ws, "linearize", lambda v, c_: calls.append(c_) or linearize(v, c_))
     assert np.array_equal(solvers._damped_newton(ws, c, u), u)
     assert len(calls) == 2
+
+
+def test_the_iterate_of_the_last_budgeted_newton_step_is_checked(monkeypatch):
+    # 16-cell edge, h = -1, c = -2, from u = 0: the fifth step lands at
+    # residual 2.2e-13, so a budget of five steps ends at the root ln 2
+    h = constant(make_single(cells=16), -1.0)
+    ws = solvers._Workspace(h)
+    monkeypatch.setattr(solvers, "MAX_ITER_NEWTON", 5)
+    root = solvers._damped_newton(ws, -2.0, np.zeros(h.grid.ndof))
+    assert root is not None and ws.counts.factorizations == 5
+    assert ws.weak_norm(ws.residual(root, -2.0)) <= 1e-12
+    assert np.max(np.abs(root - math.log(2.0))) <= 1e-12
+
+
+def test_linearize_forms_the_residual_and_the_jacobian_shift_bit_for_bit():
+    h = theta_h()
+    ws = solvers._Workspace(h)
+    u = np.random.default_rng(5).standard_normal(h.grid.ndof)
+    r, shift = ws.linearize(u, -0.7)
+    assert np.array_equal(r, ws.residual(u, -0.7))
+    assert np.array_equal(shift, ws.jacobian_shift(u))
+    # nonfinite exactly where e^u overflows, with no warning
+    u[3] = 800.0
+    r, _ = ws.linearize(u, -0.7)
+    assert np.flatnonzero(~np.isfinite(r)).tolist() == [3]
 
 
 def test_the_first_sweep_finish_adds_at_most_one_tail_where_the_sweeps_fail(monkeypatch):
@@ -642,7 +667,7 @@ def test_a_bad_tol_is_the_first_error(tol):
 def test_the_continuation_route_reads_the_tol_of_its_solve(monkeypatch):
     # the branch corrector, the monotone sweeps and their Newton finishes all
     # stop on the workspace's bound: at tol 1e-2 the walk and the sandwich
-    # take fewer factorizations than at the default tol (15 against 17)
+    # take fewer factorizations than at the default tol (13 against 14)
     h = sample_function(make_single(cells=32), lambda s: math.cos(math.pi * s) - 0.5)
     strict = solve_negative(h, -1.0)
     loose = solve_negative(h, -1.0, tol=1e-2)
@@ -650,7 +675,7 @@ def test_the_continuation_route_reads_the_tol_of_its_solve(monkeypatch):
         assert sol.report.method == "monotone(continuation)"
     assert loose.report.details["factorizations"] < strict.report.details["factorizations"]
     assert loose.report.final_residual <= 1e-2 * 2.0
-    # two Newton steps from a perturbed solution leave a residual of 3.7e-3:
+    # two Newton steps from a perturbed solution leave a residual of 5.9e-7:
     # a finish keeps that root at tol 1e-2 and refuses it at the default
     seed = strict.u.values + 0.05 * np.sin(np.arange(h.grid.ndof))
     monkeypatch.setattr(solvers, "MAX_ITER_NEWTON", 2)

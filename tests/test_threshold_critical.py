@@ -153,6 +153,86 @@ def theta_h():
     return random_h_sign_changing(grid, np.random.default_rng(1))
 
 
+def _spy_sandwiches(monkeypatch):
+    """The Solutions of every _sandwich call from now on, in order; the last
+    one of estimate_threshold is the certificate of c_hi."""
+    sandwich, sols = solvers._sandwich, []
+    monkeypatch.setattr(solvers, "_sandwich", lambda *args: sols.append(sandwich(*args)) or sols[-1])
+    return sols
+
+
+@pytest.mark.parametrize("make_h", [
+    cos_h,
+    lambda: random_h_sign_changing(make_star3(cells=32), np.random.default_rng(0)),
+    lambda: random_h_sign_changing(make_theta(cells=24), np.random.default_rng(0)),
+], ids=["edge96", "star3", "theta"])
+def test_the_certificate_tail_starts_on_the_branch(monkeypatch, make_h):
+    # the Newton tail of the c_hi certificate starts from the walk's
+    # quadratic model at c_hi: 2-3 factorizations, where the tail from the
+    # first sweep took 4-6 (5 on each of these)
+    finish, tails = solvers._newton_finish, []
+
+    def spy(ws, *args, **kwargs):
+        start = ws.counts.factorizations
+        root = finish(ws, *args, **kwargs)
+        tails.append(ws.counts.factorizations - start)
+        return root
+
+    monkeypatch.setattr(solvers, "_newton_finish", spy)
+    sols = _spy_sandwiches(monkeypatch)
+    estimate_threshold(make_h())
+    details = sols[-1].report.details
+    assert details["newton_tail"] is True and details["rejected_tails"] == []
+    assert details["tail_attempts"] == 1 and tails[-1] <= 3
+
+
+def test_a_seed_off_the_branch_leaves_the_certificate_to_the_sweeps(monkeypatch):
+    # the other root of the quadratic model lies past the fold: Newton from
+    # there finds the solution past it, above the first sweep, which the
+    # sandwich refuses; the tail from that sweep then certifies c_hi
+    h = cos_h()
+    est = estimate_threshold(h)
+
+    def past_the_fold(p, c):
+        x = -(p.dc + math.copysign(math.sqrt(p.dc ** 2 + 2.0 * p.ddc * (c - p.c)), p.dc)) / p.ddc
+        return p.u + x * (p.du + 0.5 * x * p.ddu)
+
+    for seed, rejected in ((past_the_fold, [{"sweep": 1, "reason": "left_sandwich"}]),
+                           (lambda p, c: p.u + 5.0, [])):
+        with monkeypatch.context() as m:
+            m.setattr(solvers._BranchPoint, "toward", seed)
+            sols = _spy_sandwiches(m)
+            off = estimate_threshold(h)
+        cert = sols[-1]
+        assert cert.report.details["rejected_tails"] == rejected
+        assert cert.report.details["newton_tail"] is True and cert.report.iterations == 1
+        assert (off.c_lo, off.c_hi) == (est.c_lo, est.c_hi)
+        assert np.max(np.abs(cert.u.values - solve_negative(h, est.c_hi).u.values)) <= 1e-10
+
+
+def test_the_estimate_builds_the_critical_record_only_when_asked(monkeypatch):
+    # the boundedness record (norms of every approach point) is built by
+    # solve_critical, from what the estimate kept at the fold, and matches
+    # a walk of the same bracket made by hand
+    def refuse(*args, **kwargs):
+        raise AssertionError("norms was called")
+
+    h = cos_h()
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "norms", refuse)
+        est = estimate_threshold(h)
+    sol = solve_critical(h, est)
+    walked = solve_critical(h, ThresholdEstimate(False, est.c_lo, est.c_hi, None))
+    for key in ("approach", "c_final", "branch_points", "factorizations", "ridge_retries",
+                "pivoted_interiors"):
+        assert sol.report.details[key] == walked.report.details[key]
+    assert sol.report.iterations == walked.report.iterations
+    assert np.array_equal(sol.u.values, walked.u.values)
+    # each call builds its own Solution
+    sol.report.details["approach"].clear()
+    assert solve_critical(h, est).report.details["approach"] == walked.report.details["approach"]
+
+
 @pytest.mark.parametrize("make_h", [cos_h, theta_h], ids=["edge96", "theta"])
 def test_critical_descent_unit_edge(make_h):
     h = make_h()

@@ -177,6 +177,15 @@ def test_oracle_newton_names_its_iteration_budget(monkeypatch):
         oracle_newton(constant(make_single(cells=16), -1.0), -2.0)
 
 
+def test_oracle_newton_checks_the_iterate_of_its_last_step(monkeypatch):
+    # from u = 0 the fifth step lands at residual 1.6e-13: a budget of five
+    # converges to ln 2
+    monkeypatch.setattr(verify, "ORACLE_MAX_ITER", 5)
+    sol = oracle_newton(constant(make_single(cells=16), -1.0), -2.0)
+    assert sol.report.final_residual <= 1e-12
+    assert np.max(np.abs(sol.u.values - math.log(2.0))) <= 1e-12
+
+
 def test_oracle_newton_custom_seed():
     grid = make_single(cells=48)
     h = constant(grid, -1.0)
