@@ -157,7 +157,12 @@ def _spy_sandwiches(monkeypatch):
     """The Solutions of every _sandwich call from now on, in order; the last
     one of estimate_threshold is the certificate of c_hi."""
     sandwich, sols = solvers._sandwich, []
-    monkeypatch.setattr(solvers, "_sandwich", lambda *args: sols.append(sandwich(*args)) or sols[-1])
+
+    def spy(*args):
+        sols.append(sandwich(*args))
+        return sols[-1]
+
+    monkeypatch.setattr(solvers, "_sandwich", spy)
     return sols
 
 
