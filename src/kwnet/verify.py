@@ -201,11 +201,11 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
 
     r = residual(u)
     wn = weak_norm(r)
-    for it in range(1, ORACLE_MAX_ITER + 2):
-        if wn <= ctol:
-            break
-        if it > ORACLE_MAX_ITER:  # the iterate of the last step was tested above
+    it = 0  # Newton steps taken
+    while not wn <= ctol:  # a NaN residual has not converged
+        if it == ORACLE_MAX_ITER:  # the iterate of the last step was tested above
             raise Diverged(f"no convergence in {ORACLE_MAX_ITER} iterations (residual {wn:.3e})")
+        it += 1
         with np.errstate(over="ignore"):
             eu = np.exp(u)
         jac = (K - sparse.diags(w * hv * eu)).tocsc()

@@ -186,6 +186,16 @@ def test_oracle_newton_checks_the_iterate_of_its_last_step(monkeypatch):
     assert np.max(np.abs(sol.u.values - math.log(2.0))) <= 1e-12
 
 
+@pytest.mark.parametrize("budget", [5, 6])
+def test_oracle_newton_reports_the_steps_it_took(monkeypatch, budget):
+    # the same five steps at either budget, never more than the budget;
+    # a seed at the root takes none
+    monkeypatch.setattr(verify, "ORACLE_MAX_ITER", budget)
+    h = constant(make_single(cells=16), -1.0)
+    assert oracle_newton(h, -2.0).report.iterations == 5
+    assert oracle_newton(h, -2.0, seed=constant(h.grid, math.log(2.0))).report.iterations == 0
+
+
 def test_oracle_newton_custom_seed():
     grid = make_single(cells=48)
     h = constant(grid, -1.0)
