@@ -10,8 +10,8 @@ with no COO triplets to sort and sum: each vertex's diagonal is the sum of
 1/h over its incident edges, added in edge order.
 
 Every linear solve has the form K + diag(d) (the Riesz map, the monotone
-sweep, the Newton Jacobian and its ridge, the bordered flux problem) and goes
-through ``GridOperators.factor``.  The edge interiors are eliminated first:
+sweep, the Newton Jacobian, the bordered flux problem) and goes through
+``GridOperators.factor``.  The edge interiors are eliminated first:
 they form one tridiagonal T that couples no two edges, factored by LAPACK in
 O(ndof) time and memory as LDL^T (dpttrf), or by partially pivoted LU
 (dgttrf) where LDL^T meets a nonpositive pivot.  What remains is the

@@ -23,7 +23,7 @@ import numpy as np
 from .graph import GridFunction, integrate
 from .assembly import apply_residual
 from .problemfile import ProblemSpec, load_problem
-from .solvers import DEFAULT_TOL, classify, estimate_threshold, solve
+from .solvers import DEFAULT_TOL, SolveCounts, classify, estimate_threshold, solve
 from .verify import identity_report
 
 EXIT_OK = 0
@@ -144,8 +144,7 @@ def cmd_threshold(args) -> int:
         "probes": est.details.get("probes"),
         "c_star": est.details.get("c_star"),
         "branch_points": est.details.get("branch"),
-        **{key: est.details.get(key)
-           for key in ("factorizations", "ridge_retries", "pivoted_interiors")},
+        **{f.name: est.details.get(f.name) for f in dataclasses.fields(SolveCounts)},
     }
     _write_json(out_path, payload)
     if est.minus_infinity:

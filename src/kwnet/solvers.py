@@ -164,15 +164,14 @@ class UpperSolutionParams:
 
 @dataclass
 class SolveCounts:
-    """Factorizations of K + diag(d), ridge retries among them, and those
-    whose interior tridiagonal fell back to pivoted LU (failed ones too).
+    """Factorizations of K + diag(d), and those whose interior tridiagonal
+    fell back to pivoted LU (failed ones too).
 
     A solver given one adds its work to it, so a caller can total the work
     of several calls, failed ones included.
     """
 
     factorizations: int = 0
-    ridge_retries: int = 0
     pivoted_interiors: int = 0
 
     def since(self, start: "SolveCounts") -> dict:
@@ -299,7 +298,8 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
     """Start direction of the c >= 0 solvers: the positive part of h on the
     interior nodes of the edge attaining the maximum of h (lowest-indexed
     edge on ties), divided by its largest value there, and 0 everywhere
-    else.  So wb > 0 only where h > 0, and max wb = 1.
+    else; when no interior node of that edge has h > 0, the hat of the DOF
+    where h is largest.  So wb > 0 only where h > 0, and max wb = 1.
     """
     maxima = np.maximum.reduceat(h.values[grid.node_dof], grid.edge_start[:-1])
     best = int(np.argmax(maxima))
@@ -307,10 +307,11 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
         raise FeasibilityFailure("h has no positive part to concentrate a bump on")
     interior = grid.node_dof[grid.edge_start[best] + 1:grid.edge_start[best + 1] - 1]
     top = float(np.max(h.values[interior], initial=0.0))
-    if top <= 0.0:
-        raise FeasibilityFailure("no interior node with h > 0 on the bump edge")
     out = np.zeros(grid.ndof)
-    out[interior] = np.maximum(h.values[interior], 0.0) / top
+    if top > 0.0:
+        out[interior] = np.maximum(h.values[interior], 0.0) / top
+    else:
+        out[int(np.argmax(h.values))] = 1.0
     return GridFunction(grid, out)
 
 
@@ -840,7 +841,8 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray):
     merit r^T M^(-1) r enough; under tol only the full step is tried, and
     when it does not lower the merit the residual has reached its floor, and
     the best u so far, the last step's included, is returned.  Each trial
-    point is linearized once, for its residual and for the next step.
+    point is linearized once, for its residual and for the next step.  A
+    step whose Jacobian solve fails (LinearSolveFailure) ends the finish.
     """
     u = np.asarray(seed, dtype=float)
     w, tol = ws.w, ws.ctol(c)
@@ -856,9 +858,10 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray):
         if (wn <= tol and wn > 0.3 * prev_wn) or it == MAX_ITER_NEWTON:
             break  # under tolerance and no longer improving quickly, or out of steps
         prev_wn = wn
-        d = _linsolve(ws, shift, -r)
-        if d is None:
-            break
+        try:
+            d = ws.factor(shift).solve_checked(-r)
+        except LinearSolveFailure:
+            break  # a singular Jacobian, or a step failing its backward-error check
         merit = float(r @ (r / w))
         r = shift = None  # only the trial point's linearization stays live
         alpha = 1.0
@@ -876,34 +879,6 @@ def _damped_newton(ws: _Workspace, c: float, seed: np.ndarray):
         if r is None:
             break
     return best_u if best_wn <= tol else None
-
-
-def _linsolve(ws: _Workspace, d: np.ndarray, rhs: np.ndarray):
-    """Solve (K + diag(d)) x = rhs, with a ridge d + tau w as the fallback
-    for indefinite/singular Jacobians; None when every ridge fails.
-
-    The ridge is taken when the factorization fails or the residual exceeds
-    1e-8 max|rhs|.  That test triggers the ridge and checks nothing, so it is
-    not KPlusDiag.solve_checked's backward test: on one seed-1 pass of the
-    five bench workloads 54 of 1158 Newton solves (162 of 3445 in the tier-1
-    tests) pass that test and fail this one, and would skip the ridge."""
-    try:
-        lu = ws.factor(d)
-        x = lu.solve(rhs)
-        res = float(np.max(np.abs(lu.matvec(x) - rhs)))
-        if res <= 1e-8 * (float(np.max(np.abs(rhs))) + 1e-300):
-            return x
-    except LinearSolveFailure:
-        pass
-    tau = 1e-10 * (1.0 + float(np.max(np.abs(ws.grid.operators.kdiag + d))))
-    for _ in range(12):
-        ws.counts.ridge_retries += 1
-        try:
-            return ws.factor(d + tau * ws.w).solve(rhs)
-        except LinearSolveFailure:
-            pass
-        tau *= 100.0
-    return None
 
 
 def _sandwich(ws: _Workspace, c: float, up: GridFunction, seed=None) -> Solution:

@@ -3,6 +3,7 @@ positive part of h on the edge where h is largest, solvers._bump_scale finds
 l with int h e^(l wb) = target by Newton along the bump from its closed-form
 upper end, and importing kwnet loads no scipy.optimize."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from kwnet import GridFunction
+from kwnet import GridFunction, apply_residual, classify, solve
+from kwnet.cli import main
 from kwnet.errors import FeasibilityFailure
 from kwnet.solvers import (_along_bump, _bump, _bump_scale, _Workspace, solve_positive,
                            solve_zero)
@@ -46,10 +48,7 @@ def bump_problems(draw):
     h = draw(signed_h(min_cells=4))
     ws = _Workspace(h)
     assume(float(np.max(h.values)) > 0.0 and float(ws.w @ h.values) < 0.0)
-    try:
-        wb = _bump(h.grid, h).values
-    except FeasibilityFailure:  # h > 0 only on vertices of the best edge
-        assume(False)
+    wb = _bump(h.grid, h).values
     # wb = 1 where h is largest on the bump, so h >= 1e-6 there keeps l and
     # the start l_hi of _bump_scale below about 30, far under its cap of 700
     assume(float(np.max(h.values[wb > 0.0])) >= 1e-6)
@@ -65,11 +64,16 @@ def test_bump_is_the_positive_part_of_h_on_its_best_edge(h):
     best = list(grid.edge_dofs)[tops.index(max(tops))]
     interior = grid.edge_dofs[best][1:-1]
     positive = interior[h.values[interior] > 0.0]
-    if positive.size == 0:
+    if max(tops) <= 0.0:
         with pytest.raises(FeasibilityFailure):
             _bump(grid, h)
         return
     wb = _bump(grid, h).values
+    if positive.size == 0:
+        # h > 0 only on vertices: the hat of the DOF where h is largest
+        assert np.flatnonzero(wb).tolist() == [int(np.argmax(h.values))]
+        assert float(np.max(wb)) == 1.0 and h.values[np.argmax(wb)] == max(tops)
+        return
     assert np.flatnonzero(wb > 0.0).tolist() == sorted(positive.tolist())
     rest = np.ones(grid.ndof, dtype=bool)
     rest[positive] = False
@@ -96,6 +100,36 @@ def test_a_vertex_maximum_leaves_the_bump_at_one():
         assert 10.0 < _bump_scale(ws, wb, target) < 12.0
     assert solve_zero(h).report.status == "Converged"
     assert solve_positive(h, 0.5).report.status == "Converged"
+
+
+def test_h_positive_only_at_a_vertex_solves_from_its_hat(tmp_path):
+    # on a 4-cell unit edge cos(pi s) - 0.9 is positive only at the tail
+    # vertex: kwnet solves and verifies c = 0 and c = 0.5 from that hat
+    prob = tmp_path / "vertex.json"
+    prob.write_text(json.dumps({
+        "vertices": ["p", "q"],
+        "edges": [{"id": "e1", "tail": "p", "head": "q", "length": 1.0, "cells": 4}],
+        "h": "cos(pi*s) - 0.9", "c": 0}))
+    for c in ("0", "0.5"):
+        assert main(["solve", str(prob), "--c", c]) == 0
+        assert main(["verify", str(prob), str(tmp_path / "vertex.solution.csv"), "--c", c]) == 0
+
+
+@pytest.mark.parametrize("cells", [4, 16, 96])
+@pytest.mark.parametrize("hub", [5.0, 40.0])
+def test_a_star_positive_only_at_its_hub_solves_from_the_hub_hat(cells, hub):
+    grid = make_star3(cells=cells, lengths=(1.0, 1.0, 0.7))
+    values = -np.ones(grid.ndof)
+    values[0] = hub  # the hub o, vertex 0
+    h = GridFunction(grid, values)
+    wb = _bump(grid, h).values
+    assert np.flatnonzero(wb).tolist() == [0] and wb[0] == 1.0
+    for c in (0.0, 0.5, 2.0):
+        if not classify(h, c).ok:  # int h >= 0: c = 0 has no solution
+            continue
+        sol = solve(h, c)
+        assert sol.report.status == "Converged"
+        assert apply_residual(sol.u, h, c).weak_residual_norm <= 1e-8 * (1.0 + c)
 
 
 def doubling(ws, wb, target):

@@ -276,6 +276,29 @@ def test_verify_flags_perturbation(tmp_path, capsys):
         payload, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("value, c, check", [(800.0, "-2", "mass_identity"),
+                                              (-800.0, "0", "energy_identity")])
+def test_verify_reports_an_overflowing_solution_as_defects(tmp_path, capsys, value, c, check):
+    # e^800 overflows in the mass identity, e^-(-800) in the discrete energy
+    # identity of c = 0: each is a defect, exit 4, and no RuntimeWarning
+    prob = write_problem(tmp_path)
+    assert main(["solve", str(prob)]) == 0
+    capsys.readouterr()
+    sol = tmp_path / "prob.solution.csv"
+    with open(sol, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[30][2] = repr(value)
+    with open(sol, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(prob), str(sol), "--c", c]) == 4
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["status"] == "defects" and not payload["checks"][check]["ok"]
+
+
 def test_verify_rejects_cells_mismatch(tmp_path, capsys):
     prob = write_problem(tmp_path)
     assert main(["solve", str(prob)]) == 0
@@ -701,7 +724,7 @@ def test_threshold_json_carries_the_work_counts(tmp_path):
     assert main(["threshold", str(prob), "--cells", "48"]) == 0
     payload = json.loads((tmp_path / "prob.threshold").read_text())
     details = estimate_threshold(load_problem(str(prob), cells_override=48).h).details
-    counts = {key: details[key] for key in ("factorizations", "ridge_retries", "pivoted_interiors")}
+    counts = {key: details[key] for key in ("factorizations", "pivoted_interiors")}
     assert {key: payload[key] for key in counts} == counts
     assert counts["factorizations"] > 0
 

@@ -27,10 +27,10 @@ from kwnet import (
     solve_shifted,
     solve_zero,
 )
-from kwnet import assembly, solvers
+from kwnet import assembly
 from kwnet.assembly import LINEAR_RTOL
 from kwnet.errors import LinearSolveFailure
-from kwnet.solvers import _damped_newton, _linsolve, _Workspace
+from kwnet.solvers import _damped_newton, _Workspace
 from helpers import (
     make_single,
     make_star3,
@@ -226,21 +226,6 @@ def test_zero_interior_pivot_is_a_failure():
     d = -(grid.weights * h.values)
     with pytest.raises(LinearSolveFailure, match="zero pivot"):
         grid.operators.factor(d)
-    # the full matrix is regular, and the ridge solves it
-    ws = _Workspace(h)
-    b = np.array([1.0, -2.0, 0.5])
-    x = _linsolve(ws, d, b)
-    assert x is not None and np.all(np.isfinite(x))
-    assert ws.counts.ridge_retries == 1
-    assert ws.counts.factorizations == 2
-
-
-def test_damped_newton_takes_the_ridge_at_a_zero_pivot(monkeypatch):
-    grid, h = _zero_pivot_problem()
-    ws = _Workspace(h, tol=5e-11)
-    monkeypatch.setattr(solvers, "MAX_ITER_NEWTON", 1)
-    _damped_newton(ws, -1.0, np.zeros(grid.ndof))
-    assert ws.counts.ridge_retries >= 1
 
 
 def test_shifted_and_flux_solves_on_a_fine_edge():
@@ -269,7 +254,6 @@ def test_reports_count_factorizations():
     grid = make_single(cells=48)
     sol = solve_positive(random_h_positive_somewhere(grid, rng), 0.5)
     assert sol.report.details["factorizations"] >= 1  # the Riesz map
-    assert sol.report.details["ridge_retries"] >= 0
 
 
 def test_counts_accumulate_across_calls_and_failures():
@@ -281,14 +265,11 @@ def test_counts_accumulate_across_calls_and_failures():
     assert sol.report.details["factorizations"] == counts.factorizations > 0
     with pytest.raises(RuntimeError):
         solve_negative(h, 4.0 * c_certified, counts=counts)  # far below the fold
-    # just above the fold the Newton tail's Jacobian is nearly singular, and
-    # on the 96-cell edge one of its solves takes the ridge even from the
-    # branch's model at c (at 48 cells that start needs none)
+    # just above the fold the Newton tail's Jacobian is nearly singular
     c_star = estimate_threshold(h).details["c_star"]
     for gap in (1.5e-7, 2e-7, 3e-7, 4e-7):
         solve_negative(h, c_star * (1.0 - gap), counts=counts)
     assert counts.factorizations > sol.report.details["factorizations"]
-    assert counts.ridge_retries > 0
 
 
 def _backward_error_ok(A, x, b, factor=16.0):
@@ -361,17 +342,15 @@ def test_definite_solves_never_pivot(monkeypatch):
 
 
 def test_a_failed_pivoted_interior_is_counted():
+    # Newton's first Jacobian has the zero pivot: dpttrf meets it, dgttrf
+    # fails on it too, and that one failed factorization ends the finish
     grid, h = _zero_pivot_problem()
     ws = _Workspace(h)
-    # dpttrf meets the zero pivot, dgttrf fails on it too, and the ridge
-    # (positive definite again) solves by LDL^T
-    x = _linsolve(ws, ws.jacobian_shift(np.zeros(grid.ndof)), np.array([1.0, -2.0, 0.5]))
-    assert x is not None
-    assert (ws.counts.factorizations, ws.counts.ridge_retries, ws.counts.pivoted_interiors) == (2, 1, 1)
+    assert _damped_newton(ws, -1.0, np.zeros(grid.ndof)) is None
+    assert (ws.counts.factorizations, ws.counts.pivoted_interiors) == (1, 1)
     start = SolveCounts(**vars(ws.counts))
     ws.factor(ws.jacobian_shift(np.zeros(grid.ndof)) + 1.0)
-    assert ws.counts.since(start) == {"factorizations": 1, "ridge_retries": 0,
-                                      "pivoted_interiors": 0}
+    assert ws.counts.since(start) == {"factorizations": 1, "pivoted_interiors": 0}
 
 
 def test_newton_from_an_overflowing_seed_returns_none():
@@ -382,18 +361,25 @@ def test_newton_from_an_overflowing_seed_returns_none():
     assert ws.counts.factorizations == 0
 
 
-def test_linsolve_gives_up_after_twelve_ridges(monkeypatch):
-    grid, h = _zero_pivot_problem()
+def test_a_failed_checked_solve_ends_the_newton_finish(monkeypatch):
+    # a Newton step whose backward-error check fails ends the finish: no
+    # other factorization, and no root
+    h = sample_function(make_single(cells=16), lambda s: math.cos(math.pi * s) - 0.1)
     ws = _Workspace(h)
-    calls = []
+    factor = ws.factor
 
     def failing(d, border=None):
-        calls.append(d)
-        raise LinearSolveFailure("every factorization fails")
+        lu = factor(d, border)
+
+        def solve_checked(b):
+            raise LinearSolveFailure("the step fails its backward-error check")
+
+        lu.solve_checked = solve_checked
+        return lu
 
     monkeypatch.setattr(ws, "factor", failing)
-    assert _linsolve(ws, ws.jacobian_shift(np.zeros(grid.ndof)), np.ones(grid.ndof)) is None
-    assert len(calls) == 13 and ws.counts.ridge_retries == 12
+    assert _damped_newton(ws, -0.01, np.zeros(h.grid.ndof)) is None
+    assert ws.counts.factorizations == 1
 
 
 def _record_factorizations(monkeypatch):

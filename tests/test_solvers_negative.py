@@ -320,9 +320,16 @@ def test_a_finish_under_tol_tries_only_the_full_step(monkeypatch):
     ws = solvers._Workspace(h)
     tol = 1e-8 * (1.0 + abs(c))
     assert ws.weak_norm(ws.residual(u, c)) <= tol
-    linsolve = solvers._linsolve
-    # an uphill step: the negated Newton step doubles the residual
-    monkeypatch.setattr(solvers, "_linsolve", lambda ws_, d, rhs: -linsolve(ws_, d, rhs))
+    factor = ws.factor
+
+    def negated(d, border=None):
+        # an uphill step: the negated Newton step doubles the residual
+        lu = factor(d, border)
+        solve_checked = lu.solve_checked
+        lu.solve_checked = lambda b: -solve_checked(b)
+        return lu
+
+    monkeypatch.setattr(ws, "factor", negated)
     linearize = ws.linearize
     calls = []
     monkeypatch.setattr(ws, "linearize", lambda v, c_: calls.append(c_) or linearize(v, c_))
