@@ -341,12 +341,21 @@ def test_definite_solves_never_pivot(monkeypatch):
     assert len(flags) > 2 and not any(flags)
 
 
-def test_a_failed_pivoted_interior_is_counted():
-    # Newton's first Jacobian has the zero pivot: dpttrf meets it, dgttrf
-    # fails on it too, and that one failed factorization ends the finish
+def test_damped_newton_ends_at_a_zero_pivot():
+    # Newton's first Jacobian has the zero pivot: that one failed
+    # factorization ends the finish, with no root and no other factorization
     grid, h = _zero_pivot_problem()
     ws = _Workspace(h)
     assert _damped_newton(ws, -1.0, np.zeros(grid.ndof)) is None
+    assert (ws.counts.factorizations, ws.counts.pivoted_interiors) == (1, 1)
+
+
+def test_a_failed_pivoted_interior_is_counted():
+    # dpttrf meets the zero pivot, and dgttrf fails on it too
+    grid, h = _zero_pivot_problem()
+    ws = _Workspace(h)
+    with pytest.raises(LinearSolveFailure, match="zero pivot"):
+        ws.factor(ws.jacobian_shift(np.zeros(grid.ndof)))
     assert (ws.counts.factorizations, ws.counts.pivoted_interiors) == (1, 1)
     start = SolveCounts(**vars(ws.counts))
     ws.factor(ws.jacobian_shift(np.zeros(grid.ndof)) + 1.0)
