@@ -66,8 +66,7 @@ def assemble_stiffness(grid: Grid) -> sparse.csr_matrix:
     order, from the lowest-indexed edge up.  Every interior row holds three
     entries, -1/h, 2/h, -1/h, except on the last interior node of an edge:
     the head vertex beside it has a lower index, so there the diagonal comes
-    last, -1/h, -1/h, 2/h.  ``GridOperators`` reads the diagonals from this
-    layout.
+    last, -1/h, -1/h, 2/h.
     """
     nv, ndof = len(grid.graph.vertex_ids), grid.ndof
     cell = 1.0 / grid.edge_h
@@ -143,24 +142,17 @@ class GridOperators:
         self.ndof = grid.ndof
         self.nv = nv
         self.ni = grid.ndof - nv
-        # K's diagonals, read off the row layout of assemble_stiffness: a
-        # vertex row starts with its diagonal; an interior row holds three
-        # entries, the diagonal last on the last interior node of an edge.
-        # The diagonal is stored with the _PAD unit rows that close the
+        # K's diagonal, stored with the _PAD unit rows that close the
         # interior tridiagonal T (see below), so from nv on it is T's
-        start = K.indptr[nv]
-        triples = K.data[start:].reshape(-1, 3)
-        diag_last = K.indices[start + 2::3] == np.arange(nv, grid.ndof)
-        self._kdiag_pad = np.concatenate((K.data[K.indptr[:nv]],
-                                          np.where(diag_last, triples[:, 2], triples[:, 1]),
-                                          np.ones(_PAD)))
+        self._kdiag_pad = np.concatenate((K.diagonal(), np.ones(_PAD)))
         self.kdiag = self._kdiag_pad[:grid.ndof]
         # as scipy sums abs(K) along its rows
         self.abs_row_sum = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
         # interior tridiagonal of K (rows nv..ndof-1), closed by _PAD
         # decoupled unit rows: scipy's dgttrf wrapper needs n >= 3, and an
-        # edge of two cells has a single interior node
-        self.t_off = np.concatenate((np.where(diag_last, 0.0, triples[:, 2]), [0.0]))
+        # edge of two cells has a single interior node; K holds 0 between
+        # the last interior node of one edge and the first of the next
+        self.t_off = np.concatenate((K.diagonal(1)[nv:], [0.0, 0.0]))
         tail_node, head_node = grid.edge_start[:-1], grid.edge_start[1:] - 1
         tail, head = grid.node_dof[tail_node], grid.node_dof[head_node]
         first, last = grid.node_dof[tail_node + 1] - nv, grid.node_dof[head_node - 1] - nv
@@ -183,6 +175,9 @@ class GridOperators:
         # the bordered Schur complement has nv + 1 rows
         self.dense = nv < _DENSE_ROWS
         self._schur = self._pattern(self._rows, self._cols, nv)
+        # the work of every factorization on this grid (see factor, KPlusDiag)
+        self.factorizations = 0
+        self.pivoted_interiors = 0
 
     @cached_property
     def _bordered(self):
@@ -206,7 +201,9 @@ class GridOperators:
 
     def factor(self, d: np.ndarray, border: np.ndarray | None = None) -> "KPlusDiag":
         """Factor K + diag(d) for any real d, or the matrix bordered by
-        [[K + diag(d), border], [border^T, 0]]; raises LinearSolveFailure."""
+        [[K + diag(d), border], [border^T, 0]]; raises LinearSolveFailure.
+        Every call adds 1 to ``factorizations``, a failed one too."""
+        self.factorizations += 1
         return KPlusDiag(self, np.asarray(d, dtype=float), border)
 
 
@@ -232,8 +229,9 @@ class KPlusDiag:
 
     The interior tridiagonal T is factored as LDL^T by LAPACK dpttrf, and
     falls back to the partially pivoted LU of dgttrf only when dpttrf meets
-    a nonpositive pivot (``pivoted`` says which ran).  T is positive
-    definite for every shift d >= 0, so only some indefinite Newton
+    a nonpositive pivot (``pivoted`` says which ran, and each fallback adds
+    1 to ``GridOperators.pivoted_interiors``, a failed one too).  T is
+    positive definite for every shift d >= 0, so only some indefinite Newton
     Jacobians pivot.  One substitution gives Z = T^-1 C, C = [K_IV,
     border_I], each edge's response to its tail and its head vertex (and to
     the border).  The vertex Schur complement S = A_VV - K_VI Z is summed
@@ -241,9 +239,9 @@ class KPlusDiag:
     factored by LAPACK dgetrf while it has at most _DENSE_ROWS rows (about
     2 us at |V| <= 11, where SuperLU takes about 50 us; the two cost the
     same near |V| = 100), by SuperLU above.  A zero interior pivot, a
-    singular S or a nonfinite solution raise LinearSolveFailure, which
-    carries ``pivoted_interior``.  The reduced unknowns x_R are the vertex
-    values, plus the border multiplier when bordered.
+    singular S or a nonfinite solution raise LinearSolveFailure.  The
+    reduced unknowns x_R are the vertex values, plus the border multiplier
+    when bordered.
     """
 
     def __init__(self, ops: GridOperators, d: np.ndarray, border: np.ndarray | None):
@@ -253,12 +251,12 @@ class KPlusDiag:
         ld, le, info = lapack.dpttrf(self._interior_diag(), ops.t_off, overwrite_d=True)
         self.pivoted = info > 0
         if self.pivoted:
+            ops.pivoted_interiors += 1
             # dpttrf has overwritten the diagonal it stopped in
             *tlu, info = lapack.dgttrf(ops.t_off, self._interior_diag(), ops.t_off,
                                        overwrite_d=True)
             if info > 0:
-                raise LinearSolveFailure(f"zero pivot at interior row {info - 1}",
-                                         pivoted_interior=True)
+                raise LinearSolveFailure(f"zero pivot at interior row {info - 1}")
             self._t_solve = lambda b: lapack.dgttrs(*tlu, b, overwrite_b=True)[0]
         else:
             self._t_solve = lambda b: lapack.dpttrs(ld, le, b, overwrite_b=True)[0]
@@ -284,8 +282,7 @@ class KPlusDiag:
             lu, piv, info = lapack.dgetrf(self._s)
             if info > 0:
                 raise LinearSolveFailure(
-                    f"vertex Schur complement: exactly singular (zero pivot in column {info - 1})",
-                    pivoted_interior=self.pivoted)
+                    f"vertex Schur complement: exactly singular (zero pivot in column {info - 1})")
             self._schur_solve = lambda r: lapack.dgetrs(lu, piv, r)[0]
         else:
             # every factorization of this grid fills the same pattern; SuperLU
@@ -295,8 +292,7 @@ class KPlusDiag:
             try:
                 self._schur_solve = spla.splu(schur).solve
             except RuntimeError as exc:
-                raise LinearSolveFailure(f"vertex Schur complement: {exc}",
-                                         pivoted_interior=self.pivoted) from exc
+                raise LinearSolveFailure(f"vertex Schur complement: {exc}") from exc
 
     def _interior_diag(self) -> np.ndarray:
         """A new array holding T's diagonal: K's interior diagonal plus d,
@@ -469,7 +465,8 @@ def residual_vector(grid: Grid, u: np.ndarray, h: np.ndarray, c: float) -> np.nd
 
 def _residual_terms(grid: Grid, u: np.ndarray, h: np.ndarray, c: float):
     """(residual_vector, w h e^u): the residual and the product it subtracts."""
-    with np.errstate(over="ignore"):
+    # where e^u overflows at a node with h = 0, h e^u is NaN: nonfinite all the same
+    with np.errstate(over="ignore", invalid="ignore"):
         # K u + c w - w (h e^u), each sum formed in r and each product in he
         r = grid.stiffness @ u
         r += c * grid.weights

@@ -46,13 +46,10 @@ class NonpositiveShift(ValueError):
 class LinearSolveFailure(RuntimeError):
     """A sparse factorization failed or the linear residual check did not pass.
 
-    ``pivoted_interior`` says whether the failed factorization had fallen
-    back to the pivoted LU of its interior tridiagonal.
+    The grid's ``GridOperators`` counts a failed factorization all the same
+    (``factorizations``, and ``pivoted_interiors`` when it fell back to
+    pivoted LU).
     """
-
-    def __init__(self, message: str, pivoted_interior: bool = False):
-        super().__init__(message)
-        self.pivoted_interior = pivoted_interior
 
 
 class IncompatibleRHS(ValueError):

@@ -290,8 +290,9 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
 
     ``resolution`` may be an integer, numpy's included (cells on every
     edge), a float (target spacing; n_j = ceil(l_j / resolution), floored at
-    2), or a mapping edge id -> cell count.  A bool is none of these:
-    ValueError.
+    2), or a mapping edge id -> cell count, an integer for every edge.  A
+    bool is none of these: ValueError, as for a mapping that misses an edge
+    or maps one to anything but an integer.
     """
     ids = list(graph.edge_position)
     length = graph.edge_length
@@ -299,7 +300,13 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
         raise ValueError(f"resolution must be a cell count, a spacing or a mapping, "
                          f"not {resolution!r}")
     if isinstance(resolution, Mapping):
-        n = np.fromiter(map(int, map(resolution.__getitem__, ids)), dtype=np.intp, count=len(ids))
+        for eid in ids:
+            if eid not in resolution:
+                raise ValueError(f"resolution has no cell count for edge {eid!r}")
+            count = resolution[eid]
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"edge {eid!r}: cell count {count!r} is not an integer")
+        n = np.fromiter(map(resolution.__getitem__, ids), dtype=np.intp, count=len(ids))
     elif isinstance(resolution, numbers.Integral):  # numpy's integers too
         n = np.full(len(ids), resolution, dtype=np.intp)
     else:
@@ -536,8 +543,8 @@ def check_moser(f: GridFunction, beta: float, delta: float) -> MoserReport:
     For beta > 0 the bound is exp(beta |G| delta) |G|; for beta <= 0 the
     integrand is <= 1 pointwise and the bound reduces to |G|.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:  # NaN too
+        raise ValueError(f"delta must be positive, got {delta!r}")
     _require_mean_zero(f)
     energy = h1_seminorm(f) ** 2
     if energy > delta * (1.0 + 1e-12):

@@ -35,7 +35,7 @@ of their solve, ``_Workspace.ctol(c)`` = tol (1 + |c|).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -165,18 +165,15 @@ class UpperSolutionParams:
 @dataclass
 class SolveCounts:
     """Factorizations of K + diag(d), and those whose interior tridiagonal
-    fell back to pivoted LU (failed ones too).
+    fell back to pivoted LU (failed ones too), made by one solver call.
 
-    A solver given one adds its work to it, so a caller can total the work
-    of several calls, failed ones included.
+    The grid's ``GridOperators`` counts every factorization made on it; a
+    caller totals the work of several calls, failed ones included, from
+    ``h.grid.operators.factorizations`` before and after them.
     """
 
     factorizations: int = 0
     pivoted_interiors: int = 0
-
-    def since(self, start: "SolveCounts") -> dict:
-        """The counts added after ``start`` was copied from this object."""
-        return {k: v - getattr(start, k) for k, v in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +188,15 @@ def _check_positive(name: str, value: float) -> None:
 
 class _Workspace:
     """The discrete problem K u + c w - w h e^u = 0 of one solve: grid, K,
-    weights w, the values of h, |G|, its tol (ValueError, before the grid is
-    touched, unless positive and finite) and the work counts.  It forms the
-    residual, the Jacobian shift, the mass and ``ctol``, the stopping bound
-    of every residual test.  Every factorization of the solve, monotone
-    sweeps included, is counted in ``factor``, failed ones too; only the
-    flux solve inside build_upper(_hneg) is counted by hand, in ``upper``."""
+    weights w, the values of h, |G| and its tol (ValueError, before the grid
+    is touched, unless positive and finite).  It forms the residual, the
+    Jacobian shift, the mass and ``ctol``, the stopping bound of every
+    residual test.  ``counts`` is the work of the grid's operators since the
+    workspace was made: every factorization of the solve, monotone sweeps
+    and the flux solve of build_upper(_hneg) included, failed ones too.  No
+    other workspace factors on the grid meanwhile."""
 
-    def __init__(self, h: GridFunction, tol: float = DEFAULT_TOL,
-                 counts: SolveCounts | None = None):
+    def __init__(self, h: GridFunction, tol: float = DEFAULT_TOL):
         _check_positive("tol", tol)
         self.h, self.tol = h, tol
         self.grid = grid = h.grid
@@ -208,7 +205,14 @@ class _Workspace:
         self.w = grid.weights
         self.wh = self.w * self.hv
         self.total = grid.total_length
-        self.counts = SolveCounts() if counts is None else counts
+        ops = grid.operators
+        self._start = (ops.factorizations, ops.pivoted_interiors)
+
+    @property
+    def counts(self) -> SolveCounts:
+        ops = self.grid.operators
+        return SolveCounts(ops.factorizations - self._start[0],
+                           ops.pivoted_interiors - self._start[1])
 
     def ctol(self, c: float) -> float:
         """The bound on the weak residual at c that ends the solve."""
@@ -232,23 +236,10 @@ class _Workspace:
         with np.errstate(over="ignore"):
             return float(self.w @ (self.hv * np.exp(np.minimum(u, 700.0))))
 
-    def upper(self, build, *args):
-        """build(h, *args) for build_upper or build_upper_hneg, counting the
-        factorization of the flux solve inside it."""
-        self.counts.factorizations += 1
-        return build(self.h, *args)
-
     def factor(self, d: np.ndarray, border: np.ndarray | None = None):
         """Factor K + diag(d), bordered by ``border`` when given; raises
         LinearSolveFailure."""
-        self.counts.factorizations += 1
-        try:
-            lu = self.grid.operators.factor(d, border)
-        except LinearSolveFailure as exc:
-            self.counts.pivoted_interiors += exc.pivoted_interior
-            raise
-        self.counts.pivoted_interiors += lu.pivoted
-        return lu
+        return self.grid.operators.factor(d, border)
 
     def weak_norm(self, r: np.ndarray) -> float:
         return float(np.max(np.abs(r) / self.w))
@@ -889,8 +880,7 @@ def _sandwich(ws: _Workspace, c: float, up: GridFunction, seed=None) -> Solution
     return _monotone(ws, c, constant(ws.grid, -a_const), up, seed)
 
 
-def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
-                   counts: SolveCounts | None = None) -> Solution:
+def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> Solution:
     """Solve d2u = c - h e^u for c < 0 (needs int h < 0).
 
     h <= 0: the constructed upper solution works for every c < 0.  Otherwise
@@ -901,20 +891,19 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
     When the branch folds above c, NoUpperSolutionFound names the fold c*
     (its ``c_star``): evidence of c below the threshold, never a proof.
     Every monotone iteration, and the branch walk, stops at residual tol (1
-    + |c|).  ``counts``, when given, receives this call's SolveCounts too.
+    + |c|).
     """
-    ws = _Workspace(h, tol, counts)
+    ws = _Workspace(h, tol)
     if not c < 0.0:
         raise ValueError("solve_negative requires c < 0")
     v0 = classify(h, c)
     if not v0.ok:
         raise NotSolvable(f"c < 0 needs int h < 0 ({v0.reason})")
-    start = replace(ws.counts)
     details, seed = {}, None
     if v0.max_h <= 0.0:
-        method, up = "monotone(h<=0)", ws.upper(build_upper_hneg, c)
+        method, up = "monotone(h<=0)", build_upper_hneg(h, c)
     else:
-        params = ws.upper(build_upper)
+        params = build_upper(h)
         c0 = details["implied_c"] = params.implied_c
         if c >= c0:
             method, up = "monotone(certified)", params.u_plus()
@@ -928,7 +917,7 @@ def solve_negative(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL,
             details.update(continuation_from=c0, c_psi=psi.c, branch_points=walk.solved())
     sol = _sandwich(ws, c, up, seed)
     sol.report.method = method
-    sol.report.details.update(details, **ws.counts.since(start))
+    sol.report.details.update(details, **asdict(ws.counts))
     return sol
 
 
@@ -1258,7 +1247,7 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
                                  analytic_upper_bound=None)
 
     ws = _Workspace(h)
-    params = ws.upper(build_upper)
+    params = build_upper(h)
     c0 = params.implied_c
     walk = _Walk(ws, params, bracket_tol)
     bracket_tol = walk.bracket_tol
@@ -1327,7 +1316,7 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     if fold is None or fold.bracket != (c_lo, c_hi) or not (
             grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):
         ws = _Workspace(h)
-        fold = _critical(_Walk(ws, ws.upper(build_upper), c_hi - c_lo), c_lo, c_hi)
+        fold = _critical(_Walk(ws, build_upper(h), c_hi - c_lo), c_lo, c_hi)
     c_star, u, res = fold.approach[-1]
     miss = max(c_lo - c_star, c_star - c_hi)
     if 0.0 < miss <= res:  # as in _Walk.upper: the walk places c no closer than res

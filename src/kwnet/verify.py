@@ -181,8 +181,11 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
 
     Levenberg ridge fallback when the Jacobian solve is unusable, Armijo
     backtracking on the inverse-mass residual norm, Diverged when no
-    acceptable step exists or ORACLE_MAX_ITER steps do not converge.
+    acceptable step exists or ORACLE_MAX_ITER steps do not converge;
+    ValueError unless tol is positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     grid = h.grid
     if seed is None:
         u = np.zeros(grid.ndof)
@@ -196,7 +199,8 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
     ctol = tol * (1.0 + abs(c))
 
     def residual(x):
-        with np.errstate(over="ignore"):
+        # nonfinite where e^x overflows, NaN where h = 0 there too
+        with np.errstate(over="ignore", invalid="ignore"):
             return K @ x + c * w - w * (hv * np.exp(x))
 
     def weak_norm(r):

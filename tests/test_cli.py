@@ -299,6 +299,30 @@ def test_verify_reports_an_overflowing_solution_as_defects(tmp_path, capsys, val
     assert payload["status"] == "defects" and not payload["checks"][check]["ok"]
 
 
+def test_verify_of_an_overflow_where_h_vanishes_raises_no_warning(tmp_path, capsys):
+    # e^800 at s = 0.25, where the sampled h is 0: h e^u is 0 * inf there,
+    # which the residual takes as NaN (a defect, exit 4) with no RuntimeWarning
+    h = [-1.0] * 9
+    h[2] = 0.0
+    prob = write_problem(tmp_path, edges=[{"id": "e1", "tail": "p", "head": "q", "length": 1.0,
+                                           "cells": 8}], h={"e1": h})
+    assert main(["solve", str(prob)]) == 0
+    capsys.readouterr()
+    sol = tmp_path / "prob.solution.csv"
+    with open(sol, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[3][1]) == 0.25
+    rows[3][2] = "800"
+    with open(sol, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(prob), str(sol)]) == 4
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    assert json.loads(captured.out)["status"] == "defects"
+
+
 def test_verify_rejects_cells_mismatch(tmp_path, capsys):
     prob = write_problem(tmp_path)
     assert main(["solve", str(prob)]) == 0

@@ -124,6 +124,20 @@ def test_numpy_integers_are_cell_counts_and_bools_are_rejected():
             build_grid(g, flag)
 
 
+def test_a_cell_count_mapping_is_checked_edge_by_edge():
+    # a count that is not an integer was truncated (3.7 gave 3 cells), and a
+    # mapping that misses an edge raised a bare KeyError
+    g = build_graph(["o", "p", "q"], [("e1", "o", "p", 1.0), ("e2", "o", "q", 1.0)])
+    assert build_grid(g, {"e1": 3, "e2": np.int64(4)}).cells_per_edge == {"e1": 3, "e2": 4}
+    for counts, bad in (({"e1": 3.7, "e2": 4}, "'e1': cell count 3.7"),
+                        ({"e1": 3, "e2": True}, "'e2': cell count True"),
+                        ({"e1": 3, "e2": "4"}, "'e2': cell count '4'")):
+        with pytest.raises(ValueError, match=f"^edge {bad} is not an integer$"):
+            build_grid(g, counts)
+    with pytest.raises(ValueError, match="^resolution has no cell count for edge 'e2'$"):
+        build_grid(g, {"e1": 3})
+
+
 def test_construction_rejections_name_the_fault():
     with pytest.raises(ValueError, match="at least one vertex and one edge"):
         build_graph([], [])
@@ -310,3 +324,11 @@ def test_moser_guards():
     assert rep.holds
     rep_neg = check_moser(f, beta=-2.0, delta=1.001 * energy)
     assert rep_neg.holds and rep_neg.bound == pytest.approx(grid.total_length)
+
+
+@pytest.mark.parametrize("delta", [-1.0, math.nan])
+def test_moser_rejects_a_delta_that_is_not_positive(delta):
+    # a NaN delta passed the old delta <= 0 test: holds=True, bound=inf
+    f = sample_function(make_single(cells=64), lambda s: math.sin(2 * math.pi * s))
+    with pytest.raises(ValueError, match="^delta must be positive, got "):
+        check_moser(f, beta=1.0, delta=delta)

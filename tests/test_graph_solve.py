@@ -257,19 +257,24 @@ def test_reports_count_factorizations():
 
 
 def test_counts_accumulate_across_calls_and_failures():
+    # the grid's operators count the work of every call, failed ones too
     grid = make_single(cells=96)
+    ops = grid.operators
     h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
     c_certified = build_upper(h).implied_c
-    counts = SolveCounts()
-    sol = solve_negative(h, c_certified, counts=counts)
-    assert sol.report.details["factorizations"] == counts.factorizations > 0
+    start = ops.factorizations
+    sol = solve_negative(h, c_certified)
+    assert sol.report.details["factorizations"] == ops.factorizations - start > 0
+    start = ops.factorizations
     with pytest.raises(RuntimeError):
-        solve_negative(h, 4.0 * c_certified, counts=counts)  # far below the fold
+        solve_negative(h, 4.0 * c_certified)  # far below the fold
+    assert ops.factorizations > start
     # just above the fold the Newton tail's Jacobian is nearly singular
     c_star = estimate_threshold(h).details["c_star"]
-    for gap in (1.5e-7, 2e-7, 3e-7, 4e-7):
-        solve_negative(h, c_star * (1.0 - gap), counts=counts)
-    assert counts.factorizations > sol.report.details["factorizations"]
+    start = ops.factorizations
+    made = [solve_negative(h, c_star * (1.0 - gap)).report.details["factorizations"]
+            for gap in (1.5e-7, 2e-7, 3e-7, 4e-7)]
+    assert ops.factorizations - start == sum(made)
 
 
 def _backward_error_ok(A, x, b, factor=16.0):
@@ -356,10 +361,9 @@ def test_a_failed_pivoted_interior_is_counted():
     ws = _Workspace(h)
     with pytest.raises(LinearSolveFailure, match="zero pivot"):
         ws.factor(ws.jacobian_shift(np.zeros(grid.ndof)))
-    assert (ws.counts.factorizations, ws.counts.pivoted_interiors) == (1, 1)
-    start = SolveCounts(**vars(ws.counts))
+    assert ws.counts == SolveCounts(factorizations=1, pivoted_interiors=1)
     ws.factor(ws.jacobian_shift(np.zeros(grid.ndof)) + 1.0)
-    assert ws.counts.since(start) == {"factorizations": 1, "pivoted_interiors": 0}
+    assert ws.counts == SolveCounts(factorizations=2, pivoted_interiors=1)
 
 
 def test_newton_from_an_overflowing_seed_returns_none():
@@ -392,22 +396,23 @@ def test_a_failed_checked_solve_ends_the_newton_finish(monkeypatch):
 
 
 def _record_factorizations(monkeypatch):
-    """Every call of GridOperators.factor as whether its interior pivoted,
-    the calls that raise included."""
-    made = []
-    factor = assembly.GridOperators.factor
+    """One entry per call of GridOperators.factor, and one per call of the
+    pivoted LU dgttrf an interior falls back to, the calls that raise
+    included."""
+    made, pivoted = [], []
+    factor, dgttrf = assembly.GridOperators.factor, assembly.lapack.dgttrf
 
     def recorded(self, d, border=None):
-        try:
-            lu = factor(self, d, border)
-        except LinearSolveFailure as exc:
-            made.append(exc.pivoted_interior)
-            raise
-        made.append(lu.pivoted)
-        return lu
+        made.append(1)
+        return factor(self, d, border)
+
+    def recorded_pivot(*args, **kwargs):
+        pivoted.append(1)
+        return dgttrf(*args, **kwargs)
 
     monkeypatch.setattr(assembly.GridOperators, "factor", recorded)
-    return made
+    monkeypatch.setattr(assembly.lapack, "dgttrf", recorded_pivot)
+    return made, pivoted
 
 
 
@@ -462,8 +467,8 @@ def test_every_detail_reaches_the_json_report(name):
 @pytest.mark.parametrize("name", list(COUNTED))
 def test_counts_are_every_factorization_made(monkeypatch, name):
     call = COUNTED[name](_cos_edge())
-    made = _record_factorizations(monkeypatch)
+    made, pivoted = _record_factorizations(monkeypatch)
     result = call()
     details = getattr(result, "report", result).details
     assert details["factorizations"] == len(made) > 0
-    assert details["pivoted_interiors"] == sum(made) >= (name == "positive")
+    assert details["pivoted_interiors"] == len(pivoted) >= (name == "positive")

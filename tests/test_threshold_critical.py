@@ -24,7 +24,7 @@ from kwnet import (
 from kwnet import solvers
 from kwnet.assembly import GridOperators
 from kwnet.cli import _write_solution_csv, main
-from kwnet.errors import IntegralNotNegative, NoConvergence, NoUpperSolutionFound
+from kwnet.errors import BoundBlowup, IntegralNotNegative, NoConvergence, NoUpperSolutionFound
 from helpers import (make_path3, make_single, make_star3, make_theta, oracle_fold,
                      random_h_sign_changing)
 
@@ -318,6 +318,27 @@ def test_a_too_narrow_hand_made_bracket_is_named_as_the_cause():
         with pytest.raises(NoConvergence, match=r"c\* = \S+ lies outside the bracket") as info:
             solve_critical(h, shifted)
         assert "width" not in str(info.value)
+
+
+def test_critical_names_a_blowup_of_the_approach_norms(monkeypatch):
+    # the approach of the 48-cell edge holds the point that certifies c_hi,
+    # then the fold: the fold's norms made 100x larger spread the H1 norms
+    # past the 50x bound
+    h = cos_h(cells=48)
+    est = estimate_threshold(h)
+    norms, seen = solvers.norms, []
+
+    def inflated(f):
+        nr = norms(f)
+        seen.append(f)
+        if len(seen) < 2:
+            return nr
+        return replace(nr, l2=100.0 * nr.l2, h1_seminorm=100.0 * nr.h1_seminorm)
+
+    monkeypatch.setattr(solvers, "norms", inflated)
+    with pytest.raises(BoundBlowup, match=r"^H1 norms along the approach spread by 100\.3x$"):
+        solve_critical(h, est)
+    assert len(seen) == 2
 
 
 def test_critical_requires_finite_threshold():

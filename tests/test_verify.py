@@ -170,6 +170,30 @@ def test_oracle_newton_diverges_when_unsolvable():
         oracle_newton(constant(grid, 1.0), -1.0)
 
 
+def test_oracle_newton_without_a_usable_direction_diverges(monkeypatch):
+    # every factorization fails: the Jacobian's, then each ridge of the tau
+    # ladder, 3.3e-9 up by 100x while below 1e14 (12 ridges)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(verify.spla, "splu", failing)
+    with pytest.raises(Diverged, match=r"^no usable Newton direction at iteration 1$"):
+        oracle_newton(constant(make_single(cells=16), -1.0), -2.0)
+    assert len(calls) == 13
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_oracle_newton_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # 0, -1 and NaN were blamed on the line search (Diverged at iteration
+    # 10), and inf returned u = 0 as converged at residual 1.09
+    h = sample_function(make_single(cells=48), lambda s: math.cos(math.pi * s) - 0.1)
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
+        oracle_newton(h, -0.01, tol=tol)
+
+
 def test_oracle_newton_names_its_iteration_budget(monkeypatch):
     # u = 0 is not the root ln 2, so the one step allowed ends the loop
     monkeypatch.setattr(verify, "ORACLE_MAX_ITER", 1)
