@@ -42,13 +42,12 @@ from .errors import (
     LinearSolveFailure,
     NonpositiveShift,
 )
-from .graph import Grid, GridFunction, grids_compatible, integrate
+from .graph import Grid, GridFunction, _read_only, grids_compatible, integrate
 
 #: linear solves are verified a posteriori against this relative residual
 LINEAR_RTOL = 1e-12
-# decoupled unit rows appended to the interior tridiagonal (see GridOperators)
+# decoupled unit rows that lead the interior tridiagonal (see GridOperators)
 _PAD = 2
-_ZEROS = np.zeros(_PAD)
 # the largest vertex Schur complement, bordered or not, factored dense
 _DENSE_ROWS = 64
 
@@ -133,6 +132,13 @@ class GridOperators:
     its tail vertex and its last interior node to its head vertex, each with
     -1/h.  The vertex Schur complement therefore has the graph-Laplacian
     pattern: its diagonal plus (tail, head) of every edge.
+
+    Two DOF vectors are kept beside K: its diagonal and the off-diagonal of
+    the interior tridiagonal.  Everything else is per vertex or per edge:
+    each edge's tail and head vertex, its first and last interior row, its
+    coupling -1/h and its interior count, the Schur pattern, and K's
+    absolute row sums, which take one value per vertex row and two per edge
+    (every interior row of an edge but its last sums as its first does).
     """
 
     def __init__(self, grid: Grid):
@@ -142,33 +148,34 @@ class GridOperators:
         self.ndof = grid.ndof
         self.nv = nv
         self.ni = grid.ndof - nv
-        # K's diagonal, stored with the _PAD unit rows that close the
-        # interior tridiagonal T (see below), so from nv on it is T's
-        self._kdiag_pad = np.concatenate((K.diagonal(), np.ones(_PAD)))
-        self.kdiag = self._kdiag_pad[:grid.ndof]
-        # as scipy sums abs(K) along its rows
-        self.abs_row_sum = np.add.reduceat(np.abs(K.data), K.indptr[:-1])
-        # interior tridiagonal of K (rows nv..ndof-1), closed by _PAD
-        # decoupled unit rows: scipy's dgttrf wrapper needs n >= 3, and an
-        # edge of two cells has a single interior node; K holds 0 between
-        # the last interior node of one edge and the first of the next
-        self.t_off = np.concatenate((K.diagonal(1)[nv:], [0.0, 0.0]))
+        self.kdiag = K.diagonal()
+        # off-diagonal of the interior tridiagonal T of K (rows nv..ndof-1),
+        # led by _PAD decoupled unit rows: scipy's dgttrf wrapper needs
+        # n >= 3, and an edge of two cells has a single interior node; K
+        # holds 0 between the last interior node of one edge and the first
+        # of the next
+        self.t_off = np.concatenate((np.zeros(_PAD), K.diagonal(1)[nv:]))
         tail_node, head_node = grid.edge_start[:-1], grid.edge_start[1:] - 1
-        tail, head = grid.node_dof[tail_node], grid.node_dof[head_node]
-        first, last = grid.node_dof[tail_node + 1] - nv, grid.node_dof[head_node - 1] - nv
-        coupling = -1.0 / grid.edge_h
+        self.tail = tail = grid.node_dof[tail_node]
+        self.head = head = grid.node_dof[head_node]
+        self.first = first = grid.node_dof[tail_node + 1] - nv
+        self.last = last = grid.node_dof[head_node - 1] - nv
+        self.coupling = coupling = -1.0 / grid.edge_h
+        self.interior = np.diff(grid.edge_start) - 2
         # the two ends of every edge, tail ends first: the vertex, the
         # interior row K couples it to, and the coupling -1/h
         self.end_vertex = np.concatenate((tail, head))
         self.end_row = np.concatenate((first, last))
         self.end_coupling = np.concatenate((coupling, coupling))
-        interior = np.diff(grid.edge_start) - 2
-        self.tail_of = np.repeat(tail, interior)  # per interior DOF
-        self.head_of = np.repeat(head, interior)
-        # K_IV as two columns, each edge's coupling to its tail / head vertex
-        self.ends = np.zeros((self.ni + _PAD, 2), order="F")
-        self.ends[first, 0] = coupling
-        self.ends[last, 1] = coupling
+        # where each end's coupling sits in C = [K_IV, ...] (see KPlusDiag),
+        # column-major: below _PAD zero rows, tail ends in column 0, head
+        # ends in column 1
+        self.end_slot = _PAD + self.end_row + (self.ni + _PAD) * np.repeat([0, 1], len(tail))
+        # K's absolute row sums by runs of equal rows: every vertex row, and
+        # per edge its interior rows but the last, then the last
+        runs = np.concatenate((np.arange(nv), nv + np.column_stack((first, last)).ravel()))
+        self.run_len = np.diff(runs, append=grid.ndof)
+        self.run_sum = _abs_row_sums(K, runs)
         vs, ev = np.arange(nv), self.end_vertex
         self._rows = np.concatenate((vs, ev, ev))
         self._cols = np.concatenate((vs, tail, tail, head, head))
@@ -207,6 +214,16 @@ class GridOperators:
         return KPlusDiag(self, np.asarray(d, dtype=float), border)
 
 
+def _abs_row_sums(K: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """The sums of |K| along the given rows, each over its CSR entries in
+    order: bit for bit the sums of scipy's abs(K).sum(axis=1) there."""
+    start = K.indptr[rows]
+    count = K.indptr[rows + 1] - start
+    offset = np.cumsum(count) - count
+    slots = np.arange(count.sum()) + np.repeat(start - offset, count)
+    return np.add.reduceat(np.abs(K.data[slots]), offset)
+
+
 def _csc_pattern(index: np.ndarray, n: int):
     """An n x n CSC matrix holding every entry given by its column-major
     index, zero-filled, and the data slot of each (repeated entries share
@@ -242,6 +259,13 @@ class KPlusDiag:
     singular S or a nonfinite solution raise LinearSolveFailure.  The
     reduced unknowns x_R are the vertex values, plus the border multiplier
     when bordered.
+
+    Each factorization keeps d, T's factors (two DOF vectors for LDL^T, the
+    diagonal dpttrf overwrote among them; four and the pivots for LU), Z
+    (two DOF vectors, three when bordered) and the values and factors of
+    S.  C is formed afresh from the grid's per-edge couplings, and the row
+    norm of the check from K's row sums by runs, so the grid keeps neither
+    as a DOF vector.
     """
 
     def __init__(self, ops: GridOperators, d: np.ndarray, border: np.ndarray | None):
@@ -256,16 +280,16 @@ class KPlusDiag:
             *tlu, info = lapack.dgttrf(ops.t_off, self._interior_diag(), ops.t_off,
                                        overwrite_d=True)
             if info > 0:
-                raise LinearSolveFailure(f"zero pivot at interior row {info - 1}")
+                raise LinearSolveFailure(f"zero pivot at interior row {info - 1 - _PAD}")
             self._t_solve = lambda b: lapack.dgttrs(*tlu, b, overwrite_b=True)[0]
         else:
             self._t_solve = lambda b: lapack.dpttrs(ld, le, b, overwrite_b=True)[0]
-        if border is None:
-            cols = ops.ends.copy(order="F")
-        else:
-            cols = np.zeros((ops.ni + _PAD, 3), order="F")
-            cols[:, :2], cols[:ops.ni, 2] = ops.ends, border[nv:]
-        z = self._z = self._t_solve(cols)[:ops.ni]
+        # C = [K_IV, border_I], led by _PAD zero rows as T is
+        cols = np.zeros((ops.ni + _PAD, 2 if border is None else 3), order="F")
+        cols.ravel(order="F")[ops.end_slot] = ops.end_coupling
+        if border is not None:
+            cols[_PAD:, 2] = border[nv:]
+        z = self._z = self._t_solve(cols)[_PAD:]
         # -K_VI Z, one row per edge end
         coupled = -ops.end_coupling[:, None] * z[ops.end_row]
         vals = [ops.kdiag[:nv] + d[:nv], coupled[:, 0], coupled[:, 1]]
@@ -295,11 +319,11 @@ class KPlusDiag:
                 raise LinearSolveFailure(f"vertex Schur complement: {exc}") from exc
 
     def _interior_diag(self) -> np.ndarray:
-        """A new array holding T's diagonal: K's interior diagonal plus d,
-        closed by _PAD ones."""
-        ops = self.ops
-        diag = ops._kdiag_pad[ops.nv:].copy()
-        diag[:ops.ni] += self.d[ops.nv:]
+        """A new array holding T's diagonal: _PAD ones, then K's interior
+        diagonal plus d."""
+        start = self.ops.nv - _PAD
+        diag = self.ops.kdiag[start:] + self.d[start:]
+        diag[:_PAD] = 1.0
         return diag
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -307,29 +331,32 @@ class KPlusDiag:
 
         Block elimination with one interior substitution: T y = b_I, then
         S x_R = b_R - C^T y, then x_I = y - Z x_R, with Z = T^-1 C kept from
-        the factorization.  x is formed in one array: the interior rows of b,
-        padded for T, are substituted in place and then updated to x_I.
+        the factorization.  x is one new array, a copy of b: T's _PAD leading
+        rows are the last _PAD vertex rows, zeroed, so y is substituted in
+        place and then updated to x_I, and the vertex rows are written last.
         """
         ops, z, border = self.ops, self._z, self._border
-        nv, n, ni = ops.nv, ops.ndof, ops.ni
-        x = np.concatenate((b[:n], _ZEROS))
-        y = self._t_solve(x[nv:])[:ni]
-        r = x[:nv] - ops.couple(y)
+        nv, n = ops.nv, ops.ndof
+        x = np.array(b, dtype=float)
+        t = x[nv - _PAD:n]
+        t[:_PAD] = 0.0
+        y = self._t_solve(t)[_PAD:]
+        r = b[:nv] - ops.couple(y)
         if border is not None:
             r = np.append(r, b[n] - border[nv:] @ y)
         xr = self._schur_solve(r)
         # y - (Z_tail x_tail + Z_head x_head), in that order
-        zx = xr[ops.tail_of]
+        zx = xr[ops.tail].repeat(ops.interior)
         zx *= z[:, 0]
-        head = xr[ops.head_of]
+        head = xr[ops.head].repeat(ops.interior)
         head *= z[:, 1]
         zx += head
         y -= zx
         x[:nv] = xr[:nv]
         if border is not None:
-            y -= z[:, 2] * xr[nv]
+            y -= np.multiply(z[:, 2], xr[nv], out=head)
             x[n] = xr[nv]
-        x = x[:len(b)]
+        del zx, head  # freed before the finiteness test's mask
         if not np.isfinite(x).all():
             raise LinearSolveFailure("nonfinite solution")
         return x
@@ -352,15 +379,17 @@ class KPlusDiag:
 
     @cached_property
     def _row_norm(self) -> float:
-        """|| |A| ||_inf, formed on the first checked solve; the border adds
-        |border| to every row and a row of its own."""
+        """|| |A| ||_inf, formed on the first checked solve from K's row sums
+        by runs (GridOperators.run_sum); the border adds |border| to every
+        row and a row of its own."""
+        ops = self.ops
         rows = np.abs(self.d)
-        rows += self.ops.abs_row_sum
+        rows += np.repeat(ops.run_sum, ops.run_len)
         if self._border is None:
-            return float(np.max(rows))
+            return float(rows.max())
         edge = np.abs(self._border)
         rows += edge
-        return max(float(np.max(rows)), float(np.sum(edge)))
+        return max(float(rows.max()), float(edge.sum()))
 
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         """solve(b), verified a posteriori: the residual must stay within
@@ -368,10 +397,10 @@ class KPlusDiag:
         roundoff scales with |A| |x|, not just |b|; raises
         LinearSolveFailure."""
         x = self.solve(b)
-        scale = max(float(np.max(np.abs(b))), self._row_norm * float(np.max(np.abs(x))), 1e-300)
+        scale = max(float(np.abs(b).max()), self._row_norm * float(np.abs(x).max()), 1e-300)
         r = self.matvec(x)
         r -= b
-        resid = float(np.max(np.abs(r, out=r)))
+        resid = float(np.abs(r, out=r).max())
         if resid > LINEAR_RTOL * scale * 10.0:
             raise LinearSolveFailure(f"shifted solve residual {resid} vs scale {scale}")
         return x
@@ -419,7 +448,7 @@ def solve_shifted(grid: Grid, k: GridFunction, rhs: GridFunction) -> GridFunctio
     if kmin <= 0.0:
         raise NonpositiveShift(f"min k = {kmin}; need k > 0 for an invertible M-matrix")
     lu = grid.operators.factor(grid.weights * k.values)
-    return GridFunction(grid, lu.solve_checked(-(grid.weights * rhs.values)))
+    return GridFunction(grid, _read_only(lu.solve_checked(-(grid.weights * rhs.values))))
 
 
 def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
@@ -444,9 +473,9 @@ def solve_poisson_meanzero(grid: Grid, rhs: GridFunction) -> GridFunction:
     b = np.append(w * rhs.values, 0.0)
     np.negative(b[:n], out=b[:n])
     # the zero shift as a read-only view of one zero, not n stored zeros
-    m = grid.operators.factor(np.broadcast_to(0.0, n), border=w).solve_checked(b)[:n]
-    m -= (w @ m) / total  # strip the roundoff-level mean
-    return GridFunction(grid, m)
+    x = grid.operators.factor(np.broadcast_to(0.0, n), border=w).solve_checked(b)[:n]
+    m = x - (w @ x) / total  # strip the roundoff-level mean
+    return GridFunction(grid, _read_only(m))
 
 
 @dataclass(frozen=True)

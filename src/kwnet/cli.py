@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .graph import GridFunction, integrate
+from .graph import GridFunction, _read_only, integrate
 from .assembly import apply_residual
 from .problemfile import ProblemSpec, load_problem
 from .solvers import DEFAULT_TOL, SolveCounts, classify, estimate_threshold, solve
@@ -225,7 +225,7 @@ def _read_solution_csv(path: str, spec: ProblemSpec) -> GridFunction:
     values = u_vals[grid.dof_node]
     last = ends[np.append(~same, True)]  # a vertex keeps the last edge's value
     values[grid.node_dof[last]] = u_vals[last]
-    return GridFunction(grid, values)
+    return GridFunction(grid, _read_only(values))
 
 
 def _csv_header(path: str, reader) -> None:

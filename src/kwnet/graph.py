@@ -19,7 +19,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ from .errors import (
 CONTINUITY_RTOL = 1e-10
 # Tolerance scale for "mean zero" preconditions.
 MEAN_RTOL = 1e-9
+# Nodes whose coordinates sample_function converts to Python floats at once.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,9 @@ class Grid:
     head, edges in order.  The cells between consecutive nodes are numbered
     likewise; their arrays ``cell_tail``, ``cell_head`` (the DOF at each end)
     and ``cell_h`` (the spacing) are built on first use, since only the norms
-    and the verification read them.  ``edge_dofs`` and ``edge_coords`` are
-    views of ``node_dof`` and ``node_s``.
+    and the verification read them, as is ``node_edge`` (the edge of every
+    node), which only the CSV reader and the report read.  ``edge_dofs`` and
+    ``edge_coords`` are views of ``node_dof`` and ``node_s``.
     """
 
     graph: MetricGraph
@@ -208,7 +211,6 @@ class Grid:
     edge_h: np.ndarray = field(repr=False)  # spacing of every edge
     node_dof: np.ndarray = field(repr=False)
     node_s: np.ndarray = field(repr=False)  # arclength from the edge's tail
-    node_edge: np.ndarray = field(repr=False)
     dof_node: np.ndarray = field(repr=False)  # a vertex: its first edge end
 
     @property
@@ -247,6 +249,11 @@ class Grid:
     def cell_head(self) -> np.ndarray:
         """The DOF at each cell's head end: every node but an edge's first."""
         return _read_only(np.delete(self.node_dof, self.edge_start[:-1]))
+
+    @cached_property
+    def node_edge(self) -> np.ndarray:
+        """The edge of every node."""
+        return _read_only(np.repeat(np.arange(len(self.edge_h)), np.diff(self.edge_start)))
 
     @cached_property
     def cell_h(self) -> np.ndarray:
@@ -346,7 +353,7 @@ def build_grid(graph: MetricGraph, resolution) -> Grid:
     np.add.at(weights, np.tile(end_dof, 2).ravel(),
               np.column_stack((edge_h, edge_h, -edge_h / 2.0, -edge_h / 2.0)).ravel())
     arrays = dict(weights=weights, edge_start=edge_start, edge_h=edge_h, node_dof=node_dof,
-                  node_s=node_s, node_edge=node_edge, dof_node=dof_node)
+                  node_s=node_s, dof_node=dof_node)
     for a in arrays.values():
         a.setflags(write=False)
 
@@ -364,6 +371,10 @@ class GridFunction:
     """A continuous piecewise-linear function on the graph: one value per DOF.
 
     Vertex continuity is automatic because incident edges share the vertex DOF.
+    ``values`` is read-only.  A float array that is read-only already and
+    owns its memory is kept as given, as kwnet's own producers hand over
+    their fresh results; anything else is copied, so no later write to the
+    caller's array reaches the function.
     """
 
     grid: Grid
@@ -375,8 +386,8 @@ class GridFunction:
             raise ValueError(f"expected {self.grid.ndof} values, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = _read_only(vals.copy())
         object.__setattr__(self, "values", vals)
 
     def edge_values(self, edge_id) -> np.ndarray:
@@ -385,7 +396,7 @@ class GridFunction:
 
 
 def constant(grid: Grid, value: float) -> GridFunction:
-    return GridFunction(grid, np.full(grid.ndof, float(value)))
+    return GridFunction(grid, _read_only(np.full(grid.ndof, float(value))))
 
 
 def sample_function(grid: Grid, edge_profiles) -> GridFunction:
@@ -398,7 +409,9 @@ def sample_function(grid: Grid, edge_profiles) -> GridFunction:
     the lowest-indexed incident edge.
 
     Callables are called with Python floats, which costs less than calling
-    them with numpy scalars.
+    them with numpy scalars.  The coordinates are turned into floats
+    _CHUNK nodes at a time, so a fine grid never holds one float object per
+    node at once.
 
     Raises ContinuityMismatch when profiles disagree at a shared vertex.
     """
@@ -424,8 +437,11 @@ def sample_function(grid: Grid, edge_profiles) -> GridFunction:
 
 
 def _evaluate(f, s: np.ndarray) -> np.ndarray:
-    """f at each point of s, as float64."""
-    return np.fromiter(map(f, s.tolist()), dtype=float, count=len(s))
+    """f at each point of s, as float64, the points converted to Python
+    floats _CHUNK at a time."""
+    values = chain.from_iterable(map(f, s[i:i + _CHUNK].tolist())
+                                 for i in range(0, len(s), _CHUNK))
+    return np.fromiter(values, dtype=float, count=len(s))
 
 
 def _sample_nodes(grid: Grid, node_values: np.ndarray) -> GridFunction:
@@ -443,7 +459,7 @@ def _sample_nodes(grid: Grid, node_values: np.ndarray) -> GridFunction:
         raise ContinuityMismatch(
             f"edge {eid!r} gives {given[k]!r} at a vertex already valued {kept[k]!r}"
         )
-    return GridFunction(grid, values)
+    return GridFunction(grid, _read_only(values))
 
 
 def integrate(f: GridFunction) -> float:

@@ -57,6 +57,7 @@ from .errors import (
 from .graph import (
     Grid,
     GridFunction,
+    _read_only,
     constant,
     exp_weighted_energy,
     grids_compatible,
@@ -159,7 +160,7 @@ class UpperSolutionParams:
     implied_c: float
 
     def u_plus(self) -> GridFunction:
-        return GridFunction(self.m.grid, self.a * self.m.values + self.b)
+        return GridFunction(self.m.grid, _read_only(self.a * self.m.values + self.b))
 
 
 @dataclass
@@ -194,19 +195,25 @@ class _Workspace:
     residual test.  ``counts`` is the work of the grid's operators since the
     workspace was made: every factorization of the solve, monotone sweeps
     and the flux solve of build_upper(_hneg) included, failed ones too.  No
-    other workspace factors on the grid meanwhile."""
+    other workspace factors on the grid meanwhile.  Making a workspace
+    builds neither K nor the operators, so a solver that rejects its input
+    after making one leaves the grid as it was."""
 
     def __init__(self, h: GridFunction, tol: float = DEFAULT_TOL):
         _check_positive("tol", tol)
         self.h, self.tol = h, tol
         self.grid = grid = h.grid
         self.hv = h.values
-        self.K = grid.stiffness
         self.w = grid.weights
         self.wh = self.w * self.hv
         self.total = grid.total_length
-        ops = grid.operators
-        self._start = (ops.factorizations, ops.pivoted_interiors)
+        # operators not built yet have made no factorization
+        ops = vars(grid).get("operators")
+        self._start = (ops.factorizations, ops.pivoted_interiors) if ops else (0, 0)
+
+    @property
+    def K(self):
+        return self.grid.stiffness
 
     @property
     def counts(self) -> SolveCounts:
@@ -303,7 +310,7 @@ def _bump(grid: Grid, h: GridFunction) -> GridFunction:
         out[interior] = np.maximum(h.values[interior], 0.0) / top
     else:
         out[int(np.argmax(h.values))] = 1.0
-    return GridFunction(grid, out)
+    return GridFunction(grid, _read_only(out))
 
 
 def _along_bump(ws: _Workspace, v, wb: np.ndarray, target: float = 0.0, alpha: float = 0.0):
@@ -490,7 +497,7 @@ def solve_zero(h: GridFunction, *, tol: float = DEFAULT_TOL) -> Solution:
     report.multiplier = math.exp(float(w @ (u - v)) / ws.total)
     report.identity_checks = {
         "mass_defect": abs(ws.mass(u)),
-        "energy_defect": abs(exp_weighted_energy(GridFunction(grid, u)) + ih),
+        "energy_defect": abs(exp_weighted_energy(GridFunction(grid, _read_only(u))) + ih),
         "multiplier_energy": exp_weighted_energy(GridFunction(grid, v)) / (-ih),
     }
     report.details.update(bump_scale=ell0, integral_h=ih)
@@ -549,7 +556,7 @@ def solve_positive(h: GridFunction, c: float, *, tol: float = DEFAULT_TOL) -> So
     report.multiplier = 1.0
     report.identity_checks = {"mass_defect": abs(ws.mass(u) - target)}
     report.details.update(integral_h=ih, target_mass=target)
-    return Solution(GridFunction(grid, u), report)
+    return Solution(GridFunction(grid, _read_only(u)), report)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +582,7 @@ def _mean_flux_problem(h: GridFunction) -> GridFunction:
     grid = h.grid
     rv = integrate(h) / grid.total_length - h.values
     rv -= (grid.weights @ rv) / grid.total_length  # strip roundoff mean
-    f, rv = GridFunction(grid, rv), None  # f holds a copy: free rv before the solve
-    return solve_poisson_meanzero(grid, f)
+    return solve_poisson_meanzero(grid, GridFunction(grid, _read_only(rv)))
 
 
 def build_upper(h: GridFunction) -> UpperSolutionParams:
@@ -636,7 +642,7 @@ def build_upper_hneg(h: GridFunction, c: float) -> GridFunction:
     m = _mean_flux_problem(h)
     a = 2.0 * c / hbar
     b = math.log(a) + a * float(np.max(np.abs(m.values))) + 1.0
-    return GridFunction(grid, a * m.values + b)
+    return GridFunction(grid, _read_only(a * m.values + b))
 
 
 def monotone_iterate(h: GridFunction, c: float, u_minus: GridFunction,
@@ -775,7 +781,7 @@ def _monotone(ws: _Workspace, c: float, u_minus: GridFunction, u_plus: GridFunct
                  "tail_attempts": len(rejected_tails) + used_tail,
                  "rejected_tails": rejected_tails, **asdict(ws.counts)},
     )
-    return Solution(GridFunction(grid, u), report)
+    return Solution(GridFunction(grid, _read_only(u)), report)
 
 
 def _newton_finish(ws: _Workspace, c: float, seed: np.ndarray, refuse, rejected: list, **where):

@@ -213,9 +213,10 @@ def oracle_newton(h: GridFunction, c: float, seed: GridFunction | None = None, *
         if it == ORACLE_MAX_ITER:  # the iterate of the last step was tested above
             raise Diverged(f"no convergence in {ORACLE_MAX_ITER} iterations (residual {wn:.3e})")
         it += 1
-        with np.errstate(over="ignore"):
-            eu = np.exp(u)
-        jac = (K - sparse.diags(w * hv * eu)).tocsc()
+        # 0 * inf where h = 0 and e^u overflows: a NaN Jacobian entry, which
+        # leaves no usable Newton direction
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = (K - sparse.diags(w * hv * np.exp(u))).tocsc()
         d = None
         try:
             d = spla.splu(jac).solve(-r)

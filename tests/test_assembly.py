@@ -199,12 +199,14 @@ def test_direct_csr_matches_the_coo_oracle(name):
     K = assemble_stiffness(grid)
     assert K.has_canonical_format and K.has_sorted_indices
     assert_stiffness_matches(K, coo_stiffness(grid), grid)
-    # the operators read K's diagonals and row sums off its CSR arrays
+    # the operators read K's diagonals, and its row sums by runs of equal
+    # rows, off its CSR arrays
     nv = len(grid.graph.vertex_ids)
     ops = GridOperators(grid)
     assert np.array_equal(ops.kdiag, K.diagonal())
-    assert np.array_equal(ops.abs_row_sum, np.asarray(abs(K).sum(axis=1)).ravel())
-    assert np.array_equal(ops.t_off, np.concatenate((K.diagonal(1)[nv:], [0.0, 0.0])))
+    assert np.array_equal(np.repeat(ops.run_sum, ops.run_len),
+                          np.asarray(abs(K).sum(axis=1)).ravel())
+    assert np.array_equal(ops.t_off, np.concatenate(([0.0, 0.0], K.diagonal(1)[nv:])))
 
 
 def test_vertex_diagonal_is_summed_in_edge_order():
@@ -250,11 +252,11 @@ def test_poisson_meanzero_refuses_a_wrong_bordered_solve(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# per-DOF arrays: the cell arrays on first use, in-place arithmetic, and the
-# memory the linear primitives take on a 1e5-cell edge
+# per-DOF arrays: the cell arrays and node_edge on first use, in-place
+# arithmetic, and the memory the linear primitives take on a 1e5-cell edge
 # ----------------------------------------------------------------------
 
-CELL_ARRAYS = ("cell_tail", "cell_head", "cell_h")
+LAZY_ARRAYS = ("cell_tail", "cell_head", "cell_h", "node_edge")
 
 
 @pytest.fixture(scope="module")
@@ -272,14 +274,15 @@ def fine_edge():
 @pytest.mark.parametrize("name", ["single-2", "theta", "tree60-0", "star1000"])
 def test_cell_arrays_are_built_on_first_use(name):
     grid = GRIDS[name]()
-    assert not set(CELL_ARRAYS) & set(vars(grid))
+    assert not set(LAZY_ARRAYS) & set(vars(grid))
     # every node but an edge's last is a cell's tail, but its first a head
     first, last = grid.edge_start[:-1], grid.edge_start[1:] - 1
     not_first, not_last = np.ones(grid.node_dof.size, bool), np.ones(grid.node_dof.size, bool)
     not_first[first], not_last[last] = False, False
     cells = np.array(list(grid.cells_per_edge.values()))
-    expect = (grid.node_dof[not_last], grid.node_dof[not_first], np.repeat(grid.edge_h, cells))
-    for attr, ref in zip(CELL_ARRAYS, expect):
+    expect = (grid.node_dof[not_last], grid.node_dof[not_first], np.repeat(grid.edge_h, cells),
+              np.repeat(np.arange(cells.size), cells + 1))
+    for attr, ref in zip(LAZY_ARRAYS, expect):
         got = getattr(grid, attr)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert not got.flags.writeable and getattr(grid, attr) is got
@@ -288,15 +291,31 @@ def test_cell_arrays_are_built_on_first_use(name):
 def test_a_shifted_solve_builds_no_cell_arrays(fine_edge):
     grid, k, rhs, _, _ = fine_edge
     solve_shifted(grid, k, rhs)
-    assert not set(CELL_ARRAYS) & set(vars(grid))
+    assert not set(LAZY_ARRAYS) & set(vars(grid))
+
+
+def test_the_operators_keep_two_dof_vectors_beside_k():
+    # K's diagonal and T's off-diagonal; every other array is per vertex or
+    # per edge (4 KB allows for those and the object itself)
+    grid = build_grid(build_graph(["p", "q"], [("e1", "p", "q", 1.0)]), 100_000)
+    grid.stiffness
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid.operators
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * 8 * grid.ndof + 4096, kept / (8.0 * grid.ndof)
 
 
 # the most memory each primitive may allocate at once on the 1e5-cell edge,
 # in DOF vectors of 8 ndof bytes, its result included, once K and the
-# operators exist: half a vector above the 9.1, 10.0 and 12.0 measured with
-# every sum and product formed in one array (with a new array for each
-# operation they take 10.1, 12.0 and 14.0)
-PEAK_VECTORS = {"solve_shifted": 9.5, "solve_poisson_meanzero": 10.5, "build_upper": 11.5}
+# operators exist: a tenth of a vector above the 9.0, 9.0 and 10.0 measured
+# with every sum and product formed in one array and the border term of a
+# solve formed in a buffer already freed (with a new array for each
+# operation they took 10.1, 12.0 and 14.0)
+PEAK_VECTORS = {"solve_shifted": 9.1, "solve_poisson_meanzero": 9.1, "build_upper": 10.1}
 
 
 def test_linear_primitives_keep_a_memory_budget(fine_edge):
@@ -359,7 +378,8 @@ def test_in_place_arithmetic_matches_the_expressions(name):
             assert np.array_equal(lu.matvec(x), ax)
             # T y = b_I, S x_R = b_R - C^T y, x_I = y - Z x_R
             cols = np.zeros((ni + 2, 2 if border is None else 3), order="F")
-            cols[:, :2] = ops.ends
+            cols[ops.first, 0] = ops.coupling
+            cols[ops.last, 1] = ops.coupling
             if border is not None:
                 cols[:ni, 2] = border[nv:]
             z = t_solve(cols)[:ni]
@@ -369,11 +389,18 @@ def test_in_place_arithmetic_matches_the_expressions(name):
             if border is not None:
                 r = np.append(r, b[n] - border[nv:] @ y)
             xr = lu._schur_solve(r)
-            xi = y - (z[:, 0] * xr[ops.tail_of] + z[:, 1] * xr[ops.head_of])
+            tail_of, head_of = (np.repeat(v, ops.interior) for v in (ops.tail, ops.head))
+            xi = y - (z[:, 0] * xr[tail_of] + z[:, 1] * xr[head_of])
             if border is not None:
                 xi -= z[:, 2] * xr[nv]
             assert np.array_equal(lu.solve(b), np.concatenate((xr[:nv], xi, xr[nv:])))
             assert np.array_equal(lu.solve_checked(b), lu.solve(b))
+            # || |A| ||_inf as the row sums of |A| give it
+            rows = np.abs(d) + np.asarray(abs(K).sum(axis=1)).ravel()
+            norm = float(np.max(rows))
+            if border is not None:
+                norm = max(float(np.max(rows + np.abs(border))), float(np.sum(np.abs(border))))
+            assert lu._row_norm == norm
             if border is None and n <= 2000:
                 # the inertia count reads the diagonal again
                 eig = np.linalg.eigvalsh(K.toarray() + np.diag(d))

@@ -17,6 +17,7 @@ from kwnet import (
     integrate,
     norms,
     sample_function,
+    solve_shifted,
 )
 from kwnet.errors import (
     ContinuityMismatch,
@@ -252,6 +253,33 @@ def test_gridfunction_rejects_nonfinite():
     grid = make_single(cells=4)
     with pytest.raises(ValueError):
         GridFunction(grid, [0.0, 1.0, np.nan, 1.0, 0.0])
+
+
+def test_gridfunction_copies_what_its_caller_may_still_write():
+    grid = make_single(cells=4)
+    expected = [0.0, 1.0, 2.0, 1.0, 0.0]
+    a = np.array(expected)
+    f = GridFunction(grid, a)
+    a[:] = 7.0
+    assert np.array_equal(f.values, expected) and not f.values.flags.writeable
+    # a read-only view of a writeable array is copied too
+    base = np.array([9.0] + expected)
+    view = base[1:]
+    view.setflags(write=False)
+    g = GridFunction(grid, view)
+    base[:] = 7.0
+    assert np.array_equal(g.values, expected)
+
+
+def test_gridfunction_keeps_a_read_only_array_that_owns_its_memory():
+    grid = make_single(cells=4)
+    a = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
+    a.setflags(write=False)
+    assert GridFunction(grid, a).values is a
+    # kwnet's producers hand over their fresh results this way
+    for f in (constant(grid, 2.0), sample_function(grid, lambda s: s * s),
+              solve_shifted(grid, constant(grid, 1.0), constant(grid, -1.0))):
+        assert GridFunction(grid, f.values).values is f.values
 
 
 def test_integrate_exact_for_linear():

@@ -671,6 +671,28 @@ def test_a_bad_tol_is_the_first_error(tol):
             call()
 
 
+def test_a_rejected_call_builds_neither_k_nor_the_operators():
+    # c of the wrong sign, h that is not solvable, a mismatched pair: each
+    # solver refuses before the grid builds its K or its operators
+    grid = make_single(cells=16)
+    h = sample_function(grid, lambda s: math.cos(math.pi * s) - 0.1)
+    other = constant(make_single(cells=8), -30.0)
+    calls = [(lambda: solve_negative(h, 1.0), ValueError),
+             (lambda: solvers.solve_positive(h, -1.0), ValueError),
+             (lambda: monotone_iterate(h, 0.5, constant(grid, -30.0), constant(grid, 30.0)),
+              ValueError),
+             (lambda: monotone_iterate(h, -0.5, other, other), GridMismatch),
+             (lambda: solve_negative(constant(grid, 1.0), -1.0), NotSolvable)]
+    for call, error in calls:
+        with pytest.raises(error):
+            call()
+        assert not {"stiffness", "operators"} & set(vars(grid))
+    # a workspace made before the operators counts their factorizations
+    ws = solvers._Workspace(h)
+    ws.factor(grid.weights)
+    assert ws.counts == solvers.SolveCounts(1, 0)
+
+
 def test_the_continuation_route_reads_the_tol_of_its_solve(monkeypatch):
     # the branch corrector, the monotone sweeps and their Newton finishes all
     # stop on the workspace's bound: at tol 1e-2 the walk and the sandwich

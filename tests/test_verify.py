@@ -185,6 +185,18 @@ def test_oracle_newton_without_a_usable_direction_diverges(monkeypatch):
     assert len(calls) == 13
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_newton_diverges_silently_where_h_vanishes_under_an_overflow():
+    # h = 0 at node 4 where the seed's e^800 overflows: the Jacobian entry
+    # there is 0 * inf, which leaves no usable direction and warns nothing
+    grid = make_single(cells=8)
+    node = grid.edge_dofs["e1"][4]
+    hv, u = np.full(grid.ndof, -1.0), np.zeros(grid.ndof)
+    hv[node], u[node] = 0.0, 800.0
+    with pytest.raises(Diverged, match="^no usable Newton direction at iteration 1$"):
+        oracle_newton(GridFunction(grid, hv), -2.0, GridFunction(grid, u))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_oracle_newton_rejects_a_tol_that_is_not_positive_and_finite(tol):
     # 0, -1 and NaN were blamed on the line search (Diverged at iteration
