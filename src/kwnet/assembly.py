@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal, lapack, ldl
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -136,9 +136,9 @@ class GridOperators:
     Two DOF vectors are kept beside K: its diagonal and the off-diagonal of
     the interior tridiagonal.  Everything else is per vertex or per edge:
     each edge's tail and head vertex, its first and last interior row, its
-    coupling -1/h and its interior count, the Schur pattern, and K's
-    absolute row sums, which take one value per vertex row and two per edge
-    (every interior row of an edge but its last sums as its first does).
+    coupling -1/h and its interior count, and the Schur pattern.  K is a
+    weighted graph Laplacian (zero row sums, nonpositive off-diagonal), so
+    its diagonal also gives the row sums of |K|: 2 diag(K).
     """
 
     def __init__(self, grid: Grid):
@@ -171,11 +171,6 @@ class GridOperators:
         # column-major: below _PAD zero rows, tail ends in column 0, head
         # ends in column 1
         self.end_slot = _PAD + self.end_row + (self.ni + _PAD) * np.repeat([0, 1], len(tail))
-        # K's absolute row sums by runs of equal rows: every vertex row, and
-        # per edge its interior rows but the last, then the last
-        runs = np.concatenate((np.arange(nv), nv + np.column_stack((first, last)).ravel()))
-        self.run_len = np.diff(runs, append=grid.ndof)
-        self.run_sum = _abs_row_sums(K, runs)
         vs, ev = np.arange(nv), self.end_vertex
         self._rows = np.concatenate((vs, ev, ev))
         self._cols = np.concatenate((vs, tail, tail, head, head))
@@ -212,16 +207,6 @@ class GridOperators:
         Every call adds 1 to ``factorizations``, a failed one too."""
         self.factorizations += 1
         return KPlusDiag(self, np.asarray(d, dtype=float), border)
-
-
-def _abs_row_sums(K: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """The sums of |K| along the given rows, each over its CSR entries in
-    order: bit for bit the sums of scipy's abs(K).sum(axis=1) there."""
-    start = K.indptr[rows]
-    count = K.indptr[rows + 1] - start
-    offset = np.cumsum(count) - count
-    slots = np.arange(count.sum()) + np.repeat(start - offset, count)
-    return np.add.reduceat(np.abs(K.data[slots]), offset)
 
 
 def _csc_pattern(index: np.ndarray, n: int):
@@ -262,10 +247,10 @@ class KPlusDiag:
 
     Each factorization keeps d, T's factors (two DOF vectors for LDL^T, the
     diagonal dpttrf overwrote among them; four and the pivots for LU), Z
-    (two DOF vectors, three when bordered) and the values and factors of
-    S.  C is formed afresh from the grid's per-edge couplings, and the row
-    norm of the check from K's row sums by runs, so the grid keeps neither
-    as a DOF vector.
+    (two DOF vectors, three when bordered), the values of S in pattern
+    order and its factors; dense S is factored in place.  C is formed
+    afresh from the grid's per-edge couplings, and the row norm of the
+    check from K's diagonal, so the grid keeps neither as a DOF vector.
     """
 
     def __init__(self, ops: GridOperators, d: np.ndarray, border: np.ndarray | None):
@@ -301,9 +286,8 @@ class KPlusDiag:
                      [-(border[nv:] @ z[:, 2])]]
         self._vals = np.concatenate(vals)
         if ops.dense:
-            # dgetrf factors a copy: S stays for the inertia count
-            self._s = _dense(pattern, self._vals, nv + (border is not None))
-            lu, piv, info = lapack.dgetrf(self._s)
+            lu, piv, info = lapack.dgetrf(_dense(pattern, self._vals, nv + (border is not None)),
+                                          overwrite_a=True)
             if info > 0:
                 raise LinearSolveFailure(
                     f"vertex Schur complement: exactly singular (zero pivot in column {info - 1})")
@@ -379,12 +363,11 @@ class KPlusDiag:
 
     @cached_property
     def _row_norm(self) -> float:
-        """|| |A| ||_inf, formed on the first checked solve from K's row sums
-        by runs (GridOperators.run_sum); the border adds |border| to every
-        row and a row of its own."""
-        ops = self.ops
+        """|| |A| ||_inf, formed on the first checked solve: the rows of |K|
+        sum to 2 diag(K), so row i of |A| sums to |d_i| + 2 K_ii; the border
+        adds |border| to every row and a row of its own."""
         rows = np.abs(self.d)
-        rows += np.repeat(ops.run_sum, ops.run_len)
+        rows += 2.0 * self.ops.kdiag
         if self._border is None:
             return float(rows.max())
         edge = np.abs(self._border)
@@ -406,28 +389,27 @@ class KPlusDiag:
         return x
 
     def negative_eigenvalues(self) -> int:
-        """How many eigenvalues of K + diag(d) are negative (unbordered only).
+        """How many eigenvalues of K + diag(d) are negative; ValueError for a
+        bordered factorization.
 
         By Sylvester's law of inertia the count is that of the interior
-        tridiagonal T, by bisection, plus that of the dense vertex Schur
-        complement S, which is the count of the block diagonal D of its
-        Bunch-Kaufman LDL^T: D's 1 x 1 blocks and the eigenvalues of its
-        2 x 2 blocks.
+        tridiagonal T, by bisection, plus that of the vertex Schur complement
+        S, read off the pivots of its Bunch-Kaufman LDL^T (LAPACK dsytrf, on
+        S formed densely from its values): a negative 1 x 1 pivot counts one,
+        and so does every 2 x 2 pivot, which Bunch-Kaufman takes only where
+        it is indefinite (Bunch & Kaufman, Math. Comp. 31, 1977).
         """
-        ops = self.ops
+        if self._border is not None:
+            raise ValueError("the inertia count is for unbordered factorizations only")
+        ops, nv = self.ops, self.ops.nv
         interior = eigvalsh_tridiagonal(self._interior_diag(), ops.t_off, select="v",
                                         select_range=(-np.inf, 0.0))
-        s = (self._s.copy() if ops.dense
-             else _dense(ops._cols * ops.nv + ops._rows, self._vals, ops.nv))
-        _, blocks, _ = ldl(s, overwrite_a=True)
-        # a 2 x 2 block starts wherever D has a nonzero superdiagonal entry
-        two = np.flatnonzero(np.diagonal(blocks, 1))
-        single = np.ones(ops.nv, dtype=bool)
-        single[two] = single[two + 1] = False
-        pair = two[:, None] + np.arange(2)
-        pair_eig = np.linalg.eigvalsh(blocks[pair[:, :, None], pair[:, None, :]])
-        return (len(interior) + int(np.sum(np.diagonal(blocks)[single] < 0.0))
-                + int(np.sum(pair_eig < 0.0)))
+        lwork, _ = lapack.dsytrf_lwork(nv, lower=True)
+        ldu, piv, _ = lapack.dsytrf(_dense(ops._cols * nv + ops._rows, self._vals, nv),
+                                    lower=True, lwork=int(lwork), overwrite_a=True)
+        # a 2 x 2 pivot is marked by two negative entries of piv
+        return (len(interior) + int(np.sum(np.diagonal(ldu)[piv > 0] < 0.0))
+                + int(np.sum(piv < 0)) // 2)
 
 
 def _check_function(grid: Grid, f: GridFunction, name: str) -> None:

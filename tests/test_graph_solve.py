@@ -99,9 +99,10 @@ def test_solve_edge_cases_match_dense(grid):
     _assert_matches(grid.operators.factor(d).solve(b), np.linalg.solve(A, b), np.linalg.cond(A))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, spread=st.floats(0.1, 200.0), two_by_two=st.booleans())
-def test_negative_eigenvalues_match_dense(seed, spread, two_by_two):
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, spread=st.floats(0.1, 200.0), two_by_two=st.booleans(),
+       superlu=st.booleans())
+def test_negative_eigenvalues_match_dense(seed, spread, two_by_two, superlu):
     rng = np.random.default_rng(seed)
     grid = random_grid(rng, cells_lo=2, cells_hi=48)
     d = grid.weights * rng.uniform(-spread, spread, grid.ndof)
@@ -117,7 +118,23 @@ def test_negative_eigenvalues_match_dense(seed, spread, two_by_two):
         assert np.any(np.diagonal(blocks, 1) != 0.0)
     eig = np.linalg.eigvalsh(_dense(grid, d))
     assume(float(np.min(np.abs(eig))) > 1e-9 * float(np.max(np.abs(eig))))
-    assert grid.operators.factor(d).negative_eigenvalues() == int(np.sum(eig < 0.0))
+    with pytest.MonkeyPatch.context() as mp:
+        if superlu:
+            mp.setattr(assembly, "_DENSE_ROWS", 0)
+        ops = grid.operators  # the Schur path is chosen here
+    assert ops.dense is not superlu
+    assert ops.factor(d).negative_eigenvalues() == int(np.sum(eig < 0.0))
+
+
+@pytest.mark.parametrize("superlu", [False, True], ids=["dense", "superlu"])
+def test_negative_eigenvalues_refuse_a_bordered_factorization(monkeypatch, superlu):
+    if superlu:
+        monkeypatch.setattr(assembly, "_DENSE_ROWS", 0)
+    grid = make_star3(cells=8)
+    assert grid.operators.dense is not superlu
+    lu = grid.operators.factor(np.zeros(grid.ndof), border=grid.weights)
+    with pytest.raises(ValueError, match="unbordered factorizations only"):
+        lu.negative_eigenvalues()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -180,7 +197,8 @@ def test_filled_schur_complement_matches_dense(n_edges, bordered):
     r, i = np.r_[:nv, n:len(A)], np.arange(nv, n)
     ref = A[np.ix_(r, r)] - A[np.ix_(r, i)] @ np.linalg.solve(A[np.ix_(i, i)], A[np.ix_(i, r)])
     lu = ops.factor(d, border)
-    s = lu._s if ops.dense else (ops._bordered if bordered else ops._schur)[0].toarray()
+    pattern = ops._bordered if bordered else ops._schur
+    s = assembly._dense(pattern, lu._vals, len(r)) if ops.dense else pattern[0].toarray()
     assert float(np.max(np.abs(s - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
 
