@@ -1041,10 +1041,9 @@ class _Walk:
     the last point caps it (see down_to).  ``points`` holds the traced
     points in order (past the fold, the last two straddle it) and
     ``refinement`` the points that ``_refine``, a Newton search, solves
-    between them, and those ``upper`` adds.  The first step is the one
-    ``down_to`` aims at c when ``upper`` walks first, and |implied_c /
-    (dc/dmu)|, the step over which the tangent doubles c, when ``fold``
-    does.  ``bracket_tol`` (by default 1e-4 |implied_c|) sets the fold's
+    between them.  The first step is the one ``down_to`` aims at c when
+    ``upper`` walks first, and |implied_c / (dc/dmu)|, the step over which
+    the tangent doubles c, when ``fold`` does.  ``bracket_tol`` (by default 1e-4 |implied_c|) sets the fold's
     precision; the points depend on it only through the test that ends the
     fold search.
     """
@@ -1183,14 +1182,12 @@ class _Walk:
         approach side of the fold: a solution at c_p < c, so an upper
         solution at c.  Walks on until a point lies below c, or the walk
         steps past the fold and the search between the straddling points
-        finds one (or the fold point, when c lies below or at the fold).
-        When that point lies closer to the fold than half way to the
-        solution at c, by its quadratic model, one Newton step of the model
-        solves the point half way in c from the fold to c: the monotone
-        iteration from a point near the fold can take hundreds of sweeps,
-        because its Newton tail heads for the solution past the fold.
-        Raises NoUpperSolutionFound, naming the fold c*, when no point
-        reaches c (c lies below the fold, or above it by less than the
+        finds one (or the fold point, when c lies below or at the fold), and
+        solves no point beyond those.  A point near the fold serves as well
+        as one far from it: the first Newton tail of the monotone iteration
+        starts from its model at c (``_BranchPoint.toward``), not from the
+        point.  Raises NoUpperSolutionFound, naming the fold c*, when no
+        point reaches c (c lies below the fold, or above it by less than the
         residual of the points there), and when the fold is known and c lies
         above it by at most the fold point's residual, closer than the
         corrector resolves c.
@@ -1206,15 +1203,7 @@ class _Walk:
                      f"lies {c - fold.c:.1e} above the fold at c* = {fold.c!r}, closer than the "
                      f"walk resolves c: the fold point solves only to residual {fold.res:.1e}")
             raise NoUpperSolutionFound(f"c = {c} {where}", c_star=fold.c)
-        p = max(below, key=lambda p: p.c)
-        if 3.0 * p.dc ** 2 < 2.0 * p.ddc * (c - p.c):  # nearer the fold than half way to c
-            q = _branch_point(self.ws, p, p.mu - (p.dc - math.copysign(_half_way(p, c), first))
-                              / p.ddc)
-            if q is not None:
-                self.refinement.append(q)
-                if q.dc * first > 0.0 and q.c + q.res <= c:
-                    return q
-        return p
+        return max(below, key=lambda p: p.c)
 
 
 def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> ThresholdEstimate:
@@ -1228,12 +1217,11 @@ def estimate_threshold(h: GridFunction, *, bracket_tol: float | None = None) -> 
     bracket_tol; monotone iteration certifies c_hi from a point of the walk
     below it on the approach side of the fold, a strict upper solution.  The
     search for the fold ends on that side, at the fold point whose c is c*,
-    and the walk then solves the point half way in c from c* to c_hi (see
-    _Walk.upper): the fold point itself lies below c_hi, unless bracket_tol
-    is finer than the walk resolves c there, but too close to the fold for
-    the monotone iteration, whose first Newton tail starts from that point's
-    model at c_hi (``_BranchPoint.toward``).  Every solve in the walk and
-    the certificate runs at the default tol.  ``critical`` is the ``_Fold``.
+    which lies below c_hi unless bracket_tol is finer than the walk resolves
+    c there.  The certificate's first Newton tail starts from its point's
+    quadratic model at c_hi (``_BranchPoint.toward``), so a point next to
+    the fold serves.  Every solve in the walk and the certificate runs at
+    the default tol.  ``critical`` is the ``_Fold``.
     ValueError when bracket_tol is not positive and finite;
     NoConvergence when c_hi does not solve, naming bracket_tol when it is
     finer than the walk resolves the fold.
@@ -1285,12 +1273,9 @@ _Fold = NamedTuple("_Fold", [("bracket", tuple), ("approach", list), ("iteration
 
 
 def _critical(walk: _Walk, c_lo: float, c_hi: float) -> _Fold:
-    """The walk's fold for [c_lo, c_hi] (see solve_critical), once the walk
-    has solved the point that certifies c_hi when c_hi lies above the fold
-    by more than its residual: every walk of a bracket solves those points."""
+    """The walk's fold for [c_lo, c_hi] (see solve_critical): the points the
+    walk solved to find it, which every walk of the bracket solves."""
     fold = walk.fold()
-    if c_hi - fold.c > fold.res:
-        walk.upper(c_hi)
     first, solved = walk.points[0].dc, walk.points + walk.refinement
     side = [p for p in solved if p is not fold and p.dc * first > 0.0 and p.c <= c_hi]
     approach = [(p.c, p.u, p.res) for p in sorted(side, key=lambda p: p.c, reverse=True) + [fold]]
@@ -1310,14 +1295,14 @@ def solve_critical(h: GridFunction, estimate: ThresholdEstimate) -> Solution:
     bracket width when c* misses by no more than the fold point's residual.
     ``details["approach"]`` is the boundedness record of the critical case:
     H1 norm, 1/2 |du|^2, mass defect and residual of each point the walk
-    solves on the approach side with c <= c_hi (the one that certifies c_hi
-    among them), then of the fold.  BoundBlowup when those H1 norms spread
-    by more than 50x.
+    solved on the approach side with c <= c_hi, then of the fold.
+    BoundBlowup when those H1 norms spread by more than 50x.
     """
     if estimate.minus_infinity:
         raise ValueError("threshold is minus infinity; there is no critical c")
     c_lo, c_hi = estimate.c_lo, estimate.c_hi
-    _check_positive("the bracket width c_hi - c_lo", c_hi - c_lo)
+    width = math.nan if c_lo is None or c_hi is None else c_hi - c_lo
+    _check_positive(f"the bracket width c_hi - c_lo of [{c_lo!r}, {c_hi!r}]", width)
     h0, fold = estimate.critical or (h, None)
     if fold is None or fold.bracket != (c_lo, c_hi) or not (
             grids_compatible(h.grid, h0.grid) and np.array_equal(h.values, h0.values)):

@@ -47,21 +47,42 @@ def test_threshold_rejects_nonnegative_integral():
         estimate_threshold(constant(grid, 1.0))
 
 
-def test_the_fold_search_ends_on_the_approach_side_and_certifies_c_hi():
+def test_the_fold_search_ends_on_the_approach_side_and_certifies_c_hi(monkeypatch):
     # path3, seed 1: the Newton points of the fold search land past the fold
     # and before it in turn, and the search ends before it, at the fold
-    # point.  That point lies too close to the fold to be a safe upper
-    # solution at c_hi, so one more is solved, half way in c from c* to c_hi
+    # point.  The certificate of c_hi takes its first Newton tail from the
+    # model of the best point at c_hi, however close to the fold that is
     h = random_h_sign_changing(make_path3(cells=32), np.random.default_rng(1))
+    sols = _spy_sandwiches(monkeypatch)
     est = estimate_threshold(h)
     c_star, first = est.details["c_star"], est.details["branch"][0]["dc_dmu"]
-    *_, past, fold, psi = est.details["refinement"]
+    *_, past, fold = est.details["refinement"]
     assert past["dc_dmu"] * first < 0.0
     assert fold["c"] == c_star and fold["dc_dmu"] * first > 0.0
-    assert psi["dc_dmu"] * first > 0.0
-    assert c_star + 0.25 * (est.c_hi - c_star) < psi["c"] < est.c_hi
-    # the critical walk of the same bracket solves that point as well
+    cert = sols[-1].report.details
+    assert cert["newton_tail"] is True and cert["rejected_tails"] == []
+    assert cert["tail_attempts"] == 1
+    # the critical walk of the same bracket solves the same points
     assert est.details["probes"] == solve_critical(h, est).report.details["branch_points"]
+
+
+def test_upper_after_the_fold_only_selects(monkeypatch):
+    # once the walk has found the fold, the upper solution at c_hi is a
+    # point it has solved: no corrector runs
+    h = random_h_sign_changing(make_path3(cells=32), np.random.default_rng(1))
+    walk = solvers._Walk(solvers._Workspace(h), build_upper(h))
+    fold = walk.fold()
+    c_hi = fold.c + 0.5 * walk.bracket_tol
+    solved = walk.solved()
+
+    def refuse(*args):
+        raise AssertionError("_branch_point was called")
+
+    monkeypatch.setattr(solvers, "_branch_point", refuse)
+    psi = walk.upper(c_hi)
+    assert walk.solved() == solved
+    assert psi.dc * walk.points[0].dc > 0.0
+    assert fold.c <= psi.c and psi.c + psi.res <= c_hi
 
 
 def test_threshold_bracket_properties():
@@ -170,11 +191,15 @@ def _spy_sandwiches(monkeypatch):
     cos_h,
     lambda: random_h_sign_changing(make_star3(cells=32), np.random.default_rng(0)),
     lambda: random_h_sign_changing(make_theta(cells=24), np.random.default_rng(0)),
-], ids=["edge96", "star3", "theta"])
+    lambda: random_h_sign_changing(make_path3(cells=48), np.random.default_rng(116)),
+    lambda: random_h_sign_changing(make_path3(cells=48), np.random.default_rng(322)),
+], ids=["edge96", "star3", "theta", "path3-116", "path3-322"])
 def test_the_certificate_tail_starts_on_the_branch(monkeypatch, make_h):
     # the Newton tail of the c_hi certificate starts from the walk's
     # quadratic model at c_hi: 2-3 factorizations, where the tail from the
-    # first sweep took 4-6 (5 on each of these)
+    # first sweep took 4-6 (5 on each of the first three).  On path3 at 48
+    # cells, seeds 116 and 322, the best point lies near the fold, and the
+    # tail from its model is still accepted at the first attempt
     finish, tails = solvers._newton_finish, []
 
     def spy(ws, *args, **kwargs):
@@ -185,10 +210,14 @@ def test_the_certificate_tail_starts_on_the_branch(monkeypatch, make_h):
 
     monkeypatch.setattr(solvers, "_newton_finish", spy)
     sols = _spy_sandwiches(monkeypatch)
-    estimate_threshold(make_h())
+    h = make_h()
+    est = estimate_threshold(h)
     details = sols[-1].report.details
     assert details["newton_tail"] is True and details["rejected_tails"] == []
     assert details["tail_attempts"] == 1 and tails[-1] <= 3
+    # solve_negative walks to c_hi and solves it the same way
+    sol = solve_negative(h, est.c_hi)
+    assert sol.report.iterations == 1 and sol.report.details["newton_tail"] is True
 
 
 def test_a_seed_off_the_branch_leaves_the_certificate_to_the_sweeps(monkeypatch):
@@ -448,7 +477,8 @@ def test_threshold_rejects_a_bad_bracket_tol(bracket_tol):
 
 
 @pytest.mark.parametrize("c_lo, c_hi", [(-0.04, -0.05), (-0.05, -0.05), (math.nan, -0.05),
-                                        (-0.05, math.nan), (-math.inf, -0.05)])
+                                        (-0.05, math.nan), (-math.inf, -0.05),
+                                        (None, -0.05), (-0.05, None)])
 def test_critical_rejects_a_bad_bracket(c_lo, c_hi):
     est = ThresholdEstimate(minus_infinity=False, c_lo=c_lo, c_hi=c_hi, analytic_upper_bound=None)
     with pytest.raises(ValueError, match="bracket"):
