@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -32,6 +33,9 @@ EXIT_NOT_SOLVABLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEFECTS = 4
 _CSV_ROW = np.dtype([("id", object), ("s", float), ("u", float)])
+# (spec, text, u) of the last solution CSV written in this process, until
+# the next read of a solution CSV (see _read_solution_csv)
+_written = None
 
 
 def _out_prefix(args) -> str:
@@ -50,6 +54,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_solution_csv(path: str, spec: ProblemSpec, u: GridFunction) -> None:
     # deterministic layout: edges by id, samples from tail to head; %.17g
     # reads back as the same double
+    global _written
     grid, edges = spec.grid, spec.graph.edges
     order = sorted(range(len(edges)), key=lambda j: edges[j].id)
     nodes = grid.edge_nodes(order)
@@ -60,8 +65,10 @@ def _write_solution_csv(path: str, spec: ProblemSpec, u: GridFunction) -> None:
     rows = "".join((i.replace("%", "%%") + ",%.17g,%.17g\n") * count[j]
                    for i, j in zip(ids, order))
     su = np.column_stack((grid.node_s[nodes], u.values[grid.node_dof[nodes]]))
+    text = "edge_id,s,u\n" + rows % tuple(su.ravel().tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("edge_id,s,u\n" + rows % tuple(su.ravel().tolist()))
+        fh.write(text)
+    _written = (spec, text, u)
 
 
 def cmd_solve(args) -> int:
@@ -158,32 +165,44 @@ def cmd_threshold(args) -> int:
 def _read_solution_csv(path: str, spec: ProblemSpec) -> GridFunction:
     """Rebuild a GridFunction from cmd_solve's CSV; ValueError on mismatch.
 
-    After the header, numpy's C reader parses every row in one pass, quoted
-    ids included.  A file it refuses, or one with a non-finite number, is
-    read again by the csv module (``_scan_csv``), which names the first bad
-    row; text that only Python's float reads (``1_0``) is read there too.
-    The rows of an edge may be interleaved with other edges' rows.  Faults
-    are reported in this order: the first bad row; unknown or missing
-    edges; then sample counts, arclengths and vertex values unlike an
-    earlier edge's, each for the edge whose rows start first.
+    The file is read once.  When its text is the one _write_solution_csv
+    last wrote for this very spec, the u written is returned, which is
+    bitwise what the parse gives (%.17g round-trips); every read forgets
+    that record, so no solution text outlives its verify.  Otherwise,
+    after the header, numpy's C reader parses every row in one pass,
+    quoted ids included.  A text it refuses, or one with a non-finite
+    number, is read again by the csv module (``_scan_csv``), which names
+    the first bad row; text that only Python's float reads (``1_0``) is
+    read there too.  The rows of an edge may be interleaved with other
+    edges' rows.  Faults are reported in this order: the first bad row;
+    unknown or missing edges; then sample counts, arclengths and vertex
+    values unlike an earlier edge's, each for the edge whose rows start
+    first.
     """
+    global _written
+    written, _written = _written, None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            _csv_header(path, csv.reader(fh))
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file: "no samples for edges" names it
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", quotechar='"',
-                                      comments=None, ndmin=1)
-            except ValueError:
-                rows = None
-        if rows is not None and np.isfinite(rows["s"]).all() and np.isfinite(rows["u"]).all():
-            ids, s_vals, u_vals = rows["id"].tolist(), rows["s"], rows["u"]
-        else:
-            ids, s_vals, u_vals = _scan_csv(path)
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read solution file {path!r}: {exc}") from exc
+    if written is not None and written[0] is spec and written[1] == text:
+        return GridFunction(spec.grid, written[2].values)
+
+    fh = io.StringIO(text, newline="")
+    _csv_header(path, csv.reader(fh))
+    try:
+        with warnings.catch_warnings():
+            # a header-only file: "no samples for edges" names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except ValueError:
+        rows = None
+    if rows is not None and np.isfinite(rows["s"]).all() and np.isfinite(rows["u"]).all():
+        ids, s_vals, u_vals = rows["id"].tolist(), rows["s"], rows["u"]
+    else:
+        ids, s_vals, u_vals = _scan_csv(path, text)
 
     grid = spec.grid
     position = grid.graph.edge_position
@@ -234,30 +253,30 @@ def _csv_header(path: str, reader) -> None:
         raise ValueError(f"{path}: expected header edge_id,s,u")
 
 
-def _scan_csv(path: str) -> tuple:
-    """(ids, s, u) of the rows by the csv module, skipping empty ones;
-    ValueError names the first row that is not an id and two finite
-    numbers, and for a non-finite one the file line the row ends on."""
+def _scan_csv(path: str, text: str) -> tuple:
+    """(ids, s, u) of the rows of the file ``path`` holding ``text`` by the
+    csv module, skipping empty ones; ValueError names the first row that is
+    not an id and two finite numbers, and for a non-finite one the file
+    line the row ends on."""
     ids, s_vals, u_vals = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        _csv_header(path, reader)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            try:
-                s, u = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric row {row!r}") from exc
-            if not (math.isfinite(s) and math.isfinite(u)):
-                # a NaN arclength would pass the comparison with the grid
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"non-finite value in row {row!r}")
-            ids.append(row[0])
-            s_vals.append(s)
-            u_vals.append(u)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    _csv_header(path, reader)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}: malformed row {row!r}")
+        try:
+            s, u = float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric row {row!r}") from exc
+        if not (math.isfinite(s) and math.isfinite(u)):
+            # a NaN arclength would pass the comparison with the grid
+            raise ValueError(f"{path}, line {reader.line_num}: "
+                             f"non-finite value in row {row!r}")
+        ids.append(row[0])
+        s_vals.append(s)
+        u_vals.append(u)
     return ids, np.array(s_vals, dtype=float), np.array(u_vals, dtype=float)
 
 

@@ -38,6 +38,7 @@ import ast
 import functools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -295,9 +296,10 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
     graph = build_graph(vertices, list(zip(ids, tails, heads, lengths)))
 
     if cells_override is not None:
-        if cells_override < 2:
+        n = _cells_index(cells_override)
+        if n < 2:
             raise ValueError("cells override must be at least 2")
-        cells = dict.fromkeys(ids, cells_override)
+        cells = dict.fromkeys(ids, n)
     else:
         cells = default_cells(dict(zip(ids, lengths)))
         cells.update(file_cells)
@@ -361,13 +363,40 @@ def parse_problem(data: dict, *, cells_override: int | None = None) -> ProblemSp
     return ProblemSpec(graph=graph, grid=grid, h=h, c=c, cells=cells)
 
 
+def _cells_index(cells):
+    """``cells_override`` as a plain int (None stays None): a numpy integer
+    becomes the int that json writes, anything not an integer a ValueError."""
+    if cells is None:
+        return None
+    try:
+        return operator.index(cells)
+    except TypeError as exc:
+        raise ValueError(f"cells override must be an integer, got {cells!r}") from exc
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_text(text: str, cells: int | None) -> ProblemSpec:
+    """The spec of a problem file's text.  The last one is kept; a
+    ValueError is not cached and is raised again on every call."""
+    return parse_problem(json.loads(text), cells_override=cells)
+
+
 def load_problem(path: str, *, cells_override: int | None = None) -> ProblemSpec:
-    """Read and parse a problem file; all failure modes raise ValueError."""
+    """Read and parse a problem file; all failure modes raise ValueError.
+
+    The spec of the last call is kept, keyed on the file's text and
+    ``cells_override``: reading the same text with the same cells again in
+    this process returns that very ProblemSpec, so a verify, threshold or
+    critical solve after a solve of the same file shares its Grid, and with
+    it K and the grid's operators.  A returned spec may thus be shared and
+    must not be mutated (its ``cells`` dict included).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read problem file {path!r}: {exc}") from exc
+    try:
+        return _parse_text(text, _cells_index(cells_override))
     except json.JSONDecodeError as exc:
         raise ValueError(f"problem file {path!r} is not valid JSON: {exc}") from exc
-    return parse_problem(data, cells_override=cells_override)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kwnet import GridFunction, cli, parse_problem
+from kwnet import GridFunction, assembly, cli, parse_problem, problemfile
 from kwnet.cli import _read_solution_csv, _write_solution_csv, main
 
 
@@ -333,6 +333,42 @@ def test_verify_rejects_cells_mismatch(tmp_path, capsys):
     assert "cells mismatch" in capsys.readouterr().err
 
 
+def test_verify_takes_the_solution_solve_just_wrote(tmp_path, capsys):
+    prob = write_problem(tmp_path, h="cos(pi*s) - 0.5", c=-1)
+    sol = str(tmp_path / "prob.solution.csv")
+    problemfile._parse_text.cache_clear()
+    with mock.patch.object(assembly, "assemble_stiffness",
+                           wraps=assembly.assemble_stiffness) as assemble:
+        assert main(["solve", str(prob)]) == 0
+        capsys.readouterr()
+        # the verify parses neither the problem nor the CSV again
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")), \
+                mock.patch.object(cli, "_scan_csv", side_effect=AssertionError("re-scanned")):
+            assert main(["verify", str(prob), sol]) == 0
+        assert assemble.call_count == 1
+    warm = capsys.readouterr().out
+    # the read forgot the solution: a cold verify parses the file and
+    # prints the same report
+    problemfile._parse_text.cache_clear()
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert main(["verify", str(prob), sol]) == 0
+    assert loadtxt.call_count == 1
+    assert capsys.readouterr().out == warm
+
+    # an edited file is parsed: u = 800 at one node is a defect
+    assert main(["solve", str(prob)]) == 0
+    capsys.readouterr()
+    with open(sol, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[30][2] = "800"
+    with open(sol, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert main(["verify", str(prob), sol]) == 4
+    assert loadtxt.call_count == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "defects"
+
+
 def test_verify_rejects_bad_csv(tmp_path, capsys):
     prob = write_problem(tmp_path)
     sol = tmp_path / "sol.csv"
@@ -421,8 +457,12 @@ def test_csv_round_trip_is_bitwise(tmp_path, n_edges, cells):
     u = wild_values(spec)
     path = str(tmp_path / "u.csv")
     _write_solution_csv(path, spec, u)
-    back = _read_solution_csv(path, spec)
-    assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+    # the first read takes the u just written, the second parses the file
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        for _ in range(2):
+            back = _read_solution_csv(path, spec)
+            assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+    assert loadtxt.call_count == 1
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + sum(c + 1 for c in spec.cells.values())
@@ -575,10 +615,12 @@ def test_csv_writer_bytes_match_the_reference_and_read_back(ids, cells, seed):
         _reference_write(ref, spec, u)
         with open(new, "rb") as a, open(ref, "rb") as b:
             assert a.read() == b.read()
-        # a written file never needs the csv module's second reading
+        # a written file never needs the csv module's second reading; the
+        # first read takes the u just written, the second parses the file
         with mock.patch.object(cli, "_scan_csv", side_effect=AssertionError("re-scanned")):
-            back = _read_solution_csv(new, spec)
-    assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+            for _ in range(2):
+                back = _read_solution_csv(new, spec)
+                assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
 
 
 def _underscored(text):

@@ -240,10 +240,51 @@ def test_load_problem_roundtrip(tmp_path):
 def test_load_problem_bad_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ValueError):
-        load_problem(str(path))
+    # not kept: every call raises, naming the file
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^problem file {str(path)!r} is not valid JSON"):
+            load_problem(str(path))
     with pytest.raises(ValueError):
         load_problem(str(tmp_path / "missing.json"))
+    path.write_bytes(b'{"h": "\xff"}')
+    with pytest.raises(ValueError, match=f"^cannot read problem file {str(path)!r}"):
+        load_problem(str(path))
+
+
+def test_load_problem_keeps_the_last_spec_of_the_same_text(tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(BASE))
+    spec = load_problem(str(path))
+    assert load_problem(str(path)) is spec
+    # keyed on the text, not on the path or the file's time
+    other = tmp_path / "copy.json"
+    other.write_text(json.dumps(BASE))
+    assert load_problem(str(other)) is spec
+    # other cells: a new spec, and the earlier one is gone
+    finer = load_problem(str(path), cells_override=128)
+    assert finer is not spec and finer.cells == {"e1": 128}
+    assert load_problem(str(path), cells_override=128) is finer
+    assert load_problem(str(path)) is not spec
+    # edited text: a new spec
+    spec = load_problem(str(path))
+    path.write_text(json.dumps(dict(BASE, c=-3)))
+    edited = load_problem(str(path))
+    assert edited is not spec and edited.c == -3.0
+
+
+def test_cells_override_is_a_plain_int_or_a_value_error(tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(BASE))
+    for bad in ("48", 48.0, True):
+        with pytest.raises(ValueError, match="cells override must be"):
+            parse_problem(BASE, cells_override=bad)
+        with pytest.raises(ValueError, match="cells override must be"):
+            load_problem(str(path), cells_override=bad)
+    spec = parse_problem(BASE, cells_override=np.int64(48))
+    assert type(spec.cells["e1"]) is int and json.dumps(spec.cells) == '{"e1": 48}'
+    spec = load_problem(str(path), cells_override=np.int64(48))
+    assert type(spec.cells["e1"]) is int
+    assert load_problem(str(path), cells_override=48) is spec
 
 
 # ----------------------------------------------------------------------
